@@ -5,26 +5,29 @@ machine-readable report; every other subcommand wraps a single operation
 over declaration files and goes through the same engine, so its output is
 a one-job report.
 
-Exit codes: 0 when every job passes, 1 when any job fails, 2 on parse or
-validation errors.  Reports are deterministic: identical manifests and
-seeds produce byte-identical report files (wall-clock timing is only
-included under --timing, which breaks that guarantee and says so).
+Every job ends as a report entry: a bad argument, an invalid budget, an
+exceeded budget or an internal exception in one job becomes that job's
+``error`` entry and the other jobs still run.
+
+Exit codes: 0 when every job passes, 1 when any job fails, 2 when any job
+errors or the manifest does not parse (unknown commands and duplicate job
+ids included).  Reports are deterministic: identical manifests and seeds
+produce byte-identical report files (wall-clock timing is only included
+under --timing, which breaks that guarantee and says so).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import oracle, polycoalg, serialize, set_comodule, set_contramodule
 from . import set_correspondence as set_corr
 from . import coalg
 from .coalg import instances as coalg_instances
-from .errors import BudgetExceeded, CocontraError, ParseError, UnknownJob
+from .errors import Budget, BudgetExceeded, CocontraError, ParseError
 from .exactlin import GradedVect, field_from_name
 from .finset import FinMap, FinSet
 from .serialize import Environment, serialize_result
@@ -85,7 +88,7 @@ def _job_unique_comonoid(env, args, ctx):
         base = env.get(args["base"])
     else:
         base = FinSet([f"c{i}" for i in range(args["size"])])
-    rep = set_comodule.unique_comonoid_certificate(base)
+    rep = set_comodule.unique_comonoid_certificate(base, ctx["budget"])
     ok = rep["valid"] == 1 and rep["valid_is_diagonal"] and rep.get(
         "coassociative", False
     )
@@ -239,21 +242,23 @@ def _job_hom(env, args, ctx):
     a = env.get(args["source"])
     b = env.get(args["target"])
     if isinstance(a, SetComodule):
-        sub = set_comodule.hom_over(a, b)
+        sub = set_comodule.hom_over(a, b, ctx["budget"])
         payload = {"members": list(sub.members.elements)}
         if ctx["oracle"]:
-            generic = set_comodule.hom_over_generic(a, b)
+            generic = set_comodule.hom_over_generic(a, b, ctx["budget"])
             if generic.members != sub.members:
                 return _fail([{"direct": payload,
                                "generic": list(generic.members.elements)}])
         return _pass(payload, {"size": len(sub.members)})
     if isinstance(a, ContraTable):
-        members = set_contramodule.contra_hom_members(a, b)
+        members = set_contramodule.contra_hom_members(a, b, ctx["budget"])
         payload = {"members": [serialize_result(f) for f in members]}
         if ctx["oracle"]:
             ae = set_contramodule.to_extensional(a, ctx["budget"])
             be = set_contramodule.to_extensional(b, ctx["budget"])
-            odefn = set_contramodule.contra_hom_by_definition(ae, be)
+            odefn = set_contramodule.contra_hom_by_definition(
+                ae, be, ctx["budget"]
+            )
             if {str(sorted(f.table.items())) for f in members} != {
                 str(sorted(f.table.items())) for f in odefn
             }:
@@ -347,7 +352,7 @@ def _job_induce(env, args, ctx):
 def _job_induction_adjunction(env, args, ctx):
     f = env.get(args["along"])
     rep = set_contramodule.induction_adjunction_certificate(
-        f, args.get("fiber_bound", 2)
+        f, args.get("fiber_bound", 2), ctx["budget"]
     )
     return _from_report(rep)
 
@@ -405,6 +410,7 @@ def _job_equivalence(env, args, ctx):
         max_base=args.get("max_base", 2),
         max_fiber=args.get("max_fiber", 3),
         naturality_carrier=args.get("naturality_carrier", 3),
+        budget=ctx["budget"],
     )
     return _from_report(rep)
 
@@ -412,9 +418,7 @@ def _job_equivalence(env, args, ctx):
 def _job_universal_property(env, args, ctx):
     kind = args["which"]
     data = {k: env.get(v) for k, v in args["data"].items()}
-    rep = oracle.universal_property_check(
-        kind, data, oracle.Budget(max_count=ctx["budget"])
-    )
+    rep = oracle.universal_property_check(kind, data, ctx["budget"])
     return _from_report(rep)
 
 
@@ -443,14 +447,16 @@ JOB_RUNNERS = {
 
 
 def run_job(env: Environment, job: dict, ctx: dict) -> dict:
+    """Run one job; whatever it raises becomes its ``error`` entry.
+
+    ``ctx["budget"]`` is the default count, an int; a job's own
+    ``budget`` overrides it, and every enumeration of the job is charged
+    against the resulting :class:`Budget`.
+    """
     command = job.get("command")
-    if command not in JOB_RUNNERS:
-        raise UnknownJob(f"unknown command {command!r}")
-    jctx = dict(ctx)
-    if "budget" in job:
-        jctx["budget"] = job["budget"]
     start = time.monotonic()
     try:
+        jctx = dict(ctx, budget=Budget(job.get("budget", ctx["budget"])))
         entry = JOB_RUNNERS[command](env, job.get("args", {}), jctx)
     except BudgetExceeded as exc:
         entry = {
@@ -460,7 +466,7 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
             "counts": {},
             "result": str(exc),
         }
-    except CocontraError as exc:
+    except Exception as exc:
         entry = {
             "status": "error",
             "witnesses": [{"error": type(exc).__name__,
@@ -481,13 +487,11 @@ def run_manifest(doc: dict, ctx: dict) -> dict:
     ids = [job.get("id", job.get("command")) for job in jobs]
     if len(set(ids)) != len(ids):
         raise ParseError("job ids must be unique")
-    if ctx["parallel"]:
-        with ThreadPoolExecutor() as pool:
-            entries = list(
-                pool.map(lambda j: run_job(env, j, ctx), jobs)
-            )
-    else:
-        entries = [run_job(env, job, ctx) for job in jobs]
+    for job_id, job in zip(ids, jobs):
+        if job.get("command") not in JOB_RUNNERS:
+            raise ParseError(f"unknown command {job.get('command')!r}",
+                             where=job_id)
+    entries = [run_job(env, job, ctx) for job in jobs]
     entries.sort(key=lambda entry: entry["id"])
     return {
         "version": REPORT_VERSION,
@@ -520,8 +524,6 @@ def _base_context(ns) -> dict:
         "oracle": ns.oracle,
         "seed": ns.seed,
         "timing": ns.timing,
-        "parallel": getattr(ns, "parallel", False),
-        "field": ns.field,
     }
 
 
@@ -563,7 +565,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="report file path")
     common.add_argument("--budget", type=int, default=1_000_000)
-    common.add_argument("--field", default="Q", help="Q or Fp:<prime>")
     common.add_argument("--oracle", action="store_true",
                         help="enable independent cross-checks")
     common.add_argument("--seed", type=int, default=None,
@@ -581,7 +582,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", parents=[common],
                            help="execute a manifest")
     run_p.add_argument("manifest")
-    run_p.add_argument("--parallel", action="store_true")
 
     for name, (nargs, _) in _SINGLE_ARG_SPECS.items():
         p = sub.add_parser(name, parents=[common])
@@ -623,12 +623,10 @@ def main(argv=None) -> int:
     ctx = _base_context(ns)
     try:
         if ns.subcommand == "run":
-            ctx["parallel"] = ns.parallel
             doc = serialize.load_document(ns.manifest)
-            report = run_manifest(doc, ctx)
         else:
-            doc, job = _assemble_single(ns)
-            report = run_manifest(doc, ctx)
+            doc = _assemble_single(ns)
+        report = run_manifest(doc, ctx)
     except ParseError as exc:
         sys.stderr.write(
             f"parse error at {exc.where}: {exc}\n"
@@ -647,19 +645,19 @@ def _assemble_single(ns):
             {"id": "enumerate", "command": "enumerate",
              "args": {"carrier": ns.carrier, "base": ns.base}}
         ]}
-        return doc, None
+        return doc
     if name == "demo-noncocontinuous":
         doc = {"declarations": [], "jobs": [
             {"id": "demo", "command": "demo-noncocontinuous",
              "args": {"c_size": ns.c_size}}
         ]}
-        return doc, None
+        return doc
     if name == "unique-comonoid":
         doc = {"declarations": [], "jobs": [
             {"id": "unique-comonoid", "command": "unique-comonoid",
              "args": {"size": ns.size}}
         ]}
-        return doc, None
+        return doc
     if name == "equivalence":
         doc = {"declarations": [], "jobs": [
             {"id": "equivalence", "command": "equivalence",
@@ -667,25 +665,25 @@ def _assemble_single(ns):
                       "max_base": ns.max_base,
                       "max_fiber": ns.max_fiber}}
         ]}
-        return doc, None
+        return doc
     if name == "decompose":
         doc, mains = _load_env_files(ns.files)
         doc["jobs"] = [{"id": "decompose", "command": "decompose",
                         "args": {"target": mains[0],
                                  "basepoint": ns.basepoint}}]
-        return doc, None
+        return doc
     if name == "induction-adjunction":
         doc, mains = _load_env_files(ns.files)
         doc["jobs"] = [{"id": "induction-adjunction",
                         "command": "induction-adjunction",
                         "args": {"along": mains[0],
                                  "fiber_bound": ns.fiber_bound}}]
-        return doc, None
+        return doc
     if name in ("induce", "restrict"):
         doc, mains = _load_env_files(ns.files)
         doc["jobs"] = [{"id": name, "command": name,
                         "args": {"along": mains[0], "target": mains[1]}}]
-        return doc, None
+        return doc
     nargs, build = _SINGLE_ARG_SPECS[name]
     doc, mains = _load_env_files(ns.files)
     args = build(mains)
@@ -697,7 +695,7 @@ def _assemble_single(ns):
         if ns.contramodule:
             args["contramodule"] = ns.contramodule
     doc["jobs"] = [{"id": name, "command": name, "args": args}]
-    return doc, None
+    return doc
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .core import (
     VComodule,
     VContramodule,
     check_coalgebra_morphism,
+    coalgebra_as_left_comodule,
     left_coaction,
     left_comodule_from_coaction,
     require_same_coalgebra,
@@ -53,7 +54,7 @@ def cotensor(m: VComodule, n: VComodule) -> SubPresentation:
 def counit_contraction_iso(m: VComodule) -> LinMap:
     """The canonical identification of m cotensor the coalgebra with m."""
     c = m.coalgebra
-    sub = cotensor(m, coalgebra_as_left_comodule_cached(c))
+    sub = cotensor(m, coalgebra_as_left_comodule(c))
     collapse = compose(
         unit_right(m.space),
         tensor_map(identity_map(m.space), c.eps),
@@ -66,18 +67,6 @@ def counit_contraction_iso(m: VComodule) -> LinMap:
         compose(iso, back), identity_map(m.space)
     ).is_zero()
     return iso
-
-
-_left_cache: dict[int, VComodule] = {}
-
-
-def coalgebra_as_left_comodule_cached(c: Coalgebra) -> VComodule:
-    key = id(c)
-    if key not in _left_cache:
-        _left_cache[key] = left_comodule_from_coaction(
-            c, c.space, c.delta
-        )
-    return _left_cache[key]
 
 
 def cohom(m: VComodule, p: VContramodule) -> QuotPresentation:

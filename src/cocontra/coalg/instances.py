@@ -156,24 +156,6 @@ def grading_comodule(c: Coalgebra, assignment, space) -> VComodule:
     return out
 
 
-def grading_contramodule(c: Coalgebra, assignment, space) -> VContramodule:
-    """The matching contramodule: evaluate a family at the assigned
-    group-like."""
-    from ..exactlin import hom_space
-
-    one = c.field.one()
-    ambient = hom_space(c.space, space)
-    images = {}
-    for _, _, lab in ambient.basis():
-        _, g, x = lab
-        if assignment[x] == g:
-            images[lab] = {x: one}
-    theta = LinMap.from_images(ambient, space, 0, images)
-    out = VContramodule(c, space, theta)
-    assert validate_contramodule(out)["ok"]
-    return out
-
-
 def random_coalgebra(field, rng: random.Random, max_dim: int = 3) -> Coalgebra:
     n = rng.randint(1, max_dim)
     c = group_like_coalgebra(field, n)

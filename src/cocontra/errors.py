@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types and the enumeration budget.
 
 Every error carries enough data to reconstruct the failing call; batch
 drivers convert them into report entries instead of crashing.
 """
+
+from dataclasses import dataclass
 
 
 class CocontraError(Exception):
@@ -55,8 +57,40 @@ class BudgetExceeded(CocontraError):
         self.projected = projected
 
 
-class BoundExceeded(CocontraError):
-    """A hard size precondition was violated."""
+@dataclass(frozen=True)
+class Budget:
+    """The most items one enumeration may visit, plus a wall-clock ceiling
+    for the generators that enumerate lazily.
+
+    Every enumerator charges its exact projected count before it starts,
+    so an over-budget call fails at once with that count.  The count often
+    comes from a manifest, hence a raised error rather than an assert.
+    """
+
+    max_count: int = 1_000_000
+    time_ceiling_s: float = 60.0
+
+    def __post_init__(self):
+        if (not isinstance(self.max_count, int)
+                or isinstance(self.max_count, bool) or self.max_count <= 0):
+            raise CocontraError(
+                f"budget must be a positive integer, got {self.max_count!r}"
+            )
+        if not self.time_ceiling_s > 0:
+            raise CocontraError(
+                f"time ceiling must be positive, got {self.time_ceiling_s!r}"
+            )
+
+    def charge(self, projected: int, what: str):
+        if projected > self.max_count:
+            raise BudgetExceeded(
+                f"{what} would enumerate {projected} items "
+                f"(budget {self.max_count})",
+                projected=projected,
+            )
+
+
+DEFAULT_BUDGET = Budget()
 
 
 class IncompatibleTriple(CocontraError):
@@ -72,7 +106,3 @@ class ParseError(CocontraError):
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
-
-
-class UnknownJob(CocontraError):
-    """A manifest job names a command that does not exist."""

@@ -109,7 +109,11 @@ def encode_map(f: FinMap) -> str:
     return "{" + ",".join(f"{a}:{f(a)}" for a in f.dom) + "}"
 
 
-@lru_cache(maxsize=None)
+# one set-cert pass looks up about 200 distinct (domain, codomain) pairs
+_FUNCTION_SPACES_CACHED = 1024
+
+
+@lru_cache(maxsize=_FUNCTION_SPACES_CACHED)
 def _maps_by_label(a: FinSet, b: FinSet) -> dict[str, FinMap]:
     """All total maps a -> b keyed by their encoded label.
 

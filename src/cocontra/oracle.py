@@ -10,11 +10,10 @@ exact projected counts, never silent truncation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import finset
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .exactlin import (
     GradedVect,
     LinMap,
@@ -23,26 +22,6 @@ from .exactlin import (
     sub_maps,
 )
 from .finset import FinSet
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_count: int = 1_000_000
-    time_ceiling_s: float = 60.0
-
-    def __post_init__(self):
-        assert self.max_count > 0 and self.time_ceiling_s > 0
-
-    def charge(self, projected: int, what: str):
-        if projected > self.max_count:
-            raise BudgetExceeded(
-                f"{what} would enumerate {projected} items "
-                f"(budget {self.max_count})",
-                projected=projected,
-            )
-
-
-DEFAULT_BUDGET = Budget()
 
 
 def all_maps(a: FinSet, b: FinSet, budget: Budget = DEFAULT_BUDGET):

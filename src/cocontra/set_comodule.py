@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import finset
-from .errors import BaseMismatch, BoundExceeded, NotCounital
+from .errors import DEFAULT_BUDGET, BaseMismatch, Budget, NotCounital
 from .finset import FinMap, FinSet, SubPresentation
 
 
@@ -96,11 +96,13 @@ def is_degenerate(m: SetComodule) -> bool:
     return not m.phi.is_surjective()
 
 
-def hom_over(m: SetComodule, n: SetComodule) -> SubPresentation:
+def hom_over(m: SetComodule, n: SetComodule,
+             budget: Budget = DEFAULT_BUDGET) -> SubPresentation:
     """All carrier maps commuting with the structure maps, as a subset of
     the full function space."""
     if m.base != n.base:
         raise BaseMismatch("hom_over needs a shared base")
+    budget.charge(len(n.carrier) ** len(m.carrier), "hom_over")
     ambient = finset.function_space(m.carrier, n.carrier)
     members = []
     for label in ambient:
@@ -112,16 +114,19 @@ def hom_over(m: SetComodule, n: SetComodule) -> SubPresentation:
     return SubPresentation(ambient, members_set, include)
 
 
-def hom_over_generic(m: SetComodule, n: SetComodule) -> SubPresentation:
+def hom_over_generic(m: SetComodule, n: SetComodule,
+                     budget: Budget = DEFAULT_BUDGET) -> SubPresentation:
     """The same hom set by the generic equaliser route.
 
     Both maps land in the function space into carrier x base: one
     post-composes with n's coaction, the other records m's own phi.
-    Used as a cross-check for :func:`hom_over`.
+    Used as a cross-check for :func:`hom_over`.  The largest enumeration is
+    the function space into carrier x base.
     """
     if m.base != n.base:
         raise BaseMismatch("hom_over needs a shared base")
     x, y, c = m.carrier, n.carrier, m.base
+    budget.charge((len(y) * len(c)) ** len(x), "hom_over_generic")
     hom_xy = finset.function_space(x, y)
     yc, _, _ = finset.product(y, c)
     hom_xyc = finset.function_space(x, yc)
@@ -159,14 +164,14 @@ def induce_along(f: FinMap, p: SetComodule) -> SetComodule:
     return SetComodule(carrier, f.dom, proj2)
 
 
-def unique_comonoid_certificate(c: FinSet, bound: int = 4) -> dict:
+def unique_comonoid_certificate(c: FinSet,
+                                budget: Budget = DEFAULT_BUDGET) -> dict:
     """Enumerate all candidate comultiplications on c and count the counital
     ones; exactly the diagonal should survive.
 
     Returns a report dict with candidate/valid counts and the witness.
     """
-    if len(c) > bound:
-        raise BoundExceeded(f"|C|={len(c)} exceeds enumeration bound {bound}")
+    budget.charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
     prod, proj1, proj2 = finset.product(c, c)
     diagonal = SetComonoid(c).diagonal()
     candidates = 0

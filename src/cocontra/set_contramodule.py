@@ -16,14 +16,16 @@ the table would blow up).  Converters connect them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
 from . import finset
 from .errors import (
+    DEFAULT_BUDGET,
     BaseMismatch,
-    BudgetExceeded,
+    Budget,
     EmptyCarrier,
     EmptyFiber,
 )
@@ -109,25 +111,12 @@ def empty_contramodule(base: FinSet) -> ContraTable:
     return ContraTable(finset.EMPTY, base, theta=theta)
 
 
-def decode_choice(t: ContraTable, label: str) -> dict[str, str]:
-    """Read a product-form carrier label back as a base-indexed choice."""
-    assert t.fibers is not None
-    for ch in _choice_dicts(t.base, t.fibers):
-        if _encode_choice(t.base, ch) == label:
-            return ch
-    raise KeyError(label)
-
-
-def to_extensional(t: ContraTable, budget: int = 1_000_000) -> ContraTable:
+def to_extensional(t: ContraTable,
+                   budget: Budget = DEFAULT_BUDGET) -> ContraTable:
     """Materialise the full theta table of a product-form contramodule."""
     if t.theta is not None:
         return t
-    n = len(t.carrier) ** len(t.base)
-    if n > budget:
-        raise BudgetExceeded(
-            f"extensional table needs {n} entries (budget {budget})",
-            projected=n,
-        )
+    budget.charge(len(t.carrier) ** len(t.base), "extensional table")
     ambient = finset.function_space(t.base, t.carrier)
     decode = {
         _encode_choice(t.base, ch): ch for ch in _choice_dicts(t.base, t.fibers)
@@ -144,7 +133,7 @@ def to_extensional(t: ContraTable, budget: int = 1_000_000) -> ContraTable:
 # --- validation ---------------------------------------------------------------
 
 
-def validate(t: ContraTable, budget: int = 1_000_000) -> dict:
+def validate(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> dict:
     """Check contraunitality and the row-diagonal identity exhaustively.
 
     Requires the extensional form.  Returns a report dict; the first
@@ -158,12 +147,7 @@ def validate(t: ContraTable, budget: int = 1_000_000) -> dict:
         return {"ok": True, "contraunital": True, "row_diagonal": True,
                 "checked_matrices": 0, "witness": None}
     n_matrices = nx ** (nc * nc)
-    if n_matrices > budget:
-        raise BudgetExceeded(
-            f"row-diagonal check needs {n_matrices} matrices "
-            f"(budget {budget})",
-            projected=n_matrices,
-        )
+    budget.charge(n_matrices, "row-diagonal check")
     theta_idx, betas = _packed_theta(t)
     ok_unit, unit_witness = _check_contraunit(theta_idx, nx, nc)
     ok_row, row_witness = (True, None)
@@ -293,17 +277,12 @@ def decompose(t: ContraTable, u: str):
 
 
 def is_contramodule_map(
-    f: FinMap, s: ContraTable, t: ContraTable, budget: int = 1_000_000
+    f: FinMap, s: ContraTable, t: ContraTable, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
     """Definition check: f(theta_s(beta)) == theta_t(f o beta) for all beta."""
     if s.base != t.base:
         raise BaseMismatch("contramodule maps need a shared base")
-    n = len(s.carrier) ** len(s.base)
-    if n > budget:
-        raise BudgetExceeded(
-            f"membership check needs {n} functions (budget {budget})",
-            projected=n,
-        )
+    budget.charge(len(s.carrier) ** len(s.base), "contramodule-map check")
     for values in iproduct(s.carrier.elements, repeat=len(s.base)):
         beta = FinMap(s.base, s.carrier, dict(zip(s.base.elements, values)))
         f_beta = FinMap(
@@ -317,7 +296,8 @@ def is_contramodule_map(
 # --- homs ---------------------------------------------------------------------
 
 
-def contra_hom_members(s: ContraTable, t: ContraTable) -> list[FinMap]:
+def contra_hom_members(s: ContraTable, t: ContraTable,
+                       budget: Budget = DEFAULT_BUDGET) -> list[FinMap]:
     """All contramodule maps s -> t as carrier maps, fiberwise.
 
     Both inputs must be valid.  Non-product forms are decomposed first (at
@@ -333,6 +313,10 @@ def contra_hom_members(s: ContraTable, t: ContraTable) -> list[FinMap]:
     s_family, s_pi, s_sigma = _as_product(s)
     t_family, t_pi, t_sigma = _as_product(t)
     keys = list(s.base.elements)
+    budget.charge(
+        math.prod(len(t_family[a]) ** len(s_family[a]) for a in keys),
+        "slotwise hom enumeration",
+    )
     pools = []
     for a in keys:
         pools.append(list(finset._all_maps(s_family[a], t_family[a])))
@@ -363,6 +347,10 @@ def _as_product(t: ContraTable):
     return decompose(t, u)
 
 
+# one set-cert pass decodes about 300 distinct fiber families
+_CHOICE_TABLES_CACHED = 1024
+
+
 def _decode_choice_label(
     base: FinSet, fibers: dict[str, FinSet], label: str
 ) -> dict[str, str]:
@@ -370,7 +358,7 @@ def _decode_choice_label(
     return table[label]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CHOICE_TABLES_CACHED)
 def _choice_decode_table(base: FinSet, fam: tuple) -> dict[str, dict]:
     fibers = dict(fam)
     return {
@@ -379,29 +367,28 @@ def _choice_decode_table(base: FinSet, fam: tuple) -> dict[str, dict]:
 
 
 def contra_hom(
-    s: ContraTable, t: ContraTable, budget: int = 1_000_000
+    s: ContraTable, t: ContraTable, budget: Budget = DEFAULT_BUDGET
 ) -> SubPresentation:
     """The contramodule maps as a subset of the full function space."""
     if s.base != t.base:
         raise BaseMismatch("contra_hom needs a shared base")
-    size = len(t.carrier) ** len(s.carrier)
-    if len(s.carrier) > 0 and size > budget:
-        raise BudgetExceeded(
-            f"function space has {size} elements (budget {budget})",
-            projected=size,
-        )
+    budget.charge(len(t.carrier) ** len(s.carrier), "function space")
     ambient = finset.function_space(s.carrier, t.carrier)
-    labels = sorted(finset.encode_map(f) for f in contra_hom_members(s, t))
+    labels = sorted(
+        finset.encode_map(f) for f in contra_hom_members(s, t, budget)
+    )
     members = FinSet(labels)
     include = FinMap(members, ambient, {x: x for x in members})
     return SubPresentation(ambient, members, include)
 
 
-def contra_hom_by_definition(s: ContraTable, t: ContraTable) -> list[FinMap]:
+def contra_hom_by_definition(s: ContraTable, t: ContraTable,
+                             budget: Budget = DEFAULT_BUDGET) -> list[FinMap]:
     """Brute-force oracle for contra_hom: filter every carrier map."""
+    budget.charge(len(t.carrier) ** len(s.carrier), "carrier map enumeration")
     out = []
     for f in finset._all_maps(s.carrier, t.carrier):
-        if is_contramodule_map(f, s, t):
+        if is_contramodule_map(f, s, t, budget):
             out.append(f)
     return out
 
@@ -410,19 +397,14 @@ def contra_hom_by_definition(s: ContraTable, t: ContraTable) -> list[FinMap]:
 
 
 def enumerate_all(
-    carrier: FinSet, base: FinSet, budget: int = 10_000_000
+    carrier: FinSet, base: FinSet, budget: Budget = DEFAULT_BUDGET
 ) -> list[ContraTable]:
     """Every valid extensional theta table on the given carrier and base,
     in canonical (odometer) order."""
     nx, nc = len(carrier), len(base)
     if nx == 0:
         return []
-    total = nx ** (nx**nc)
-    if total > budget:
-        raise BudgetExceeded(
-            f"enumeration needs {total} tables (budget {budget})",
-            projected=total,
-        )
+    budget.charge(nx ** (nx**nc), "theta-table enumeration")
     betas = list(iproduct(range(nx), repeat=nc))
     nb = len(betas)
     const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
@@ -612,29 +594,6 @@ def _product_map(s: ContraTable, t: ContraTable, comps) -> FinMap:
     return FinMap(s.carrier, t.carrier, table)
 
 
-def induce_mor(f: FinMap, a_map: FinMap, t1: ContraTable, t2: ContraTable):
-    """Induction on morphisms: apply the component over f(z) in slot z."""
-    comps = contra_components(a_map, t1, t2)
-    i1, i2 = induce_contra(f, t1), induce_contra(f, t2)
-    return _product_map(i1, i2, {z: comps[f(z)] for z in f.dom})
-
-
-def restrict_mor(f: FinMap, b_map: FinMap, s1: ContraTable, s2: ContraTable):
-    """Restriction on morphisms: act slotwise inside every regrouped fiber."""
-    comps = contra_components(b_map, s1, s2)
-    r1, r2 = restrict_contra(f, s1), restrict_contra(f, s2)
-    new_comps = {}
-    for y in f.cod:
-        pre = FinSet([z for z in f.dom if f(z) == y])
-        sub1 = {z: s1.fibers[z] for z in pre}
-        table = {}
-        for ch in _choice_dicts(pre, sub1):
-            image = {z: comps[z](ch[z]) for z in pre}
-            table[_encode_choice(pre, ch)] = _encode_choice(pre, image)
-        new_comps[y] = FinMap(r1.fibers[y], r2.fibers[y], table)
-    return _product_map(r1, r2, new_comps)
-
-
 def transpose_hom(
     f: FinMap, t: ContraTable, s: ContraTable, u: FinMap
 ) -> FinMap:
@@ -656,10 +615,14 @@ def transpose_hom(
     return FinMap(t.carrier, res_s.carrier, table)
 
 
-def _component_families(s: ContraTable, t: ContraTable):
+def _component_families(s: ContraTable, t: ContraTable, budget: Budget):
     """All slotwise families between product contramodules (= all
     contramodule maps, via :func:`contra_components`)."""
     keys = list(s.base.elements)
+    budget.charge(
+        math.prod(len(t.fibers[a]) ** len(s.fibers[a]) for a in keys),
+        "slotwise hom enumeration",
+    )
     pools = [
         [dict(m.table) for m in finset._all_maps(s.fibers[a], t.fibers[a])]
         for a in keys
@@ -676,26 +639,27 @@ def _transpose_components(
     if pre is None:
         pre = {y: sorted(z for z in f.dom if f(z) == y) for y in f.cod}
     out = {}
-    for y in f.cod:
-        table = {}
-        for x in t.fibers[y]:
-            parts = ",".join(f"{z}:{comps_u[z][x]}" for z in pre[y])
-            table[x] = "{" + parts + "}"
-        out[y] = table
+    for y in f.cod.elements:
+        zs = pre[y]
+        out[y] = {
+            x: "{" + ",".join([f"{z}:{comps_u[z][x]}" for z in zs]) + "}"
+            for x in t.fibers[y].elements
+        }
     return out
 
 
 def induction_adjunction_certificate(
-    f: FinMap, fiber_bound: int = 2, check_naturality: bool = True
+    f: FinMap, fiber_bound: int = 2, budget: Budget = DEFAULT_BUDGET
 ) -> dict:
     """Certify that induction is left adjoint to restriction along f.
 
     For every pair of product contramodules within the fiber bound, the
-    transpose is checked to be a bijection between the two hom sets; when
-    requested, its naturality in both arguments is checked on every
-    morphism of the bounded family.  Hom elements and composites are
-    handled slotwise; the slotwise calculus itself is certified against
-    carrier-level maps by the test-suite on small bases.
+    transpose is checked to be a bijection between the two hom sets, and
+    its naturality in both arguments is checked on every morphism of the
+    bounded family; each hom enumeration is charged against the budget.
+    Hom elements and composites are handled slotwise; the slotwise calculus
+    itself is certified against carrier-level maps by the test-suite on
+    small bases.
     """
     c, chat = f.dom, f.cod
     ts = list(all_product_shapes(chat, fiber_bound))
@@ -714,23 +678,28 @@ def induction_adjunction_certificate(
             tuple(sorted(family[k].items())) for k in keys
         )
 
+    ckeys = c.elements
+    ykeys = chat.elements
+    fz = {z: f(z) for z in ckeys}
+    squares = 0
     for t in ts:
         ind_t = induce_contra(f, t)
-        ckeys = list(c.elements)
-        ykeys = list(chat.elements)
+        ind_fibers = {z: ind_t.fibers[z].elements for z in ckeys}
+        t_fibers = {y: t.fibers[y].elements for y in ykeys}
         for s in ss:
             res_s = restrict_contra(f, s)
             hom1 = [
                 {z: dict(fam[z]) for z in ckeys}
-                for fam in _component_families(ind_t, s)
+                for fam in _component_families(ind_t, s, budget)
             ]
             hom2_keys = {
                 key_of({y: fam[y] for y in ykeys}, ykeys)
-                for fam in _component_families(t, res_s)
+                for fam in _component_families(t, res_s, budget)
             }
             report["pairs"] += 1
             report["hom_elements"] += len(hom1)
             phi = {}
+            pairs_u = []
             for comps_u in hom1:
                 v = _transpose_components(f, t, comps_u, pre)
                 kv = key_of(v, ykeys)
@@ -739,83 +708,93 @@ def induction_adjunction_certificate(
                         {"kind": "transpose-not-a-hom", "u": comps_u}
                     )
                 phi[key_of(comps_u, ckeys)] = v
+                pairs_u.append((comps_u, v))
             image = {key_of(v, ykeys) for v in phi.values()}
             if len(image) != len(hom1) or len(hom1) != len(hom2_keys):
                 report["failures"].append(
                     {"kind": "not-a-bijection",
                      "sizes": (len(hom1), len(hom2_keys))}
                 )
-            if not check_naturality:
-                continue
             for t2 in ts:
-                for a_fam in _component_families(t2, t):
-                    for comps_u in hom1:
-                        # u o Ind(a) has components u_z o a_{f(z)}
+                t2_fibers = {y: t2.fibers[y].elements for y in ykeys}
+                # many composites coincide; transpose each one once
+                transposed = {}
+                for a_fam in _component_families(t2, t, budget):
+                    # u o Ind(a) has components u_z o a_{f(z)}
+                    a_slots = [
+                        (z, a_fam[fz[z]], t2_fibers[fz[z]]) for z in ckeys
+                    ]
+                    for comps_u, v in pairs_u:
                         composed = {
-                            z: {
-                                x: comps_u[z][a_fam[f(z)][x]]
-                                for x in t2.fibers[f(z)]
-                            }
-                            for z in ckeys
+                            z: {x: comps_u[z][a[x]] for x in xs}
+                            for z, a, xs in a_slots
                         }
-                        lhs = _transpose_components(f, t2, composed, pre)
-                        v = phi[key_of(comps_u, ckeys)]
+                        ckey = tuple(
+                            tuple(d.values()) for d in composed.values()
+                        )
+                        lhs = transposed.get(ckey)
+                        if lhs is None:
+                            lhs = _transpose_components(f, t2, composed, pre)
+                            transposed[ckey] = lhs
                         rhs = {
-                            y: {
-                                x: v[y][a_fam[y][x]]
-                                for x in t2.fibers[y]
-                            }
+                            y: {x: v[y][a_fam[y][x]] for x in t2_fibers[y]}
                             for y in ykeys
                         }
-                        report["naturality_squares"] += 1
+                        squares += 1
                         if lhs != rhs:
                             report["failures"].append(
                                 {"kind": "not-natural-in-source",
                                  "a": a_fam, "u": comps_u}
                             )
+            # Res(s) regroups the fiber over y as choices on its preimage
+            decoded = {
+                y: list(
+                    _choice_decode_table(
+                        FinSet(pre[y]),
+                        tuple(sorted((z, s.fibers[z]) for z in pre[y])),
+                    ).items()
+                )
+                for y in ykeys
+            }
             for s2 in ss:
-                res_s2 = restrict_contra(f, s2)
-                for b_fam in _component_families(s, s2):
+                transposed = {}
+                for b_fam in _component_families(s, s2, budget):
                     # Res(b) acts inside every regrouped fiber
                     res_b = {
                         y: {
                             lab: "{" + ",".join(
                                 f"{z}:{b_fam[z][ch[z]]}" for z in pre[y]
                             ) + "}"
-                            for lab, ch in _choice_decode_table(
-                                FinSet(pre[y]),
-                                tuple(
-                                    sorted(
-                                        (z, s.fibers[z]) for z in pre[y]
-                                    )
-                                ),
-                            ).items()
+                            for lab, ch in decoded[y]
                         }
                         for y in ykeys
                     }
-                    for comps_u in hom1:
+                    for comps_u, v in pairs_u:
                         composed = {
                             z: {
                                 x: b_fam[z][comps_u[z][x]]
-                                for x in ind_t.fibers[z]
+                                for x in ind_fibers[z]
                             }
                             for z in ckeys
                         }
-                        lhs = _transpose_components(f, t, composed, pre)
-                        v = phi[key_of(comps_u, ckeys)]
+                        ckey = tuple(
+                            tuple(d.values()) for d in composed.values()
+                        )
+                        lhs = transposed.get(ckey)
+                        if lhs is None:
+                            lhs = _transpose_components(f, t, composed, pre)
+                            transposed[ckey] = lhs
                         rhs = {
-                            y: {
-                                x: res_b[y][v[y][x]]
-                                for x in t.fibers[y]
-                            }
+                            y: {x: res_b[y][v[y][x]] for x in t_fibers[y]}
                             for y in ykeys
                         }
-                        report["naturality_squares"] += 1
+                        squares += 1
                         if lhs != rhs:
                             report["failures"].append(
                                 {"kind": "not-natural-in-target",
                                  "b": b_fam, "u": comps_u}
                             )
+    report["naturality_squares"] = squares
     report["ok"] = not report["failures"]
     return report
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from . import finset, set_comodule, set_contramodule
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, Budget
 from .finset import FinMap, FinSet, QuotPresentation
 from .set_comodule import SetComodule, fibers, is_degenerate
 from .set_contramodule import (
     ContraTable,
-    _choice_dicts,
     _decode_choice_label,
     _encode_choice,
     all_product_shapes,
@@ -35,17 +34,6 @@ class SectionSet:
     of: SetComodule
     sections: FinSet
     theta: ContraTable
-
-
-def section_maps(m: SetComodule) -> list[FinMap]:
-    """All sections of the structure map, as maps base -> carrier."""
-    fam = fibers(m)
-    if any(len(v) == 0 for v in fam.values()):
-        return []
-    out = []
-    for ch in _choice_dicts(m.base, fam):
-        out.append(FinMap(m.base, m.carrier, ch))
-    return out
 
 
 def R_set(m: SetComodule) -> ContraTable:
@@ -78,7 +66,7 @@ def R_mor(v: FinMap, m: SetComodule, n: SetComodule) -> FinMap:
     return FinMap(rm.carrier, rn.carrier, table)
 
 
-def l_set_with_projection(t: ContraTable, budget: int = 1_000_000):
+def l_set_with_projection(t: ContraTable, budget: Budget = DEFAULT_BUDGET):
     """The quotient comodule together with the projection from carrier x base.
 
     Product-form input takes the closed-form route (the disjoint union of
@@ -110,12 +98,7 @@ def l_set_with_projection(t: ContraTable, budget: int = 1_000_000):
             },
         )
         return SetComodule(carrier, c, phi), project
-    size = (len(t.carrier) ** len(c)) * len(c)
-    if size > budget:
-        raise BudgetExceeded(
-            f"coequaliser ambient has {size} elements (budget {budget})",
-            projected=size,
-        )
+    budget.charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
     hom_cy = finset.function_space(c, t.carrier)
     dom, _, _ = finset.product(hom_cy, c)
     cod, _, _ = finset.product(t.carrier, c)
@@ -143,7 +126,7 @@ def l_set_with_projection(t: ContraTable, budget: int = 1_000_000):
     return SetComodule(carrier, c, phi), q.project
 
 
-def L_set(t: ContraTable, budget: int = 1_000_000) -> SetComodule:
+def L_set(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> SetComodule:
     m, _ = l_set_with_projection(t, budget)
     return m
 
@@ -230,7 +213,7 @@ def counit_is_comodule_map(m: SetComodule) -> bool:
     return True
 
 
-def unit(t: ContraTable, budget: int = 1_000_000) -> FinMap:
+def unit(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> FinMap:
     """The carrier map into the sections of the quotient comodule."""
     l, project = l_set_with_projection(t, budget)
     rl = R_set(l)
@@ -253,8 +236,10 @@ def unit_is_contramodule_map(t: ContraTable) -> bool:
 # --- batch certificate --------------------------------------------------------
 
 
-def all_comodules(carrier_size: int, base_size: int):
+def all_comodules(carrier_size: int, base_size: int,
+                  budget: Budget = DEFAULT_BUDGET):
     """Every set comodule on canonical labels of the given sizes."""
+    budget.charge(base_size ** carrier_size, "comodule enumeration")
     carrier = FinSet([f"x{i}" for i in range(1, carrier_size + 1)])
     base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
     for phi in finset._all_maps(carrier, base):
@@ -308,6 +293,7 @@ def equivalence_certificate(
     max_base: int = 2,
     max_fiber: int = 3,
     naturality_carrier: int = 3,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> dict:
     """Exhaustively certify the correspondence on bounded instances.
 
@@ -317,7 +303,8 @@ def equivalence_certificate(
     is a bijective contramodule map and the quotient-side triangle holds.
     Naturality of both is checked on all structure maps between instances
     with carriers up to ``naturality_carrier``.  Degenerate comodules are
-    reported and excluded, never errors.
+    reported and excluded, never errors.  The comodule and hom
+    enumerations are charged against the budget.
     """
     report = {
         "comodules": 0,
@@ -329,7 +316,7 @@ def equivalence_certificate(
     }
     for base_size in range(1, max_base + 1):
         for carrier_size in range(0, max_carrier + 1):
-            for m in all_comodules(carrier_size, base_size):
+            for m in all_comodules(carrier_size, base_size, budget):
                 report["comodules"] += 1
                 if is_degenerate(m):
                     report["degenerate"] += 1
@@ -378,23 +365,24 @@ def equivalence_certificate(
                      "shape": {a: len(v) for a, v in t.fibers.items()}}
                 )
         report["naturality_squares"] += _counit_naturality(
-            base_size, naturality_carrier, report
+            base_size, naturality_carrier, report, budget
         )
     report["ok"] = not report["failures"]
     return report
 
 
-def _counit_naturality(base_size: int, max_carrier: int, report) -> int:
+def _counit_naturality(base_size: int, max_carrier: int, report,
+                       budget: Budget) -> int:
     """counit o L(R(f)) == f o counit for every comodule map f."""
     squares = 0
     base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
     instances = []
     for carrier_size in range(0, max_carrier + 1):
-        instances.extend(all_comodules(carrier_size, base_size))
+        instances.extend(all_comodules(carrier_size, base_size, budget))
     instances = [m for m in instances if not is_degenerate(m)]
     for m in instances:
         for n in instances:
-            hom = set_comodule.hom_over(m, n)
+            hom = set_comodule.hom_over(m, n, budget)
             for label in hom.members:
                 f = finset.decode_map(label, m.carrier, n.carrier)
                 rm, rn = to_extensional(R_set(m)), to_extensional(R_set(n))

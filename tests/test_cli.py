@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,25 +132,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_parallel_report_matches_sequential(tmp_path):
-    manifest = {
-        "declarations": BASE_DECLS,
-        "jobs": [
-            {"id": "a", "command": "r", "args": {"target": "M"}},
-            {"id": "b", "command": "l", "args": {"target": "t"}},
-            {"id": "c", "command": "demo-noncocontinuous",
-             "args": {"c_size": 3}},
-        ],
-    }
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert cli.main(["run", str(path), "--out", str(out1)]) == 0
-    assert cli.main(["run", str(path), "--parallel",
-                     "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_single_command_r_on_file(tmp_path):
     bundle = {
         "declarations": BASE_DECLS[:3],
@@ -262,3 +244,126 @@ def test_seed_recorded_in_report(tmp_path):
     out = tmp_path / "r.json"
     cli.main(["run", str(path), "--seed", "7", "--out", str(out)])
     assert json.loads(out.read_text())["seed"] == 7
+
+
+def statuses(report):
+    return {j["id"]: j["status"] for j in report["jobs"]}
+
+
+def test_bad_jobs_become_error_entries(tmp_path):
+    manifest = {
+        "declarations": BASE_DECLS,
+        "jobs": [
+            {"id": "ok", "command": "r", "args": {"target": "M"}},
+            {"id": "no-target", "command": "r", "args": {}},
+            {"id": "wrong-kind", "command": "r", "args": {"target": "C"}},
+        ],
+    }
+    code, report = run_cli(tmp_path, manifest)
+    assert code == 2
+    assert statuses(report) == {"ok": "pass", "no-target": "error",
+                                "wrong-kind": "error"}
+    errors = {j["id"]: j["witnesses"][0]["error"] for j in report["jobs"]
+              if j["status"] == "error"}
+    assert errors == {"no-target": "KeyError",
+                      "wrong-kind": "AttributeError"}
+
+
+@pytest.mark.parametrize("budget", ["lots", 0, -5, True])
+def test_invalid_job_budget_errors_that_job_only(tmp_path, budget):
+    manifest = {
+        "declarations": BASE_DECLS,
+        "jobs": [
+            {"id": "bad", "command": "r", "args": {"target": "M"},
+             "budget": budget},
+            {"id": "good", "command": "r", "args": {"target": "M"}},
+        ],
+    }
+    code, report = run_cli(tmp_path, manifest)
+    assert code == 2
+    assert statuses(report) == {"bad": "error", "good": "pass"}
+    bad = report["jobs"][0]
+    assert bad["witnesses"][0]["error"] == "CocontraError"
+
+
+def test_unknown_command_exits_two(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"declarations": [], "jobs": [{"id": "j1", "command": "frobnicate"}]}
+    ))
+    assert cli.main(["run", str(path)]) == 2
+    assert "frobnicate" in capsys.readouterr().err
+
+
+def budget_error(tmp_path, decls, job, argv_extra=("--oracle",)):
+    code, report = run_cli(tmp_path, {"declarations": decls, "jobs": [job]},
+                           argv_extra)
+    assert code == 2
+    entry = report["jobs"][0]
+    assert entry["status"] == "error"
+    assert entry["witnesses"][0]["error"] == "budget-exceeded"
+    return entry["witnesses"][0]["projected"]
+
+
+FIVE_OVER_THREE = [
+    {"kind": "finset", "name": "C3", "elements": ["1", "2", "3"]},
+    {"kind": "finset", "name": "X5", "elements": ["a", "b", "c", "d", "e"]},
+    {"kind": "set_comodule", "name": "M5", "carrier": "X5", "base": "C3",
+     "phi": {"a": "1", "b": "1", "c": "2", "d": "2", "e": "3"}},
+]
+
+
+def test_set_hom_is_charged_before_it_enumerates(tmp_path):
+    job = {"id": "h", "command": "hom",
+           "args": {"source": "M5", "target": "M5"}}
+    # hom_over: 5^5 carrier maps
+    assert budget_error(tmp_path, FIVE_OVER_THREE,
+                        {**job, "budget": 1000}) == 5 ** 5
+    # the oracle's function space into carrier x base: (5*3)^5
+    assert budget_error(tmp_path, FIVE_OVER_THREE,
+                        {**job, "budget": 10000}) == 15 ** 5
+
+
+def test_contra_hom_oracle_is_charged(tmp_path):
+    decls = [
+        BASE_DECLS[0],
+        {"kind": "contra_product", "name": "t33", "base": "C",
+         "fibers": {"1": ["p", "q", "r"], "2": ["u", "v", "w"]}},
+    ]
+    job = {"id": "h", "command": "hom",
+           "args": {"source": "t33", "target": "t33"}}
+    assert budget_error(tmp_path, decls, job) == 9 ** 9
+
+
+def test_unique_comonoid_size_five_exceeds_default_budget(tmp_path):
+    job = {"id": "u", "command": "unique-comonoid", "args": {"size": 5}}
+    assert budget_error(tmp_path, [], job, ()) == 25 ** 5
+
+
+def test_induction_adjunction_is_charged(tmp_path):
+    decls = [
+        BASE_DECLS[0],
+        {"kind": "finset", "name": "P", "elements": ["x"]},
+        {"kind": "finmap", "name": "f", "dom": "C", "cod": "P",
+         "table": {"1": "x", "2": "x"}},
+    ]
+    job = {"id": "ia", "command": "induction-adjunction",
+           "args": {"along": "f", "fiber_bound": 2}}
+    # the largest slotwise hom family has 2^2 * 2^2 = 16 members
+    assert budget_error(tmp_path, decls, {**job, "budget": 15}, ()) == 16
+    code, report = run_cli(tmp_path, {"declarations": decls,
+                                      "jobs": [{**job, "budget": 16}]})
+    assert code == 0
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cli"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(EXAMPLES / "manifest.json"), "--oracle"],
+    ["r", str(EXAMPLES / "comodule.json")],
+    ["decompose", str(EXAMPLES / "contramodule.json"),
+     "--basepoint", "{1:p,2:r}"],
+])
+def test_readme_examples_pass(tmp_path, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0

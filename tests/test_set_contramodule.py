@@ -3,6 +3,7 @@ import pytest
 from cocontra import finset, set_contramodule as sct
 from cocontra.errors import (
     BaseMismatch,
+    Budget,
     BudgetExceeded,
     EmptyCarrier,
     EmptyFiber,
@@ -92,7 +93,7 @@ def test_validate_budget_exceeded_reports_projected_count():
     )
     # carrier size 2: 2^(2*2) = 16 matrices; force a tiny budget
     with pytest.raises(BudgetExceeded) as exc:
-        sct.validate(t, budget=3)
+        sct.validate(t, Budget(3))
     assert exc.value.projected == 16
 
 
@@ -117,7 +118,7 @@ def test_enumerate_two_gives_the_two_projections():
 def test_enumerate_budget():
     x = FinSet(["a", "b", "c"])
     with pytest.raises(BudgetExceeded) as exc:
-        sct.enumerate_all(x, C2, budget=100)
+        sct.enumerate_all(x, C2, Budget(100))
     assert exc.value.projected == 3 ** 9
 
 
