@@ -26,7 +26,6 @@ from ..exactlin import (
     tensor,
     tensor_map,
     tensor_vec,
-    unit_left,
     unit_left_inv,
     unit_right,
     unit_right_inv,

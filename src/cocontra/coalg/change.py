@@ -19,7 +19,6 @@ from ..exactlin import (
     hom_tensor_iso_inv,
     identity_map,
     sub_maps,
-    tensor,
     tensor_map,
     unit_right,
 )

@@ -24,7 +24,6 @@ from ..exactlin import (
     identity_map,
     coequalizer_lin,
     sub_maps,
-    tensor,
     tensor_map,
     assoc_inv,
 )

@@ -250,23 +250,12 @@ class Matrix:
 
     def column_space_complement(self):
         """Indices of standard basis vectors extending the column space to
-        the whole target, greedily from the lowest index."""
-        f = self.field
-        m = self.nrows
-        current = self
-        chosen = []
-        base_rank = current.rank()
-        for i in range(m):
-            e = Matrix(
-                f,
-                tuple(
-                    (f.one(),) if r == i else (f.zero(),) for r in range(m)
-                ),
-                1,
-            )
-            candidate = current.hstack(e)
-            if candidate.rank() > base_rank:
-                current = candidate
-                base_rank += 1
-                chosen.append(i)
-        return chosen
+        the whole target, greedily from the lowest index.
+
+        These are the pivots of rref([self | I]) inside the identity block:
+        e_i is a pivot exactly when it lies outside the span of the columns
+        and of e_0 ... e_(i-1).
+        """
+        n = self.ncols
+        _, pivots = self.hstack(Matrix.identity(self.field, self.nrows)).rref()
+        return [p - n for p in pivots if p >= n]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from math import prod
 
 from .errors import MismatchedSignature
 
@@ -98,53 +99,70 @@ def constant(dom: FinSet, cod: FinSet, value: str) -> FinMap:
     return FinMap(dom, cod, {x: value for x in dom})
 
 
-# --- label encodings (fixed grammar, documented in the README) ---------------
+# --- choice functions and their labels (fixed grammar, see the README) -------
 
 
 def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def choices(keys, pools):
+    """Every dict that picks one value of ``pools[i]`` for ``keys[i]``, in
+    odometer order with the last key fastest."""
+    for values in iproduct(*pools):
+        yield dict(zip(keys, values))
+
+
+def encode_table(keys, table) -> str:
+    """The label ``{k1:v1,k2:v2}`` of a table, entries in the order of keys."""
+    return "{" + ",".join([f"{k}:{table[k]}" for k in keys]) + "}"
+
+
 def encode_map(f: FinMap) -> str:
-    return "{" + ",".join(f"{a}:{f(a)}" for a in f.dom) + "}"
+    return encode_table(f.dom.elements, f.table)
 
 
-# one set-cert pass looks up about 200 distinct (domain, codomain) pairs
-_FUNCTION_SPACES_CACHED = 1024
+# one set-cert pass decodes about 500 distinct (keys, pools) families
+_DECODE_TABLES_CACHED = 1024
 
 
-@lru_cache(maxsize=_FUNCTION_SPACES_CACHED)
-def _maps_by_label(a: FinSet, b: FinSet) -> dict[str, FinMap]:
-    """All total maps a -> b keyed by their encoded label.
+@lru_cache(maxsize=_DECODE_TABLES_CACHED)
+def _decode_table(dom: FinSet, pools: tuple[FinSet, ...],
+                  cod: FinSet | None = None) -> dict[str, FinMap]:
+    """Every choice function of ``choices(dom, pools)`` keyed by its label,
+    as a map into ``cod`` (by default the union of the pools).
 
     Decoding is by lookup, never by parsing, so arbitrary label vocabularies
     are safe as long as the encoding stays injective (asserted below).
     """
+    if cod is None:
+        cod = FinSet(set().union(*pools))
     out = {}
-    for f in _all_maps(a, b):
-        out[encode_map(f)] = f
-    assert len(out) == len(b) ** len(a) or len(a) == 0, "label collision"
+    for table in choices(dom.elements, pools):
+        out[encode_table(dom.elements, table)] = FinMap(dom, cod, table)
+    assert len(out) == prod(len(p) for p in pools), "label collision"
     return out
+
+
+def choice_table(keys: FinSet, fibers) -> dict[str, FinMap]:
+    """Label -> choice map for every choice of ``fibers[k]`` at each key
+    ``k``, from the shared decode cache."""
+    return _decode_table(keys, tuple([fibers[k] for k in keys]))
 
 
 def _all_maps(a: FinSet, b: FinSet):
     """Every total map a -> b, canonical odometer order over sorted labels."""
-    if len(a) == 0:
-        yield FinMap(a, b, {})
-        return
-    if len(b) == 0:
-        return
-    for values in iproduct(b.elements, repeat=len(a)):
-        yield FinMap(a, b, dict(zip(a.elements, values)))
+    for table in choices(a.elements, [b.elements] * len(a)):
+        yield FinMap(a, b, table)
 
 
 def function_space(a: FinSet, b: FinSet) -> FinSet:
     """The internal hom: all total maps a -> b as an object."""
-    return FinSet(_maps_by_label(a, b).keys())
+    return FinSet(_decode_table(a, (b,) * len(a), b).keys())
 
 
 def decode_map(label: str, a: FinSet, b: FinSet) -> FinMap:
-    return _maps_by_label(a, b)[label]
+    return _decode_table(a, (b,) * len(a), b)[label]
 
 
 # --- limits and colimits ------------------------------------------------------

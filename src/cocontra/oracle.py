@@ -21,7 +21,7 @@ from .exactlin import (
     compose as lcompose,
     sub_maps,
 )
-from .finset import FinSet
+from .finset import FinMap, FinSet
 
 
 def all_maps(a: FinSet, b: FinSet, budget: Budget = DEFAULT_BUDGET):
@@ -29,10 +29,10 @@ def all_maps(a: FinSet, b: FinSet, budget: Budget = DEFAULT_BUDGET):
     if len(a) > 0:
         budget.charge(len(b) ** len(a), "map enumeration")
     deadline = time.monotonic() + budget.time_ceiling_s
-    for f in finset._all_maps(a, b):
+    for values in iproduct(b.elements, repeat=len(a)):
         if time.monotonic() > deadline:
             raise BudgetExceeded("map enumeration hit the time ceiling")
-        yield f
+        yield FinMap(a, b, dict(zip(a.elements, values)))
 
 
 def all_linmaps(v: GradedVect, w: GradedVect, budget: Budget = DEFAULT_BUDGET,

@@ -174,13 +174,13 @@ def unique_comonoid_certificate(c: FinSet,
     budget.charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
     prod, proj1, proj2 = finset.product(c, c)
     diagonal = SetComonoid(c).diagonal()
+    ident = finset.identity(c)
     candidates = 0
     valid = []
     for psi in finset._all_maps(c, prod):
         candidates += 1
-        if finset.compose(proj1, psi) == finset.identity(c) and finset.compose(
-            proj2, psi
-        ) == finset.identity(c):
+        if (finset.compose(proj1, psi) == ident
+                and finset.compose(proj2, psi) == ident):
             valid.append(psi)
     report = {
         "base": list(c.elements),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 
 from . import finset
@@ -65,23 +64,9 @@ class ContraTable:
             raise ValueError("beta must map base to carrier")
         if self.theta is not None:
             return self.theta(finset.encode_map(beta))
-        choices = {}
-        for a in self.base:
-            ch = _decode_choice_label(self.base, self.fibers, beta(a))
-            choices[a] = ch[a]
-        return _encode_choice(self.base, choices)
-
-
-def _encode_choice(base: FinSet, choices: dict[str, str]) -> str:
-    return "{" + ",".join(f"{a}:{choices[a]}" for a in base) + "}"
-
-
-def _choice_dicts(base: FinSet, fibers: dict[str, FinSet]):
-    """All choice functions of a fiber family, odometer order, as dicts."""
-    keys = list(base.elements)
-    pools = [fibers[a].elements for a in keys]
-    for values in iproduct(*pools):
-        yield dict(zip(keys, values))
+        decode = finset.choice_table(self.base, self.fibers)
+        choices = {a: decode[beta(a)].table[a] for a in self.base}
+        return finset.encode_table(self.base, choices)
 
 
 def product_contra(base: FinSet, fibers: dict[str, FinSet]) -> ContraTable:
@@ -96,7 +81,8 @@ def product_contra(base: FinSet, fibers: dict[str, FinSet]) -> ContraTable:
         if len(fs) == 0:
             raise EmptyFiber(f"fiber over {a!r} is empty")
     carrier = FinSet(
-        _encode_choice(base, ch) for ch in _choice_dicts(base, fibers)
+        finset.encode_table(base, ch)
+        for ch in finset.choices(base, [fibers[a] for a in base])
     )
     return ContraTable(carrier, base, fibers=dict(fibers))
 
@@ -118,14 +104,12 @@ def to_extensional(t: ContraTable,
         return t
     budget.charge(len(t.carrier) ** len(t.base), "extensional table")
     ambient = finset.function_space(t.base, t.carrier)
-    decode = {
-        _encode_choice(t.base, ch): ch for ch in _choice_dicts(t.base, t.fibers)
-    }
+    decode = finset.choice_table(t.base, t.fibers)
     table = {}
     for label in ambient:
         beta = finset.decode_map(label, t.base, t.carrier)
-        choices = {a: decode[beta(a)][a] for a in t.base}
-        table[label] = _encode_choice(t.base, choices)
+        choices = {a: decode[beta(a)].table[a] for a in t.base}
+        table[label] = finset.encode_table(t.base, choices)
     theta = FinMap(ambient, t.carrier, table)
     return ContraTable(t.carrier, t.base, theta=theta)
 
@@ -262,14 +246,16 @@ def decompose(t: ContraTable, u: str):
         t.carrier,
         prod.carrier,
         {
-            x: _encode_choice(t.base, {a: projections[a](x) for a in t.base})
+            x: finset.encode_table(
+                t.base, {a: projections[a](x) for a in t.base}
+            )
             for x in t.carrier
         },
     )
     sigma_table = {}
-    for ch in _choice_dicts(t.base, family):
+    for ch in finset.choices(t.base, [family[a] for a in t.base]):
         beta = FinMap(t.base, t.carrier, ch)
-        sigma_table[_encode_choice(t.base, ch)] = t.theta_value(beta)
+        sigma_table[finset.encode_table(t.base, ch)] = t.theta_value(beta)
     sigma = FinMap(prod.carrier, t.carrier, sigma_table)
     assert finset.compose(sigma, pi) == finset.identity(t.carrier)
     assert finset.compose(pi, sigma) == finset.identity(prod.carrier)
@@ -283,8 +269,7 @@ def is_contramodule_map(
     if s.base != t.base:
         raise BaseMismatch("contramodule maps need a shared base")
     budget.charge(len(s.carrier) ** len(s.base), "contramodule-map check")
-    for values in iproduct(s.carrier.elements, repeat=len(s.base)):
-        beta = FinMap(s.base, s.carrier, dict(zip(s.base.elements, values)))
+    for beta in finset._all_maps(s.base, s.carrier):
         f_beta = FinMap(
             t.base, t.carrier, {a: f(beta(a)) for a in t.base}
         )
@@ -312,22 +297,16 @@ def contra_hom_members(s: ContraTable, t: ContraTable,
         return []
     s_family, s_pi, s_sigma = _as_product(s)
     t_family, t_pi, t_sigma = _as_product(t)
-    keys = list(s.base.elements)
-    budget.charge(
-        math.prod(len(t_family[a]) ** len(s_family[a]) for a in keys),
-        "slotwise hom enumeration",
-    )
-    pools = []
-    for a in keys:
-        pools.append(list(finset._all_maps(s_family[a], t_family[a])))
+    decode = finset.choice_table(s.base, s_family)
+    decoded = [(x, decode[s_pi(x)].table) for x in s.carrier]
     members = []
-    for combo in iproduct(*pools):
-        comps = dict(zip(keys, combo))
-        table = {}
-        for x in s.carrier:
-            choices = _decode_choice_label(s.base, s_family, s_pi(x))
-            image_choice = {a: comps[a](choices[a]) for a in keys}
-            table[x] = t_sigma(_encode_choice(t.base, image_choice))
+    for comps in _component_families(s.base, s_family, t_family, budget):
+        table = {
+            x: t_sigma(finset.encode_table(
+                t.base, {a: comps[a][ch[a]] for a in t.base}
+            ))
+            for x, ch in decoded
+        }
         members.append(FinMap(s.carrier, t.carrier, table))
     return members
 
@@ -345,25 +324,6 @@ def _as_product(t: ContraTable):
         return fam, pi, pi
     u = t.carrier.elements[0]
     return decompose(t, u)
-
-
-# one set-cert pass decodes about 300 distinct fiber families
-_CHOICE_TABLES_CACHED = 1024
-
-
-def _decode_choice_label(
-    base: FinSet, fibers: dict[str, FinSet], label: str
-) -> dict[str, str]:
-    table = _choice_decode_table(base, tuple(sorted(fibers.items())))
-    return table[label]
-
-
-@lru_cache(maxsize=_CHOICE_TABLES_CACHED)
-def _choice_decode_table(base: FinSet, fam: tuple) -> dict[str, dict]:
-    fibers = dict(fam)
-    return {
-        _encode_choice(base, ch): ch for ch in _choice_dicts(base, fibers)
-    }
 
 
 def contra_hom(
@@ -495,9 +455,9 @@ def restrict_contra(f: FinMap, t: ContraTable) -> ContraTable:
     new_fibers = {}
     for z in chat:
         pre = FinSet([y for y in t.base if f(y) == z])
-        sub = {y: t.fibers[y] for y in pre}
         new_fibers[z] = FinSet(
-            _encode_choice(pre, ch) for ch in _choice_dicts(pre, sub)
+            finset.encode_table(pre, ch)
+            for ch in finset.choices(pre, [t.fibers[y] for y in pre])
         )
     return product_contra(chat, new_fibers)
 
@@ -508,12 +468,14 @@ def restrict_regroup_iso(f: FinMap, t: ContraTable) -> FinMap:
     assert t.fibers is not None
     r = restrict_contra(f, t)
     table = {}
-    for ch in _choice_dicts(t.base, t.fibers):
+    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
         grouped = {}
         for z in f.cod:
             pre = FinSet([y for y in t.base if f(y) == z])
-            grouped[z] = _encode_choice(pre, {y: ch[y] for y in pre})
-        table[_encode_choice(t.base, ch)] = _encode_choice(f.cod, grouped)
+            grouped[z] = finset.encode_table(pre, ch)
+        table[finset.encode_table(t.base, ch)] = finset.encode_table(
+            f.cod, grouped
+        )
     return FinMap(t.carrier, r.carrier, table)
 
 
@@ -524,8 +486,7 @@ def restrict_forms_agree(f: FinMap, t: ContraTable) -> bool:
     ext = restrict_contra(f, to_extensional(t))
     grouped = restrict_contra(f, t)
     iso = restrict_regroup_iso(f, t)
-    for values in iproduct(ext.carrier.elements, repeat=len(f.cod)):
-        g = FinMap(f.cod, ext.carrier, dict(zip(f.cod.elements, values)))
+    for g in finset._all_maps(f.cod, ext.carrier):
         lhs = iso(ext.theta_value(g))
         g_iso = FinMap(
             f.cod, grouped.carrier, {z: iso(g(z)) for z in f.cod}
@@ -553,10 +514,11 @@ def induce_contra(f: FinMap, t: ContraTable) -> ContraTable:
 def all_product_shapes(base: FinSet, max_fiber: int):
     """Every product contramodule over the base with fibers of bounded size,
     on canonical fiber labels."""
-    for shape in iproduct(range(1, max_fiber + 1), repeat=len(base)):
+    sizes = range(1, max_fiber + 1)
+    for shape in finset.choices(base, [sizes] * len(base)):
         fam = {
             a: FinSet([f"v{a}_{j}" for j in range(1, k + 1)])
-            for a, k in zip(base.elements, shape)
+            for a, k in shape.items()
         }
         yield product_contra(base, fam)
 
@@ -570,16 +532,15 @@ def contra_components(
     over ``a`` is read off by varying only that slot of a fixed choice.
     """
     assert s.fibers is not None and t.fibers is not None
-    c0 = _decode_choice_label(s.base, s.fibers, s.carrier.elements[0])
+    decode_t = finset.choice_table(t.base, t.fibers)
+    c0 = finset.choice_table(s.base, s.fibers)[s.carrier.elements[0]].table
     comps = {}
     for a in s.base:
         table = {}
         for x in s.fibers[a]:
             ch = dict(c0)
             ch[a] = x
-            val = _decode_choice_label(
-                t.base, t.fibers, u(_encode_choice(s.base, ch))
-            )[a]
+            val = decode_t[u(finset.encode_table(s.base, ch))].table[a]
             table[x] = val
         comps[a] = FinMap(s.fibers[a], t.fibers[a], table)
     return comps
@@ -588,9 +549,11 @@ def contra_components(
 def _product_map(s: ContraTable, t: ContraTable, comps) -> FinMap:
     """Assemble a slotwise family back into a carrier map."""
     table = {}
-    for ch in _choice_dicts(s.base, s.fibers):
+    for ch in finset.choices(s.base, [s.fibers[a] for a in s.base]):
         image = {a: comps[a](ch[a]) for a in s.base}
-        table[_encode_choice(s.base, ch)] = _encode_choice(t.base, image)
+        table[finset.encode_table(s.base, ch)] = finset.encode_table(
+            t.base, image
+        )
     return FinMap(s.carrier, t.carrier, table)
 
 
@@ -604,31 +567,33 @@ def transpose_hom(
     res_s = restrict_contra(f, s)
     comps = contra_components(u, ind_t, s)
     table = {}
-    for ch in _choice_dicts(t.base, t.fibers):
+    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
         grouped = {}
         for y in f.cod:
             pre = FinSet([z for z in f.dom if f(z) == y])
-            grouped[y] = _encode_choice(
+            grouped[y] = finset.encode_table(
                 pre, {z: comps[z](ch[y]) for z in pre}
             )
-        table[_encode_choice(t.base, ch)] = _encode_choice(f.cod, grouped)
+        table[finset.encode_table(t.base, ch)] = finset.encode_table(
+            f.cod, grouped
+        )
     return FinMap(t.carrier, res_s.carrier, table)
 
 
-def _component_families(s: ContraTable, t: ContraTable, budget: Budget):
-    """All slotwise families between product contramodules (= all
-    contramodule maps, via :func:`contra_components`)."""
-    keys = list(s.base.elements)
+def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict,
+                        budget: Budget):
+    """All slotwise families between two fiber families over one base (=
+    all contramodule maps between their products, via
+    :func:`contra_components`), each slot map a dict."""
     budget.charge(
-        math.prod(len(t.fibers[a]) ** len(s.fibers[a]) for a in keys),
+        math.prod(len(t_fibers[a]) ** len(s_fibers[a]) for a in base),
         "slotwise hom enumeration",
     )
     pools = [
-        [dict(m.table) for m in finset._all_maps(s.fibers[a], t.fibers[a])]
-        for a in keys
+        list(finset.choices(s_fibers[a], [t_fibers[a]] * len(s_fibers[a])))
+        for a in base
     ]
-    for combo in iproduct(*pools):
-        yield dict(zip(keys, combo))
+    return finset.choices(base, pools)
 
 
 def _transpose_components(
@@ -642,7 +607,7 @@ def _transpose_components(
     for y in f.cod.elements:
         zs = pre[y]
         out[y] = {
-            x: "{" + ",".join([f"{z}:{comps_u[z][x]}" for z in zs]) + "}"
+            x: finset.encode_table(zs, {z: comps_u[z][x] for z in zs})
             for x in t.fibers[y].elements
         }
     return out
@@ -690,11 +655,15 @@ def induction_adjunction_certificate(
             res_s = restrict_contra(f, s)
             hom1 = [
                 {z: dict(fam[z]) for z in ckeys}
-                for fam in _component_families(ind_t, s, budget)
+                for fam in _component_families(
+                    c, ind_t.fibers, s.fibers, budget
+                )
             ]
             hom2_keys = {
                 key_of({y: fam[y] for y in ykeys}, ykeys)
-                for fam in _component_families(t, res_s, budget)
+                for fam in _component_families(
+                    chat, t.fibers, res_s.fibers, budget
+                )
             }
             report["pairs"] += 1
             report["hom_elements"] += len(hom1)
@@ -719,7 +688,9 @@ def induction_adjunction_certificate(
                 t2_fibers = {y: t2.fibers[y].elements for y in ykeys}
                 # many composites coincide; transpose each one once
                 transposed = {}
-                for a_fam in _component_families(t2, t, budget):
+                for a_fam in _component_families(
+                    chat, t2.fibers, t.fibers, budget
+                ):
                     # u o Ind(a) has components u_z o a_{f(z)}
                     a_slots = [
                         (z, a_fam[fz[z]], t2_fibers[fz[z]]) for z in ckeys
@@ -748,23 +719,23 @@ def induction_adjunction_certificate(
                             )
             # Res(s) regroups the fiber over y as choices on its preimage
             decoded = {
-                y: list(
-                    _choice_decode_table(
-                        FinSet(pre[y]),
-                        tuple(sorted((z, s.fibers[z]) for z in pre[y])),
-                    ).items()
-                )
+                y: [
+                    (lab, ch.table) for lab, ch in
+                    finset.choice_table(FinSet(pre[y]), s.fibers).items()
+                ]
                 for y in ykeys
             }
             for s2 in ss:
                 transposed = {}
-                for b_fam in _component_families(s, s2, budget):
+                for b_fam in _component_families(
+                    c, s.fibers, s2.fibers, budget
+                ):
                     # Res(b) acts inside every regrouped fiber
                     res_b = {
                         y: {
-                            lab: "{" + ",".join(
-                                f"{z}:{b_fam[z][ch[z]]}" for z in pre[y]
-                            ) + "}"
+                            lab: finset.encode_table(
+                                pre[y], {z: b_fam[z][ch[z]] for z in pre[y]}
+                            )
                             for lab, ch in decoded[y]
                         }
                         for y in ykeys

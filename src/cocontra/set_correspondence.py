@@ -18,8 +18,6 @@ from .finset import FinMap, FinSet, QuotPresentation
 from .set_comodule import SetComodule, fibers, is_degenerate
 from .set_contramodule import (
     ContraTable,
-    _decode_choice_label,
-    _encode_choice,
     all_product_shapes,
     empty_contramodule,
     product_contra,
@@ -46,11 +44,9 @@ def R_set(m: SetComodule) -> ContraTable:
 
 def section_set(m: SetComodule) -> SectionSet:
     t = R_set(m)
-    fam = fibers(m)
+    decode = finset.choice_table(m.base, fibers(m))
     for label in t.carrier:
-        beta = FinMap(
-            m.base, m.carrier, _decode_choice_label(m.base, fam, label)
-        )
+        beta = FinMap(m.base, m.carrier, decode[label].table)
         assert all(m.phi(beta(a)) == a for a in m.base)
     return SectionSet(m, t.carrier, t)
 
@@ -58,11 +54,13 @@ def section_set(m: SetComodule) -> SectionSet:
 def R_mor(v: FinMap, m: SetComodule, n: SetComodule) -> FinMap:
     """Push sections forward along a comodule map."""
     rm, rn = R_set(m), R_set(n)
-    fam_m = fibers(m)
+    decode = finset.choice_table(m.base, fibers(m))
     table = {}
     for label in rm.carrier:
-        ch = _decode_choice_label(m.base, fam_m, label)
-        table[label] = _encode_choice(m.base, {a: v(ch[a]) for a in m.base})
+        ch = decode[label].table
+        table[label] = finset.encode_table(
+            m.base, {a: v(ch[a]) for a in m.base}
+        )
     return FinMap(rm.carrier, rn.carrier, table)
 
 
@@ -81,8 +79,9 @@ def l_set_with_projection(t: ContraTable, budget: Budget = DEFAULT_BUDGET):
                 labels.append(finset.pair_label(v, a))
         carrier = FinSet(labels)
         ambient, _, _ = finset.product(t.carrier, c)
+        decode = finset.choice_table(c, t.fibers)
         for y in t.carrier:
-            ch = _decode_choice_label(c, t.fibers, y)
+            ch = decode[y].table
             for a in c:
                 proj_table[finset.pair_label(y, a)] = finset.pair_label(
                     ch[a], a
@@ -154,17 +153,17 @@ def lr_explicit(m: SetComodule) -> QuotPresentation:
     """
     r = R_set(m)
     ambient, proj1, proj2 = finset.product(r.carrier, m.base)
-    fam = fibers(m)
+    decode = finset.choice_table(m.base, fibers(m))
     pairs = []
     labels = list(ambient.elements)
     for i, lab1 in enumerate(labels):
         b1, a1 = proj1(lab1), proj2(lab1)
-        v1 = _decode_choice_label(m.base, fam, b1)[a1] if len(r.carrier) else None
+        v1 = decode[b1].table[a1] if len(r.carrier) else None
         for lab2 in labels[i + 1 :]:
             b2, a2 = proj1(lab2), proj2(lab2)
             if a1 != a2:
                 continue
-            v2 = _decode_choice_label(m.base, fam, b2)[a2]
+            v2 = decode[b2].table[a2]
             if v1 == v2:
                 pairs.append((lab1, lab2))
     return finset.quotient_by_pairs(ambient, pairs)
@@ -189,13 +188,13 @@ def counit(m: SetComodule) -> FinMap:
     q = lr_explicit(m)
     r = R_set(m)
     _, proj1, proj2 = finset.product(r.carrier, m.base)
-    fam = fibers(m)
+    decode = finset.choice_table(m.base, fibers(m))
     table = {}
     for k, members in q.classes.items():
         values = set()
         for lab in members:
             beta_label, a = proj1(lab), proj2(lab)
-            values.add(_decode_choice_label(m.base, fam, beta_label)[a])
+            values.add(decode[beta_label].table[a])
         assert len(values) == 1, "counit must be constant on classes"
         table[k] = values.pop()
     return FinMap(q.project.cod, m.carrier, table)
@@ -222,7 +221,7 @@ def unit(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> FinMap:
         choice = {
             a: project(finset.pair_label(y, a)) for a in t.base
         }
-        table[y] = _encode_choice(t.base, choice)
+        table[y] = finset.encode_table(t.base, choice)
     return FinMap(t.carrier, rl.carrier, table)
 
 
@@ -259,11 +258,10 @@ def triangle_identities_hold(m: SetComodule) -> bool:
     q = lr_explicit(m)
     assert l.carrier == q.project.cod, "quotient carriers must coincide"
     rl = R_set(l)
-    fam_l = fibers(l)
+    decode = finset.choice_table(l.base, fibers(l))
     for y in p.carrier:
-        section_label = eta(y)
-        ch = _decode_choice_label(l.base, fam_l, section_label)
-        pushed = _encode_choice(l.base, {a: eps(ch[a]) for a in l.base})
+        ch = decode[eta(y)].table
+        pushed = finset.encode_table(l.base, {a: eps(ch[a]) for a in l.base})
         if pushed != y:
             return False
     return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -130,6 +131,55 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert cli.main(["run", str(path), "--seed", "11",
                      "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Recorded before the finite-set side moved to the one enumerator, label
+# codec and decode cache of ``finset``; a change of odometer order or label
+# strings anywhere on the set side changes these bytes.
+SET_SIDE_GOLDEN_SHA256 = (
+    "4a6276925a6f56cf0de3053c6ecf60ecac006f81ce74d5031bf2e0e80d256c20"
+)
+
+
+def test_set_side_report_matches_golden_digest():
+    decls = [
+        {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+        {"kind": "finset", "name": "X", "elements": ["a", "b", "c"]},
+        {"kind": "finset", "name": "Y", "elements": ["d", "e"]},
+        {"kind": "set_comodule", "name": "M", "carrier": "X", "base": "C",
+         "phi": {"a": "1", "b": "2", "c": "2"}},
+        {"kind": "set_comodule", "name": "N", "carrier": "Y", "base": "C",
+         "phi": {"d": "1", "e": "2"}},
+        {"kind": "contra_product", "name": "s", "base": "C",
+         "fibers": {"1": ["u"], "2": ["v", "w"]}},
+        {"kind": "contra_product", "name": "t", "base": "C",
+         "fibers": {"1": ["p", "q"], "2": ["r", "s"]}},
+        {"kind": "finmap", "name": "f", "dom": "C", "cod": "C",
+         "table": {"1": "2", "2": "2"}},
+    ]
+    jobs = [
+        {"id": "r", "command": "r", "args": {"target": "M"}},
+        {"id": "lr", "command": "lr", "args": {"target": "M"}},
+        {"id": "l", "command": "l", "args": {"target": "t"}},
+        {"id": "check", "command": "check", "args": {"target": "s"}},
+        {"id": "decompose", "command": "decompose",
+         "args": {"target": "t", "basepoint": "{1:q,2:r}"}},
+        {"id": "hom-contra", "command": "hom",
+         "args": {"source": "s", "target": "t"}},
+        {"id": "hom-comodule", "command": "hom",
+         "args": {"source": "M", "target": "N"}},
+        {"id": "enumerate", "command": "enumerate",
+         "args": {"carrier": 2, "base": 2}},
+        {"id": "induction", "command": "induction-adjunction",
+         "args": {"along": "f", "fiber_bound": 2}},
+        {"id": "equivalence", "command": "equivalence",
+         "args": {"max_carrier": 3, "max_base": 2, "max_fiber": 2}},
+    ]
+    ctx = {"budget": 10**6, "oracle": True, "seed": 0, "timing": False}
+    report = cli.run_manifest({"declarations": decls, "jobs": jobs}, ctx)
+    assert {j["status"] for j in report["jobs"]} == {"pass"}
+    digest = hashlib.sha256(serialize.canonical_bytes(report)).hexdigest()
+    assert digest == SET_SIDE_GOLDEN_SHA256
 
 
 def test_single_command_r_on_file(tmp_path):

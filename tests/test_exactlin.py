@@ -123,6 +123,39 @@ def test_solve_and_complement():
         == [1]
 
 
+def _greedy_complement(m):
+    """Reference: add e_i whenever it raises the rank, lowest index first."""
+    f = m.field
+    current, rank, chosen = m, m.rank(), []
+    for i in range(m.nrows):
+        e = Matrix(
+            f,
+            tuple((f.one(),) if r == i else (f.zero(),)
+                  for r in range(m.nrows)),
+            1,
+        )
+        candidate = current.hstack(e)
+        if candidate.rank() > rank:
+            current, rank = candidate, rank + 1
+            chosen.append(i)
+    return chosen
+
+
+def test_column_space_complement_matches_greedy_rank_test():
+    rng = random.Random(11)
+    for field, values in ((Q, range(-2, 3)), (GF(2), range(2)),
+                          (GF(3), range(3))):
+        for _ in range(300):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            m = Matrix.from_rows(
+                field,
+                [[rng.choice(values) for _ in range(cols)]
+                 for _ in range(rows)],
+                cols,
+            )
+            assert m.column_space_complement() == _greedy_complement(m)
+
+
 def test_zero_row_matrices_keep_their_width():
     m = Matrix.zeros(Q, 0, 3)
     assert m.ncols == 3

@@ -1,3 +1,5 @@
+from itertools import product
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import given
 from cocontra import finset
 from cocontra.errors import MismatchedSignature
 from cocontra.finset import FinMap, FinSet
+from cocontra.set_contramodule import product_contra
 
 
 labels = st.lists(
@@ -110,10 +113,46 @@ def test_function_space_counts():
 
 
 def test_function_space_round_trip():
-    a = FinSet(["1", "2"])
-    b = FinSet(["x", "y", "z"])
-    for f in finset._all_maps(a, b):
-        assert finset.decode_map(finset.encode_map(f), a, b) == f
+    for na in range(4):
+        for nb in range(4):
+            a = FinSet([str(i) for i in range(1, na + 1)])
+            b = FinSet(["x", "y", "z"][:nb])
+            maps = list(finset._all_maps(a, b))
+            assert len(maps) == nb ** na
+            for f in maps:
+                assert finset.decode_map(finset.encode_map(f), a, b) == f
+            for label in finset.function_space(a, b):
+                f = finset.decode_map(label, a, b)
+                assert (f.dom, f.cod) == (a, b)
+                assert finset.encode_map(f) == label
+
+
+def test_product_carrier_labels_round_trip():
+    base = FinSet(["1", "2", "3"])
+    fibers = {"1": FinSet(["p", "q"]), "2": FinSet(["r"]),
+              "3": FinSet(["s", "t", "u"])}
+    carrier = product_contra(base, fibers).carrier
+    decode = finset.choice_table(base, fibers)
+    assert set(decode) == set(carrier.elements)
+    pools = [fibers[a] for a in base]
+    for ch in finset.choices(base, pools):
+        label = finset.encode_table(base, ch)
+        assert decode[label].table == ch
+    for label in carrier:
+        assert finset.encode_table(base, decode[label].table) == label
+
+
+def test_choices_is_the_odometer():
+    keys = ["a", "b", "c"]
+    pools = [["1", "2"], ["x"], ["p", "q", "r"]]
+    out = list(finset.choices(keys, pools))
+    assert len(out) == 2 * 1 * 3
+    assert [tuple(ch.values()) for ch in out] == list(product(*pools))
+    assert all(list(ch) == keys for ch in out)
+    assert out[:2] == [{"a": "1", "b": "x", "c": "p"},
+                       {"a": "1", "b": "x", "c": "q"}]
+    assert list(finset.choices([], [])) == [{}]
+    assert list(finset.choices(["a", "b"], [["1"], []])) == []
 
 
 def test_pullback_examples():

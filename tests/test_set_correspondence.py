@@ -79,7 +79,7 @@ def test_l_closed_form_agrees_with_coequalizer():
         for a in C2:
             seen = set()
             for y in t.carrier:
-                ch = sct._decode_choice_label(C2, t.fibers, y)
+                ch = finset.choice_table(C2, t.fibers)[y].table
                 cls = project(finset.pair_label(y, a))
                 seen.add((ch[a], cls))
             assert len(seen) == len(fam[a])  # value at a determines class
