@@ -25,12 +25,10 @@ from ..exactlin import (
     sub_maps,
     tensor,
     tensor_map,
-    tensor_vec,
     unit_left_inv,
     unit_right,
     unit_right_inv,
     unit_space,
-    Vec,
 )
 from .core import (
     Coalgebra,
@@ -64,23 +62,19 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
     a = dual(c.space)
     fld = c.field
     z = fld.zero()
+    deltas = {ck: c.delta.apply_label(ck) for _, _, ck in c.space.basis()}
     images = {}
     for _, _, lab in tensor(a, a).basis():
-        _, d1, d2 = lab
-        c1, c2 = d1[1], d2[1]
-        coeffs = {}
-        for _, _, ck in c.space.basis():
-            img = c.delta.apply_label(ck)
-            coeff = img.coeff(("t", c1, c2))
-            if coeff != z:
-                coeffs[("d", ck)] = coeff
-        images[lab] = coeffs
+        _, (_, c1), (_, c2) = lab
+        images[lab] = {
+            ("d", ck): img.get(("t", c1, c2), z)
+            for ck, img in deltas.items()
+        }
     mult = LinMap.from_images(tensor(a, a), a, 0, images)
     unit_images = {
         "1": {
-            ("d", ck): c.eps.apply_label(ck).coeff("1")
+            ("d", ck): c.eps.apply_label(ck).get("1", z)
             for _, _, ck in c.space.basis()
-            if c.eps.apply_label(ck).coeff("1") != z
         }
     }
     unit = LinMap.from_images(unit_space(fld), a, 0, unit_images)
@@ -210,22 +204,14 @@ def module_to_comodule(mod: DualModule) -> VComodule:
     assert mod.side == "right"
     c = mod.algebra.coalgebra
     x = mod.space
-    z = c.field.zero()
-    images = {}
-    for _, _, xl in x.basis():
-        coeffs = {}
-        for _, _, ck in c.space.basis():
-            moved = mod.action.apply(
-                tensor_vec(
-                    Vec.basis_vec(x, xl),
-                    Vec.basis_vec(mod.algebra.space, ("d", ck)),
-                )
-            )
-            for yl, cc in moved.items():
-                if cc != z:
-                    key = ("t", yl, ck)
-                    coeffs[key] = c.field.add(coeffs.get(key, z), cc)
-        images[xl] = coeffs
+    images = {
+        xl: {
+            ("t", yl, ck): cc
+            for _, _, ck in c.space.basis()
+            for yl, cc in mod.action.apply_label(("t", xl, ("d", ck))).items()
+        }
+        for _, _, xl in x.basis()
+    }
     rho = LinMap.from_images(x, tensor(x, c.space), 0, images)
     return VComodule(c, x, rho)
 
@@ -236,16 +222,10 @@ def module_to_contramodule(mod: DualModule) -> VContramodule:
     c = mod.algebra.coalgebra
     x = mod.space
     ambient = hom_space(c.space, x)
-    images = {}
-    for _, _, lab in ambient.basis():
-        _, cl, xl = lab
-        moved = mod.action.apply(
-            tensor_vec(
-                Vec.basis_vec(mod.algebra.space, ("d", cl)),
-                Vec.basis_vec(x, xl),
-            )
-        )
-        images[lab] = moved
+    images = {
+        ("h", cl, xl): mod.action.apply_label(("t", ("d", cl), xl))
+        for _, _, (_, cl, xl) in ambient.basis()
+    }
     theta = LinMap.from_images(ambient, x, 0, images)
     return VContramodule(c, x, theta)
 
@@ -257,15 +237,10 @@ def comodule_to_contramodule(m: VComodule, alg: DualAlgebra) -> VContramodule:
     c = m.coalgebra
     x = m.space
     ambient = hom_space(c.space, x)
-    images = {}
-    for _, _, lab in ambient.basis():
-        _, cl, xl = lab
-        images[lab] = right.action.apply(
-            tensor_vec(
-                Vec.basis_vec(x, xl),
-                Vec.basis_vec(alg.space, ("d", cl)),
-            )
-        )
+    images = {
+        ("h", cl, xl): right.action.apply_label(("t", xl, ("d", cl)))
+        for _, _, (_, cl, xl) in ambient.basis()
+    }
     theta = LinMap.from_images(ambient, x, 0, images)
     return VContramodule(c, x, theta)
 
@@ -274,65 +249,37 @@ def contramodule_to_comodule(p: VContramodule, alg: DualAlgebra) -> VComodule:
     left = contramodule_to_module(p, alg)
     c = p.coalgebra
     x = p.space
-    z = c.field.zero()
-    images = {}
-    for _, _, xl in x.basis():
-        coeffs = {}
-        for _, _, ck in c.space.basis():
-            moved = left.action.apply(
-                tensor_vec(
-                    Vec.basis_vec(alg.space, ("d", ck)),
-                    Vec.basis_vec(x, xl),
-                )
-            )
-            for yl, cc in moved.items():
-                if cc != z:
-                    key = ("t", yl, ck)
-                    coeffs[key] = c.field.add(coeffs.get(key, z), cc)
-        images[xl] = coeffs
+    images = {
+        xl: {
+            ("t", yl, ck): cc
+            for _, _, ck in c.space.basis()
+            for yl, cc in left.action.apply_label(("t", ("d", ck), xl)).items()
+        }
+        for _, _, xl in x.basis()
+    }
     rho = LinMap.from_images(x, tensor(x, c.space), 0, images)
     return VComodule(c, x, rho)
 
 
 def module_maps_degree_zero(m1: DualModule, m2: DualModule):
     """Solve the equivariance system for maps between modules."""
-    from ..exactlin import Matrix, linmap_to_vec, vec_to_linmap
+    from .homobjects import _degree_zero_kernel
 
     assert m1.side == m2.side
-    fld = m1.space.field
-    ambient = hom_space(m1.space, m2.space)
-    units = [lab for k, _, lab in ambient.basis() if k == 0]
     a = m1.algebra.space
-    columns = []
     if m1.side == "right":
         cspace = hom_space(tensor(m1.space, a), m2.space)
+
+        def sides(f):
+            return (compose(f, m1.action),
+                    compose(m2.action, tensor_map(f, identity_map(a))))
     else:
         cspace = hom_space(tensor(a, m1.space), m2.space)
-    for lab in units:
-        f = vec_to_linmap(
-            Vec.basis_vec(ambient, lab), m1.space, m2.space
-        )
-        if m1.side == "right":
-            lhs = compose(f, m1.action)
-            rhs = compose(m2.action, tensor_map(f, identity_map(a)))
-        else:
-            lhs = compose(f, m1.action)
-            rhs = compose(m2.action, tensor_map(identity_map(a), f))
-        v1 = linmap_to_vec(lhs, cspace)
-        v2 = linmap_to_vec(rhs, cspace)
-        col = []
-        for k in cspace.degrees():
-            if k == 0:
-                col.extend(
-                    fld.sub(x, y) for x, y in zip(v1.comps[k], v2.comps[k])
-                )
-        columns.append(tuple(col))
-    if not units:
-        return units, []
-    rows = tuple(
-        tuple(col[i] for col in columns) for i in range(len(columns[0]))
-    )
-    return units, Matrix(fld, rows, len(units)).kernel_basis()
+
+        def sides(f):
+            return (compose(f, m1.action),
+                    compose(m2.action, tensor_map(identity_map(a), f)))
+    return _degree_zero_kernel(m1.space, m2.space, cspace, sides)
 
 
 def sections_bridge_iso(m: VComodule, alg: DualAlgebra | None = None):

@@ -147,78 +147,50 @@ def contra_hom_object(p: VContramodule, q: VContramodule) -> HomObject:
     return HomObject("F", p, q, sub.ambient, sub.space, sub.include)
 
 
+def _degree_zero_kernel(src: GradedVect, dst: GradedVect,
+                        constraint_space: GradedVect, sides):
+    """The degree-zero maps src -> dst on which the two legs returned by
+    ``sides(f)`` agree: one column of degree-0 differences inside
+    ``constraint_space`` per matrix unit, then a kernel.  Solved directly,
+    not through ``equalizer_lin``, so it can cross-check the hom objects.
+    Returns the units and the kernel vectors over them."""
+    fld = src.field
+    one = fld.one()
+    units = [lab for k, _, lab in hom_space(src, dst).basis() if k == 0]
+    if not units:
+        return units, []
+    columns = []
+    for lab in units:
+        _, a, b = lab
+        lhs, rhs = sides(LinMap.from_images(src, dst, 0, {a: {b: one}}))
+        v1 = linmap_to_vec(lhs, constraint_space).comps.get(0, ())
+        v2 = linmap_to_vec(rhs, constraint_space).comps.get(0, ())
+        columns.append(tuple(fld.sub(x, y) for x, y in zip(v1, v2)))
+    rows = tuple(zip(*columns))
+    return units, Matrix(fld, rows, len(units)).kernel_basis()
+
+
 def comodule_maps_direct(m: VComodule, n: VComodule):
     """Brute-force oracle: solve the commuting-square system over the
     degree-zero matrix units, independently of the equaliser machinery."""
     require_same_coalgebra(m, n)
     c = m.coalgebra.space
-    fld = m.space.field
-    units = [
-        lab
-        for k, _, lab in hom_space(m.space, n.space).basis()
-        if k == 0
-    ]
-    columns = []
-    constraint_space = hom_space(m.space, tensor(n.space, c))
-    for lab in units:
-        f = vec_to_linmap(
-            Vec.basis_vec(hom_space(m.space, n.space), lab),
-            m.space,
-            n.space,
-        )
-        diff = compose(n.rho, f)
-        diff2 = compose(tensor_map(f, identity_map(c)), m.rho)
-        vec = linmap_to_vec(diff, constraint_space)
-        vec2 = linmap_to_vec(diff2, constraint_space)
-        col = []
-        for k in constraint_space.degrees():
-            if k == 0:
-                col.extend(
-                    fld.sub(a, b)
-                    for a, b in zip(vec.comps[k], vec2.comps[k])
-                )
-        columns.append(tuple(col))
-    if not units:
-        return units, []
-    rows = tuple(
-        tuple(col[i] for col in columns) for i in range(len(columns[0]))
+    return _degree_zero_kernel(
+        m.space, n.space, hom_space(m.space, tensor(n.space, c)),
+        lambda f: (compose(n.rho, f),
+                   compose(tensor_map(f, identity_map(c)), m.rho)),
     )
-    kernel = Matrix(fld, rows, len(units)).kernel_basis()
-    return units, kernel
 
 
 def contra_maps_direct(p: VContramodule, q: VContramodule):
     """Brute-force oracle for contramodule maps in degree zero."""
     require_same_coalgebra(p, q)
     c = p.coalgebra.space
-    fld = p.space.field
-    ambient = hom_space(p.space, q.space)
-    units = [lab for k, _, lab in ambient.basis() if k == 0]
-    constraint_space = hom_space(hom_space(c, p.space), q.space)
-    columns = []
-    for lab in units:
-        f = vec_to_linmap(
-            Vec.basis_vec(ambient, lab), p.space, q.space
-        )
-        lhs = compose(f, p.theta)
-        rhs = compose(q.theta, hom_map(identity_map(c), f))
-        vec = linmap_to_vec(lhs, constraint_space)
-        vec2 = linmap_to_vec(rhs, constraint_space)
-        col = []
-        for k in constraint_space.degrees():
-            if k == 0:
-                col.extend(
-                    fld.sub(a, b)
-                    for a, b in zip(vec.comps[k], vec2.comps[k])
-                )
-        columns.append(tuple(col))
-    if not units:
-        return units, []
-    rows = tuple(
-        tuple(col[i] for col in columns) for i in range(len(columns[0]))
+    return _degree_zero_kernel(
+        p.space, q.space, hom_space(hom_space(c, p.space), q.space),
+        lambda f: (compose(f, p.theta),
+                   compose(q.theta, hom_map(identity_map(c), f))),
     )
-    kernel = Matrix(fld, rows, len(units)).kernel_basis()
-    return units, kernel
 
 
 def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:

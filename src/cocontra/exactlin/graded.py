@@ -122,30 +122,6 @@ class Vec:
     def basis_vec(cls, space, label):
         return cls.from_dict(space, {label: space.field.one()})
 
-    def coeff(self, label):
-        k, i = self.space.position(label)
-        return self.comps[k][i]
-
-    def add(self, other: "Vec") -> "Vec":
-        f = self.space.field
-        return Vec(
-            self.space,
-            {
-                k: tuple(
-                    f.add(a, b)
-                    for a, b in zip(self.comps[k], other.comps[k])
-                )
-                for k in self.comps
-            },
-        )
-
-    def scale(self, c) -> "Vec":
-        f = self.space.field
-        return Vec(
-            self.space,
-            {k: tuple(f.mul(c, a) for a in v) for k, v in self.comps.items()},
-        )
-
     def is_zero(self) -> bool:
         z = self.space.field.zero()
         return all(a == z for v in self.comps.values() for a in v)
@@ -163,10 +139,6 @@ class Vec:
 
     def __eq__(self, other):
         return self.space == other.space and self.comps == other.comps
-
-
-def zero_vec(space: GradedVect) -> Vec:
-    return Vec(space)
 
 
 @dataclass(eq=False)
@@ -196,9 +168,12 @@ class LinMap:
             self.blocks[k] = got
 
     def block(self, k: int) -> Matrix:
-        m = self.cod.dim(k + self.degree)
-        n = self.dom.dim(k)
-        return self.blocks.get(k, Matrix.zeros(self.dom.field, m, n))
+        got = self.blocks.get(k)
+        if got is None:
+            got = Matrix.zeros(
+                self.dom.field, self.cod.dim(k + self.degree), self.dom.dim(k)
+            )
+        return got
 
     def __eq__(self, other):
         return (
@@ -229,45 +204,43 @@ class LinMap:
                 out[tgt] = img
         return Vec(self.cod, out)
 
-    def apply_label(self, label) -> Vec:
-        return self.apply(Vec.basis_vec(self.dom, label))
+    def apply_label(self, label) -> dict:
+        """The image of one basis vector as {codomain label: nonzero
+        coefficient}, read from its column, in codomain basis order."""
+        k, j = self.dom.position(label)
+        blk = self.blocks.get(k)
+        if blk is None:
+            return {}
+        z = self.dom.field.zero()
+        return {
+            lab: row[j]
+            for lab, row in zip(self.cod.labels[k + self.degree], blk.rows)
+            if row[j] != z
+        }
 
     @classmethod
     def from_images(cls, dom, cod, degree, images: dict):
-        """Build from {domain label: image Vec (or {label: coeff} dict)}."""
+        """Build from {domain label: image}, each image a {label: coeff}
+        dict or a Vec; a missing label maps to zero."""
+        fld = dom.field
+        z = fld.zero()
         blocks = {}
         for k in dom.degrees():
-            m = cod.dim(k + degree)
-            if m == 0:
-                for lab in dom.labels[k]:
-                    img = images.get(lab)
-                    if img is not None:
-                        vec = (
-                            img
-                            if isinstance(img, Vec)
-                            else Vec.from_dict(cod, img)
-                        )
-                        assert vec.is_zero(), (
-                            f"image of {lab} must vanish (no degree "
-                            f"{k + degree} in the target)"
-                        )
-                continue
-            cols = []
-            for lab in dom.labels[k]:
-                img = images.get(lab, {})
-                vec = img if isinstance(img, Vec) else Vec.from_dict(cod, img)
-                for kk, comp in vec.comps.items():
-                    if kk != k + degree:
-                        assert all(
-                            c == cod.field.zero() for c in comp
-                        ), f"image of {lab} is not homogeneous"
-                cols.append(vec.comps[k + degree])
-            blocks[k] = Matrix(
-                dom.field,
-                tuple(
-                    tuple(col[i] for col in cols) for i in range(m)
-                ),
-            )
+            tgt = k + degree
+            n = dom.dim(k)
+            rows = [[z] * n for _ in range(cod.dim(tgt))]
+            for j, lab in enumerate(dom.labels[k]):
+                for clab, c in images.get(lab, {}).items():
+                    c = fld.add(z, c)
+                    if c == z:
+                        continue
+                    kk, i = cod.position(clab)
+                    assert kk == tgt, (
+                        f"image of {lab} has a nonzero entry in degree {kk}, "
+                        f"not {tgt}"
+                    )
+                    rows[i][j] = c
+            blocks[k] = Matrix(fld, rows, n)
         return cls(dom, cod, degree, blocks)
 
     def is_zero(self) -> bool:
@@ -388,17 +361,18 @@ def tensor_map(f: LinMap, g: LinMap) -> LinMap:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
     fld = dom.field
-    sign_base = fld.from_int(-1)
+    gcols = {lb: g.apply_label(lb) for _, _, lb in g.dom.basis()}
     images = {}
-    for _, _, lab in dom.basis():
-        _, la, lb = lab
+    for _, _, la in f.dom.basis():
         fx = f.apply_label(la)
-        gy = g.apply_label(lb)
-        img = tensor_vec(fx, gy)
-        if g.degree % 2 == 1 and f.dom.degree_of(la) % 2 == 1:
-            img = img.scale(sign_base)
-        # reinterpret into the canonical codomain space
-        images[lab] = Vec.from_dict(cod, dict(img.items()))
+        odd = g.degree % 2 == 1 and f.dom.degree_of(la) % 2 == 1
+        for lb, gy in gcols.items():
+            img = {}
+            for xa, ca in fx.items():
+                for yb, cb in gy.items():
+                    c = fld.mul(ca, cb)
+                    img[("t", xa, yb)] = fld.neg(c) if odd else c
+            images[("t", la, lb)] = img
     return LinMap.from_images(dom, cod, f.degree + g.degree, images)
 
 
@@ -509,24 +483,19 @@ def vec_to_linmap(h: Vec, v: GradedVect, w: GradedVect) -> LinMap:
     assert len(degrees) <= 1, "hom element must be homogeneous"
     n = degrees.pop() if degrees else 0
     images = {}
-    for lab, c in h.items():
-        _, a, b = lab
+    for (_, a, b), c in h.items():
         images.setdefault(a, {})[b] = c
-    return LinMap.from_images(
-        v, w, n, {a: Vec.from_dict(w, img) for a, img in images.items()}
-    )
+    return LinMap.from_images(v, w, n, images)
 
 
 def linmap_to_vec(f: LinMap, ambient: GradedVect | None = None) -> Vec:
     """The hom-space element of a map; ambient defaults to hom(dom, cod)."""
     space = ambient if ambient is not None else hom_space(f.dom, f.cod)
-    coeffs = {}
-    z = f.dom.field.zero()
-    for _, _, a in f.dom.basis():
-        img = f.apply_label(a)
-        for b, c in img.items():
-            if c != z:
-                coeffs[("h", a, b)] = c
+    coeffs = {
+        ("h", a, b): c
+        for _, _, a in f.dom.basis()
+        for b, c in f.apply_label(a).items()
+    }
     return Vec.from_dict(space, coeffs)
 
 
@@ -541,21 +510,16 @@ def hom_map(f: LinMap, g: LinMap, dom=None, cod=None) -> LinMap:
     images = {}
     for _, _, lab in dom.basis():
         _, b, x = lab
-        coeffs = {}
-        fb = f.cod.position(b)
+        kb, ib = f.cod.position(b)
+        # the b-row of f: the coefficient of b in f(a) for each a
+        frow = f.blocks[kb].rows[ib] if kb in f.blocks else ()
         gx = g.apply_label(x)
-        kb, ib = fb
-        col = f.block(kb)  # A_kb -> B_kb
-        for ia, a in enumerate(f.dom.labels.get(kb, ())):
-            fa = col[ib, ia] if col.nrows else z
-            if fa == z:
-                continue
-            for y, cy in gx.items():
-                key = ("h", a, y)
-                coeffs[key] = fld.add(
-                    coeffs.get(key, z), fld.mul(fa, cy)
-                )
-        images[lab] = coeffs
+        images[lab] = {
+            ("h", a, y): fld.mul(fa, cy)
+            for a, fa in zip(f.dom.labels.get(kb, ()), frow)
+            if fa != z
+            for y, cy in gx.items()
+        }
     return LinMap.from_images(dom, cod, 0, images)
 
 
@@ -573,34 +537,18 @@ def ev_map(v: GradedVect, w: GradedVect) -> LinMap:
     return LinMap.from_images(dom, w, 0, images)
 
 
-def coev_map(v: GradedVect, w: GradedVect) -> LinMap:
-    """V -> [W, V (x) W], the unit of the tensor-hom adjunction."""
-    vw = tensor(v, w)
-    cod = hom_space(w, vw)
-    one = v.field.one()
-    images = {}
-    for _, _, a in v.basis():
-        coeffs = {
-            ("h", b, ("t", a, b)): one for _, _, b in w.basis()
-        }
-        images[a] = coeffs
-    return LinMap.from_images(v, cod, 0, images)
-
-
 def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """U (x) V -> W into U -> [V,W] (the degree rides along)."""
     assert f.dom == tensor(u, v) and f.cod == w
     cod = hom_space(v, w)
-    z = u.field.zero()
-    images = {}
-    for _, _, a in u.basis():
-        coeffs = {}
-        for _, _, b in v.basis():
-            img = f.apply_label(("t", a, b))
-            for c, cc in img.items():
-                if cc != z:
-                    coeffs[("h", b, c)] = cc
-        images[a] = coeffs
+    images = {
+        a: {
+            ("h", b, c): cc
+            for _, _, b in v.basis()
+            for c, cc in f.apply_label(("t", a, b)).items()
+        }
+        for _, _, a in u.basis()
+    }
     return LinMap.from_images(u, cod, f.degree, images)
 
 
@@ -608,17 +556,10 @@ def uncurry(g: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """U -> [V,W] into U (x) V -> W."""
     assert g.dom == u and g.cod == hom_space(v, w)
     dom = tensor(u, v)
-    z = u.field.zero()
     images = {}
-    for _, _, lab in dom.basis():
-        _, a, b = lab
-        ga = g.apply_label(a)
-        coeffs = {}
-        for hlab, c in ga.items():
-            _, b2, cc = hlab
-            if b2 == b and c != z:
-                coeffs[cc] = c
-        images[lab] = coeffs
+    for _, _, a in u.basis():
+        for (_, b, c), cc in g.apply_label(a).items():
+            images.setdefault(("t", a, b), {})[c] = cc
     return LinMap.from_images(dom, w, g.degree, images)
 
 
@@ -818,11 +759,3 @@ def lands_in_sub(include: LinMap, v: Vec) -> bool:
         if include.block(k).solve(comp) is None:
             return False
     return True
-
-
-def factor_through_quotient(project: LinMap, section: LinMap,
-                            f: LinMap) -> LinMap:
-    """The map a quotient induces: f o section, checked well-defined."""
-    induced = compose(f, section)
-    assert compose(induced, project) == f, "map does not respect the quotient"
-    return induced

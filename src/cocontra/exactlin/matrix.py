@@ -121,30 +121,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        z = f.zero()
         bt = other.transpose().rows
-        out = []
-        for r in self.rows:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(f, tuple(out), other.ncols)
+        return Matrix(
+            f,
+            tuple(tuple(_dot(f, r, c) for c in bt) for r in self.rows),
+            other.ncols,
+        )
 
     def apply(self, vec):
         """Matrix times column vector (a tuple)."""
-        f = self.field
-        z = f.zero()
-        out = []
-        for r in self.rows:
-            acc = z
-            for a, b in zip(r, vec):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(self.field, r, vec) for r in self.rows)
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -259,3 +245,14 @@ class Matrix:
         n = self.ncols
         _, pivots = self.hstack(Matrix.identity(self.field, self.nrows)).rref()
         return [p - n for p in pivots if p >= n]
+
+
+def _dot(f, row, col):
+    """Sum of row[i] * col[i] over the terms whose factors are both
+    nonzero; a skipped term would add the field's zero, which changes no
+    sum (both fields' zeros, Fraction(0) and 0, are falsy)."""
+    acc = f.zero()
+    for a, b in zip(row, col):
+        if a and b:
+            acc = f.add(acc, f.mul(a, b))
+    return acc

@@ -33,7 +33,6 @@ from .errors import NotCounital, RelationFailure
 from .exactlin import (
     GradedVect,
     LinMap,
-    Vec,
     compose,
     hom_space,
     identity_map,
@@ -140,14 +139,14 @@ def comodule_from_family(pc: PolyCoalgebra, space: GradedVect,
             witness,
         )
     cs = pc.space
-    images = {}
-    for _, _, lab in space.basis():
-        coeffs = {}
-        for k, op in enumerate(ops):
-            img = op.apply_label(lab)
-            for ylab, c in img.items():
-                coeffs[("t", ylab, f"z{k}")] = c
-        images[lab] = Vec.from_dict(tensor(space, cs), coeffs)
+    images = {
+        lab: {
+            ("t", ylab, f"z{k}"): c
+            for k, op in enumerate(ops)
+            for ylab, c in op.apply_label(lab).items()
+        }
+        for _, _, lab in space.basis()
+    }
     rho = LinMap.from_images(space, tensor(space, cs), 0, images)
     out = VComodule(pc.underlying, space, rho)
     rep = validate_comodule(out)

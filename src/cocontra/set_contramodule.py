@@ -643,15 +643,28 @@ def induction_adjunction_certificate(
             tuple(sorted(family[k].items())) for k in keys
         )
 
+    # the naturality families between two shapes do not depend on the
+    # third shape of the loop: enumerate each pair's once, at first use, so
+    # the budget is charged in the same order as without the memo
+    families = {}
+
+    def families_between(key, base, s_fibers, t_fibers):
+        got = families.get(key)
+        if got is None:
+            got = families[key] = list(
+                _component_families(base, s_fibers, t_fibers, budget)
+            )
+        return got
+
     ckeys = c.elements
     ykeys = chat.elements
     fz = {z: f(z) for z in ckeys}
     squares = 0
-    for t in ts:
+    for i, t in enumerate(ts):
         ind_t = induce_contra(f, t)
         ind_fibers = {z: ind_t.fibers[z].elements for z in ckeys}
         t_fibers = {y: t.fibers[y].elements for y in ykeys}
-        for s in ss:
+        for j, s in enumerate(ss):
             res_s = restrict_contra(f, s)
             hom1 = [
                 {z: dict(fam[z]) for z in ckeys}
@@ -684,12 +697,12 @@ def induction_adjunction_certificate(
                     {"kind": "not-a-bijection",
                      "sizes": (len(hom1), len(hom2_keys))}
                 )
-            for t2 in ts:
+            for i2, t2 in enumerate(ts):
                 t2_fibers = {y: t2.fibers[y].elements for y in ykeys}
                 # many composites coincide; transpose each one once
                 transposed = {}
-                for a_fam in _component_families(
-                    chat, t2.fibers, t.fibers, budget
+                for a_fam in families_between(
+                    ("source", i2, i), chat, t2.fibers, t.fibers
                 ):
                     # u o Ind(a) has components u_z o a_{f(z)}
                     a_slots = [
@@ -725,10 +738,10 @@ def induction_adjunction_certificate(
                 ]
                 for y in ykeys
             }
-            for s2 in ss:
+            for j2, s2 in enumerate(ss):
                 transposed = {}
-                for b_fam in _component_families(
-                    c, s.fibers, s2.fibers, budget
+                for b_fam in families_between(
+                    ("target", j, j2), c, s.fibers, s2.fibers
                 ):
                     # Res(b) acts inside every regrouped fiber
                     res_b = {

@@ -182,6 +182,152 @@ def test_set_side_report_matches_golden_digest():
     assert digest == SET_SIDE_GOLDEN_SHA256
 
 
+# Recorded before ``exactlin.LinMap`` moved to sparse column reads and
+# writes; a change of any scalar, block layout or label order on the linear
+# side changes these bytes.
+LINEAR_SIDE_GOLDEN_SHA256 = (
+    "382114b57c82ceee1692f54bff08321aa488ed091908e35dfa522646c7003927"
+)
+
+
+def _conjugated_group_like(name, field, space, fractions):
+    """Two group-likes g0, g1 seen in the basis a = g0, b = g0 + 2 g1; over
+    Q the structure constants are fractions, over F3 they are reduced."""
+    if fractions:
+        delta_b = [1, "3/2"], [0, "-1/2"], [0, "-1/2"], [0, "1/2"]
+        eps_b = 3
+    else:  # F3: 3/2 = 0, -1/2 = 1, 1/2 = 2
+        delta_b = [1, 0], [0, 1], [0, 1], [0, 2]
+        eps_b = 0
+    return [
+        {"kind": "graded_space", "name": space, "field": field,
+         "dims": {"0": 2}, "labels": {"0": ["a", "b"]}},
+        {"kind": "coalgebra", "name": name, "space": space,
+         "delta_blocks": {"0": [list(r) for r in delta_b]},
+         "eps_blocks": {"0": [[1, eps_b]]}},
+    ]
+
+
+def test_linear_side_report_matches_golden_digest():
+    decls = [
+        # Q: the binomial coalgebra with z in degree 1, so odd degrees,
+        # braiding signs and Koszul signs all reach the report
+        {"kind": "poly_coalgebra", "name": "P1", "truncation": 1,
+         "z_degree": 1, "field": "Q"},
+        {"kind": "poly_coalgebra", "name": "P2", "truncation": 2,
+         "z_degree": 1, "field": "Q"},
+        {"kind": "graded_space", "name": "W", "field": "Q",
+         "dims": {"0": 1, "1": 1}, "prefix": "w"},
+        {"kind": "cofree_comodule", "name": "TW1", "coalgebra": "P1",
+         "on": "W"},
+        {"kind": "free_contramodule", "name": "FW1", "coalgebra": "P1",
+         "on": "W"},
+        {"kind": "cofree_comodule", "name": "TW2", "coalgebra": "P2",
+         "on": "W"},
+        {"kind": "free_contramodule", "name": "FW2", "coalgebra": "P2",
+         "on": "W"},
+        {"kind": "coalgebra_morphism", "name": "inc", "dom": "P1",
+         "cod": "P2", "blocks": {"0": [[1]], "1": [[1]]}},
+        # P1 is cocommutative, so its comultiplication is a left coaction
+        {"kind": "graded_space", "name": "Z", "field": "Q",
+         "dims": {"0": 1, "1": 1}, "labels": {"0": ["z0"], "1": ["z1"]}},
+        {"kind": "vcomodule", "name": "LP1", "coalgebra": "P1", "space": "Z",
+         "side": "left", "rho_blocks": {"0": [[1]], "1": [[1], [1]]}},
+        *_conjugated_group_like("DQ", "Q", "SQ", fractions=True),
+        {"kind": "graded_space", "name": "U", "field": "Q",
+         "dims": {"0": 1}, "prefix": "u"},
+        {"kind": "cofree_comodule", "name": "TDQ", "coalgebra": "DQ",
+         "on": "U"},
+        {"kind": "free_contramodule", "name": "FDQ", "coalgebra": "DQ",
+         "on": "U"},
+        # F2: group-likes, with the inclusion of one into two
+        {"kind": "group_like_coalgebra", "name": "G1", "field": "F2",
+         "size": 1},
+        {"kind": "group_like_coalgebra", "name": "G2", "field": "F2",
+         "size": 2},
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 2}, "prefix": "v"},
+        {"kind": "cofree_comodule", "name": "TV1", "coalgebra": "G1",
+         "on": "V"},
+        {"kind": "free_contramodule", "name": "FV1", "coalgebra": "G1",
+         "on": "V"},
+        {"kind": "cofree_comodule", "name": "TV2", "coalgebra": "G2",
+         "on": "V"},
+        {"kind": "free_contramodule", "name": "FV2", "coalgebra": "G2",
+         "on": "V"},
+        {"kind": "coalgebra_morphism", "name": "gin", "dom": "G1",
+         "cod": "G2", "blocks": {"0": [[1], [0]]}},
+        {"kind": "graded_space", "name": "GS", "field": "F2",
+         "dims": {"0": 2}, "labels": {"0": ["g0", "g1"]}},
+        {"kind": "vcomodule", "name": "LG2", "coalgebra": "G2",
+         "space": "GS", "side": "left",
+         "rho_blocks": {"0": [[1, 0], [0, 0], [0, 0], [0, 1]]}},
+        # F3: the conjugated group-likes with reduced constants
+        *_conjugated_group_like("D3", "F3", "S3", fractions=False),
+        {"kind": "graded_space", "name": "Y", "field": "F3",
+         "dims": {"0": 1}, "prefix": "y"},
+        {"kind": "cofree_comodule", "name": "TD3", "coalgebra": "D3",
+         "on": "Y"},
+        {"kind": "free_contramodule", "name": "FD3", "coalgebra": "D3",
+         "on": "Y"},
+    ]
+    jobs = []
+    for tag, c, m, p in (("p1", "P1", "TW1", "FW1"),
+                         ("dq", "DQ", "TDQ", "FDQ"),
+                         ("g2", "G2", "TV2", "FV2"),
+                         ("d3", "D3", "TD3", "FD3")):
+        jobs += [
+            {"id": f"{tag}-check-c", "command": "check",
+             "args": {"target": c}},
+            {"id": f"{tag}-check-m", "command": "check",
+             "args": {"target": m}},
+            {"id": f"{tag}-check-p", "command": "check",
+             "args": {"target": p}},
+            {"id": f"{tag}-r", "command": "r", "args": {"target": m}},
+            {"id": f"{tag}-l", "command": "l", "args": {"target": p}},
+            {"id": f"{tag}-lr", "command": "lr", "args": {"target": m}},
+            {"id": f"{tag}-hom-co", "command": "hom",
+             "args": {"source": m, "target": m}},
+            {"id": f"{tag}-hom-contra", "command": "hom",
+             "args": {"source": p, "target": p}},
+            {"id": f"{tag}-adjoint", "command": "adjoint",
+             "args": {"contramodule": p, "comodule": m}},
+            {"id": f"{tag}-cohom", "command": "cohom",
+             "args": {"comodule": m, "contramodule": p}},
+            {"id": f"{tag}-bridge", "command": "bridge",
+             "args": {"coalgebra": c, "comodule": m, "contramodule": p}},
+            {"id": f"{tag}-kleisli", "command": "kleisli",
+             "args": {"coalgebra": c, "dim": 1}},
+        ]
+    jobs += [
+        {"id": "p1-cotensor", "command": "cotensor",
+         "args": {"left": "TW1", "right": "LP1"}},
+        {"id": "g2-cotensor", "command": "cotensor",
+         "args": {"left": "TV2", "right": "LG2"}},
+        {"id": "p1-kleisli-w", "command": "kleisli",
+         "args": {"coalgebra": "P1", "on": "W"}},
+    ]
+    for tag, f, c, chat, (m, p), (m2, p2) in (
+            ("p", "inc", "P1", "P2", ("TW1", "FW1"), ("TW2", "FW2")),
+            ("g", "gin", "G1", "G2", ("TV1", "FV1"), ("TV2", "FV2"))):
+        along = {"along": f, "dom_coalgebra": c, "cod_coalgebra": chat}
+        jobs += [
+            {"id": f"{tag}-restrict-m", "command": "restrict",
+             "args": {**along, "target": m}},
+            {"id": f"{tag}-restrict-p", "command": "restrict",
+             "args": {**along, "target": p}},
+            {"id": f"{tag}-induce-m", "command": "induce",
+             "args": {**along, "target": m2}},
+            {"id": f"{tag}-induce-p", "command": "induce",
+             "args": {**along, "target": p2}},
+        ]
+    ctx = {"budget": 10**6, "oracle": True, "seed": 0, "timing": False}
+    report = cli.run_manifest({"declarations": decls, "jobs": jobs}, ctx)
+    assert [j["id"] for j in report["jobs"] if j["status"] != "pass"] == []
+    digest = hashlib.sha256(serialize.canonical_bytes(report)).hexdigest()
+    assert digest == LINEAR_SIDE_GOLDEN_SHA256
+
+
 def test_single_command_r_on_file(tmp_path):
     bundle = {
         "declarations": BASE_DECLS[:3],

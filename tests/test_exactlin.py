@@ -300,7 +300,7 @@ def test_ev_is_evaluation():
     fv = linmap_to_vec(f)
     for _, _, a in v.basis():
         out = ev_map(v, w).apply(tensor_vec(fv, Vec.basis_vec(v, a)))
-        assert out == f.apply_label(a)
+        assert dict(out.items()) == f.apply_label(a)
 
 
 def test_vec_linmap_round_trip():
@@ -390,3 +390,107 @@ def test_coequalizer_examples():
     assert coequalizer_lin(f, f).space.total_dim == 2
     ident = identity_map(x)
     assert coequalizer_lin(ident, z).space.total_dim == 0
+
+
+# --- sparse column reads and writes ------------------------------------------
+
+
+F3 = GF(3)
+
+
+def _rand_scalar(rng, field):
+    # zeros in half the entries, so the zero-skipping paths are exercised
+    if rng.random() < 0.5:
+        return field.zero()
+    if field == Q:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return field.from_int(rng.randint(1, field.p - 1))
+
+
+def _rand_graded(rng, field, prefix):
+    # degrees -1..1, each possibly empty
+    return GradedVect(
+        field, {k: rng.randint(0, 2) for k in (-1, 0, 1)}, prefix=prefix
+    )
+
+
+def _rand_graded_map(rng, field):
+    dom = _rand_graded(rng, field, "a")
+    cod = _rand_graded(rng, field, "b")
+    degree = rng.randint(-1, 1)
+    blocks = {
+        k: Matrix(
+            field,
+            tuple(
+                tuple(_rand_scalar(rng, field) for _ in range(dom.dim(k)))
+                for _ in range(cod.dim(k + degree))
+            ),
+            dom.dim(k),
+        )
+        for k in dom.degrees()
+    }
+    return LinMap(dom, cod, degree, blocks)
+
+
+def _naive_matmul(a, b):
+    f = a.field
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = f.zero()
+            for t in range(a.ncols):
+                acc = f.add(acc, f.mul(a[i, t], b[t, j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return Matrix(f, tuple(out), b.ncols)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_apply_label_reads_the_column(field):
+    rng = random.Random(f"apply-label-{field.name}")
+    for _ in range(40):
+        f = _rand_graded_map(rng, field)
+        images = {}
+        for _, _, a in f.dom.basis():
+            img = f.apply_label(a)
+            assert img == dict(f.apply(Vec.basis_vec(f.dom, a)).items())
+            assert all(c != field.zero() for c in img.values())
+            images[a] = img
+        assert LinMap.from_images(f.dom, f.cod, f.degree, images) == f
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_matmul_and_apply_match_the_naive_loop(field):
+    rng = random.Random(f"matmul-{field.name}")
+    shapes = [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(30)]
+    for m, k, n in shapes:
+        a = Matrix(field, tuple(
+            tuple(_rand_scalar(rng, field) for _ in range(k))
+            for _ in range(m)), k)
+        b = Matrix(field, tuple(
+            tuple(_rand_scalar(rng, field) for _ in range(n))
+            for _ in range(k)), n)
+        assert a @ b == _naive_matmul(a, b)
+        vec = tuple(_rand_scalar(rng, field) for _ in range(k))
+        col = Matrix(field, tuple((x,) for x in vec), 1)
+        assert a.apply(vec) == _naive_matmul(a, col).column(0)
+
+
+def test_from_images_rejects_entries_outside_the_target_degree():
+    one = Q.one()
+    x = GradedVect(Q, {0: 1}, prefix="x")
+    y = GradedVect(Q, {0: 1, 1: 1}, prefix="y")
+    # an image spread over two degrees is not homogeneous
+    with pytest.raises(AssertionError):
+        LinMap.from_images(x, y, 0, {"x0_0": {"y0_0": one, "y1_0": one}})
+    # a nonzero image into a degree the target lacks
+    x01 = GradedVect(Q, {0: 1, 1: 1}, prefix="x")
+    y0 = GradedVect(Q, {0: 1}, prefix="y")
+    with pytest.raises(AssertionError):
+        LinMap.from_images(x01, y0, 0, {"x1_0": {"y0_0": one}})
+    # zero coefficients may sit anywhere
+    assert LinMap.from_images(
+        x01, y0, 0, {"x1_0": {"y0_0": Q.zero()}}
+    ).is_zero()
