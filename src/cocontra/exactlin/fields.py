@@ -10,6 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Fraction is immutable, so every zero and one can be the same object
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class QQ:
     """The field of rationals."""
@@ -17,10 +22,10 @@ class QQ:
     name: str = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n: int):
         return Fraction(n)

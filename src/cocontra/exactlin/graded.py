@@ -41,8 +41,9 @@ class GradedVect:
         flat = [lab for k in self.dims for lab in self.labels[k]]
         if len(set(flat)) != len(flat):
             raise ValueError("labels must be unique across the space")
+        self._degrees = tuple(sorted(self.dims))
         self._pos = {}
-        for k in self.degrees():
+        for k in self._degrees:
             for i, lab in enumerate(self.labels[k]):
                 self._pos[lab] = (k, i)
 
@@ -54,8 +55,8 @@ class GradedVect:
             and self.labels == other.labels
         )
 
-    def degrees(self):
-        return sorted(self.dims)
+    def degrees(self) -> tuple[int, ...]:
+        return self._degrees
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)

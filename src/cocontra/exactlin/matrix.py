@@ -17,7 +17,10 @@ class Matrix:
     width: int | None = None  # needed when there are no rows
 
     def __post_init__(self):
-        self.rows = tuple(tuple(r) for r in self.rows)
+        if type(self.rows) is not tuple or not all(
+            type(r) is tuple for r in self.rows
+        ):
+            self.rows = tuple(tuple(r) for r in self.rows)
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")

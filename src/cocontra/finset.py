@@ -25,9 +25,13 @@ class FinSet:
 
     def __init__(self, elements):
         elems = tuple(sorted(elements))
-        if len(set(elems)) != len(elems):
+        # label -> position; not a field, so ==, hash and cache keys still
+        # see only the elements
+        index = {x: i for i, x in enumerate(elems)}
+        if len(index) != len(elems):
             raise ValueError(f"duplicate labels in {elems}")
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_index", index)
 
     def __iter__(self):
         return iter(self.elements)
@@ -36,10 +40,16 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, label):
-        return label in self.elements
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable value is never a label
+            return False
 
     def index(self, label) -> int:
-        return self.elements.index(label)
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"{label!r} is not in {self!r}") from None
 
     def __repr__(self):
         return "{" + ",".join(self.elements) + "}"
@@ -58,6 +68,13 @@ class FinMap:
     table: dict[str, str]
 
     def __post_init__(self):
+        try:
+            if (self.table.keys() == self.dom._index.keys()
+                    and self.cod._index.keys() >= set(self.table.values())):
+                return
+        except (AttributeError, TypeError):
+            pass
+        # the fast check failed or could not run: name the first fault
         if set(self.table) != set(self.dom.elements):
             raise ValueError("table is not total on the domain")
         for v in self.table.values():
@@ -106,10 +123,16 @@ def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def odometer(pools):
+    """Every tuple that picks one value of each pool, the last pool
+    fastest: the one enumeration order of choice functions."""
+    return iproduct(*pools)
+
+
 def choices(keys, pools):
     """Every dict that picks one value of ``pools[i]`` for ``keys[i]``, in
-    odometer order with the last key fastest."""
-    for values in iproduct(*pools):
+    odometer order."""
+    for values in odometer(pools):
         yield dict(zip(keys, values))
 
 

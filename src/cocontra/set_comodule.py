@@ -174,14 +174,18 @@ def unique_comonoid_certificate(c: FinSet,
     budget.charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
     prod, proj1, proj2 = finset.product(c, c)
     diagonal = SetComonoid(c).diagonal()
-    ident = finset.identity(c)
+    # psi is counital exactly when both projections of each psi(x) are x,
+    # so a candidate is checked one coordinate at a time
+    counital = [
+        frozenset(p for p in prod if proj1(p) == x and proj2(p) == x)
+        for x in c
+    ]
     candidates = 0
     valid = []
-    for psi in finset._all_maps(c, prod):
+    for values in finset.odometer([prod.elements] * len(c)):
         candidates += 1
-        if (finset.compose(proj1, psi) == ident
-                and finset.compose(proj2, psi) == ident):
-            valid.append(psi)
+        if all(map(frozenset.__contains__, counital, values)):
+            valid.append(FinMap(c, prod, dict(zip(c.elements, values))))
     report = {
         "base": list(c.elements),
         "candidates": candidates,

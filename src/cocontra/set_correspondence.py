@@ -134,6 +134,12 @@ def L_mor(u: FinMap, s: ContraTable, t: ContraTable) -> FinMap:
     """The induced map on quotient comodules: [(y,a)] -> [(u(y),a)]."""
     ls, proj_s = l_set_with_projection(s)
     lt, proj_t = l_set_with_projection(t)
+    return _quotient_map(u, s, ls, proj_s, lt, proj_t)
+
+
+def _quotient_map(u: FinMap, s: ContraTable, ls: SetComodule, proj_s: FinMap,
+                  lt: SetComodule, proj_t: FinMap) -> FinMap:
+    """:func:`L_mor` given both quotients with their projections."""
     table = {}
     for y in s.carrier:
         for a in s.base:
@@ -373,21 +379,23 @@ def _counit_naturality(base_size: int, max_carrier: int, report,
                        budget: Budget) -> int:
     """counit o L(R(f)) == f o counit for every comodule map f."""
     squares = 0
-    base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
-    instances = []
+    comodules = []
     for carrier_size in range(0, max_carrier + 1):
-        instances.extend(all_comodules(carrier_size, base_size, budget))
-    instances = [m for m in instances if not is_degenerate(m)]
-    for m in instances:
-        for n in instances:
+        comodules.extend(all_comodules(carrier_size, base_size, budget))
+    # each instance's sections, counit and quotient, built once up front
+    # (each instance maps to itself, so the member loop built them all)
+    instances = []
+    for m in comodules:
+        if not is_degenerate(m):
+            rm = to_extensional(R_set(m))
+            instances.append((m, rm, counit(m), *l_set_with_projection(rm)))
+    for m, rm, eps_m, lm, proj_m in instances:
+        for n, _, eps_n, ln, proj_n in instances:
             hom = set_comodule.hom_over(m, n, budget)
             for label in hom.members:
                 f = finset.decode_map(label, m.carrier, n.carrier)
-                rm, rn = to_extensional(R_set(m)), to_extensional(R_set(n))
                 rf = R_mor(f, m, n)
-                lrf = L_mor(rf, rm, rn)
-                eps_m, eps_n = counit(m), counit(n)
-                lm, _ = l_set_with_projection(rm)
+                lrf = _quotient_map(rf, rm, lm, proj_m, ln, proj_n)
                 for k in lm.carrier:
                     if eps_n(lrf(k)) != f(eps_m(k)):
                         report["failures"].append(

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import hypothesis.strategies as st
@@ -32,6 +33,51 @@ def test_finset_is_sorted_and_distinct():
     assert s.elements == ("a", "b", "c")
     with pytest.raises(ValueError):
         FinSet(["a", "a"])
+
+
+def test_membership_and_index_read_the_label_map():
+    s = FinSet(["b", "a", "c"])
+    assert all(x in s for x in ("a", "b", "c"))
+    assert "d" not in s and ["a"] not in s and "a" not in finset.EMPTY
+    assert [s.index(x) for x in ("a", "b", "c")] == [0, 1, 2]
+    for bad in ("d", ["a"]):
+        with pytest.raises(ValueError):
+            s.index(bad)
+    with pytest.raises(ValueError):
+        finset.EMPTY.index("a")
+
+
+def test_finmap_rejects_bad_tables_with_the_same_messages():
+    a, b = FinSet(["x", "y"]), FinSet(["1", "2"])
+    for table in ({"x": "1"}, {"x": "1", "y": "2", "z": "1"}, {}):
+        with pytest.raises(ValueError) as exc:
+            FinMap(a, b, table)
+        assert str(exc.value) == "table is not total on the domain"
+    # the first value outside the codomain, in table order, is named
+    for table, bad in (({"x": "1", "y": "3"}, "'3'"),
+                       ({"x": "4", "y": "3"}, "'4'"),
+                       ({"x": ["1"], "y": "1"}, "['1']")):
+        with pytest.raises(ValueError) as exc:
+            FinMap(a, b, table)
+        assert str(exc.value) == f"value {bad} is not in the codomain"
+    assert FinMap(a, b, {"y": "2", "x": "2"}).table == {"y": "2", "x": "2"}
+    # a manifest may name a non-set as the domain
+    with pytest.raises(AttributeError, match="'elements'"):
+        FinMap(object(), b, {})
+
+
+def test_equal_label_sets_are_one_cache_key():
+    s1, s2 = FinSet(["q", "p"]), FinSet(("p", "q"))
+    assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+    assert repr(s1) == "{p,q}"
+    assert [f.name for f in dataclasses.fields(FinSet)] == ["elements"]
+    pools = (FinSet(["1", "2"]),) * 2
+    t1 = finset._decode_table(s1, pools)
+    before = finset._decode_table.cache_info()
+    t2 = finset._decode_table(s2, pools)
+    after = finset._decode_table.cache_info()
+    assert t2 is t1
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_product_examples():
@@ -153,6 +199,8 @@ def test_choices_is_the_odometer():
                        {"a": "1", "b": "x", "c": "q"}]
     assert list(finset.choices([], [])) == [{}]
     assert list(finset.choices(["a", "b"], [["1"], []])) == []
+    assert list(finset.odometer(pools)) == list(product(*pools))
+    assert list(finset.odometer([])) == [()]
 
 
 def test_pullback_examples():

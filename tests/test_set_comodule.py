@@ -229,3 +229,44 @@ def test_unique_comonoid_certificate():
         assert rep["valid"] == 1
         assert rep["valid_is_diagonal"]
         assert rep["coassociative"]
+
+
+def _reference_comonoid_report(c):
+    """Brute-force reference: every map c -> c x c is built, and both
+    projections composed with it are compared with the identity."""
+    prod, proj1, proj2 = finset.product(c, c)
+    ident = finset.identity(c)
+    candidates = 0
+    valid = []
+    for psi in finset._all_maps(c, prod):
+        candidates += 1
+        if (finset.compose(proj1, psi) == ident
+                and finset.compose(proj2, psi) == ident):
+            valid.append(psi)
+    report = {
+        "base": list(c.elements),
+        "candidates": candidates,
+        "valid": len(valid),
+        "valid_is_diagonal": (len(valid) == 1
+                              and valid[0] == scm.SetComonoid(c).diagonal()),
+    }
+    if valid:
+        report["coassociative"] = scm._is_coassociative(c, valid[0])
+    return report
+
+
+@pytest.mark.parametrize("labels", [
+    [], ["c0"], ["c0", "c1"], ["c0", "c1", "c2"], ["z", "a1", "b"],
+])
+def test_unique_comonoid_matches_reference_loop(labels):
+    c = FinSet(labels)
+    rep = scm.unique_comonoid_certificate(c)
+    ref = _reference_comonoid_report(c)
+    assert rep == ref and list(rep) == list(ref)
+
+
+def test_unique_comonoid_size_four():
+    rep = scm.unique_comonoid_certificate(FinSet([f"c{i}" for i in range(4)]))
+    assert rep["candidates"] == 65536
+    assert rep["valid"] == 1
+    assert rep["valid_is_diagonal"] and rep["coassociative"]

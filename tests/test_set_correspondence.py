@@ -1,4 +1,7 @@
-from cocontra import finset, set_comodule as scm, set_contramodule as sct
+import hashlib
+
+from cocontra import finset, serialize, set_comodule as scm
+from cocontra import set_contramodule as sct
 from cocontra import set_correspondence as sco
 from cocontra.finset import FinMap, FinSet
 
@@ -159,6 +162,20 @@ def test_equivalence_certificate_bounded():
     assert rep["degenerate"] > 0  # degenerate cases are reported, not errors
     assert rep["nondegenerate"] > 0
     assert rep["naturality_squares"] > 0
+
+
+# Recorded before the counit naturality check built each instance's
+# sections, counit and quotient once instead of once per comodule map.
+EQUIVALENCE_GOLDEN_SHA256 = (
+    "8de76d9deb58154344658ca7aaf6d58db2733af5687075d68c33558d76c53518"
+)
+
+
+def test_equivalence_report_matches_golden_digest():
+    rep = sco.equivalence_certificate(max_carrier=4, max_base=2, max_fiber=3)
+    assert rep["ok"] and rep["naturality_squares"] == 204
+    digest = hashlib.sha256(serialize.canonical_bytes(rep)).hexdigest()
+    assert digest == EQUIVALENCE_GOLDEN_SHA256
 
 
 def test_unit_naturality_small():
