@@ -563,3 +563,181 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cli"
 ])
 def test_readme_examples_pass(tmp_path, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+
+
+# --- the command-line surface ----------------------------------------------
+#
+# Every command line of the README and of ``examples_cli/``, over small
+# declaration files: a bundle per subject and a ``{"main": name}`` pointer
+# for each further object, so no name is declared twice.  The exit codes
+# and report digests were recorded before the subcommands were built from
+# the command table; each default invocation sits next to one with the flag
+# set, so a changed default changes a digest.
+
+SURFACE_SET = [
+    {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+    {"kind": "finset", "name": "X", "elements": ["a", "b", "c"]},
+    {"kind": "finset", "name": "Y", "elements": ["d", "e"]},
+    {"kind": "set_comodule", "name": "M", "carrier": "X", "base": "C",
+     "phi": {"a": "1", "b": "2", "c": "2"}},
+    {"kind": "set_comodule", "name": "N", "carrier": "Y", "base": "C",
+     "phi": {"d": "1", "e": "2"}},
+    {"kind": "contra_product", "name": "s", "base": "C",
+     "fibers": {"1": ["u"], "2": ["v", "w"]}},
+    {"kind": "contra_product", "name": "t", "base": "C",
+     "fibers": {"1": ["p", "q"], "2": ["r", "s"]}},
+    {"kind": "finmap", "name": "f", "dom": "C", "cod": "C",
+     "table": {"1": "2", "2": "2"}},
+]
+
+SURFACE_LIN = [
+    {"kind": "group_like_coalgebra", "name": "G", "field": "F2", "size": 2},
+    {"kind": "graded_space", "name": "V", "field": "F2", "dims": {"0": 2},
+     "prefix": "v"},
+    {"kind": "cofree_comodule", "name": "TV", "coalgebra": "G", "on": "V"},
+    {"kind": "free_contramodule", "name": "FV", "coalgebra": "G", "on": "V"},
+    {"kind": "graded_space", "name": "GS", "field": "F2", "dims": {"0": 2},
+     "labels": {"0": ["g0", "g1"]}},
+    {"kind": "vcomodule", "name": "LG", "coalgebra": "G", "space": "GS",
+     "side": "left",
+     "rho_blocks": {"0": [[1, 0], [0, 0], [0, 0], [0, 1]]}},
+]
+
+SURFACE_POLY = [
+    {"kind": "poly_coalgebra", "name": "P", "truncation": 2, "z_degree": 1,
+     "field": "Q"},
+]
+
+SURFACE_MANIFEST = {
+    "declarations": BASE_DECLS,
+    "jobs": [
+        {"id": "r", "command": "r", "args": {"target": "M"}},
+        {"id": "rand", "command": "adjoint",
+         "args": {"random": {"count": 2, "max_dim": 2, "field": "F2"}}},
+        {"id": "enum", "command": "enumerate",
+         "args": {"carrier": 2, "base": 2}},
+    ],
+}
+
+
+def _surface_files(tmp_path):
+    files = {"manifest": SURFACE_MANIFEST}
+    for prefix, decls, mains in (("set", SURFACE_SET, "MNstf"),
+                                 ("lin", SURFACE_LIN, ("G", "TV", "FV")),
+                                 ("poly", SURFACE_POLY, ("P",))):
+        for main in mains:
+            files[f"{prefix}-{main}"] = {"declarations": decls, "main": main}
+    for name in ("M", "N", "s", "t", "TV", "FV", "LG", "V"):
+        files[name] = {"main": name}
+    paths = {}
+    for key, doc in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    paths["examples"] = EXAMPLES
+    return paths
+
+
+CLI_SURFACE = {
+    # id: (argv with {file} placeholders, exit code, report sha256)
+    "run": ("run {manifest} --oracle --seed 5 --budget 100000",
+        0, "d10a610216450a8d848725de6a731a1076f55da7414ca2704a0db34cd9cba983"),
+    "unique-comonoid": ("unique-comonoid --size 3",
+        0, "ba0247eed5a57215415c280e015d58ad2660a98222532cfe37470fe2525683d4"),
+    "enumerate": ("enumerate --carrier 3 --base 2 --oracle",
+        0, "c00b09931c170ec637726416e58916fe60e38b0cd418af165e7852e659d984aa"),
+    "enumerate-budget": ("enumerate --carrier 3 --base 2 --budget 10",
+        2, "e938f4876b7ac9f8c28ba9ffb84f00f1da4d5d6b32411066914801d9db184b27"),
+    "demo": ("demo-noncocontinuous --c-size 3",
+        0, "5e7d6d1beda6232d4200e111c904e83d9f876ff47fb4b506c241be6cbd544f65"),
+    "demo-default": ("demo-noncocontinuous",
+        0, "98c19f3b78f0adf029ae1a4cac64459fa98a716fe2ff276d3d5cfd146cbadf75"),
+    "r-set": ("r {set-M}",
+        0, "61335dc3cad81cbc4f1a567d9055100088ea41eb14176c9157a2e6dab868f10e"),
+    "r-lin": ("r {lin-TV}",
+        0, "4bd30716fc6913269bbcab94290c00967b375e393b70ef0e5a9fb64fd6b9e611"),
+    "l-set": ("l {set-t} --oracle",
+        0, "f5bdb5115f5a2ead66641960d3a0c6e5e814dc29889f01dffb405d5379544278"),
+    "l-lin": ("l {lin-FV}",
+        0, "316dc2c31d9dd0517745a2de0d93d89eec30fc6bcdd590f7672b7c7d9f831c91"),
+    "lr-set": ("lr {set-M}",
+        0, "1bc0d02a6e89e49618fc047a750b4782179742f8bbea3e66e874aabfa300416d"),
+    "lr-lin": ("lr {lin-TV}",
+        0, "a9af29aedaebb5be04dc1e99133c72c14d4de0f5679548dc884f1e681be1e76f"),
+    "adjoint": ("adjoint {lin-FV} {TV}",
+        0, "c0e5a84247264021fb6e9045ce5ed7b5c900638929faed5f48f34e47111ade81"),
+    "decompose": ("decompose {set-t} --basepoint {{1:p,2:r}}",
+        0, "0878da2ebd58be825602c6a77379428104dcadb284af62c9672d4fcb33c8b70e"),
+    "hom-comodule": ("hom {set-M} {N} --oracle",
+        0, "e75e52baa1871eeae73354cd69dde2826432e6d573a2e90032650b54b583c48e"),
+    "hom-contra": ("hom {set-s} {t} --oracle",
+        0, "442c65758ed07c6a2d2ef86c6aae1c7456b1fe33721c1eeef3ef2510e4e014b5"),
+    "hom-lin": ("hom {lin-TV} {TV} --oracle",
+        0, "93b0b5f670b500605c757ea12427d8bc73a5afc903811476bcff1edaded2182f"),
+    "cotensor": ("cotensor {lin-TV} {LG}",
+        0, "d18b910f61284591c9349aff63e749add7444ec40d0be11db2909041a48c7fc7"),
+    "cohom": ("cohom {lin-TV} {FV}",
+        0, "2effabd0bee83ea4c8a2bd5793abf53f458f2f13012f3ab53c4326762e3cb187"),
+    "restrict-comodule": ("restrict {set-f} {M}",
+        0, "d128a541ee4c2d2aea8b89f7927f07fd4f38667b4f0b0d9775168ef4e538249e"),
+    "restrict-contra": ("restrict {set-f} {t}",
+        0, "6671fb776dc60a1a25f5072f929b4c2321914168dec05e1289260d0eb3109556"),
+    "induce-comodule": ("induce {set-f} {M}",
+        0, "a580816e7123b42702749618cb3d4ea357b1b0bad92aa6255e2879e73b7b12a5"),
+    "induce-contra": ("induce {set-f} {t}",
+        0, "72c887ff9c2928fd662ee6f334381a841df91e7f00bda9eabb36b8ca6c1726a1"),
+    "induction-adjunction": ("induction-adjunction {set-f} --fiber-bound 1",
+        0, "134cb43595e23f1c2e38fbb9836bd8df0fdd87d022bcb14650339e997c01d78f"),
+    "induction-adjunction-default": ("induction-adjunction {set-f}",
+        0, "d6420e63d9f71787e31aef058d8971137b6fb710b5e018f79d2778ac3a7e3ade"),
+    "kleisli": ("kleisli {lin-G} --dim 2",
+        0, "714e4876bf283fb352fee714e82d4a3042f65e10a22852d269f69d436df40f9f"),
+    "kleisli-default": ("kleisli {lin-G}",
+        0, "fc437bd4d792e7d2426a056208240b16fac5e3d8ba4575485ee373356d195760"),
+    "kleisli-poly": ("kleisli {poly-P}",
+        0, "222f9076e4db9a5fcf79075566c495dec91dd8163b21927a7f58f5c6afa0c5f4"),
+    "bridge": ("bridge {lin-G}",
+        0, "0ea66aa0cc9811b4b13055e01eca44bf391e8ca36a2ec0811a22e927be1cefae"),
+    "bridge-objects": ("bridge {lin-G} --comodule TV --contramodule FV",
+        0, "2ef9f77bca24b2bf7ab1d35cf58af898e56b88dcae016686a450a7685491fc3f"),
+    "bridge-poly": ("bridge {poly-P}",
+        0, "ce325e6894647913625f8de94cb7c28a8c5be4a8263ee79f47e794efc5efc0be"),
+    "probe": ("probe {lin-TV} {LG} {V}",
+        0, "a86b719f8dae67766b4f459c25c1855ece858b0e3d927986c6ac9943f87ae7e5"),
+    "check-set": ("check {set-t}",
+        0, "61dc92db8d6296dd10f0f831d59a7c0dd48e685be825ce6a1554d43cc6b2c81f"),
+    "check-lin": ("check {lin-G}",
+        0, "0ac5c22c1e6413a68a3f6713ba24d434479d0fd56d49f5d1d340d8c1559d7269"),
+    "check-poly": ("check {poly-P}",
+        0, "0ac5c22c1e6413a68a3f6713ba24d434479d0fd56d49f5d1d340d8c1559d7269"),
+    "equivalence": ("equivalence --max-carrier 3 --max-base 2 " "--max-fiber 2",
+        0, "4424bc212a311596519b44e70ebdbcb555e6dfc23b60ac15a80aa82b8de682e8"),
+    "equivalence-default": ("equivalence",
+        0, "82086cf756e229fdab39eb792e9c244e76cafe763012b1557a0e4110506fb0e2"),
+    "example-run": ("run {examples}/manifest.json --oracle",
+        0, "3a6c28236adbc3e6f443b5095d5a42aa1699c58b07b9623120178c0374f4fc67"),
+    "example-r": ("r {examples}/comodule.json",
+        0, "61335dc3cad81cbc4f1a567d9055100088ea41eb14176c9157a2e6dab868f10e"),
+    "example-decompose": ("decompose {examples}/contramodule.json " "--basepoint {{1:p,2:r}}",
+        0, "0878da2ebd58be825602c6a77379428104dcadb284af62c9672d4fcb33c8b70e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_SURFACE))
+def test_cli_surface_matches_recorded_reports(tmp_path, case):
+    template, code, digest = CLI_SURFACE[case]
+    paths = _surface_files(tmp_path)
+    argv = template.format(**paths).split()
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--base", "2"],
+    ["unique-comonoid"],
+    ["decompose", str(EXAMPLES / "contramodule.json")],
+])
+def test_missing_required_flag_exits_through_argparse(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
