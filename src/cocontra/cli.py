@@ -3,7 +3,9 @@
 ``cocontra run manifest.json`` executes a declared job list and writes a
 machine-readable report; every other subcommand wraps a single operation
 over declaration files and goes through the same engine, so its output is
-a one-job report.
+a one-job report.  One table, ``COMMANDS``, declares each command's
+arguments: it builds the subcommands, assembles their one-job manifests
+and checks every job's arguments before the job runs.
 
 Every job ends as a report entry: a bad argument, an invalid budget, an
 exceeded budget or an internal exception in one job becomes that job's
@@ -22,12 +24,14 @@ import argparse
 import random
 import sys
 import time
+from typing import Callable, NamedTuple
 
-from . import oracle, polycoalg, serialize, set_comodule, set_contramodule
+from . import oracle, serialize, set_comodule, set_contramodule
 from . import set_correspondence as set_corr
 from . import coalg
 from .coalg import instances as coalg_instances
-from .errors import Budget, BudgetExceeded, CocontraError, ParseError
+from .errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, CocontraError,
+                     ParseError)
 from .exactlin import GradedVect, field_from_name
 from .finset import FinMap, FinSet
 from .serialize import Environment, serialize_result
@@ -67,26 +71,32 @@ def _from_report(rep: dict, payload=None, counts=None):
                  payload if payload is not None else rep, counts)
 
 
+def _dims(space) -> dict:
+    return {str(k): space.dim(k) for k in space.degrees()}
+
+
 # --- job runners (one per command) --------------------------------------------
+#
+# A runner's arguments are checked against its ``COMMANDS`` entry: names are
+# resolved to their objects and absent options hold their defaults.
 
 
 def _job_check(env, args, ctx):
-    target = env.get(args["target"])
+    target = args["target"]
     if isinstance(target, ContraTable):
         t = set_contramodule.to_extensional(target, ctx["budget"])
         return _from_report(set_contramodule.validate(t, ctx["budget"]))
     if isinstance(target, SetComodule):
         degenerate = set_comodule.is_degenerate(target)
         return _pass({"degenerate": degenerate})
-    if isinstance(target, polycoalg.PolyCoalgebra):
-        return _from_report(coalg.validate(target.underlying))
     return _from_report(coalg.validate(target))
 
 
 def _job_unique_comonoid(env, args, ctx):
-    if "base" in args:
-        base = env.get(args["base"])
-    else:
+    base = args["base"]
+    if base is None:
+        if args["size"] is None:
+            raise _missing("unique-comonoid", "size", "unless 'base' is given")
         base = FinSet([f"c{i}" for i in range(args["size"])])
     rep = set_comodule.unique_comonoid_certificate(base, ctx["budget"])
     ok = rep["valid"] == 1 and rep["valid_is_diagonal"] and rep.get(
@@ -97,7 +107,7 @@ def _job_unique_comonoid(env, args, ctx):
 
 
 def _job_r(env, args, ctx):
-    target = env.get(args["target"])
+    target = args["target"]
     if isinstance(target, SetComodule):
         result = set_corr.R_set(target)
         return _pass(serialize_result(result),
@@ -108,7 +118,7 @@ def _job_r(env, args, ctx):
 
 
 def _job_l(env, args, ctx):
-    target = env.get(args["target"])
+    target = args["target"]
     if isinstance(target, ContraTable):
         result = set_corr.L_set(target, ctx["budget"])
         payload = serialize_result(result)
@@ -132,7 +142,7 @@ def _job_l(env, args, ctx):
 
 
 def _job_lr(env, args, ctx):
-    target = env.get(args["target"])
+    target = args["target"]
     if isinstance(target, SetComodule):
         q = set_corr.lr_explicit(target)
         agree = set_corr.lr_routes_agree(target)
@@ -155,10 +165,12 @@ def _job_lr(env, args, ctx):
 
 
 def _job_adjoint(env, args, ctx):
-    if "random" in args:
-        return _job_adjoint_random(env, args, ctx)
-    p = env.get(args["contramodule"])
-    m = env.get(args["comodule"])
+    if args["random"] is not None:
+        return _job_adjoint_random(args["random"], ctx)
+    p, m = args["contramodule"], args["comodule"]
+    for name, obj in (("contramodule", p), ("comodule", m)):
+        if obj is None:
+            raise _missing("adjoint", name, "unless 'random' is given")
     rep = coalg.adjunction_certificate(p, m)
     tri = coalg.triangle_identities(p, m)
     rep["triangles"] = tri
@@ -167,8 +179,7 @@ def _job_adjoint(env, args, ctx):
     return _fail(rep["failures"] or [tri], rep)
 
 
-def _job_adjoint_random(env, args, ctx):
-    spec = args["random"]
+def _job_adjoint_random(spec, ctx):
     if ctx["seed"] is None:
         raise CocontraError(
             "randomized instance generation requires an explicit --seed"
@@ -177,16 +188,11 @@ def _job_adjoint_random(env, args, ctx):
     field = field_from_name(spec.get("field", "F2"))
     failures = []
     count = spec.get("count", 5)
+    max_dim = spec.get("max_dim", 3)
     for i in range(count):
-        c = coalg_instances.random_coalgebra(
-            field, rng, spec.get("max_dim", 3)
-        )
-        p = coalg_instances.random_contramodule(
-            c, rng, spec.get("max_dim", 3)
-        )
-        m = coalg_instances.random_comodule(
-            c, rng, spec.get("max_dim", 3)
-        )
+        c = coalg_instances.random_coalgebra(field, rng, max_dim)
+        p = coalg_instances.random_contramodule(c, rng, max_dim)
+        m = coalg_instances.random_comodule(c, rng, max_dim)
         rep = coalg.adjunction_certificate(p, m)
         tri = coalg.triangle_identities(p, m)
         if not (rep["ok"] and tri["ok"]):
@@ -199,8 +205,7 @@ def _job_adjoint_random(env, args, ctx):
 
 
 def _job_decompose(env, args, ctx):
-    target = env.get(args["target"])
-    t = set_contramodule.to_extensional(target, ctx["budget"])
+    t = set_contramodule.to_extensional(args["target"], ctx["budget"])
     family, pi, sigma = set_contramodule.decompose(t, args["basepoint"])
     prod = set_contramodule.product_contra(t.base, family)
     is_map = set_contramodule.is_contramodule_map(pi, t, prod,
@@ -218,14 +223,11 @@ def _job_decompose(env, args, ctx):
 
 
 def _job_enumerate(env, args, ctx):
-    carrier = (
-        env.get(args["carrier"]) if isinstance(args["carrier"], str)
-        else FinSet([f"x{i}" for i in range(args["carrier"])])
-    )
-    base = (
-        env.get(args["base"]) if isinstance(args["base"], str)
-        else FinSet([f"c{i}" for i in range(args["base"])])
-    )
+    carrier, base = args["carrier"], args["base"]
+    if isinstance(carrier, int):
+        carrier = FinSet([f"x{i}" for i in range(carrier)])
+    if isinstance(base, int):
+        base = FinSet([f"c{i}" for i in range(base)])
     tables = set_contramodule.enumerate_all(carrier, base, ctx["budget"])
     counts = {"valid": len(tables)}
     payload = {"valid": len(tables)}
@@ -239,8 +241,7 @@ def _job_enumerate(env, args, ctx):
 
 
 def _job_hom(env, args, ctx):
-    a = env.get(args["source"])
-    b = env.get(args["target"])
+    a, b = args["source"], args["target"]
     if isinstance(a, SetComodule):
         sub = set_comodule.hom_over(a, b, ctx["budget"])
         payload = {"members": list(sub.members.elements)}
@@ -266,115 +267,90 @@ def _job_hom(env, args, ctx):
                                "definition": len(odefn)}])
         return _pass(payload, {"size": len(members)})
     if isinstance(a, coalg.VComodule):
-        hobj = coalg.comodule_hom_object(a, b)
-        ok = True
-        if ctx["oracle"]:
-            units, kernel = coalg.comodule_maps_direct(a, b)
-            ok = coalg.same_degree_zero_subspace(hobj, units, kernel)
-        payload = {"dims": {str(k): hobj.space.dim(k)
-                            for k in hobj.space.degrees()}}
-        if not ok:
-            return _fail([payload], payload)
-        return _pass(payload, {"dim": hobj.space.total_dim})
-    hobj = coalg.contra_hom_object(a, b)
+        hom_object = coalg.comodule_hom_object
+        maps_direct = coalg.comodule_maps_direct
+    else:
+        hom_object = coalg.contra_hom_object
+        maps_direct = coalg.contra_maps_direct
+    hobj = hom_object(a, b)
     ok = True
     if ctx["oracle"]:
-        units, kernel = coalg.contra_maps_direct(a, b)
+        units, kernel = maps_direct(a, b)
         ok = coalg.same_degree_zero_subspace(hobj, units, kernel)
-    payload = {"dims": {str(k): hobj.space.dim(k)
-                        for k in hobj.space.degrees()}}
+    payload = {"dims": _dims(hobj.space)}
     if not ok:
         return _fail([payload], payload)
     return _pass(payload, {"dim": hobj.space.total_dim})
 
 
 def _job_cotensor(env, args, ctx):
-    m = env.get(args["left"])
-    n = env.get(args["right"])
-    sub = coalg.cotensor(m, n)
-    payload = {"dims": {str(k): sub.space.dim(k)
-                        for k in sub.space.degrees()}}
+    sub = coalg.cotensor(args["left"], args["right"])
+    payload = {"dims": _dims(sub.space)}
     return _pass(payload, {"dim": sub.space.total_dim})
 
 
 def _job_cohom(env, args, ctx):
-    m = env.get(args["comodule"])
-    p = env.get(args["contramodule"])
-    quot = coalg.cohom(m, p)
-    payload = {"dims": {str(k): quot.space.dim(k)
-                        for k in quot.space.degrees()}}
+    quot = coalg.cohom(args["comodule"], args["contramodule"])
+    payload = {"dims": _dims(quot.space)}
     return _pass(payload, {"dim": quot.space.total_dim})
 
 
-def _job_restrict(env, args, ctx):
-    along = env.get(args["along"])
-    target = env.get(args["target"])
+def _change_of_base(command, args, set_side, linear_side):
+    """``restrict`` and ``induce``: the (comodule, contramodule) functions of
+    the set side apply along a map of bases, those of the linear side along
+    a coalgebra morphism, which needs its domain and codomain named."""
+    along, target = args["along"], args["target"]
+    comodule = isinstance(target, (SetComodule, coalg.VComodule))
     if isinstance(along, FinMap):
-        if isinstance(target, SetComodule):
-            out = set_comodule.restrict_along(along, target)
-        else:
-            out = set_contramodule.restrict_contra(along, target)
-        return _pass(serialize_result(out))
-    c = _coalg(env, args["dom_coalgebra"])
-    chat = _coalg(env, args["cod_coalgebra"])
-    if isinstance(target, coalg.VComodule):
-        out = coalg.restrict_comodule(along, c, chat, target)
-    else:
-        out = coalg.restrict_contramodule(along, c, chat, target)
-    return _pass(serialize_result(out))
+        fn = set_side[0] if comodule else set_side[1]
+        return _pass(serialize_result(fn(along, target)))
+    for name in ("dom_coalgebra", "cod_coalgebra"):
+        if args[name] is None:
+            raise _missing(command, name, "when 'along' is a linear map")
+    fn = linear_side[0] if comodule else linear_side[1]
+    return _pass(serialize_result(
+        fn(along, args["dom_coalgebra"], args["cod_coalgebra"], target)))
 
 
-def _coalg(env, name):
-    obj = env.get(name)
-    if isinstance(obj, polycoalg.PolyCoalgebra):
-        return obj.underlying
-    return obj
+def _job_restrict(env, args, ctx):
+    return _change_of_base(
+        "restrict", args,
+        (set_comodule.restrict_along, set_contramodule.restrict_contra),
+        (coalg.restrict_comodule, coalg.restrict_contramodule),
+    )
 
 
 def _job_induce(env, args, ctx):
-    along = env.get(args["along"])
-    target = env.get(args["target"])
-    if isinstance(along, FinMap):
-        if isinstance(target, SetComodule):
-            out = set_comodule.induce_along(along, target)
-        else:
-            out = set_contramodule.induce_contra(along, target)
-        return _pass(serialize_result(out))
-    c = _coalg(env, args["dom_coalgebra"])
-    chat = _coalg(env, args["cod_coalgebra"])
-    if isinstance(target, coalg.VComodule):
-        out = coalg.induce_comodule(along, c, chat, target)
-    else:
-        out = coalg.coinduce_contramodule(along, c, chat, target)
-    return _pass(serialize_result(out))
+    return _change_of_base(
+        "induce", args,
+        (set_comodule.induce_along, set_contramodule.induce_contra),
+        (coalg.induce_comodule, coalg.coinduce_contramodule),
+    )
 
 
 def _job_induction_adjunction(env, args, ctx):
-    f = env.get(args["along"])
     rep = set_contramodule.induction_adjunction_certificate(
-        f, args.get("fiber_bound", 2), ctx["budget"]
+        args["along"], args["fiber_bound"], ctx["budget"]
     )
     return _from_report(rep)
 
 
 def _job_kleisli(env, args, ctx):
-    c = _coalg(env, args["coalgebra"])
-    if "on" in args:
-        x = env.get(args["on"])
-    else:
-        x = GradedVect(c.space.field, {0: args.get("dim", 1)}, prefix="x")
-    rep = coalg.kleisli_certificate(x, c)
-    return _from_report(rep)
+    c, x = args["coalgebra"], args["on"]
+    if x is None:
+        x = GradedVect(c.space.field, {0: args["dim"]}, prefix="x")
+    return _from_report(coalg.kleisli_certificate(x, c))
 
 
 def _job_bridge(env, args, ctx):
-    c = _coalg(env, args["coalgebra"])
+    c, m, p = args["coalgebra"], args["comodule"], args["contramodule"]
+    for name, partner in (("comodule", "contramodule"),
+                          ("contramodule", "comodule")):
+        if args[name] is None and args[partner] is not None:
+            raise _missing("bridge", name, f"to go with {partner!r}")
     alg = coalg.dual_algebra(c)
-    payload = {"dual_algebra_dims": {str(k): alg.space.dim(k)
-                                     for k in alg.space.degrees()}}
-    if "comodule" in args and "contramodule" in args:
-        m = env.get(args["comodule"])
-        p = env.get(args["contramodule"])
+    payload = {"dual_algebra_dims": _dims(alg.space)}
+    if m is not None:
         rep = coalg.bridge_certificate(m, p)
         payload.update(rep)
         if not rep["ok"]:
@@ -383,19 +359,16 @@ def _job_bridge(env, args, ctx):
 
 
 def _job_probe(env, args, ctx):
-    m = env.get(args["comodule"])
-    n = env.get(args["left_comodule"])
-    x = env.get(args["space"])
-    rep = coalg.trifunctor_probe(m, n, x)
+    rep = coalg.trifunctor_probe(args["comodule"], args["left_comodule"],
+                                 args["space"])
     # exploratory: producing an internally consistent report is the job
     return _pass(rep, {"dims_equal": rep["dims_equal"]})
 
 
 def _job_demo_noncocontinuous(env, args, ctx):
-    if "base" in args:
-        base = env.get(args["base"])
-    else:
-        base = FinSet([f"c{i}" for i in range(args.get("c_size", 2))])
+    base = args["base"]
+    if base is None:
+        base = FinSet([f"c{i}" for i in range(args["c_size"])])
     rep = set_contramodule.noncocontinuity_demo(base)
     sizes = (
         rep["quotient_after_function_space"],
@@ -405,45 +378,172 @@ def _job_demo_noncocontinuous(env, args, ctx):
 
 
 def _job_equivalence(env, args, ctx):
-    rep = set_corr.equivalence_certificate(
-        max_carrier=args.get("max_carrier", 4),
-        max_base=args.get("max_base", 2),
-        max_fiber=args.get("max_fiber", 3),
-        naturality_carrier=args.get("naturality_carrier", 3),
-        budget=ctx["budget"],
-    )
+    rep = set_corr.equivalence_certificate(**args, budget=ctx["budget"])
     return _from_report(rep)
 
 
 def _job_universal_property(env, args, ctx):
-    kind = args["which"]
     data = {k: env.get(v) for k, v in args["data"].items()}
-    rep = oracle.universal_property_check(kind, data, ctx["budget"])
+    rep = oracle.universal_property_check(args["which"], data,
+                                          ctx["budget"])
     return _from_report(rep)
 
 
-JOB_RUNNERS = {
-    "check": _job_check,
-    "unique-comonoid": _job_unique_comonoid,
-    "r": _job_r,
-    "l": _job_l,
-    "lr": _job_lr,
-    "adjoint": _job_adjoint,
-    "decompose": _job_decompose,
-    "enumerate": _job_enumerate,
-    "hom": _job_hom,
-    "cotensor": _job_cotensor,
-    "cohom": _job_cohom,
-    "restrict": _job_restrict,
-    "induce": _job_induce,
-    "induction-adjunction": _job_induction_adjunction,
-    "kleisli": _job_kleisli,
-    "bridge": _job_bridge,
-    "probe": _job_probe,
-    "demo-noncocontinuous": _job_demo_noncocontinuous,
-    "equivalence": _job_equivalence,
-    "universal-property": _job_universal_property,
+# --- the command table --------------------------------------------------------
+
+
+REQUIRED = object()
+# the command-line role of an argument: read from the next positional
+# declaration file, or given as a --flag (optional or required)
+FILE, FLAG, REQUIRED_FLAG = "file", "flag", "required flag"
+
+
+class Arg(NamedTuple):
+    """One argument of a command.
+
+    A string naming a declaration of one of ``kinds`` is resolved to that
+    declaration's object; otherwise the value must be a ``type``.  An
+    absent argument takes ``default``, and ``REQUIRED`` refuses it.
+    ``cli`` is its role in the command's subcommand, if it has one.
+    """
+
+    kinds: tuple[str, ...] = ()
+    type: type | None = None
+    default: object = REQUIRED
+    cli: str | None = None
+
+    def expects(self) -> str:
+        want = [self.type.__name__] if self.type else []
+        if self.kinds:
+            want.append(f"the name of a {' / '.join(self.kinds)} declaration")
+        return " or ".join(want)
+
+    def resolve(self, env: Environment, command: str, name: str, value):
+        if isinstance(value, str) and self.kinds:
+            if env.kinds.get(value) in self.kinds:
+                return env.objects[value]
+        elif isinstance(value, self.type or ()) and type(value) is not bool:
+            return value
+        got = repr(value)
+        if isinstance(value, str) and self.kinds:
+            got += f" ({env.kinds.get(value, 'not declared')})"
+        raise ParseError(f"{command}: argument {name!r} expects "
+                         f"{self.expects()}, got {got}")
+
+
+class Command(NamedTuple):
+    """A command's runner and arguments.  It has a subcommand when some
+    argument has a command-line role; its job id there is ``job_id``, or
+    else the command's name."""
+
+    run: Callable
+    args: dict[str, Arg]
+    job_id: str | None = None
+
+    def with_role(self, *roles) -> list[str]:
+        return [name for name, arg in self.args.items() if arg.cli in roles]
+
+
+FINSET = ("finset",)
+SET_COMODULE = ("set_comodule",)
+SET_CONTRAMODULE = ("contra_product", "contra_table")
+COALGEBRA = ("coalgebra", "group_like_coalgebra", "poly_coalgebra")
+COMODULE = ("vcomodule", "cofree_comodule")
+CONTRAMODULE = ("vcontramodule", "free_contramodule")
+MODULES = SET_COMODULE + SET_CONTRAMODULE + COMODULE + CONTRAMODULE
+
+_COMODULE_TARGET = {"target": Arg(SET_COMODULE + COMODULE, cli=FILE)}
+_ALONG = {
+    "along": Arg(("finmap", "linmap", "coalgebra_morphism"), cli=FILE),
+    "target": Arg(MODULES, cli=FILE),
+    "dom_coalgebra": Arg(COALGEBRA, default=None),
+    "cod_coalgebra": Arg(COALGEBRA, default=None),
 }
+
+COMMANDS = {
+    "check": Command(_job_check, {
+        "target": Arg(MODULES + COALGEBRA, cli=FILE)}),
+    "unique-comonoid": Command(_job_unique_comonoid, {
+        "base": Arg(FINSET, default=None),
+        "size": Arg(type=int, default=None, cli=REQUIRED_FLAG)}),
+    "r": Command(_job_r, _COMODULE_TARGET),
+    "l": Command(_job_l, {
+        "target": Arg(SET_CONTRAMODULE + CONTRAMODULE, cli=FILE)}),
+    "lr": Command(_job_lr, _COMODULE_TARGET),
+    "adjoint": Command(_job_adjoint, {
+        "contramodule": Arg(CONTRAMODULE, default=None, cli=FILE),
+        "comodule": Arg(COMODULE, default=None, cli=FILE),
+        "random": Arg(type=dict, default=None)}),
+    "decompose": Command(_job_decompose, {
+        "target": Arg(SET_CONTRAMODULE, cli=FILE),
+        "basepoint": Arg(type=str, cli=REQUIRED_FLAG)}),
+    "enumerate": Command(_job_enumerate, {
+        "carrier": Arg(FINSET, int, cli=REQUIRED_FLAG),
+        "base": Arg(FINSET, int, cli=REQUIRED_FLAG)}),
+    "hom": Command(_job_hom, {
+        "source": Arg(MODULES, cli=FILE), "target": Arg(MODULES, cli=FILE)}),
+    "cotensor": Command(_job_cotensor, {
+        "left": Arg(COMODULE, cli=FILE), "right": Arg(COMODULE, cli=FILE)}),
+    "cohom": Command(_job_cohom, {
+        "comodule": Arg(COMODULE, cli=FILE),
+        "contramodule": Arg(CONTRAMODULE, cli=FILE)}),
+    "restrict": Command(_job_restrict, _ALONG),
+    "induce": Command(_job_induce, _ALONG),
+    "induction-adjunction": Command(_job_induction_adjunction, {
+        "along": Arg(("finmap",), cli=FILE),
+        "fiber_bound": Arg(type=int, default=2, cli=FLAG)}),
+    "kleisli": Command(_job_kleisli, {
+        "coalgebra": Arg(COALGEBRA, cli=FILE),
+        "on": Arg(("graded_space",), default=None),
+        "dim": Arg(type=int, default=1, cli=FLAG)}),
+    "bridge": Command(_job_bridge, {
+        "coalgebra": Arg(COALGEBRA, cli=FILE),
+        "comodule": Arg(COMODULE, default=None, cli=FLAG),
+        "contramodule": Arg(CONTRAMODULE, default=None, cli=FLAG)}),
+    "probe": Command(_job_probe, {
+        "comodule": Arg(COMODULE, cli=FILE),
+        "left_comodule": Arg(COMODULE, cli=FILE),
+        "space": Arg(("graded_space",), cli=FILE)}),
+    "demo-noncocontinuous": Command(_job_demo_noncocontinuous, {
+        "base": Arg(FINSET, default=None),
+        "c_size": Arg(type=int, default=2, cli=FLAG)}, job_id="demo"),
+    "equivalence": Command(_job_equivalence, {
+        "max_carrier": Arg(type=int, default=4, cli=FLAG),
+        "max_base": Arg(type=int, default=2, cli=FLAG),
+        "max_fiber": Arg(type=int, default=3, cli=FLAG),
+        "naturality_carrier": Arg(type=int, default=3)}),
+    "universal-property": Command(_job_universal_property, {
+        "which": Arg(type=str), "data": Arg(type=dict)}),
+}
+
+
+def _missing(command: str, name: str, reason: str = "") -> ParseError:
+    expects = COMMANDS[command].args[name].expects()
+    return ParseError(
+        f"{command}: missing argument {name!r} ({expects}) {reason}".rstrip())
+
+
+def _check_args(env: Environment, command: str, given) -> dict:
+    """``given`` checked against the command's table entry: names resolved
+    to objects, absent options defaulted; any other argument, a missing
+    one or a value of the wrong kind or type raises ``ParseError``."""
+    spec = COMMANDS[command].args
+    if not isinstance(given, dict):
+        raise ParseError(f"{command}: 'args' must be an object, "
+                         f"got {given!r}")
+    for name in given:
+        if name not in spec:
+            raise ParseError(f"{command}: unknown argument {name!r} "
+                             f"(it takes {', '.join(spec)})")
+    args = {}
+    for name, arg in spec.items():
+        if name in given:
+            args[name] = arg.resolve(env, command, name, given[name])
+        elif arg.default is REQUIRED:
+            raise _missing(command, name)
+        else:
+            args[name] = arg.default
+    return args
 
 
 def run_job(env: Environment, job: dict, ctx: dict) -> dict:
@@ -457,7 +557,8 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
     start = time.monotonic()
     try:
         jctx = dict(ctx, budget=Budget(job.get("budget", ctx["budget"])))
-        entry = JOB_RUNNERS[command](env, job.get("args", {}), jctx)
+        args = _check_args(env, command, job.get("args", {}))
+        entry = COMMANDS[command].run(env, args, jctx)
     except BudgetExceeded as exc:
         entry = {
             "status": "error",
@@ -488,7 +589,7 @@ def run_manifest(doc: dict, ctx: dict) -> dict:
     if len(set(ids)) != len(ids):
         raise ParseError("job ids must be unique")
     for job_id, job in zip(ids, jobs):
-        if job.get("command") not in JOB_RUNNERS:
+        if job.get("command") not in COMMANDS:
             raise ParseError(f"unknown command {job.get('command')!r}",
                              where=job_id)
     entries = [run_job(env, job, ctx) for job in jobs]
@@ -518,53 +619,42 @@ def exit_code_for(report: dict) -> int:
     return 0
 
 
-def _base_context(ns) -> dict:
-    return {
-        "budget": ns.budget,
-        "oracle": ns.oracle,
-        "seed": ns.seed,
-        "timing": ns.timing,
-    }
-
-
 def _load_env_files(paths):
     doc = {"declarations": []}
     mains = []
     for path in paths:
         sub = serialize.load_document(path)
+        doc["declarations"].extend(sub.get("declarations", []))
         if "kind" in sub:
-            doc["declarations"].extend(sub.get("declarations", []))
             doc["declarations"].append(sub)
             mains.append(sub["name"])
-        else:
-            doc["declarations"].extend(sub.get("declarations", []))
-            if "main" in sub:
-                mains.append(sub["main"])
-            elif sub.get("declarations"):
-                mains.append(sub["declarations"][-1]["name"])
+        elif "main" in sub:
+            mains.append(sub["main"])
+        elif sub.get("declarations"):
+            mains.append(sub["declarations"][-1]["name"])
     return doc, mains
 
 
-_SINGLE_ARG_SPECS = {
-    "check": (1, lambda m: {"target": m[0]}),
-    "r": (1, lambda m: {"target": m[0]}),
-    "l": (1, lambda m: {"target": m[0]}),
-    "lr": (1, lambda m: {"target": m[0]}),
-    "adjoint": (2, lambda m: {"contramodule": m[0], "comodule": m[1]}),
-    "hom": (2, lambda m: {"source": m[0], "target": m[1]}),
-    "cotensor": (2, lambda m: {"left": m[0], "right": m[1]}),
-    "cohom": (2, lambda m: {"comodule": m[0], "contramodule": m[1]}),
-    "probe": (3, lambda m: {"comodule": m[0], "left_comodule": m[1],
-                            "space": m[2]}),
-    "kleisli": (1, lambda m: {"coalgebra": m[0]}),
-    "bridge": (1, lambda m: {"coalgebra": m[0]}),
-}
+def _single_command_manifest(ns) -> dict:
+    """The one-job manifest of a subcommand: its positional files supply
+    the subjects of its file arguments, in order, and its flags (given or
+    defaulted) their options."""
+    command = COMMANDS[ns.subcommand]
+    doc, mains = _load_env_files(getattr(ns, "files", ()))
+    args = dict(zip(command.with_role(FILE), mains))
+    for name in command.with_role(FLAG, REQUIRED_FLAG):
+        if getattr(ns, name) is not None:
+            args[name] = getattr(ns, name)
+    doc["jobs"] = [{"id": command.job_id or ns.subcommand,
+                    "command": ns.subcommand, "args": args}]
+    return doc
 
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="report file path")
-    common.add_argument("--budget", type=int, default=1_000_000)
+    common.add_argument("--budget", type=int,
+                        default=DEFAULT_BUDGET.max_count)
     common.add_argument("--oracle", action="store_true",
                         help="enable independent cross-checks")
     common.add_argument("--seed", type=int, default=None,
@@ -583,49 +673,30 @@ def main(argv=None) -> int:
                            help="execute a manifest")
     run_p.add_argument("manifest")
 
-    for name, (nargs, _) in _SINGLE_ARG_SPECS.items():
+    for name, command in COMMANDS.items():
+        files = command.with_role(FILE)
+        flags = command.with_role(FLAG, REQUIRED_FLAG)
+        if not files and not flags:
+            continue
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("files", nargs=nargs)
-        if name == "kleisli":
-            p.add_argument("--dim", type=int, default=1)
-        if name == "bridge":
-            p.add_argument("--comodule", default=None)
-            p.add_argument("--contramodule", default=None)
-
-    dec_p = sub.add_parser("decompose", parents=[common])
-    dec_p.add_argument("files", nargs=1)
-    dec_p.add_argument("--basepoint", required=True)
-
-    enum_p = sub.add_parser("enumerate", parents=[common])
-    enum_p.add_argument("--carrier", type=int, required=True)
-    enum_p.add_argument("--base", type=int, required=True)
-
-    demo_p = sub.add_parser("demo-noncocontinuous", parents=[common])
-    demo_p.add_argument("--c-size", type=int, default=2)
-
-    uniq_p = sub.add_parser("unique-comonoid", parents=[common])
-    uniq_p.add_argument("--size", type=int, required=True)
-
-    equiv_p = sub.add_parser("equivalence", parents=[common])
-    equiv_p.add_argument("--max-carrier", type=int, default=4)
-    equiv_p.add_argument("--max-base", type=int, default=2)
-    equiv_p.add_argument("--max-fiber", type=int, default=3)
-
-    ind_p = sub.add_parser("induce", parents=[common])
-    ind_p.add_argument("files", nargs=2, help="morphism file, object file")
-    res_p = sub.add_parser("restrict", parents=[common])
-    res_p.add_argument("files", nargs=2, help="morphism file, object file")
-    ia_p = sub.add_parser("induction-adjunction", parents=[common])
-    ia_p.add_argument("files", nargs=1, help="base-map file")
-    ia_p.add_argument("--fiber-bound", type=int, default=2)
+        if files:
+            p.add_argument("files", nargs=len(files),
+                           help="declaration files of " + ", ".join(files))
+        for flag in flags:
+            arg = command.args[flag]
+            p.add_argument("--" + flag.replace("_", "-"),
+                           type=arg.type or str,
+                           required=arg.cli == REQUIRED_FLAG,
+                           default=arg.default)
 
     ns = parser.parse_args(argv)
-    ctx = _base_context(ns)
+    ctx = {"budget": ns.budget, "oracle": ns.oracle, "seed": ns.seed,
+           "timing": ns.timing}
     try:
         if ns.subcommand == "run":
             doc = serialize.load_document(ns.manifest)
         else:
-            doc = _assemble_single(ns)
+            doc = _single_command_manifest(ns)
         report = run_manifest(doc, ctx)
     except ParseError as exc:
         sys.stderr.write(
@@ -636,66 +707,6 @@ def main(argv=None) -> int:
         return 2
     write_report(report, ns.out)
     return exit_code_for(report)
-
-
-def _assemble_single(ns):
-    name = ns.subcommand
-    if name == "enumerate":
-        doc = {"declarations": [], "jobs": [
-            {"id": "enumerate", "command": "enumerate",
-             "args": {"carrier": ns.carrier, "base": ns.base}}
-        ]}
-        return doc
-    if name == "demo-noncocontinuous":
-        doc = {"declarations": [], "jobs": [
-            {"id": "demo", "command": "demo-noncocontinuous",
-             "args": {"c_size": ns.c_size}}
-        ]}
-        return doc
-    if name == "unique-comonoid":
-        doc = {"declarations": [], "jobs": [
-            {"id": "unique-comonoid", "command": "unique-comonoid",
-             "args": {"size": ns.size}}
-        ]}
-        return doc
-    if name == "equivalence":
-        doc = {"declarations": [], "jobs": [
-            {"id": "equivalence", "command": "equivalence",
-             "args": {"max_carrier": ns.max_carrier,
-                      "max_base": ns.max_base,
-                      "max_fiber": ns.max_fiber}}
-        ]}
-        return doc
-    if name == "decompose":
-        doc, mains = _load_env_files(ns.files)
-        doc["jobs"] = [{"id": "decompose", "command": "decompose",
-                        "args": {"target": mains[0],
-                                 "basepoint": ns.basepoint}}]
-        return doc
-    if name == "induction-adjunction":
-        doc, mains = _load_env_files(ns.files)
-        doc["jobs"] = [{"id": "induction-adjunction",
-                        "command": "induction-adjunction",
-                        "args": {"along": mains[0],
-                                 "fiber_bound": ns.fiber_bound}}]
-        return doc
-    if name in ("induce", "restrict"):
-        doc, mains = _load_env_files(ns.files)
-        doc["jobs"] = [{"id": name, "command": name,
-                        "args": {"along": mains[0], "target": mains[1]}}]
-        return doc
-    nargs, build = _SINGLE_ARG_SPECS[name]
-    doc, mains = _load_env_files(ns.files)
-    args = build(mains)
-    if name == "kleisli":
-        args["dim"] = ns.dim
-    if name == "bridge":
-        if ns.comodule:
-            args["comodule"] = ns.comodule
-        if ns.contramodule:
-            args["contramodule"] = ns.contramodule
-    doc["jobs"] = [{"id": name, "command": name, "args": args}]
-    return doc
 
 
 if __name__ == "__main__":

@@ -56,9 +56,6 @@ class PolyCoalgebra:
     def space(self) -> GradedVect:
         return self.underlying.space
 
-    def power_label(self, k: int) -> str:
-        return f"z{k}"
-
 
 def build(truncation: int, z_degree: int, field) -> PolyCoalgebra:
     """The span of 1, z, ..., z^N as a coalgebra; closure under the

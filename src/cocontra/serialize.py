@@ -115,10 +115,9 @@ class Environment:
         self.objects[name] = obj
         self.kinds[name] = kind
 
-    def get(self, name: str, where: str = ""):
+    def get(self, name: str):
         if name not in self.objects:
-            raise ParseError(f"unresolved reference {name!r}",
-                             where=where or name)
+            raise ParseError(f"unresolved reference {name!r}", where=name)
         return self.objects[name]
 
 
@@ -205,20 +204,14 @@ def _p_group_like(decl, env):
 
 
 def _p_poly_coalgebra(decl, env):
+    # a declaration stands for its coalgebra, all that its consumers read
     field = field_from_name(decl["field"])
     return polycoalg.build(decl["truncation"], decl.get("z_degree", 0),
-                           field)
-
-
-def _coalgebra_of(env, name):
-    obj = env.get(name)
-    if isinstance(obj, polycoalg.PolyCoalgebra):
-        return obj.underlying
-    return obj
+                           field).underlying
 
 
 def _p_vcomodule(decl, env):
-    c = _coalgebra_of(env, decl["coalgebra"])
+    c = env.get(decl["coalgebra"])
     space = env.get(decl["space"])
     rho = blocks_in(space.field, space, tensor(space, c.space), 0,
                     decl["rho_blocks"])
@@ -228,7 +221,7 @@ def _p_vcomodule(decl, env):
 def _p_vcontramodule(decl, env):
     from .exactlin import hom_space
 
-    c = _coalgebra_of(env, decl["coalgebra"])
+    c = env.get(decl["coalgebra"])
     space = env.get(decl["space"])
     ambient = hom_space(c.space, space)
     theta = blocks_in(space.field, ambient, space, 0, decl["theta_blocks"])
@@ -236,18 +229,18 @@ def _p_vcontramodule(decl, env):
 
 
 def _p_cofree(decl, env):
-    c = _coalgebra_of(env, decl["coalgebra"])
+    c = env.get(decl["coalgebra"])
     return cofree(env.get(decl["on"]), c)
 
 
 def _p_free(decl, env):
-    c = _coalgebra_of(env, decl["coalgebra"])
+    c = env.get(decl["coalgebra"])
     return free(env.get(decl["on"]), c)
 
 
 def _p_coalgebra_morphism(decl, env):
-    c = _coalgebra_of(env, decl["dom"])
-    chat = _coalgebra_of(env, decl["cod"])
+    c = env.get(decl["dom"])
+    chat = env.get(decl["cod"])
     f = blocks_in(c.space.field, c.space, chat.space, 0, decl["blocks"])
     check_coalgebra_morphism(f, c, chat)
     return f

@@ -52,9 +52,6 @@ class ContraTable:
         ):
             raise ValueError("fibers must be indexed by the base")
 
-    def is_extensional(self) -> bool:
-        return self.theta is not None
-
     def is_empty(self) -> bool:
         return len(self.carrier) == 0
 

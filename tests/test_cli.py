@@ -459,10 +459,111 @@ def test_bad_jobs_become_error_entries(tmp_path):
     assert code == 2
     assert statuses(report) == {"ok": "pass", "no-target": "error",
                                 "wrong-kind": "error"}
-    errors = {j["id"]: j["witnesses"][0]["error"] for j in report["jobs"]
+    errors = {j["id"]: j["witnesses"][0] for j in report["jobs"]
               if j["status"] == "error"}
-    assert errors == {"no-target": "KeyError",
-                      "wrong-kind": "AttributeError"}
+    assert {k: e["error"] for k, e in errors.items()} == {
+        "no-target": "ParseError", "wrong-kind": "ParseError"}
+    assert errors["no-target"]["message"] == (
+        "r: missing argument 'target' (the name of a set_comodule / "
+        "vcomodule / cofree_comodule declaration)")
+    assert errors["wrong-kind"]["message"] == (
+        "r: argument 'target' expects the name of a set_comodule / "
+        "vcomodule / cofree_comodule declaration, got 'C' (finset)")
+
+
+# A declaration of each kind the malformed jobs below name, and one valid
+# set of arguments per command, from which each case changes one argument.
+MALFORMED_DECLS = BASE_DECLS + [
+    {"kind": "finmap", "name": "f", "dom": "C", "cod": "C",
+     "table": {"1": "2", "2": "2"}},
+    {"kind": "group_like_coalgebra", "name": "G1", "field": "F2", "size": 1},
+    {"kind": "coalgebra_morphism", "name": "gin", "dom": "G1", "cod": "G",
+     "blocks": {"0": [[1], [0]]}},
+]
+
+VALID_ARGS = {
+    "check": {"target": "M"},
+    "unique-comonoid": {"base": "C"},
+    "r": {"target": "M"},
+    "l": {"target": "t"},
+    "lr": {"target": "M"},
+    "adjoint": {"contramodule": "FV", "comodule": "TV"},
+    "decompose": {"target": "t", "basepoint": "{1:p,2:r}"},
+    "enumerate": {"carrier": 2, "base": 2},
+    "hom": {"source": "M", "target": "M"},
+    "cotensor": {"left": "TV", "right": "TV"},
+    "cohom": {"comodule": "TV", "contramodule": "FV"},
+    "restrict": {"along": "f", "target": "M"},
+    "induce": {"along": "f", "target": "M"},
+    "induction-adjunction": {"along": "f"},
+    "kleisli": {"coalgebra": "G", "dim": 1},
+    "bridge": {"coalgebra": "G"},
+    "probe": {"comodule": "TV", "left_comodule": "TV", "space": "V"},
+    "demo-noncocontinuous": {"c_size": 2},
+    "equivalence": {"max_carrier": 2},
+    "universal-property": {"which": "equalizer", "data": {}},
+}
+
+
+def _malformed_cases():
+    """(case id, command, argument named in the message, args)."""
+    for command, entry in cli.COMMANDS.items():
+        valid = VALID_ARGS[command]
+        yield f"{command}-unknown", command, "fiber_bond", {
+            **valid, "fiber_bond": 2}
+        for name, arg in entry.args.items():
+            if arg.default is cli.REQUIRED:
+                yield f"{command}-{name}-missing", command, name, {
+                    k: v for k, v in valid.items() if k != name}
+            if arg.kinds:
+                wrong = next(d["name"] for d in MALFORMED_DECLS
+                             if d["kind"] not in arg.kinds)
+                yield f"{command}-{name}-wrong-kind", command, name, {
+                    **valid, name: wrong}
+            if arg.type is int:
+                yield f"{command}-{name}-string", command, name, {
+                    **valid, name: "2"}
+                yield f"{command}-{name}-bool", command, name, {
+                    **valid, name: True}
+    # rules that depend on another argument, checked by the runner
+    yield "unique-comonoid-neither", "unique-comonoid", "size", {}
+    yield "adjoint-lone-contramodule", "adjoint", "comodule", {
+        "contramodule": "FV"}
+    yield "adjoint-lone-comodule", "adjoint", "contramodule", {
+        "comodule": "TV"}
+    yield "bridge-lone-comodule", "bridge", "contramodule", {
+        "coalgebra": "G", "comodule": "TV"}
+    yield "bridge-lone-contramodule", "bridge", "comodule", {
+        "coalgebra": "G", "contramodule": "FV"}
+    for command in ("restrict", "induce"):
+        yield f"{command}-linear-without-coalgebras", command, \
+            "dom_coalgebra", {"along": "gin", "target": "TV"}
+
+
+MALFORMED = {case[0]: case[1:] for case in _malformed_cases()}
+
+
+def test_every_command_has_valid_arguments_to_break():
+    assert set(VALID_ARGS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_job_is_a_parse_error_entry(tmp_path, case):
+    command, name, args = MALFORMED[case]
+    manifest = {
+        "declarations": MALFORMED_DECLS,
+        "jobs": [
+            {"id": "ok", "command": "r", "args": {"target": "M"}},
+            {"id": "bad", "command": command, "args": args},
+        ],
+    }
+    code, report = run_cli(tmp_path, manifest)
+    assert code == 2
+    assert statuses(report) == {"ok": "pass", "bad": "error"}
+    witness = report["jobs"][0]["witnesses"][0]
+    assert witness["error"] == "ParseError"
+    assert witness["message"].startswith(f"{command}: ")
+    assert repr(name) in witness["message"]
 
 
 @pytest.mark.parametrize("budget", ["lots", 0, -5, True])
@@ -709,7 +810,7 @@ CLI_SURFACE = {
         0, "0ac5c22c1e6413a68a3f6713ba24d434479d0fd56d49f5d1d340d8c1559d7269"),
     "check-poly": ("check {poly-P}",
         0, "0ac5c22c1e6413a68a3f6713ba24d434479d0fd56d49f5d1d340d8c1559d7269"),
-    "equivalence": ("equivalence --max-carrier 3 --max-base 2 " "--max-fiber 2",
+    "equivalence": ("equivalence --max-carrier 3 --max-base 2 --max-fiber 2",
         0, "4424bc212a311596519b44e70ebdbcb555e6dfc23b60ac15a80aa82b8de682e8"),
     "equivalence-default": ("equivalence",
         0, "82086cf756e229fdab39eb792e9c244e76cafe763012b1557a0e4110506fb0e2"),
@@ -717,7 +818,8 @@ CLI_SURFACE = {
         0, "3a6c28236adbc3e6f443b5095d5a42aa1699c58b07b9623120178c0374f4fc67"),
     "example-r": ("r {examples}/comodule.json",
         0, "61335dc3cad81cbc4f1a567d9055100088ea41eb14176c9157a2e6dab868f10e"),
-    "example-decompose": ("decompose {examples}/contramodule.json " "--basepoint {{1:p,2:r}}",
+    "example-decompose": ("decompose {examples}/contramodule.json "
+                          "--basepoint {{1:p,2:r}}",
         0, "0878da2ebd58be825602c6a77379428104dcadb284af62c9672d4fcb33c8b70e"),
 }
 
