@@ -179,16 +179,34 @@ def _job_adjoint(env, args, ctx):
     return _fail(rep["failures"] or [tri], rep)
 
 
+def _random_spec(spec) -> tuple:
+    """The field, count and max_dim of an ``adjoint`` ``random`` object."""
+    spec = {"field": "F2", "count": 5, "max_dim": 3, **spec}
+    for key, value in spec.items():
+        if key not in ("field", "count", "max_dim"):
+            why = "is unknown (it takes field, count, max_dim)"
+        elif key != "field":
+            if type(value) is int and value > 0:
+                continue
+            why = f"expects a positive int, got {value!r}"
+        else:
+            try:
+                field = field_from_name(str(value))
+                continue
+            except ValueError:
+                why = f"expects a field name such as 'F2', got {value!r}"
+        raise ParseError(f"adjoint: argument 'random' key {key!r} {why}")
+    return field, spec["count"], spec["max_dim"]
+
+
 def _job_adjoint_random(spec, ctx):
+    field, count, max_dim = _random_spec(spec)
     if ctx["seed"] is None:
         raise CocontraError(
             "randomized instance generation requires an explicit --seed"
         )
     rng = random.Random(ctx["seed"])
-    field = field_from_name(spec.get("field", "F2"))
     failures = []
-    count = spec.get("count", 5)
-    max_dim = spec.get("max_dim", 3)
     for i in range(count):
         c = coalg_instances.random_coalgebra(field, rng, max_dim)
         p = coalg_instances.random_contramodule(c, rng, max_dim)
@@ -242,6 +260,10 @@ def _job_enumerate(env, args, ctx):
 
 def _job_hom(env, args, ctx):
     a, b = args["source"], args["target"]
+    if type(a) is not type(b):
+        raise _unfit("hom", "source", "target",
+                     f"must be modules of one kind, got a "
+                     f"{type(a).__name__} and a {type(b).__name__}")
     if isinstance(a, SetComodule):
         sub = set_comodule.hom_over(a, b, ctx["budget"])
         payload = {"members": list(sub.members.elements)}
@@ -283,7 +305,18 @@ def _job_hom(env, args, ctx):
     return _pass(payload, {"dim": hobj.space.total_dim})
 
 
+def _require_sides(command, args, sides: dict):
+    """Each named comodule argument must have the given side."""
+    got = {name: args[name].side for name in sides}
+    if got != sides:
+        first, second = sides
+        raise _unfit(command, first, second,
+                     f"must be a {sides[first]} and a {sides[second]} "
+                     f"comodule, got a {got[first]} and a {got[second]} one")
+
+
 def _job_cotensor(env, args, ctx):
+    _require_sides("cotensor", args, {"left": "right", "right": "left"})
     sub = coalg.cotensor(args["left"], args["right"])
     payload = {"dims": _dims(sub.space)}
     return _pass(payload, {"dim": sub.space.total_dim})
@@ -301,6 +334,12 @@ def _change_of_base(command, args, set_side, linear_side):
     a coalgebra morphism, which needs its domain and codomain named."""
     along, target = args["along"], args["target"]
     comodule = isinstance(target, (SetComodule, coalg.VComodule))
+    set_target = isinstance(target, (SetComodule, ContraTable))
+    if isinstance(along, FinMap) != set_target:
+        raise _unfit(command, "along", "target",
+                     "do not fit: a finmap acts on set-side modules and a "
+                     "linear map on linear ones, got "
+                     f"{type(along).__name__} and {type(target).__name__}")
     if isinstance(along, FinMap):
         fn = set_side[0] if comodule else set_side[1]
         return _pass(serialize_result(fn(along, target)))
@@ -359,6 +398,8 @@ def _job_bridge(env, args, ctx):
 
 
 def _job_probe(env, args, ctx):
+    _require_sides("probe", args,
+                   {"comodule": "right", "left_comodule": "left"})
     rep = coalg.trifunctor_probe(args["comodule"], args["left_comodule"],
                                  args["space"])
     # exploratory: producing an internally consistent report is the job
@@ -521,6 +562,11 @@ def _missing(command: str, name: str, reason: str = "") -> ParseError:
     expects = COMMANDS[command].args[name].expects()
     return ParseError(
         f"{command}: missing argument {name!r} ({expects}) {reason}".rstrip())
+
+
+def _unfit(command: str, first: str, second: str, why: str) -> ParseError:
+    """Two arguments that are each valid but do not fit together."""
+    return ParseError(f"{command}: arguments {first!r} and {second!r} {why}")
 
 
 def _check_args(env: Environment, command: str, given) -> dict:

@@ -5,6 +5,7 @@ comparison probe.
 
 from __future__ import annotations
 
+from ..errors import CocontraError, CoalgebraMismatch
 from ..exactlin import (
     LinMap,
     QuotPresentation,
@@ -36,11 +37,25 @@ from .core import (
 )
 
 
+def _require_side(m: VComodule, side: str, role: str):
+    if m.side != side:
+        raise CocontraError(
+            f"{role} must be a {side} comodule, got a {m.side} one")
+
+
+def _require_over(obj, coalgebra: Coalgebra, end: str):
+    if obj.coalgebra != coalgebra:
+        raise CoalgebraMismatch(
+            f"the {type(obj).__name__} must live over the {end} coalgebra "
+            "of the morphism")
+
+
 def cotensor(m: VComodule, n: VComodule) -> SubPresentation:
     """The equaliser of the two coactions inside m (x) n; n must be a left
     comodule."""
     require_same_coalgebra(m, n)
-    assert m.side == "right" and n.side == "left"
+    _require_side(m, "right", "the left factor of a cotensor")
+    _require_side(n, "left", "the right factor of a cotensor")
     c = m.coalgebra.space
     first = tensor_map(m.rho, identity_map(n.space))
     second = compose(
@@ -85,7 +100,7 @@ def restrict_comodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
                       m: VComodule) -> VComodule:
     """Push the coaction forward along a coalgebra morphism."""
     check_coalgebra_morphism(f, c, chat)
-    assert m.coalgebra == c
+    _require_over(m, c, "domain")
     rho = compose(tensor_map(identity_map(m.space), f), m.rho)
     out = VComodule(chat, m.space, rho, side=m.side)
     rep = validate_comodule(out)
@@ -97,7 +112,7 @@ def restrict_contramodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
                           p: VContramodule) -> VContramodule:
     """Precompose the structure map with the morphism."""
     check_coalgebra_morphism(f, c, chat)
-    assert p.coalgebra == c
+    _require_over(p, c, "domain")
     theta = compose(p.theta, hom_map(f, identity_map(p.space)))
     out = VContramodule(chat, p.space, theta)
     rep = validate_contramodule(out)
@@ -110,7 +125,7 @@ def induce_comodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     """Cotensor against the coalgebra seen as a left comodule over the
     target; right adjoint to restriction."""
     check_coalgebra_morphism(f, c, chat)
-    assert m.coalgebra == chat
+    _require_over(m, chat, "codomain")
     lam = compose(tensor_map(f, identity_map(c.space)), c.delta)
     c_left = left_comodule_from_coaction(chat, c.space, lam)
     sub = cotensor(m, c_left)
@@ -135,7 +150,7 @@ def coinduce_contramodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     """Cohom out of the coalgebra seen as a comodule over the target; left
     adjoint to restriction."""
     check_coalgebra_morphism(f, c, chat)
-    assert p.coalgebra == chat
+    _require_over(p, chat, "codomain")
     rho = compose(tensor_map(identity_map(c.space), f), c.delta)
     c_right = VComodule(chat, c.space, rho)
     quot = cohom(c_right, p)
@@ -207,7 +222,7 @@ def hom_of_contramodule(n: VComodule, x) -> VContramodule:
     """[N, X] for a left comodule n is a contramodule: precompose a family
     with the coaction."""
     c = n.coalgebra
-    assert n.side == "left"
+    _require_side(n, "left", "the comodule of a hom contramodule")
     theta = compose(
         hom_map(left_coaction(n), identity_map(x)),
         hom_tensor_iso_inv(c.space, n.space, x),

@@ -87,13 +87,11 @@ class VContramodule:
 
 
 def _first_witness(diff: LinMap):
-    z = diff.dom.field.zero()
-    for k in diff.dom.degrees():
-        blk = diff.block(k)
-        for j, lab in enumerate(diff.dom.labels[k]):
-            if any(blk[i, j] != z for i in range(blk.nrows)):
-                return lab
-    return None
+    """The first domain label that the map does not send to zero."""
+    return next(
+        (lab for _, _, lab in diff.dom.basis() if diff.apply_label(lab)),
+        None,
+    )
 
 
 def _identity_check(name, lhs: LinMap, rhs: LinMap, failures):

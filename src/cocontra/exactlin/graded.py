@@ -212,11 +212,10 @@ class LinMap:
         blk = self.blocks.get(k)
         if blk is None:
             return {}
-        z = self.dom.field.zero()
         return {
             lab: row[j]
-            for lab, row in zip(self.cod.labels[k + self.degree], blk.rows)
-            if row[j] != z
+            for lab, row in zip(self.cod.labels[k + self.degree], blk.srows)
+            if j in row
         }
 
     @classmethod
@@ -228,12 +227,11 @@ class LinMap:
         blocks = {}
         for k in dom.degrees():
             tgt = k + degree
-            n = dom.dim(k)
-            rows = [[z] * n for _ in range(cod.dim(tgt))]
+            rows = [{} for _ in range(cod.dim(tgt))]
             for j, lab in enumerate(dom.labels[k]):
                 for clab, c in images.get(lab, {}).items():
-                    c = fld.add(z, c)
-                    if c == z:
+                    c = fld.add(z, c)  # into the field's own form
+                    if not c:
                         continue
                     kk, i = cod.position(clab)
                     assert kk == tgt, (
@@ -241,7 +239,7 @@ class LinMap:
                         f"not {tgt}"
                     )
                     rows[i][j] = c
-            blocks[k] = Matrix(fld, rows, n)
+            blocks[k] = Matrix.sparse(fld, rows, dom.dim(k))
         return cls(dom, cod, degree, blocks)
 
     def is_zero(self) -> bool:
@@ -293,16 +291,6 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
             continue
         blocks[k] = g.block(k + f.degree) @ f.block(k)
     return LinMap(f.dom, g.cod, f.degree + g.degree, blocks)
-
-
-def add_maps(f: LinMap, g: LinMap) -> LinMap:
-    assert f.dom == g.dom and f.cod == g.cod and f.degree == g.degree
-    return LinMap(
-        f.dom,
-        f.cod,
-        f.degree,
-        {k: f.block(k) + g.block(k) for k in f.dom.degrees()},
-    )
 
 
 def sub_maps(f: LinMap, g: LinMap) -> LinMap:
@@ -507,18 +495,17 @@ def hom_map(f: LinMap, g: LinMap, dom=None, cod=None) -> LinMap:
     dom = dom if dom is not None else hom_space(f.cod, g.dom)
     cod = cod if cod is not None else hom_space(f.dom, g.cod)
     fld = dom.field
-    z = fld.zero()
     images = {}
     for _, _, lab in dom.basis():
         _, b, x = lab
         kb, ib = f.cod.position(b)
-        # the b-row of f: the coefficient of b in f(a) for each a
-        frow = f.blocks[kb].rows[ib] if kb in f.blocks else ()
+        # the b-row of f: the nonzero coefficients of b in f(a)
+        frow = f.blocks[kb].srows[ib] if kb in f.blocks else {}
+        alabs = f.dom.labels.get(kb)
         gx = g.apply_label(x)
         images[lab] = {
-            ("h", a, y): fld.mul(fa, cy)
-            for a, fa in zip(f.dom.labels.get(kb, ()), frow)
-            if fa != z
+            ("h", alabs[ja], y): fld.mul(fa, cy)
+            for ja, fa in frow.items()
             for y, cy in gx.items()
         }
     return LinMap.from_images(dom, cod, 0, images)
@@ -603,18 +590,13 @@ def dual_map(f: LinMap) -> LinMap:
     assert f.degree == 0
     dom = dual(f.cod)
     cod = dual(f.dom)
-    z = f.dom.field.zero()
     images = {}
     for _, _, dlab in dom.basis():
         _, b = dlab
         kb, ib = f.cod.position(b)
-        coeffs = {}
-        blk = f.block(kb)
-        for ia, a in enumerate(f.dom.labels.get(kb, ())):
-            c = blk[ib, ia] if blk.nrows else z
-            if c != z:
-                coeffs[("d", a)] = c
-        images[dlab] = coeffs
+        frow = f.blocks[kb].srows[ib] if kb in f.blocks else {}
+        alabs = f.dom.labels.get(kb)
+        images[dlab] = {("d", alabs[ia]): c for ia, c in frow.items()}
     return LinMap.from_images(dom, cod, 0, images)
 
 
@@ -674,12 +656,13 @@ def equalizer_lin(f: LinMap, g: LinMap, prefix: str = "s") -> SubPresentation:
             continue
         dims[k] = len(basis)
         labels[k] = tuple((prefix, k, i) for i in range(len(basis)))
-        blocks[k] = Matrix(
+        blocks[k] = Matrix.sparse(
             f.dom.field,
-            tuple(
-                tuple(vec[i] for vec in basis)
+            (
+                {t: vec[i] for t, vec in enumerate(basis) if vec[i]}
                 for i in range(f.dom.dim(k))
             ),
+            len(basis),
         )
     space = GradedVect(f.dom.field, dims, labels)
     include = LinMap(space, f.dom, 0, blocks)
@@ -706,25 +689,17 @@ def coequalizer_lin(f: LinMap, g: LinMap, prefix: str = "q") -> QuotPresentation
             continue
         dims[m] = len(chosen)
         labels[m] = tuple((prefix, m, i) for i in range(len(chosen)))
-        e_cols = Matrix(
-            fld,
-            tuple(
-                tuple(
-                    fld.one() if r == i else fld.zero() for i in chosen
-                )
-                for r in range(cod_dim)
-            ),
-        )
+        rows = [{} for _ in range(cod_dim)]
+        for t, r in enumerate(chosen):
+            rows[r] = {t: fld.one()}
+        e_cols = Matrix.sparse(fld, rows, len(chosen))
         sect_blocks[m] = e_cols
         # solve [A | E_S] X = I and keep the E_S part: the coefficients of
         # the chosen representatives are unique by the greedy construction
         aug = a.hstack(e_cols)
         sol = aug.solve_matrix(Matrix.identity(fld, cod_dim))
         assert sol is not None, "complement must span the cokernel"
-        proj_blocks[m] = Matrix(
-            fld,
-            tuple(sol.rows[a.ncols + i] for i in range(len(chosen))),
-        )
+        proj_blocks[m] = Matrix.sparse(fld, sol.srows[a.ncols:], cod_dim)
     space = GradedVect(fld, dims, labels)
     project = LinMap(f.cod, space, 0, proj_blocks)
     section = LinMap(space, f.cod, 0, sect_blocks)

@@ -1,8 +1,13 @@
-"""Dense exact matrices over a field, with just enough linear algebra for
+"""Sparse exact matrices over a field, with just enough linear algebra for
 kernels, cokernels, and factorisation problems: reduced row echelon form,
 rank, nullspace bases, and linear solves.
 
 Matrices act on column vectors; an m x n matrix maps n-space to m-space.
+Each row is a ``{column: nonzero}`` dict that never holds a zero: every
+operation reads the nonzeros alone and drops an entry once it cancels
+(both fields' zeros, ``Fraction(0)`` and ``0``, are falsy).  Dense rows
+exist only at the edges: the constructor for outside input, and the
+``rows`` view that reports are written from.
 """
 
 from __future__ import annotations
@@ -13,60 +18,59 @@ from dataclasses import dataclass
 @dataclass(eq=True)
 class Matrix:
     field: object
-    rows: tuple
-    width: int | None = None  # needed when there are no rows
+    srows: tuple  # one {column: nonzero} dict per row
+    width: int
 
-    def __post_init__(self):
-        if type(self.rows) is not tuple or not all(
-            type(r) is tuple for r in self.rows
-        ):
-            self.rows = tuple(tuple(r) for r in self.rows)
-        widths = {len(r) for r in self.rows}
+    def __init__(self, field, rows, width=None):
+        """Build from dense rows (outside input); width is needed when
+        there are no rows."""
+        rows = [tuple(r) for r in rows]
+        widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        if self.rows:
-            inferred = len(self.rows[0])
-            if self.width is None:
-                self.width = inferred
-            elif self.width != inferred:
+        if rows:
+            inferred = len(rows[0])
+            if width is None:
+                width = inferred
+            elif width != inferred:
                 raise ValueError("width disagrees with the rows")
-        elif self.width is None:
-            self.width = 0
+        elif width is None:
+            width = 0
+        self.field = field
+        self.srows = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
+        self.width = width
+
+    @classmethod
+    def sparse(cls, field, srows, width):
+        """Build from {column: nonzero} rows, taken as they are."""
+        m = object.__new__(cls)
+        m.field, m.srows, m.width = field, tuple(srows), width
+        return m
 
     @classmethod
     def from_rows(cls, field, rows, width=None):
-        return cls(
-            field,
-            tuple(
-                tuple(
-                    field.from_int(x) if isinstance(x, int) else x for x in r
-                )
-                for r in rows
-            ),
-            width,
-        )
+        return cls(field, ([field.from_int(x) if isinstance(x, int) else x
+                            for x in r] for r in rows), width)
 
     @classmethod
     def zeros(cls, field, m, n):
-        z = field.zero()
-        return cls(
-            field, tuple(tuple(z for _ in range(n)) for _ in range(m)), n
-        )
+        return cls.sparse(field, ({} for _ in range(m)), n)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(
-            field,
-            tuple(
-                tuple(o if i == j else z for j in range(n)) for i in range(n)
-            ),
-            n,
-        )
+        one = field.one()
+        return cls.sparse(field, ({i: one} for i in range(n)), n)
+
+    @property
+    def rows(self) -> tuple:
+        """Dense rows, for writing reports."""
+        z = self.field.zero()
+        cols = range(self.width)
+        return tuple(tuple(r.get(j, z) for j in cols) for r in self.srows)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.srows)
 
     @property
     def ncols(self) -> int:
@@ -78,107 +82,105 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.srows[i].get(j, self.field.zero())
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            tuple(
-                tuple(self.rows[i][j] for i in range(self.nrows))
-                for j in range(self.ncols)
-            ),
-            self.nrows,
-        )
-
-    def __add__(self, other) -> "Matrix":
-        f = self.field
-        return Matrix(
-            f,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-            self.width,
-        )
+    def column(self, j):
+        z = self.field.zero()
+        return tuple(r.get(j, z) for r in self.srows)
 
     def __sub__(self, other) -> "Matrix":
         f = self.field
-        return Matrix(
-            f,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-            self.width,
-        )
+        out = []
+        for r1, r2 in zip(self.srows, other.srows):
+            row = dict(r1)
+            for j, b in r2.items():
+                x = f.sub(row[j], b) if j in row else f.neg(b)
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix.sparse(f, out, self.width)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(
-            f,
-            tuple(tuple(f.mul(c, a) for a in r) for r in self.rows),
-            self.width,
-        )
+        return Matrix.sparse(f, (
+            {j: x for j, a in r.items() if (x := f.mul(c, a))}
+            for r in self.srows), self.width)
 
     def __matmul__(self, other) -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        bt = other.transpose().rows
-        return Matrix(
-            f,
-            tuple(tuple(_dot(f, r, c) for c in bt) for r in self.rows),
-            other.ncols,
-        )
+        add, mul = f.add, f.mul
+        brows = other.srows
+        out = []
+        for r in self.srows:
+            acc = {}
+            for t, a in r.items():
+                for j, b in brows[t].items():
+                    x = mul(a, b)
+                    acc[j] = add(acc[j], x) if j in acc else x
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix.sparse(f, out, other.ncols)
 
     def apply(self, vec):
-        """Matrix times column vector (a tuple)."""
-        return tuple(_dot(self.field, r, vec) for r in self.rows)
+        """Matrix times column vector (a dense tuple)."""
+        f = self.field
+        out = []
+        for r in self.srows:
+            acc = f.zero()
+            for j, a in r.items():
+                acc = f.add(acc, f.mul(a, vec[j]))
+            out.append(acc)
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(a == z for r in self.rows for a in r)
+        return not any(self.srows)
 
     def hstack(self, other) -> "Matrix":
         assert self.nrows == other.nrows
-        return Matrix(
-            self.field,
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
-            self.width + other.width,
-        )
-
-    def column(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        w = self.width
+        return Matrix.sparse(self.field, (
+            {**r1, **{j + w: x for j, x in r2.items()}}
+            for r1, r2 in zip(self.srows, other.srows)), w + other.width)
 
     def rref(self):
-        """Reduced row echelon form and the pivot column indices."""
+        """Reduced row echelon form and the pivot column indices.
+
+        Pivots are taken column by column, each from the first remaining
+        row that holds the column; the form is unique, so the choice does
+        not show in the result."""
         f = self.field
-        z = f.zero()
-        rows = [list(r) for r in self.rows]
+        rows = [dict(r) for r in self.srows]
         m, n = self.nrows, self.ncols
         pivots = []
         r = 0
         for c in range(n):
             if r >= m:
                 break
-            pivot_row = next(
-                (i for i in range(r, m) if rows[i][c] != z), None
-            )
+            pivot_row = next((i for i in range(r, m) if c in rows[i]), None)
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, a) for a in rows[r]]
+            prow = rows[r] = {j: f.mul(inv, a) for j, a in rows[r].items()}
             for i in range(m):
-                if i != r and rows[i][c] != z:
-                    factor = rows[i][c]
-                    rows[i] = [
-                        f.sub(a, f.mul(factor, b))
-                        for a, b in zip(rows[i], rows[r])
-                    ]
+                row = rows[i]
+                if i == r or c not in row:
+                    continue
+                factor = f.neg(row[c])
+                for j, b in prow.items():
+                    x = f.mul(factor, b)
+                    if j in row:
+                        x = f.add(row[j], x)
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
             pivots.append(c)
             r += 1
-        return Matrix(f, tuple(tuple(r) for r in rows), n), pivots
+        return Matrix.sparse(f, rows, n), pivots
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -204,38 +206,36 @@ class Matrix:
             vec = [z] * n
             vec[j] = o
             for r, c in enumerate(pivots):
-                vec[c] = f.neg(red.rows[r][j])
+                x = red.srows[r].get(j)
+                if x:
+                    vec[c] = f.neg(x)
             basis.append(tuple(vec))
         return basis
 
     def solve(self, target):
         """One solution x of self @ x = target, or None."""
         sol = self.solve_matrix(
-            Matrix(self.field, tuple((t,) for t in target), 1)
+            Matrix(self.field, ((t,) for t in target), 1)
         )
         return None if sol is None else sol.column(0)
 
     def solve_matrix(self, targets: "Matrix"):
         """One solution X of self @ X = targets, or None."""
-        f = self.field
-        z = f.zero()
         m, n = self.nrows, self.ncols
         k = targets.ncols
         assert targets.nrows == m
         if n == 0:
             if targets.is_zero():
-                return Matrix.zeros(f, 0, k)
+                return Matrix.zeros(self.field, 0, k)
             return None
-        aug = self.hstack(targets)
-        red, pivots = aug.rref()
+        red, pivots = self.hstack(targets).rref()
         # any pivot in the target block means inconsistency
-        if any(p >= n for p in pivots):
+        if pivots and pivots[-1] >= n:
             return None
-        sol = [[z] * k for _ in range(n)]
+        sol = [{} for _ in range(n)]
         for r, c in enumerate(pivots):
-            for j in range(k):
-                sol[c][j] = red.rows[r][n + j]
-        return Matrix(f, tuple(tuple(r) for r in sol), k)
+            sol[c] = {j - n: x for j, x in red.srows[r].items() if j >= n}
+        return Matrix.sparse(self.field, sol, k)
 
     def column_space_complement(self):
         """Indices of standard basis vectors extending the column space to
@@ -248,14 +248,3 @@ class Matrix:
         n = self.ncols
         _, pivots = self.hstack(Matrix.identity(self.field, self.nrows)).rref()
         return [p - n for p in pivots if p >= n]
-
-
-def _dot(f, row, col):
-    """Sum of row[i] * col[i] over the terms whose factors are both
-    nonzero; a skipped term would add the field's zero, which changes no
-    sum (both fields' zeros, Fraction(0) and 0, are falsy)."""
-    acc = f.zero()
-    for a, b in zip(row, col):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc

@@ -61,8 +61,7 @@ def all_linmaps(v: GradedVect, w: GradedVect, budget: Budget = DEFAULT_BUDGET,
             v,
             w,
             degree,
-            {k: Matrix(fld, tuple(tuple(r) for r in rows), v.dim(k))
-             for k, rows in blocks.items()},
+            {k: Matrix(fld, rows, v.dim(k)) for k, rows in blocks.items()},
         )
 
 
@@ -229,25 +228,9 @@ def linear_equalizer_up_check(f: LinMap, g: LinMap,
             for j in range(z.dim(k))
         ]
         for k, i, j in cells:
-            h = LinMap(
-                z,
-                f.dom,
-                0,
-                {
-                    k: Matrix(
-                        fld,
-                        tuple(
-                            tuple(
-                                fld.one() if (r == i and cc == j)
-                                else fld.zero()
-                                for cc in range(z.dim(k))
-                            )
-                            for r in range(f.dom.dim(k))
-                        ),
-                        z.dim(k),
-                    )
-                },
-            )
+            unit = [{} for _ in range(f.dom.dim(k))]
+            unit[i] = {j: fld.one()}
+            h = LinMap(z, f.dom, 0, {k: Matrix.sparse(fld, unit, z.dim(k))})
             comp = lcompose(diff, h)
             col = []
             for kk in z.degrees():
@@ -259,10 +242,7 @@ def linear_equalizer_up_check(f: LinMap, g: LinMap,
                 )
             cols.append(tuple(col))
         if cells and cols[0]:
-            rows = tuple(
-                tuple(c[i] for c in cols) for i in range(len(cols[0]))
-            )
-            cone_dim = len(Matrix(fld, rows, len(cols)).kernel_basis())
+            cone_dim = len(Matrix(fld, zip(*cols), len(cols)).kernel_basis())
         else:
             cone_dim = len(cells)
         expected = sum(eq.space.dim(k) * z.dim(k) for k in z.degrees())
@@ -294,25 +274,10 @@ def linear_coequalizer_up_check(f: LinMap, g: LinMap,
             for j in range(f.cod.dim(k))
         ]
         for k, i, j in cells:
-            h = LinMap(
-                f.cod,
-                z,
-                0,
-                {
-                    k: Matrix(
-                        fld,
-                        tuple(
-                            tuple(
-                                fld.one() if (r == i and cc == j)
-                                else fld.zero()
-                                for cc in range(f.cod.dim(k))
-                            )
-                            for r in range(z.dim(k))
-                        ),
-                        f.cod.dim(k),
-                    )
-                },
-            )
+            unit = [{} for _ in range(z.dim(k))]
+            unit[i] = {j: fld.one()}
+            h = LinMap(f.cod, z, 0,
+                       {k: Matrix.sparse(fld, unit, f.cod.dim(k))})
             comp = lcompose(h, diff)
             col = []
             for kk in f.dom.degrees():
@@ -324,10 +289,8 @@ def linear_coequalizer_up_check(f: LinMap, g: LinMap,
                 )
             cols.append(tuple(col))
         if cells and cols and cols[0]:
-            rows = tuple(
-                tuple(c[i] for c in cols) for i in range(len(cols[0]))
-            )
-            cocone_dim = len(Matrix(fld, rows, len(cols)).kernel_basis())
+            cocone_dim = len(
+                Matrix(fld, zip(*cols), len(cols)).kernel_basis())
         else:
             cocone_dim = len(cells)
         expected = sum(q.space.dim(k) * z.dim(k) for k in z.degrees())

@@ -479,6 +479,11 @@ MALFORMED_DECLS = BASE_DECLS + [
     {"kind": "group_like_coalgebra", "name": "G1", "field": "F2", "size": 1},
     {"kind": "coalgebra_morphism", "name": "gin", "dom": "G1", "cod": "G",
      "blocks": {"0": [[1], [0]]}},
+    {"kind": "graded_space", "name": "GS", "field": "F2", "dims": {"0": 2},
+     "labels": {"0": ["g0", "g1"]}},
+    {"kind": "vcomodule", "name": "LG", "coalgebra": "G", "space": "GS",
+     "side": "left",
+     "rho_blocks": {"0": [[1, 0], [0, 0], [0, 0], [0, 1]]}},
 ]
 
 VALID_ARGS = {
@@ -491,17 +496,18 @@ VALID_ARGS = {
     "decompose": {"target": "t", "basepoint": "{1:p,2:r}"},
     "enumerate": {"carrier": 2, "base": 2},
     "hom": {"source": "M", "target": "M"},
-    "cotensor": {"left": "TV", "right": "TV"},
+    "cotensor": {"left": "TV", "right": "LG"},
     "cohom": {"comodule": "TV", "contramodule": "FV"},
     "restrict": {"along": "f", "target": "M"},
     "induce": {"along": "f", "target": "M"},
     "induction-adjunction": {"along": "f"},
     "kleisli": {"coalgebra": "G", "dim": 1},
     "bridge": {"coalgebra": "G"},
-    "probe": {"comodule": "TV", "left_comodule": "TV", "space": "V"},
+    "probe": {"comodule": "TV", "left_comodule": "LG", "space": "V"},
     "demo-noncocontinuous": {"c_size": 2},
     "equivalence": {"max_carrier": 2},
-    "universal-property": {"which": "equalizer", "data": {}},
+    "universal-property": {"which": "equalizer",
+                           "data": {"f": "f", "g": "f"}},
 }
 
 
@@ -538,6 +544,27 @@ def _malformed_cases():
     for command in ("restrict", "induce"):
         yield f"{command}-linear-without-coalgebras", command, \
             "dom_coalgebra", {"along": "gin", "target": "TV"}
+        yield f"{command}-finmap-of-linear-target", command, "along", {
+            "along": "f", "target": "TV"}
+        yield f"{command}-linear-map-of-set-target", command, "target", {
+            "along": "gin", "target": "M", "dom_coalgebra": "G1",
+            "cod_coalgebra": "G"}
+    yield "hom-set-comodule-to-contramodule", "hom", "target", {
+        "source": "M", "target": "t"}
+    yield "hom-comodule-to-contramodule", "hom", "source", {
+        "source": "TV", "target": "FV"}
+    yield "cotensor-right-right", "cotensor", "right", {
+        "left": "TV", "right": "TV"}
+    yield "cotensor-left-left", "cotensor", "left", {
+        "left": "LG", "right": "LG"}
+    yield "probe-right-right", "probe", "left_comodule", {
+        "comodule": "TV", "left_comodule": "TV", "space": "V"}
+    # the keys of adjoint's random object
+    for key, value in (("count", "x"), ("count", True), ("count", 0),
+                       ("max_dim", -1), ("max_dim", 2.0), ("max_dims", 2),
+                       ("field", "F4"), ("field", 2)):
+        yield f"adjoint-random-{key}-{value!r}", "adjoint", "random", {
+            "random": {key: value}}
 
 
 MALFORMED = {case[0]: case[1:] for case in _malformed_cases()}
@@ -545,6 +572,15 @@ MALFORMED = {case[0]: case[1:] for case in _malformed_cases()}
 
 def test_every_command_has_valid_arguments_to_break():
     assert set(VALID_ARGS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_valid_arguments_pass(command):
+    env = serialize.parse_bundle({"declarations": MALFORMED_DECLS})
+    ctx = {"budget": 10**6, "oracle": True, "seed": 1, "timing": False}
+    entry = cli.run_job(env, {"command": command,
+                              "args": VALID_ARGS[command]}, ctx)
+    assert entry["status"] == "pass", entry["witnesses"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

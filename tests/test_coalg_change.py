@@ -4,7 +4,8 @@ import pytest
 
 from cocontra import coalg
 from cocontra.coalg import instances as inst
-from cocontra.errors import NotCoalgebraMorphism
+from cocontra.errors import (CocontraError, CoalgebraMismatch,
+                             NotCoalgebraMorphism)
 from cocontra.exactlin import (
     GF,
     QQ,
@@ -136,6 +137,36 @@ def test_not_coalgebra_morphism_rejected():
     with pytest.raises(NotCoalgebraMorphism):
         coalg.restrict_comodule(bad, c, chat,
                                 coalg.cofree(unit_space(F2), c))
+
+
+def test_objects_over_the_wrong_coalgebra_are_rejected():
+    # raised errors, not asserts: they must survive python -O
+    f, c, chat = grouplike_inclusion(F2, 1, 2)
+    over_c = coalg.cofree(unit_space(F2), c)
+    over_chat = coalg.cofree(unit_space(F2), chat)
+    free_c = coalg.free(unit_space(F2), c)
+    free_chat = coalg.free(unit_space(F2), chat)
+    for fn, obj, end in (
+        (coalg.restrict_comodule, over_chat, "domain"),
+        (coalg.restrict_contramodule, free_chat, "domain"),
+        (coalg.induce_comodule, over_c, "codomain"),
+        (coalg.coinduce_contramodule, free_c, "codomain"),
+    ):
+        with pytest.raises(CoalgebraMismatch, match=f"the {end} coalgebra"):
+            fn(f, c, chat, obj)
+
+
+def test_cotensor_checks_the_sides():
+    c = inst.group_like_coalgebra(F2, 2)
+    right = coalg.cofree(unit_space(F2), c)
+    left = coalg.coalgebra_as_left_comodule(c)
+    assert coalg.cotensor(right, left).space.total_dim == 2
+    with pytest.raises(CocontraError, match="right factor .* left comodule"):
+        coalg.cotensor(right, right)
+    with pytest.raises(CocontraError, match="left factor .* right comodule"):
+        coalg.cotensor(left, left)
+    with pytest.raises(CocontraError, match="must be a left comodule"):
+        coalg.hom_of_contramodule(right, unit_space(F2))
 
 
 def test_induce_comodule_grouplike_restriction_of_grading():

@@ -494,3 +494,187 @@ def test_from_images_rejects_entries_outside_the_target_degree():
     assert LinMap.from_images(
         x01, y0, 0, {"x1_0": {"y0_0": Q.zero()}}
     ).is_zero()
+
+
+# --- the sparse kernels against dense references ------------------------------
+#
+# Gauss-Jordan elimination and the solve over full dense rows, walking every
+# entry.  Reduced row echelon form is unique, so the sparse kernels must
+# agree with them entry for entry.
+
+
+def _dense_rref(field, rows, n):
+    f = field
+    z = f.zero()
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c] != z), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, a) for a in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != z:
+                factor = rows[i][c]
+                rows[i] = [f.sub(a, f.mul(factor, b))
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(r) for r in rows), pivots
+
+
+def _dense_kernel(field, rows, n):
+    z, o = field.zero(), field.one()
+    red, pivots = _dense_rref(field, rows, n)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        vec = [z] * n
+        vec[j] = o
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(red[r][j])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _dense_solve(field, rows, n, targets, k):
+    z = field.zero()
+    if n == 0:
+        return () if all(x == z for t in targets for x in t) else None
+    aug = [tuple(r) + tuple(t) for r, t in zip(rows, targets)]
+    red, pivots = _dense_rref(field, aug, n + k)
+    if any(p >= n for p in pivots):
+        return None
+    sol = [[z] * k for _ in range(n)]
+    for r, c in enumerate(pivots):
+        for j in range(k):
+            sol[c][j] = red[r][n + j]
+    return tuple(tuple(r) for r in sol)
+
+
+def _dense_complement(field, rows, m, n):
+    eye = [tuple(field.one() if i == j else field.zero() for j in range(m))
+           for i in range(m)]
+    _, pivots = _dense_rref(
+        field, [tuple(r) + e for r, e in zip(rows, eye)], n + m)
+    return [p - n for p in pivots if p >= n]
+
+
+def _stores_no_zero(mat):
+    return all(
+        x and 0 <= j < mat.ncols for r in mat.srows for j, x in r.items()
+    )
+
+
+def _rand_dense(rng, field, m, n, rank=None):
+    """Random dense rows; with ``rank`` the product of an m x rank and a
+    rank x n factor, so rank deficiency is common."""
+    if rank is None:
+        return [[_rand_scalar(rng, field) for _ in range(n)]
+                for _ in range(m)]
+    a = _rand_dense(rng, field, m, rank)
+    b = _rand_dense(rng, field, rank, n)
+    return [list(r) for r in _naive_matmul(
+        Matrix(field, a, rank), Matrix(field, b, n)).rows]
+
+
+def _dense_shapes(rng):
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    return shapes
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_rref_kernel_and_complement_match_the_dense_reference(field):
+    rng = random.Random(f"dense-rref-{field.name}")
+    for m, n in _dense_shapes(rng):
+        for rank in (None, rng.randint(0, min(m, n))):
+            rows = _rand_dense(rng, field, m, n, rank)
+            mat = Matrix(field, rows, n)
+            assert _stores_no_zero(mat)
+            red, pivots = mat.rref()
+            assert _stores_no_zero(red)
+            assert (red.rows, pivots) == _dense_rref(field, rows, n)
+            assert mat.rank() == len(pivots)
+            assert mat.kernel_basis() == _dense_kernel(field, rows, n)
+            assert mat.column_space_complement() == _dense_complement(
+                field, rows, m, n)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_solve_matrix_matches_the_dense_reference(field):
+    rng = random.Random(f"dense-solve-{field.name}")
+    consistent = inconsistent = 0
+    for m, n in _dense_shapes(rng):
+        k = rng.randint(0, 3)
+        rows = _rand_dense(rng, field, m, n, rng.randint(0, min(m, n)))
+        mat = Matrix(field, rows, n)
+        for targets in (
+            # a random right-hand side, often inconsistent
+            _rand_dense(rng, field, m, k),
+            # one in the column space, always consistent
+            _naive_matmul(mat, Matrix(field, _rand_dense(rng, field, n, k),
+                                      k)).rows,
+        ):
+            sol = mat.solve_matrix(Matrix(field, targets, k))
+            expected = _dense_solve(field, rows, n, targets, k)
+            if expected is None:
+                inconsistent += 1
+                assert sol is None
+                continue
+            consistent += 1
+            assert _stores_no_zero(sol)
+            assert sol.rows == expected
+            assert mat @ sol == Matrix(field, targets, k)
+    assert consistent and inconsistent
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_products_differences_and_scalings_store_no_zero(field):
+    rng = random.Random(f"dense-arith-{field.name}")
+    for m, n in _dense_shapes(rng):
+        k = rng.randint(0, 4)
+        a = Matrix(field, _rand_dense(rng, field, m, n), n)
+        b = Matrix(field, _rand_dense(rng, field, n, k), k)
+        c = Matrix(field, _rand_dense(rng, field, m, n), n)
+        prod = a @ b
+        assert _stores_no_zero(prod) and prod == _naive_matmul(a, b)
+        diff = a - c
+        assert _stores_no_zero(diff)
+        assert diff.rows == tuple(
+            tuple(field.sub(x, y) for x, y in zip(r1, r2))
+            for r1, r2 in zip(a.rows, c.rows))
+        # a difference with itself cancels every entry
+        assert (a - a).is_zero() and _stores_no_zero(a - a)
+        for s in (field.zero(), field.one(), _rand_scalar(rng, field)):
+            scaled = a.scale(s)
+            assert _stores_no_zero(scaled)
+            assert scaled.rows == tuple(
+                tuple(field.mul(s, x) for x in r) for r in a.rows)
+
+
+def test_only_the_report_writer_reads_dense_rows():
+    """``Matrix.rows`` builds dense rows; outside matrix.py only
+    serialize.py, which writes reports, may read it, so that no second
+    block representation grows back."""
+    import ast
+    from pathlib import Path
+
+    import cocontra
+
+    root = Path(cocontra.__file__).parent
+    allowed = {root / "exactlin" / "matrix.py", root / "serialize.py"}
+    readers = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py")) if path not in allowed
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert readers == []
