@@ -423,10 +423,39 @@ def _job_equivalence(env, args, ctx):
     return _from_report(rep)
 
 
+# the declaration kind of each role a universal property reads from 'data'
+UNIVERSAL_ROLES = {
+    "equalizer": {"f": "finmap", "g": "finmap"},
+    "coequalizer": {"f": "finmap", "g": "finmap"},
+    "pullback": {"f": "finmap", "g": "finmap"},
+    "product": {"a": "finset", "b": "finset"},
+    "coproduct": {"a": "finset", "b": "finset"},
+}
+
+
 def _job_universal_property(env, args, ctx):
-    data = {k: env.get(v) for k, v in args["data"].items()}
-    rep = oracle.universal_property_check(args["which"], data,
-                                          ctx["budget"])
+    which, given = args["which"], args["data"]
+    roles = UNIVERSAL_ROLES.get(which)
+    if roles is None:
+        raise ParseError(f"universal-property: argument 'which' must be one "
+                         f"of {', '.join(UNIVERSAL_ROLES)}, got {which!r}")
+    takes = f"({which} takes {', '.join(roles)})"
+    for role in given:
+        if role not in roles:
+            raise ParseError(f"universal-property: argument 'data' has an "
+                             f"unknown role {role!r} {takes}")
+    data = {}
+    for role, kind in roles.items():
+        if role not in given:
+            raise ParseError(f"universal-property: argument 'data' lacks "
+                             f"the role {role!r} {takes}")
+        name = given[role]
+        if not isinstance(name, str) or env.kinds.get(name) != kind:
+            raise ParseError(f"universal-property: role {role!r} of "
+                             f"argument 'data' expects the name of a {kind} "
+                             f"declaration, got {name!r}")
+        data[role] = env.objects[name]
+    rep = oracle.universal_property_check(which, data, ctx["budget"])
     return _from_report(rep)
 
 

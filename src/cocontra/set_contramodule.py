@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
+from operator import getitem
+from typing import NamedTuple
 
 from . import finset
 from .errors import (
@@ -129,11 +132,12 @@ def validate(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> dict:
                 "checked_matrices": 0, "witness": None}
     n_matrices = nx ** (nc * nc)
     budget.charge(n_matrices, "row-diagonal check")
-    theta_idx, betas = _packed_theta(t)
+    theta_idx = _packed_theta(t)
     ok_unit, unit_witness = _check_contraunit(theta_idx, nx, nc)
     ok_row, row_witness = (True, None)
     if ok_unit:
-        ok_row, row_witness = _check_row_diagonal(theta_idx, nx, nc)
+        ok_row, row_witness = _check_row_diagonal(
+            theta_idx, nx, _row_diagonal_plan(nx, nc))
     witness = None
     if not ok_unit:
         witness = {"law": "contraunitality",
@@ -160,22 +164,18 @@ def validate(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> dict:
     }
 
 
-def _packed_theta(t: ContraTable):
-    """The theta table as a tuple over odometer-ordered value tuples."""
-    nx, nc = len(t.carrier), len(t.base)
-    betas = list(iproduct(range(nx), repeat=nc))
-    pos = {b: i for i, b in enumerate(betas)}
-    out = []
-    for b in betas:
-        table = {
-            a: t.carrier.elements[b[i]] for i, a in enumerate(t.base.elements)
-        }
-        beta = FinMap(t.base, t.carrier, table)
-        out.append(t.carrier.index(t.theta_value(beta)))
-    return tuple(out), betas
+def _packed_theta(t: ContraTable) -> tuple[int, ...]:
+    """The theta table as carrier positions, indexed by the odometer
+    position of each function's value tuple."""
+    keys, points = t.base.elements, t.carrier.elements
+    table, index = t.theta.table, t.carrier.index
+    return tuple(
+        index(table[finset.encode_table(keys, dict(zip(keys, values)))])
+        for values in iproduct(points, repeat=len(keys))
+    )
 
 
-def _beta_index(values: tuple[int, ...], nx: int) -> int:
+def _beta_index(values, nx: int) -> int:
     idx = 0
     for v in values:
         idx = idx * nx + v
@@ -189,15 +189,24 @@ def _check_contraunit(theta_idx, nx, nc):
     return True, None
 
 
-def _check_row_diagonal(theta_idx, nx, nc):
-    rows = list(iproduct(range(nx), repeat=nc))
+def _row_diagonal_plan(nx: int, nc: int):
+    """The row-diagonal identity on indices: every base x base matrix as
+    the tuple gamma of the indices of its rows (value tuples in odometer
+    order), with the index of its diagonal."""
+    rows = _slot_maps(nc, nx)
+    parts = [[row[i] * nx ** (nc - 1 - i) for row in rows]
+             for i in range(nc)]
     for gamma in iproduct(range(len(rows)), repeat=nc):
-        # gamma[i] indexes the row over the i-th base element
-        row_products = tuple(theta_idx[r] for r in gamma)
-        diagonal = tuple(rows[gamma[i]][i] for i in range(nc))
-        if theta_idx[_beta_index(row_products, nx)] != theta_idx[
-            _beta_index(diagonal, nx)
-        ]:
+        yield gamma, sum(map(getitem, parts, gamma))
+
+
+def _check_row_diagonal(theta_idx, nx, plan):
+    for gamma, diagonal in plan:
+        # gamma[i] indexes the row over the i-th base element; theta of the
+        # row products against theta of the diagonal
+        if theta_idx[_beta_index([theta_idx[r] for r in gamma], nx)] != (
+                theta_idx[diagonal]):
+            rows = _slot_maps(len(gamma), nx)
             return False, tuple(rows[g] for g in gamma)
     return True, None
 
@@ -362,31 +371,37 @@ def enumerate_all(
     if nx == 0:
         return []
     budget.charge(nx ** (nx**nc), "theta-table enumeration")
-    betas = list(iproduct(range(nx), repeat=nc))
-    nb = len(betas)
+    nb = nx**nc
+    # contraunitality fixes the constant functions: the odometer runs over
+    # the other slots only, which keeps the order of the survivors
     const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
+    free = [i for i in range(nb) if i not in const_idx]
+    gather = [0] * nb
+    for k, i in enumerate(free):
+        gather[i] = k
+    for x, i in enumerate(const_idx):
+        gather[i] = len(free) + x
+    consts = tuple(range(nx))
+    plan = list(_row_diagonal_plan(nx, nc))
     survivors = []
-    for theta_vals in iproduct(range(nx), repeat=nb):
-        if any(theta_vals[const_idx[x]] != x for x in range(nx)):
-            continue
-        ok, _ = _check_row_diagonal(theta_vals, nx, nc)
+    for values in iproduct(range(nx), repeat=len(free)):
+        theta_vals = tuple(map((values + consts).__getitem__, gather))
+        ok, _ = _check_row_diagonal(theta_vals, nx, plan)
         if ok:
             survivors.append(theta_vals)
+    keys, points = base.elements, carrier.elements
     ambient = finset.function_space(base, carrier)
-    out = []
-    for theta_vals in survivors:
-        table = {}
-        for i, b in enumerate(betas):
-            beta = FinMap(
-                base,
-                carrier,
-                {a: carrier.elements[b[j]] for j, a in enumerate(base.elements)},
-            )
-            table[finset.encode_map(beta)] = carrier.elements[theta_vals[i]]
-        out.append(
-            ContraTable(carrier, base, theta=FinMap(ambient, carrier, table))
-        )
-    return out
+    labels = [
+        finset.encode_table(keys, dict(zip(keys, values)))
+        for values in iproduct(points, repeat=nc)
+    ]
+    return [
+        ContraTable(carrier, base, theta=FinMap(
+            ambient, carrier,
+            {label: points[v] for label, v in zip(labels, theta_vals)},
+        ))
+        for theta_vals in survivors
+    ]
 
 
 def count_product_structures(carrier: FinSet, base: FinSet) -> int:
@@ -593,21 +608,286 @@ def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict,
     return finset.choices(base, pools)
 
 
-def _transpose_components(
-    f: FinMap, t: ContraTable, comps_u: dict, pre: dict | None = None
-) -> dict:
-    """Component form of the adjunction transpose: the slot over y collects
-    the u-components indexed by the preimage of y."""
-    if pre is None:
-        pre = {y: sorted(z for z in f.dom if f(z) == y) for y in f.cod}
-    out = {}
+# --- the induction-adjunction certificate on slot codes -----------------------
+#
+# A slot map from m points to n points (fibers, in their sorted order) is
+# stored as its code: the position of its value tuple in the odometer over
+# range(n)^m, which is also its position in the enumeration of
+# _component_families.  A family of slot maps is the tuple of its slot codes
+# in the sorted order of the base.  Labels are rebuilt only for witnesses.
+
+# one key per (source size, target size) of a fiber or a regrouped fiber
+_SLOT_MAP_TABLES_CACHED = 64
+
+
+@lru_cache(maxsize=_SLOT_MAP_TABLES_CACHED)
+def _slot_maps(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The value tuple of every slot map from m points to n points, indexed
+    by its code."""
+    return tuple(iproduct(range(n), repeat=m))
+
+
+def _after(g: tuple[int, ...], p: int, m: int) -> tuple[int, ...]:
+    """The codes of g o h for every slot map h from m points into the
+    domain of g, indexed by the code of h; g has values below p."""
+    codes = [0]
+    for _ in range(m):
+        codes = [code * p + x for code in codes for x in g]
+    return tuple(codes)
+
+
+def _before(h: tuple[int, ...], n: int, p: int) -> tuple[int, ...]:
+    """The codes of g o h for every slot map g from the n points of h's
+    codomain to p points, indexed by the code of g."""
+    return tuple(_beta_index([g[x] for x in h], p) for g in _slot_maps(n, p))
+
+
+def _slot_families(src: tuple[int, ...], tgt: tuple[int, ...],
+                   budget: Budget):
+    """Hom enumeration on codes: every family of slot maps between fibers
+    of the given sizes, in the order of :func:`_component_families`, which
+    charges the same count."""
+    counts = [n**m for m, n in zip(src, tgt)]
+    budget.charge(math.prod(counts), "slotwise hom enumeration")
+    return iproduct(*map(range, counts))
+
+
+def _decode_family(keys, src_fibers, tgt_fibers, codes) -> dict:
+    """A family of slot codes as the label dicts of the witnesses."""
+    return {
+        k: dict(zip(src, [tgt[x] for x in _slot_maps(len(src), len(tgt))[c]]))
+        for k, src, tgt, c in zip(keys, src_fibers, tgt_fibers, codes)
+    }
+
+
+class _Regrouped(NamedTuple):
+    """One fiber of Res(s) on codes: the preimage ``zs`` of its point
+    (positions in f's domain), the position ``pos`` in the fiber of every
+    choice tuple on that preimage, the choice tuples in the ``order`` of
+    those positions, and the fiber's ``size``."""
+
+    zs: tuple[int, ...]
+    pos: dict
+    order: list
+    size: int
+
+
+def _regrouping(f: FinMap, s: ContraTable) -> list[_Regrouped]:
+    """The fibers of Res(s) on codes, one per point of f's codomain.  They
+    are sorted by label, so the positions are looked up, not assumed to be
+    odometer order."""
+    fibers = restrict_contra(f, s).fibers
+    out = []
     for y in f.cod.elements:
-        zs = pre[y]
-        out[y] = {
-            x: finset.encode_table(zs, {z: comps_u[z][x] for z in zs})
-            for x in t.fibers[y].elements
-        }
+        zs = [z for z in f.dom.elements if f(z) == y]
+        pools = [s.fibers[z].elements for z in zs]
+        pos = {}
+        for ch in iproduct(*map(range, map(len, pools))):
+            label = finset.encode_table(
+                zs, {z: pool[i] for z, pool, i in zip(zs, pools, ch)}
+            )
+            pos[ch] = fibers[y].index(label)
+        out.append(_Regrouped(tuple(map(f.dom.index, zs)), pos,
+                              sorted(pos, key=pos.__getitem__),
+                              len(fibers[y])))
     return out
+
+
+def _transpose_codes(plan, u: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjunction transpose on codes: the slot over y of the transpose
+    of u sends x to the choice (u_z(x) for z over y), as its position in the
+    fiber of Res(s) over y.  ``plan`` holds, per point z of the domain, the
+    value tuples of the slot maps u_z and, per y, the preimage, the choice
+    positions and the size of the fiber of Res(s)."""
+    tables, slots = plan
+    rows = [table[code] for table, code in zip(tables, u)]
+    v = []
+    for zs, pos, size in slots:
+        code = 0
+        if zs:
+            for ch in zip(*[rows[z] for z in zs]):
+                code = code * size + pos[ch]
+        v.append(code)
+    return tuple(v)
+
+
+class _InductionCheck:
+    """The per-call state of :func:`induction_adjunction_certificate`: the
+    shapes on codes and the memoised families, transposes and composition
+    rows.  Every table lives as long as the call."""
+
+    def __init__(self, f: FinMap, fiber_bound: int, budget: Budget):
+        self.budget = budget
+        self.ckeys, self.ykeys = f.dom.elements, f.cod.elements
+        self.fy = [f.cod.index(f(z)) for z in self.ckeys]
+        ts = list(all_product_shapes(f.cod, fiber_bound))
+        ss = list(all_product_shapes(f.dom, fiber_bound))
+        self.t_fibers = [[t.fibers[y].elements for y in self.ykeys]
+                         for t in ts]
+        self.s_fibers = [[s.fibers[z].elements for z in self.ckeys]
+                         for s in ss]
+        self.t_sizes = [tuple(map(len, fib)) for fib in self.t_fibers]
+        self.s_sizes = [tuple(map(len, fib)) for fib in self.s_fibers]
+        self.res = [_regrouping(f, s) for s in ss]
+        self.res_sizes = [tuple(r.size for r in res) for res in self.res]
+        self.families = {}
+        self.res_maps = {}
+        self.transposes = {}
+        self.compositions = {}
+
+    def family_list(self, key, src, tgt):
+        """The naturality families between two shapes do not depend on the
+        third shape of the loop: enumerate each pair's once, at first use,
+        so the budget is charged in the same order as without the memo."""
+        got = self.families.get(key)
+        if got is None:
+            got = self.families[key] = list(
+                _slot_families(src, tgt, self.budget))
+        return got
+
+    def transposer(self, i: int, j: int):
+        """The transpose plan and memo of the pair (t_i, s_j)."""
+        got = self.transposes.get((i, j))
+        if got is None:
+            m = self.t_sizes[i]
+            plan = (
+                [_slot_maps(m[y], n) for y, n in zip(self.fy,
+                                                      self.s_sizes[j])],
+                [(r.zs, r.pos, r.size) for r in self.res[j]],
+            )
+            got = self.transposes[(i, j)] = (plan, {})
+        return got
+
+    def before(self, a: int, m: int, n: int, p: int) -> tuple[int, ...]:
+        key = ("before", a, m, n, p)
+        got = self.compositions.get(key)
+        if got is None:
+            got = self.compositions[key] = _before(_slot_maps(m, n)[a], n, p)
+        return got
+
+    def after(self, g: tuple[int, ...], p: int, m: int) -> tuple[int, ...]:
+        key = ("after", g, p, m)
+        got = self.compositions.get(key)
+        if got is None:
+            got = self.compositions[key] = _after(g, p, m)
+        return got
+
+    def decode_u(self, i: int, j: int, u) -> dict:
+        fib = self.t_fibers[i]
+        return _decode_family(self.ckeys, [fib[y] for y in self.fy],
+                              self.s_fibers[j], u)
+
+    def homs(self, i: int, j: int, report: dict):
+        """Hom enumeration and transpose of the pair (t_i, s_j): every u in
+        Hom(Ind t, s) with its transpose v in Hom(t, Res s), the transpose
+        checked to be a bijection.  Hom(t, Res s) is charged as before but
+        only counted: its members are the code tuples within the bounds.
+        Returns the (u, v) pairs whose v is a member."""
+        ind_t = tuple(self.t_sizes[i][y] for y in self.fy)
+        hom1 = list(_slot_families(ind_t, self.s_sizes[j], self.budget))
+        bounds = [n**m for m, n in zip(self.t_sizes[i], self.res_sizes[j])]
+        self.budget.charge(math.prod(bounds), "slotwise hom enumeration")
+        report["pairs"] += 1
+        report["hom_elements"] += len(hom1)
+        plan, memo = self.transposer(i, j)
+        pairs = []
+        image = set()
+        for u in hom1:
+            v = memo.get(u)
+            if v is None:
+                v = memo[u] = _transpose_codes(plan, u)
+            image.add(v)
+            if all(0 <= code < b for code, b in zip(v, bounds)):
+                pairs.append((u, v))
+            else:
+                report["failures"].append(
+                    {"kind": "transpose-not-a-hom",
+                     "u": self.decode_u(i, j, u)}
+                )
+        if len(image) != len(hom1) or len(hom1) != math.prod(bounds):
+            report["failures"].append(
+                {"kind": "not-a-bijection",
+                 "sizes": (len(hom1), math.prod(bounds))}
+            )
+        return pairs
+
+    def source_naturality(self, i: int, j: int, pairs, failures) -> int:
+        """For every a: t2 -> t, the transpose of u o Ind(a) is v o a."""
+        m, n, big = self.t_sizes[i], self.s_sizes[j], self.res_sizes[j]
+        squares = 0
+        for i2, m2 in enumerate(self.t_sizes):
+            plan, memo = self.transposer(i2, j)
+            for a in self.family_list(("source", i2, i), m2, m):
+                # (u o Ind(a))_z = u_z o a_f(z) by u_z; (v o a)_y by v_y
+                left = [self.before(a[y], m2[y], m[y], nz)
+                        for y, nz in zip(self.fy, n)]
+                right = [self.before(a[y], m2[y], m[y], big[y])
+                         for y in range(len(m))]
+                for u, v in pairs:
+                    comp = tuple(map(getitem, left, u))
+                    lhs = memo.get(comp)
+                    if lhs is None:
+                        lhs = memo[comp] = _transpose_codes(plan, comp)
+                    if lhs != tuple(map(getitem, right, v)):
+                        failures.append(
+                            {"kind": "not-natural-in-source",
+                             "a": _decode_family(self.ykeys,
+                                                 self.t_fibers[i2],
+                                                 self.t_fibers[i], a),
+                             "u": self.decode_u(i, j, u)}
+                        )
+                squares += len(pairs)
+        return squares
+
+    def target_families(self, j: int, j2: int):
+        """Every b: s_j -> s_j2 with the value tuples of its slots and, per
+        y, Res(b) on the regrouped fibers over y, which acts inside every
+        fiber; charged at first use like :meth:`family_list`."""
+        key = ("target", j, j2)
+        got = self.res_maps.get(key)
+        if got is None:
+            n, n2 = self.s_sizes[j], self.s_sizes[j2]
+            got = self.res_maps[key] = []
+            for b in self.family_list(key, n, n2):
+                b_rows = [_slot_maps(nz, nz2)[code]
+                          for nz, nz2, code in zip(n, n2, b)]
+                res_b = [
+                    tuple(r2.pos[tuple([b_rows[z][x]
+                                        for z, x in zip(r.zs, ch)])]
+                          for ch in r.order)
+                    for r, r2 in zip(self.res[j], self.res[j2])
+                ]
+                got.append((b, b_rows, res_b))
+        return got
+
+    def target_naturality(self, i: int, j: int, pairs, failures) -> int:
+        """For every b: s -> s2, the transpose of b o u is Res(b) o v."""
+        m = self.t_sizes[i]
+        squares = 0
+        for j2, n2 in enumerate(self.s_sizes):
+            plan, memo = self.transposer(i, j2)
+            big2 = self.res_sizes[j2]
+            for b, b_rows, res_b in self.target_families(j, j2):
+                # (b o u)_z = b_z o u_z by u_z; (Res(b) o v)_y by v_y
+                left = [self.after(g, nz2, m[y])
+                        for g, nz2, y in zip(b_rows, n2, self.fy)]
+                right = [self.after(g, p, my)
+                         for g, p, my in zip(res_b, big2, m)]
+                for u, v in pairs:
+                    comp = tuple(map(getitem, left, u))
+                    lhs = memo.get(comp)
+                    if lhs is None:
+                        lhs = memo[comp] = _transpose_codes(plan, comp)
+                    if lhs != tuple(map(getitem, right, v)):
+                        failures.append(
+                            {"kind": "not-natural-in-target",
+                             "b": _decode_family(self.ckeys,
+                                                 self.s_fibers[j],
+                                                 self.s_fibers[j2], b),
+                             "u": self.decode_u(i, j, u)}
+                        )
+                squares += len(pairs)
+        return squares
 
 
 def induction_adjunction_certificate(
@@ -619,14 +899,15 @@ def induction_adjunction_certificate(
     transpose is checked to be a bijection between the two hom sets, and
     its naturality in both arguments is checked on every morphism of the
     bounded family; each hom enumeration is charged against the budget.
-    Hom elements and composites are handled slotwise; the slotwise calculus
-    itself is certified against carrier-level maps by the test-suite on
-    small bases.
+    Hom elements, naturality families, Res(b) and composites are families
+    of slot codes (see :func:`_slot_maps`): a square is two lookups in
+    composition rows, one memoised transpose and one comparison of code
+    tuples, and labels are rebuilt only for failure witnesses.  The code
+    calculus is certified against carrier-level maps by the test-suite on
+    small bases.  A transpose that is not a hom is reported and left out of
+    the naturality squares.
     """
-    c, chat = f.dom, f.cod
-    ts = list(all_product_shapes(chat, fiber_bound))
-    ss = list(all_product_shapes(c, fiber_bound))
-    pre = {y: sorted(z for z in c if f(z) == y) for y in chat}
+    check = _InductionCheck(f, fiber_bound, budget)
     report = {
         "f": dict(f.table),
         "pairs": 0,
@@ -634,147 +915,14 @@ def induction_adjunction_certificate(
         "naturality_squares": 0,
         "failures": [],
     }
-
-    def key_of(family, keys):
-        return tuple(
-            tuple(sorted(family[k].items())) for k in keys
-        )
-
-    # the naturality families between two shapes do not depend on the
-    # third shape of the loop: enumerate each pair's once, at first use, so
-    # the budget is charged in the same order as without the memo
-    families = {}
-
-    def families_between(key, base, s_fibers, t_fibers):
-        got = families.get(key)
-        if got is None:
-            got = families[key] = list(
-                _component_families(base, s_fibers, t_fibers, budget)
-            )
-        return got
-
-    ckeys = c.elements
-    ykeys = chat.elements
-    fz = {z: f(z) for z in ckeys}
     squares = 0
-    for i, t in enumerate(ts):
-        ind_t = induce_contra(f, t)
-        ind_fibers = {z: ind_t.fibers[z].elements for z in ckeys}
-        t_fibers = {y: t.fibers[y].elements for y in ykeys}
-        for j, s in enumerate(ss):
-            res_s = restrict_contra(f, s)
-            hom1 = [
-                {z: dict(fam[z]) for z in ckeys}
-                for fam in _component_families(
-                    c, ind_t.fibers, s.fibers, budget
-                )
-            ]
-            hom2_keys = {
-                key_of({y: fam[y] for y in ykeys}, ykeys)
-                for fam in _component_families(
-                    chat, t.fibers, res_s.fibers, budget
-                )
-            }
-            report["pairs"] += 1
-            report["hom_elements"] += len(hom1)
-            phi = {}
-            pairs_u = []
-            for comps_u in hom1:
-                v = _transpose_components(f, t, comps_u, pre)
-                kv = key_of(v, ykeys)
-                if kv not in hom2_keys:
-                    report["failures"].append(
-                        {"kind": "transpose-not-a-hom", "u": comps_u}
-                    )
-                phi[key_of(comps_u, ckeys)] = v
-                pairs_u.append((comps_u, v))
-            image = {key_of(v, ykeys) for v in phi.values()}
-            if len(image) != len(hom1) or len(hom1) != len(hom2_keys):
-                report["failures"].append(
-                    {"kind": "not-a-bijection",
-                     "sizes": (len(hom1), len(hom2_keys))}
-                )
-            for i2, t2 in enumerate(ts):
-                t2_fibers = {y: t2.fibers[y].elements for y in ykeys}
-                # many composites coincide; transpose each one once
-                transposed = {}
-                for a_fam in families_between(
-                    ("source", i2, i), chat, t2.fibers, t.fibers
-                ):
-                    # u o Ind(a) has components u_z o a_{f(z)}
-                    a_slots = [
-                        (z, a_fam[fz[z]], t2_fibers[fz[z]]) for z in ckeys
-                    ]
-                    for comps_u, v in pairs_u:
-                        composed = {
-                            z: {x: comps_u[z][a[x]] for x in xs}
-                            for z, a, xs in a_slots
-                        }
-                        ckey = tuple(
-                            tuple(d.values()) for d in composed.values()
-                        )
-                        lhs = transposed.get(ckey)
-                        if lhs is None:
-                            lhs = _transpose_components(f, t2, composed, pre)
-                            transposed[ckey] = lhs
-                        rhs = {
-                            y: {x: v[y][a_fam[y][x]] for x in t2_fibers[y]}
-                            for y in ykeys
-                        }
-                        squares += 1
-                        if lhs != rhs:
-                            report["failures"].append(
-                                {"kind": "not-natural-in-source",
-                                 "a": a_fam, "u": comps_u}
-                            )
-            # Res(s) regroups the fiber over y as choices on its preimage
-            decoded = {
-                y: [
-                    (lab, ch.table) for lab, ch in
-                    finset.choice_table(FinSet(pre[y]), s.fibers).items()
-                ]
-                for y in ykeys
-            }
-            for j2, s2 in enumerate(ss):
-                transposed = {}
-                for b_fam in families_between(
-                    ("target", j, j2), c, s.fibers, s2.fibers
-                ):
-                    # Res(b) acts inside every regrouped fiber
-                    res_b = {
-                        y: {
-                            lab: finset.encode_table(
-                                pre[y], {z: b_fam[z][ch[z]] for z in pre[y]}
-                            )
-                            for lab, ch in decoded[y]
-                        }
-                        for y in ykeys
-                    }
-                    for comps_u, v in pairs_u:
-                        composed = {
-                            z: {
-                                x: b_fam[z][comps_u[z][x]]
-                                for x in ind_fibers[z]
-                            }
-                            for z in ckeys
-                        }
-                        ckey = tuple(
-                            tuple(d.values()) for d in composed.values()
-                        )
-                        lhs = transposed.get(ckey)
-                        if lhs is None:
-                            lhs = _transpose_components(f, t, composed, pre)
-                            transposed[ckey] = lhs
-                        rhs = {
-                            y: {x: res_b[y][v[y][x]] for x in t_fibers[y]}
-                            for y in ykeys
-                        }
-                        squares += 1
-                        if lhs != rhs:
-                            report["failures"].append(
-                                {"kind": "not-natural-in-target",
-                                 "b": b_fam, "u": comps_u}
-                            )
+    for i in range(len(check.t_sizes)):
+        for j in range(len(check.s_sizes)):
+            pairs = check.homs(i, j, report)
+            squares += check.source_naturality(i, j, pairs,
+                                               report["failures"])
+            squares += check.target_naturality(i, j, pairs,
+                                               report["failures"])
     report["naturality_squares"] = squares
     report["ok"] = not report["failures"]
     return report

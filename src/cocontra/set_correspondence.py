@@ -53,7 +53,12 @@ def section_set(m: SetComodule) -> SectionSet:
 
 def R_mor(v: FinMap, m: SetComodule, n: SetComodule) -> FinMap:
     """Push sections forward along a comodule map."""
-    rm, rn = R_set(m), R_set(n)
+    return _push_sections(v, m, R_set(m), R_set(n))
+
+
+def _push_sections(v: FinMap, m: SetComodule, rm: ContraTable,
+                   rn: ContraTable) -> FinMap:
+    """:func:`R_mor` given the sections of both comodules."""
     decode = finset.choice_table(m.base, fibers(m))
     table = {}
     for label in rm.carrier:
@@ -157,7 +162,11 @@ def lr_explicit(m: SetComodule) -> QuotPresentation:
     Two pairs are identified exactly when they share the base point and
     their sections agree there.
     """
-    r = R_set(m)
+    return _lr_explicit(m, R_set(m))
+
+
+def _lr_explicit(m: SetComodule, r: ContraTable) -> QuotPresentation:
+    """:func:`lr_explicit` given the sections ``r`` of m."""
     ambient, proj1, proj2 = finset.product(r.carrier, m.base)
     decode = finset.choice_table(m.base, fibers(m))
     pairs = []
@@ -175,12 +184,32 @@ def lr_explicit(m: SetComodule) -> QuotPresentation:
     return finset.quotient_by_pairs(ambient, pairs)
 
 
-def lr_routes_agree(m: SetComodule) -> bool:
-    """The explicit relation and the generic coequaliser produce the same
-    partition of sections x base."""
-    explicit = lr_explicit(m)
-    r = to_extensional(R_set(m))
-    _, project = l_set_with_projection(r)
+@dataclass
+class _RoundTrip:
+    """Everything the equivalence checks read of one non-degenerate
+    comodule, built once: its sections, their extensional form, the
+    explicit round-trip quotient with its counit, and the generic quotient
+    of the extensional sections with its projection."""
+
+    m: SetComodule
+    sections: ContraTable
+    extensional: ContraTable
+    explicit: QuotPresentation
+    counit: FinMap
+    quotient: SetComodule
+    project: FinMap
+
+
+def _round_trip(m: SetComodule) -> _RoundTrip:
+    r = R_set(m)
+    q = _lr_explicit(m, r)
+    re = to_extensional(r)
+    return _RoundTrip(m, r, re, q, _counit(m, r, q),
+                      *l_set_with_projection(re))
+
+
+def _routes_agree(explicit: QuotPresentation, project: FinMap) -> bool:
+    """:func:`lr_routes_agree` given both quotients."""
     generic: dict[str, set] = {}
     for y in explicit.ambient:
         generic.setdefault(project(y), set()).add(y)
@@ -189,10 +218,21 @@ def lr_routes_agree(m: SetComodule) -> bool:
     return explicit_classes == generic_classes
 
 
+def lr_routes_agree(m: SetComodule) -> bool:
+    """The explicit relation and the generic coequaliser produce the same
+    partition of sections x base."""
+    _, project = l_set_with_projection(to_extensional(R_set(m)))
+    return _routes_agree(lr_explicit(m), project)
+
+
 def counit(m: SetComodule) -> FinMap:
     """Evaluation on the explicit round-trip quotient: [(beta,a)] -> beta(a)."""
-    q = lr_explicit(m)
     r = R_set(m)
+    return _counit(m, r, _lr_explicit(m, r))
+
+
+def _counit(m: SetComodule, r: ContraTable, q: QuotPresentation) -> FinMap:
+    """:func:`counit` given the sections and the explicit quotient."""
     _, proj1, proj2 = finset.product(r.carrier, m.base)
     decode = finset.choice_table(m.base, fibers(m))
     table = {}
@@ -207,10 +247,16 @@ def counit(m: SetComodule) -> FinMap:
 
 
 def counit_is_comodule_map(m: SetComodule) -> bool:
-    q = lr_explicit(m)
     r = R_set(m)
+    q = _lr_explicit(m, r)
+    return _counit_is_comodule_map(m, r, q, _counit(m, r, q))
+
+
+def _counit_is_comodule_map(m: SetComodule, r: ContraTable,
+                            q: QuotPresentation, eps: FinMap) -> bool:
+    """:func:`counit_is_comodule_map` given the sections, the explicit
+    quotient and the counit."""
     _, _, proj2 = finset.product(r.carrier, m.base)
-    eps = counit(m)
     for k, members in q.classes.items():
         for lab in members:
             if m.phi(eps(k)) != proj2(lab):
@@ -221,7 +267,11 @@ def counit_is_comodule_map(m: SetComodule) -> bool:
 def unit(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> FinMap:
     """The carrier map into the sections of the quotient comodule."""
     l, project = l_set_with_projection(t, budget)
-    rl = R_set(l)
+    return _unit(t, project, R_set(l))
+
+
+def _unit(t: ContraTable, project: FinMap, rl: ContraTable) -> FinMap:
+    """:func:`unit` given the quotient's projection and its sections."""
     table = {}
     for y in t.carrier:
         choice = {
@@ -232,10 +282,9 @@ def unit(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> FinMap:
 
 
 def unit_is_contramodule_map(t: ContraTable) -> bool:
-    l, _ = l_set_with_projection(t)
+    l, project = l_set_with_projection(t)
     rl = R_set(l)
-    eta = unit(t)
-    return set_contramodule.is_contramodule_map(eta, t, rl)
+    return set_contramodule.is_contramodule_map(_unit(t, project, rl), t, rl)
 
 
 # --- batch certificate --------------------------------------------------------
@@ -254,18 +303,19 @@ def all_comodules(carrier_size: int, base_size: int,
 def triangle_identities_hold(m: SetComodule) -> bool:
     """Sections-side triangle: pushing sections through the counit after the
     unit of the sections contramodule is the identity."""
-    p = R_set(m)
-    if p.is_empty():
+    if is_degenerate(m):
         return True
-    pe = to_extensional(p)
-    l, project = l_set_with_projection(pe)
-    eta = unit(pe)
-    eps = counit(m)
-    q = lr_explicit(m)
-    assert l.carrier == q.project.cod, "quotient carriers must coincide"
-    rl = R_set(l)
+    return _triangle_r(_round_trip(m))
+
+
+def _triangle_r(rt: _RoundTrip) -> bool:
+    """:func:`triangle_identities_hold` given the comodule's round trip."""
+    l, eps = rt.quotient, rt.counit
+    assert l.carrier == rt.explicit.project.cod, (
+        "quotient carriers must coincide")
+    eta = _unit(rt.extensional, rt.project, R_set(l))
     decode = finset.choice_table(l.base, fibers(l))
-    for y in p.carrier:
+    for y in rt.sections.carrier:
         ch = decode[eta(y)].table
         pushed = finset.encode_table(l.base, {a: eps(ch[a]) for a in l.base})
         if pushed != y:
@@ -275,17 +325,20 @@ def triangle_identities_hold(m: SetComodule) -> bool:
 
 def triangle_identities_hold_l(t: ContraTable) -> bool:
     """Quotient-side triangle: mapping the quotient through the unit and then
-    evaluating is the identity."""
+    evaluating is the identity.  Each quotient and section set is built
+    once."""
     te = to_extensional(t)
     lt, project_t = l_set_with_projection(te)
     if len(lt.carrier) == 0:
         return True
-    rlt = to_extensional(R_set(lt))
-    eta = unit(te)
-    l_eta = L_mor(eta, te, rlt)
-    eps = counit(lt)
-    q = lr_explicit(lt)
-    assert q.project.cod == L_set(rlt).carrier
+    r_lt = R_set(lt)
+    rlt = to_extensional(r_lt)
+    eta = _unit(te, project_t, r_lt)
+    l_rlt, project_rlt = l_set_with_projection(rlt)
+    l_eta = _quotient_map(eta, te, lt, project_t, l_rlt, project_rlt)
+    q = _lr_explicit(lt, r_lt)
+    eps = _counit(lt, r_lt, q)
+    assert q.project.cod == l_rlt.carrier
     for z in lt.carrier:
         if eps(l_eta(z)) != z:
             return False
@@ -308,7 +361,8 @@ def equivalence_certificate(
     Naturality of both is checked on all structure maps between instances
     with carriers up to ``naturality_carrier``.  Degenerate comodules are
     reported and excluded, never errors.  The comodule and hom
-    enumerations are charged against the budget.
+    enumerations are charged against the budget.  Each comodule's sections,
+    quotients and counit are built once and shared by its checks.
     """
     report = {
         "comodules": 0,
@@ -319,6 +373,8 @@ def equivalence_certificate(
         "naturality_squares": 0,
     }
     for base_size in range(1, max_base + 1):
+        # the round trips the naturality check reuses, by structure map
+        round_trips = {}
         for carrier_size in range(0, max_carrier + 1):
             for m in all_comodules(carrier_size, base_size, budget):
                 report["comodules"] += 1
@@ -331,34 +387,39 @@ def equivalence_certificate(
                         )
                     continue
                 report["nondegenerate"] += 1
-                eps = counit(m)
-                if not eps.is_bijective():
+                rt = _round_trip(m)
+                if carrier_size <= naturality_carrier:
+                    round_trips[finset.encode_map(m.phi)] = rt
+                if not rt.counit.is_bijective():
                     report["failures"].append(
                         {"kind": "counit-not-bijective", "phi": m.phi.table}
                     )
-                if not counit_is_comodule_map(m):
+                if not _counit_is_comodule_map(m, rt.sections, rt.explicit,
+                                               rt.counit):
                     report["failures"].append(
                         {"kind": "counit-not-comodule-map",
                          "phi": m.phi.table}
                     )
-                if not lr_routes_agree(m):
+                if not _routes_agree(rt.explicit, rt.project):
                     report["failures"].append(
                         {"kind": "lr-routes-disagree", "phi": m.phi.table}
                     )
-                if not triangle_identities_hold(m):
+                if not _triangle_r(rt):
                     report["failures"].append(
                         {"kind": "triangle-R", "phi": m.phi.table}
                     )
         base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
         for t in all_product_shapes(base, max_fiber):
             report["contramodules"] += 1
-            eta = unit(t)
+            l, project = l_set_with_projection(t)
+            rl = R_set(l)
+            eta = _unit(t, project, rl)
             if not eta.is_bijective():
                 report["failures"].append(
                     {"kind": "unit-not-bijective",
                      "shape": {a: len(v) for a, v in t.fibers.items()}}
                 )
-            if not unit_is_contramodule_map(t):
+            if not set_contramodule.is_contramodule_map(eta, t, rl):
                 report["failures"].append(
                     {"kind": "unit-not-contramodule-map",
                      "shape": {a: len(v) for a, v in t.fibers.items()}}
@@ -369,35 +430,35 @@ def equivalence_certificate(
                      "shape": {a: len(v) for a, v in t.fibers.items()}}
                 )
         report["naturality_squares"] += _counit_naturality(
-            base_size, naturality_carrier, report, budget
+            base_size, naturality_carrier, report, budget, round_trips
         )
     report["ok"] = not report["failures"]
     return report
 
 
 def _counit_naturality(base_size: int, max_carrier: int, report,
-                       budget: Budget) -> int:
-    """counit o L(R(f)) == f o counit for every comodule map f."""
+                       budget: Budget, round_trips: dict) -> int:
+    """counit o L(R(f)) == f o counit for every comodule map f, on the
+    round trips of the instances (built here when the main loop did not)."""
     squares = 0
     comodules = []
     for carrier_size in range(0, max_carrier + 1):
         comodules.extend(all_comodules(carrier_size, base_size, budget))
-    # each instance's sections, counit and quotient, built once up front
-    # (each instance maps to itself, so the member loop built them all)
-    instances = []
-    for m in comodules:
-        if not is_degenerate(m):
-            rm = to_extensional(R_set(m))
-            instances.append((m, rm, counit(m), *l_set_with_projection(rm)))
-    for m, rm, eps_m, lm, proj_m in instances:
-        for n, _, eps_n, ln, proj_n in instances:
+    instances = [
+        round_trips.get(finset.encode_map(m.phi)) or _round_trip(m)
+        for m in comodules if not is_degenerate(m)
+    ]
+    for a in instances:
+        for b in instances:
+            m, n = a.m, b.m
             hom = set_comodule.hom_over(m, n, budget)
             for label in hom.members:
                 f = finset.decode_map(label, m.carrier, n.carrier)
-                rf = R_mor(f, m, n)
-                lrf = _quotient_map(rf, rm, lm, proj_m, ln, proj_n)
-                for k in lm.carrier:
-                    if eps_n(lrf(k)) != f(eps_m(k)):
+                rf = _push_sections(f, m, a.sections, b.sections)
+                lrf = _quotient_map(rf, a.extensional, a.quotient, a.project,
+                                    b.quotient, b.project)
+                for k in a.quotient.carrier:
+                    if b.counit(lrf(k)) != f(a.counit(k)):
                         report["failures"].append(
                             {"kind": "counit-not-natural",
                              "f": f.table,

@@ -559,6 +559,16 @@ def _malformed_cases():
         "left": "LG", "right": "LG"}
     yield "probe-right-right", "probe", "left_comodule", {
         "comodule": "TV", "left_comodule": "TV", "space": "V"}
+    # universal-property: 'which' and the roles of 'data'
+    yield "universal-property-which-unknown", "universal-property", \
+        "which", {"which": "limit", "data": {"f": "f", "g": "f"}}
+    for which, data in (("equalizer", {}),
+                        ("pullback", {"f": "f"}),
+                        ("product", {"a": "C", "c": "C"}),
+                        ("coproduct", {"a": "C", "b": "f"}),
+                        ("coequalizer", {"f": "f", "g": ["f"]})):
+        yield f"universal-property-{which}-data", "universal-property", \
+            "data", {"which": which, "data": data}
     # the keys of adjoint's random object
     for key, value in (("count", "x"), ("count", True), ("count", 0),
                        ("max_dim", -1), ("max_dim", 2.0), ("max_dims", 2),
@@ -600,6 +610,19 @@ def test_malformed_job_is_a_parse_error_entry(tmp_path, case):
     assert witness["error"] == "ParseError"
     assert witness["message"].startswith(f"{command}: ")
     assert repr(name) in witness["message"]
+
+
+def test_universal_property_names_the_missing_role():
+    env = serialize.parse_bundle({"declarations": MALFORMED_DECLS})
+    ctx = {"budget": 10**6, "oracle": True, "seed": 1, "timing": False}
+    entry = cli.run_job(env, {"command": "universal-property",
+                              "args": {"which": "equalizer", "data": {}}},
+                        ctx)
+    assert entry["status"] == "error"
+    assert entry["witnesses"] == [{
+        "error": "ParseError",
+        "message": "universal-property: argument 'data' lacks the role 'f' "
+                   "(equalizer takes f, g)"}]
 
 
 @pytest.mark.parametrize("budget", ["lots", 0, -5, True])

@@ -1,6 +1,10 @@
+import hashlib
+import json
+from itertools import product as iproduct
+
 import pytest
 
-from cocontra import finset, set_contramodule as sct
+from cocontra import finset, serialize, set_contramodule as sct
 from cocontra.errors import (
     BaseMismatch,
     Budget,
@@ -324,24 +328,37 @@ def test_induction_adjunction_small():
     assert rep["pairs"] > 0 and rep["naturality_squares"] > 0
 
 
+def _slot_code(m: FinMap) -> int:
+    """The code of a slot map: its value positions read as base-|cod|
+    digits, the first source point most significant."""
+    code = 0
+    for x in m.dom:
+        code = code * len(m.cod) + m.cod.index(m(x))
+    return code
+
+
 def test_component_calculus_matches_carrier_maps():
-    # the slotwise representation used by the certificate agrees with
-    # honest carrier-level maps on all small bases
+    # the certificate's transpose on slot codes agrees with honest
+    # carrier-level maps on all small bases
     c = FinSet(["1", "2"])
     chat = FinSet(["x", "y"])
     for f in finset._all_maps(c, chat):
-        for t in sct.all_product_shapes(chat, 2):
+        check = sct._InductionCheck(f, 2, Budget())
+        for i, t in enumerate(sct.all_product_shapes(chat, 2)):
             ind_t = sct.induce_contra(f, t)
-            for s in sct.all_product_shapes(c, 2):
-                members = sct.contra_hom_members(ind_t, s)
-                for u in members:
+            for j, s in enumerate(sct.all_product_shapes(c, 2)):
+                plan, _ = check.transposer(i, j)
+                res_s = sct.restrict_contra(f, s)
+                for u in sct.contra_hom_members(ind_t, s):
                     v = sct.transpose_hom(f, t, s, u)
                     comps_u = sct.contra_components(u, ind_t, s)
-                    comp_v = sct._transpose_components(
-                        f, t, {z: dict(m.table)
-                               for z, m in comps_u.items()}
+                    codes = tuple(_slot_code(comps_u[z]) for z in c)
+                    comp_v = sct._decode_family(
+                        chat.elements,
+                        [t.fibers[y].elements for y in chat],
+                        [res_s.fibers[y].elements for y in chat],
+                        sct._transpose_codes(plan, codes),
                     )
-                    res_s = sct.restrict_contra(f, s)
                     rebuilt = sct._product_map(
                         t,
                         res_s,
@@ -353,3 +370,256 @@ def test_component_calculus_matches_carrier_maps():
                         },
                     )
                     assert rebuilt == v
+
+
+def test_regrouping_looks_positions_up_by_label():
+    # "p+" sorts after "p" in its fiber but before "p," inside a label, so
+    # the fiber of Res(s) is not in odometer order
+    s = sct.product_contra(
+        C2, {"1": FinSet(["p", "p+"]), "2": FinSet(["q", "r"])}
+    )
+    f = finset.constant(C2, FinSet(["x"]), "x")
+    (regrouped,) = sct._regrouping(f, s)
+    fiber = sct.restrict_contra(f, s).fibers["x"]
+    assert regrouped.size == len(fiber) == 4
+    for (i, j), p in regrouped.pos.items():
+        assert fiber.elements[p] == "{1:%s,2:%s}" % (["p", "p+"][i],
+                                                    ["q", "r"][j])
+    assert regrouped.order == [(1, 0), (1, 1), (0, 0), (0, 1)]
+
+
+def test_faulty_transpose_is_reported_with_label_witnesses(monkeypatch):
+    honest = sct._transpose_codes
+
+    def faulty(plan, u):
+        v = honest(plan, u)
+        if not any(u):
+            return (-1,) + v[1:]  # not a slot map at all
+        if sum(u) == 1:
+            return (0,) * len(v)  # a slot map, but the wrong one
+        return v
+
+    f = finset.constant(C2, FinSet(["x"]), "x")
+    honest_rep = sct.induction_adjunction_certificate(f, fiber_bound=2)
+    assert honest_rep["ok"]
+    monkeypatch.setattr(sct, "_transpose_codes", faulty)
+    rep = sct.induction_adjunction_certificate(f, fiber_bound=2)
+    assert not rep["ok"]
+    kinds = [fail["kind"] for fail in rep["failures"]]
+    assert {"transpose-not-a-hom", "not-a-bijection",
+            "not-natural-in-source", "not-natural-in-target"} <= set(kinds)
+    # the first pair of shapes: one point over x, one over each of 1 and 2
+    assert rep["failures"][0] == {
+        "kind": "transpose-not-a-hom",
+        "u": {"1": {"vx_1": "v1_1"}, "2": {"vx_1": "v2_1"}},
+    }
+    # the first well-typed wrong transpose is the u of the second pair,
+    # seen through the one map from two points to one
+    source = rep["failures"][kinds.index("not-natural-in-source")]
+    assert source == {
+        "kind": "not-natural-in-source",
+        "a": {"x": {"vx_1": "vx_1", "vx_2": "vx_1"}},
+        "u": {"1": {"vx_1": "v1_1"}, "2": {"vx_1": "v2_2"}},
+    }
+    target = rep["failures"][kinds.index("not-natural-in-target")]
+    assert set(target) == {"kind", "b", "u"}
+    assert set(target["b"]) == {"1", "2"}
+    for z, slot in target["b"].items():
+        assert set(slot) <= {f"v{z}_1", f"v{z}_2"}
+        assert set(slot.values()) <= {f"v{z}_1", f"v{z}_2"}
+    # an ill-typed transpose is left out of the squares
+    assert rep["pairs"] == honest_rep["pairs"]
+    assert rep["naturality_squares"] < honest_rep["naturality_squares"]
+
+
+# --- goldens of the set-side certificates -------------------------------------
+
+
+class RecordingBudget(Budget):
+    """A budget that logs every charge, in order, before enforcing it."""
+
+    def __init__(self, max_count=1_000_000, log=None):
+        super().__init__(max_count)
+        object.__setattr__(self, "log", [] if log is None else log)
+
+    def charge(self, projected, what):
+        self.log.append((projected, what))
+        super().charge(projected, what)
+
+
+def _base_maps(nc, nch):
+    c = FinSet([f"z{i}" for i in range(nc)])
+    chat = FinSet([f"w{i}" for i in range(nch)])
+    return list(finset._all_maps(c, chat))
+
+
+def _map_key(f):
+    return ",".join(f"{z}>{f(z)}" for z in f.dom)
+
+
+# Recorded before the induction-adjunction certificate moved from label
+# dicts to integer slot codes: the report of every map 2 -> 2, 2 -> 3 and
+# 3 -> 2 at fiber bound 2, and the sequence of every budget charge the
+# twenty-one certificates make.
+INDUCTION_GOLDEN_SHA256 = {
+    "z0>w0,z1>w0":
+        "e96f770de4aeeb695da3dd18be75e6c816142712db9824422b313b2c75122831",
+    "z0>w0,z1>w1":
+        "3dd4a97a3d9e8b9e3c810c17c8330b329a706e434c3cccdabae4f918023f459c",
+    "z0>w1,z1>w0":
+        "6c7d794527dc5724ec56f359ae4bac34eeab35da3d81afff4d4b34ad4f934301",
+    "z0>w1,z1>w1":
+        "808b7eb7d339a2349bb74e6782e35d6a98838dd72c4217baf21b1de0e67bdeea",
+    "z0>w0,z1>w2":
+        "dfbd188f14b86c4d7d5cc9ecb99b0b29338226b8aa182f80fc4da60d5c7c219e",
+    "z0>w1,z1>w2":
+        "a60e3071be470bc68d409ee2e0a2d99f1a81ab06a82653cff9cd338783ad7f2b",
+    "z0>w2,z1>w0":
+        "84086f5928c0da6fc1fdaacb1edca954d075055c96ca93879c6291695bc7a4bb",
+    "z0>w2,z1>w1":
+        "300fddd7950231b217b35bb5b8b8a203063e69f88e5dfa4d76101fa67ff039ec",
+    "z0>w2,z1>w2":
+        "65282cbe65794869da2eaedfb3748b5be1cb5bc93168f54f0711431565cb5c34",
+    "z0>w0,z1>w0,z2>w0":
+        "c260ebf0321d81a0caac1d8baf6d63d081c8a0b6ea6b0bc9f3b84c55aab906e8",
+    "z0>w0,z1>w0,z2>w1":
+        "0b90da6fa0ec4e4af1c115f01fa4660d659014e90f2b7c3528e693234c401181",
+    "z0>w0,z1>w1,z2>w0":
+        "28277b31f4f9912139f02fcffbc8f42de465c5c4cf88be165664d4dbc97e4b21",
+    "z0>w0,z1>w1,z2>w1":
+        "ae3d709a3065d032a27b292764c1911b1fe01738cdf0e10052f1e6987f44ecaa",
+    "z0>w1,z1>w0,z2>w0":
+        "b7954f2de13d0eadc53b6ef19ab1967a20ac2004ece5d89a5d0e112847758c26",
+    "z0>w1,z1>w0,z2>w1":
+        "96332154c306b0c0dd926fd08e6f5a91539b3cdc012994b497967558f715faf7",
+    "z0>w1,z1>w1,z2>w0":
+        "d0db70982b6d9d04f4a81dd3638b171d49bcea702506777dcde316ccb189f467",
+    "z0>w1,z1>w1,z2>w1":
+        "fad6b20d65db31d099beaeebecd0d2535c2fd6b6e82976d7567b262f9e551ccb",
+}
+
+INDUCTION_CHARGES_SHA256 = (
+    "d11314c4aa3d2b7b6c09a800579314c45a8742292ca505a43b0a97ca1c2c2ddd"
+)
+
+
+def test_induction_adjunction_reports_and_charges_match_goldens():
+    log = []
+    digests = {}
+    for nc, nch in ((2, 2), (2, 3), (3, 2)):
+        for f in _base_maps(nc, nch):
+            rep = sct.induction_adjunction_certificate(
+                f, 2, RecordingBudget(log=log)
+            )
+            assert rep["ok"]
+            digests[_map_key(f)] = hashlib.sha256(
+                serialize.canonical_bytes(rep)).hexdigest()
+    assert digests == INDUCTION_GOLDEN_SHA256
+    assert len(log) == 2704
+    charges = hashlib.sha256(json.dumps(log).encode()).hexdigest()
+    assert charges == INDUCTION_CHARGES_SHA256
+
+
+@pytest.mark.parametrize("max_count, message, charged", [
+    # the first charge above one is the second target naturality family
+    # of the first pair
+    (1, "slotwise hom enumeration would enumerate 2 items (budget 1)", 12),
+    # a late charge: the source naturality family from the fourth target
+    # shape into the last one
+    (16, "slotwise hom enumeration would enumerate 32 items (budget 16)",
+     134),
+])
+def test_induction_adjunction_budget_cut_matches_golden(max_count, message,
+                                                        charged):
+    f = _base_maps(2, 3)[1]
+    assert f.table == {"z0": "w0", "z1": "w1"}
+    log = []
+    with pytest.raises(BudgetExceeded) as err:
+        sct.induction_adjunction_certificate(
+            f, 2, RecordingBudget(max_count, log)
+        )
+    assert str(err.value) == message
+    assert len(log) == charged
+
+
+# Recorded before the theta-table odometer fixed the constant slots: every
+# survivor on small carriers and bases, in order.
+ENUMERATE_GOLDEN_SHA256 = (
+    "0152ae32c92f1de57b882fc315caa12e3f830afb818700b15330522cc3c09394"
+)
+
+
+def test_enumerate_all_matches_golden():
+    docs = []
+    for n, k in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3),
+                 (4, 1)):
+        carrier = FinSet([f"x{i}" for i in range(n)])
+        base = FinSet([f"c{i}" for i in range(k)])
+        docs.append(serialize.serialize_result(sct.enumerate_all(carrier,
+                                                                 base)))
+    assert [len(d) for d in docs] == [1, 1, 1, 2, 1, 2, 3, 1]
+    digest = hashlib.sha256(serialize.canonical_bytes(docs)).hexdigest()
+    assert digest == ENUMERATE_GOLDEN_SHA256
+
+
+def _theta_candidates(n, k, unital_only=False):
+    carrier = FinSet([f"x{i}" for i in range(n)])
+    base = FinSet([f"c{i}" for i in range(k)])
+    ambient = finset.function_space(base, carrier)
+    consts = {finset.encode_map(finset.constant(base, carrier, x)): x
+              for x in carrier}
+    free = [a for a in ambient if not (unital_only and a in consts)]
+    for vals in iproduct(carrier.elements, repeat=len(free)):
+        table = dict(consts)
+        table.update(zip(free, vals))
+        yield sct.ContraTable(carrier, base,
+                              theta=FinMap(ambient, carrier, table))
+
+
+# Recorded with the row-diagonal check built per call: the reports of
+# every theta table on two points over two, and of every contraunital one
+# on three points over two, witnesses included.
+VALIDATE_GOLDEN_SHA256 = (
+    "f4df811d87df6f7c06cf491ad53ab021eb45295b55373ef0acde57c540a6ffaf"
+)
+
+
+def test_validate_reports_match_golden():
+    reps = [sct.validate(t) for t in _theta_candidates(2, 2)]
+    reps += [sct.validate(t) for t in _theta_candidates(3, 2, True)]
+    assert (len(reps), sum(r["ok"] for r in reps)) == (745, 4)
+    digest = hashlib.sha256(serialize.canonical_bytes(reps)).hexdigest()
+    assert digest == VALIDATE_GOLDEN_SHA256
+
+
+def test_set_side_tables_are_bounded_and_built_on_demand():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from cocontra import set_correspondence as sco
+
+    # slot-map tables are the one table kept across calls, behind a bound;
+    # composition rows, transposes, Res(b) and row-diagonal plans live in
+    # one call, so neither module keeps a container of its own
+    assert sct._SLOT_MAP_TABLES_CACHED == 64
+    assert sct._slot_maps.cache_info().maxsize == 64
+    for module in (sct, sco):
+        kept = [name for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")]
+        assert kept == [], module.__name__
+    f = finset.constant(C2, FinSet(["x"]), "x")
+    assert sct.induction_adjunction_certificate(f, 2)["ok"]
+    assert sct._slot_maps.cache_info().currsize <= 64
+    # nothing is built at import
+    src = Path(sct.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import cocontra.cli\n"
+         "from cocontra import set_contramodule as s\n"
+         "print(s._slot_maps.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "0"

@@ -178,6 +178,20 @@ def test_equivalence_report_matches_golden_digest():
     assert digest == EQUIVALENCE_GOLDEN_SHA256
 
 
+# Recorded before each comodule's sections, quotient and counit were built
+# once per comodule: the largest equivalence instance of the benchmark.
+EQUIVALENCE_CARRIER_5_GOLDEN_SHA256 = (
+    "3c51a366f6f05d3f33b69875d9208f6cf4365e747137739d00811429b128d2eb"
+)
+
+
+def test_equivalence_carrier_5_report_matches_golden_digest():
+    rep = sco.equivalence_certificate(max_carrier=5, max_base=2, max_fiber=3)
+    assert rep["ok"] and rep["nondegenerate"] == 57
+    digest = hashlib.sha256(serialize.canonical_bytes(rep)).hexdigest()
+    assert digest == EQUIVALENCE_CARRIER_5_GOLDEN_SHA256
+
+
 def test_unit_naturality_small():
     # R(L(u)) o unit_s == unit_t o u for contramodule maps u between products
     shapes = [
