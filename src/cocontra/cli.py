@@ -144,20 +144,18 @@ def _job_l(env, args, ctx):
 def _job_lr(env, args, ctx):
     target = args["target"]
     if isinstance(target, SetComodule):
-        q = set_corr.lr_explicit(target)
-        agree = set_corr.lr_routes_agree(target)
-        eps = set_corr.counit(target)
+        rt = set_corr._round_trip(target)
+        q = rt.explicit
+        agree = set_corr._routes_agree(q, rt.project)
         payload = {
             "classes": {k: list(v) for k, v in sorted(q.classes.items())},
-            "counit_bijective": eps.is_bijective(),
+            "counit_bijective": rt.counit.is_bijective(),
             "routes_agree": agree,
         }
         if not agree:
             return _fail([payload], payload)
         return _pass(payload, {"classes": len(q.classes)})
-    rdata = coalg.functor_R_data(target)
-    lr = coalg.functor_L(rdata.contramodule)
-    rep = coalg.unit_counit_iso_report(rdata.contramodule, target)
+    lr, rep = coalg.round_trip_report(target)
     payload = {"dim": lr.space.total_dim, **rep}
     if rep["counit_iso"] and rep["counit_is_comodule_map"]:
         return _pass(payload, {"dim": lr.space.total_dim})

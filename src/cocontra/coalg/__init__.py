@@ -6,7 +6,6 @@ from .bridge import (
     DualAlgebra,
     DualModule,
     bridge_certificate,
-    dual_algebra_bridge,
     comodule_to_contramodule,
     comodule_to_module,
     contramodule_to_comodule,
@@ -64,6 +63,7 @@ from .functors import (
     functor_R_data,
     kleisli_certificate,
     l_morphism,
+    round_trip_report,
     triangle_identities,
     unit_counit_iso_report,
     unit_map,

@@ -95,9 +95,10 @@ def _first_witness(diff: LinMap):
 
 
 def _identity_check(name, lhs: LinMap, rhs: LinMap, failures):
-    diff = sub_maps(lhs, rhs)
-    if not diff.is_zero():
-        failures.append({"law": name, "witness": _first_witness(diff)})
+    if lhs != rhs:
+        failures.append(
+            {"law": name, "witness": _first_witness(sub_maps(lhs, rhs))}
+        )
 
 
 def validate_coalgebra(c: Coalgebra) -> dict:
@@ -257,11 +258,10 @@ def require_same_coalgebra(*objs):
 def is_coalgebra_morphism(f: LinMap, c: Coalgebra, chat: Coalgebra) -> bool:
     if f.dom != c.space or f.cod != chat.space or f.degree != 0:
         return False
-    square = sub_maps(
-        compose(chat.delta, f), compose(tensor_map(f, f), c.delta)
+    return (
+        compose(chat.delta, f) == compose(tensor_map(f, f), c.delta)
+        and compose(chat.eps, f) == c.eps
     )
-    counit = sub_maps(compose(chat.eps, f), c.eps)
-    return square.is_zero() and counit.is_zero()
 
 
 def check_coalgebra_morphism(f: LinMap, c: Coalgebra, chat: Coalgebra):
@@ -276,7 +276,7 @@ def is_comodule_map(f: LinMap, m: VComodule, n: VComodule) -> bool:
     c = m.coalgebra.space
     lhs = compose(n.rho, f)
     rhs = compose(tensor_map(f, identity_map(c)), m.rho)
-    return f.degree == 0 and sub_maps(lhs, rhs).is_zero()
+    return f.degree == 0 and lhs == rhs
 
 
 def is_contramodule_map(f: LinMap, p: VContramodule, q: VContramodule) -> bool:
@@ -284,4 +284,4 @@ def is_contramodule_map(f: LinMap, p: VContramodule, q: VContramodule) -> bool:
     c = p.coalgebra.space
     lhs = compose(f, p.theta)
     rhs = compose(q.theta, hom_map(identity_map(c), f))
-    return f.degree == 0 and sub_maps(lhs, rhs).is_zero()
+    return f.degree == 0 and lhs == rhs

@@ -11,14 +11,12 @@ from ..exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    Vec,
     compose,
     equalizer_lin,
     factor_through_include,
     hom_map,
     hom_space,
     identity_map,
-    lands_in_sub,
     linmap_to_vec,
     tensor,
     tensor_map,
@@ -44,9 +42,8 @@ class HomObject:
 
     def member_map(self, label) -> LinMap:
         """The honest linear map behind a basis label of the hom object."""
-        vec = self.include.apply(Vec.basis_vec(self.space, label))
         return vec_to_linmap(
-            vec, self.src.space, self.dst.space
+            self.include.apply_label(label), self.src.space, self.dst.space
         )
 
     def degree_zero_members(self):
@@ -57,16 +54,21 @@ class HomObject:
         ]
 
     def contains(self, f: LinMap) -> bool:
-        return lands_in_sub(
-            self.include, linmap_to_vec(f, self.ambient)
-        )
+        return self.coords_of(f) is not None
 
     def coords_of(self, f: LinMap):
-        """Coordinates of a member map in the hom-object basis."""
-        vec = linmap_to_vec(f, self.ambient)
+        """Coordinates of a member map in the hom-object basis, as
+        {label: nonzero}; None when the map is not a member."""
         k = f.degree
-        sol = self.include.block(k).solve(vec.comps.get(k, ()))
-        return sol
+        amb = self.ambient
+        col = {amb.position(lab)[1]: c for lab, c in linmap_to_vec(f).items()}
+        sol = self.include.block(k).solve_matrix(
+            Matrix.from_columns(amb.field, [col], amb.dim(k))
+        )
+        if sol is None:
+            return None
+        labels = self.space.labels.get(k, ())
+        return {labels[i]: r[0] for i, r in enumerate(sol.srows) if r}
 
 
 def tensor_id_on_hom(
@@ -147,27 +149,26 @@ def contra_hom_object(p: VContramodule, q: VContramodule) -> HomObject:
     return HomObject("F", p, q, sub.ambient, sub.space, sub.include)
 
 
-def _degree_zero_kernel(src: GradedVect, dst: GradedVect,
-                        constraint_space: GradedVect, sides):
+def _degree_zero_kernel(src: GradedVect, dst: GradedVect, sides):
     """The degree-zero maps src -> dst on which the two legs returned by
-    ``sides(f)`` agree: one column of degree-0 differences inside
-    ``constraint_space`` per matrix unit, then a kernel.  Solved directly,
-    not through ``equalizer_lin``, so it can cross-check the hom objects.
-    Returns the units and the kernel vectors over them."""
+    ``sides(f)`` agree: one sparse column of differences per matrix unit,
+    one row per hom label the legs reach, then a kernel (row order does
+    not change it).  Solved directly, not through ``equalizer_lin``, so it
+    can cross-check the hom objects.  Returns the units and the kernel
+    vectors over them, each an {index into units: nonzero} dict."""
     fld = src.field
     one = fld.one()
     units = [lab for k, _, lab in hom_space(src, dst).basis() if k == 0]
-    if not units:
-        return units, []
-    columns = []
-    for lab in units:
-        _, a, b = lab
+    rows = {}
+    for t, (_, a, b) in enumerate(units):
         lhs, rhs = sides(LinMap.from_images(src, dst, 0, {a: {b: one}}))
-        v1 = linmap_to_vec(lhs, constraint_space).comps.get(0, ())
-        v2 = linmap_to_vec(rhs, constraint_space).comps.get(0, ())
-        columns.append(tuple(fld.sub(x, y) for x, y in zip(v1, v2)))
-    rows = tuple(zip(*columns))
-    return units, Matrix(fld, rows, len(units)).kernel_basis()
+        col = linmap_to_vec(lhs)
+        for lab, y in linmap_to_vec(rhs).items():
+            col[lab] = fld.sub(col[lab], y) if lab in col else fld.neg(y)
+        for lab, x in col.items():
+            if x:
+                rows.setdefault(lab, {})[t] = x
+    return units, Matrix.sparse(fld, rows.values(), len(units)).kernel_basis()
 
 
 def comodule_maps_direct(m: VComodule, n: VComodule):
@@ -176,7 +177,7 @@ def comodule_maps_direct(m: VComodule, n: VComodule):
     require_same_coalgebra(m, n)
     c = m.coalgebra.space
     return _degree_zero_kernel(
-        m.space, n.space, hom_space(m.space, tensor(n.space, c)),
+        m.space, n.space,
         lambda f: (compose(n.rho, f),
                    compose(tensor_map(f, identity_map(c)), m.rho)),
     )
@@ -187,7 +188,7 @@ def contra_maps_direct(p: VContramodule, q: VContramodule):
     require_same_coalgebra(p, q)
     c = p.coalgebra.space
     return _degree_zero_kernel(
-        p.space, q.space, hom_space(hom_space(c, p.space), q.space),
+        p.space, q.space,
         lambda f: (compose(f, p.theta),
                    compose(q.theta, hom_map(identity_map(c), f))),
     )
@@ -196,22 +197,14 @@ def contra_maps_direct(p: VContramodule, q: VContramodule):
 def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:
     """Compare the hom object's degree-zero part against an independently
     solved subspace over the same matrix-unit basis."""
-    fld = hobj.ambient.field
     amb_labels = [lab for k, _, lab in hobj.ambient.basis() if k == 0]
     assert amb_labels == list(units)
-    dim_sub = hobj.space.dim(0)
-    if dim_sub != len(kernel):
+    if hobj.space.dim(0) != len(kernel):
         return False
     if not units:
         return True
     inc = hobj.include.block(0)
-    direct = Matrix(
-        fld,
-        tuple(
-            tuple(vec[j] for vec in kernel) for j in range(len(units))
-        ),
-        len(kernel),
-    )
+    direct = Matrix.from_columns(hobj.ambient.field, kernel, len(units))
     return (
         direct.solve_matrix(inc) is not None
         and inc.solve_matrix(direct) is not None

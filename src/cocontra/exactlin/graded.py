@@ -6,6 +6,11 @@ are unique across the whole space and the basis order is canonical (degree
 ascending, then the construction order below), so every matrix in sight is
 reproducible bit for bit.
 
+A vector is a ``{label: nonzero}`` dict, the form ``LinMap.from_images``
+takes and ``LinMap.apply_label`` returns; a hom-space element in that form
+is read back as a map by ``vec_to_linmap``.  Dense tuples appear only in
+reports and outside input.
+
 The only sign convention in the package lives here: applying a tensor
 product of maps to a tensor of elements costs (-1)^(|g||x|) when g slides
 past x, and the braiding costs (-1)^(|x||y|).  All structure maps downstream
@@ -93,56 +98,6 @@ def zero_space(field) -> GradedVect:
 
 
 @dataclass(eq=False)
-class Vec:
-    """A (possibly inhomogeneous) element, stored per degree."""
-
-    space: GradedVect
-    comps: dict[int, tuple]
-
-    def __init__(self, space, comps=None):
-        self.space = space
-        z = space.field.zero()
-        self.comps = {}
-        for k in space.degrees():
-            d = space.dim(k)
-            got = tuple((comps or {}).get(k, (z,) * d))
-            assert len(got) == d
-            self.comps[k] = got
-
-    @classmethod
-    def from_dict(cls, space, coeffs: dict):
-        """Build from {label: coefficient}."""
-        z = space.field.zero()
-        comps = {k: [z] * space.dim(k) for k in space.degrees()}
-        for lab, c in coeffs.items():
-            k, i = space.position(lab)
-            comps[k][i] = space.field.add(comps[k][i], c)
-        return cls(space, {k: tuple(v) for k, v in comps.items()})
-
-    @classmethod
-    def basis_vec(cls, space, label):
-        return cls.from_dict(space, {label: space.field.one()})
-
-    def is_zero(self) -> bool:
-        z = self.space.field.zero()
-        return all(a == z for v in self.comps.values() for a in v)
-
-    def items(self):
-        """(label, coefficient) pairs for the nonzero entries."""
-        z = self.space.field.zero()
-        out = []
-        for k in self.space.degrees():
-            for i, lab in enumerate(self.space.labels[k]):
-                c = self.comps[k][i]
-                if c != z:
-                    out.append((lab, c))
-        return out
-
-    def __eq__(self, other):
-        return self.space == other.space and self.comps == other.comps
-
-
-@dataclass(eq=False)
 class LinMap:
     """A degree-homogeneous linear map, stored as one exact block per
     domain degree."""
@@ -187,24 +142,6 @@ class LinMap:
             )
         )
 
-    def apply(self, v: Vec) -> Vec:
-        assert v.space == self.dom
-        f = self.dom.field
-        out = {}
-        for k in self.dom.degrees():
-            m = self.cod.dim(k + self.degree)
-            if m == 0:
-                continue
-            img = self.block(k).apply(v.comps[k])
-            tgt = k + self.degree
-            if tgt in out:
-                out[tgt] = tuple(
-                    f.add(a, b) for a, b in zip(out[tgt], img)
-                )
-            else:
-                out[tgt] = img
-        return Vec(self.cod, out)
-
     def apply_label(self, label) -> dict:
         """The image of one basis vector as {codomain label: nonzero
         coefficient}, read from its column, in codomain basis order."""
@@ -221,7 +158,7 @@ class LinMap:
     @classmethod
     def from_images(cls, dom, cod, degree, images: dict):
         """Build from {domain label: image}, each image a {label: coeff}
-        dict or a Vec; a missing label maps to zero."""
+        dict; a missing label maps to zero."""
         fld = dom.field
         z = fld.zero()
         blocks = {}
@@ -332,17 +269,6 @@ def tensor(v: GradedVect, w: GradedVect) -> GradedVect:
     return GradedVect(
         v.field, dims, {k: tuple(ls) for k, ls in labels.items()}
     )
-
-
-def tensor_vec(x: Vec, y: Vec) -> Vec:
-    """Elementwise tensor; no signs (signs belong to maps, not elements)."""
-    space = tensor(x.space, y.space)
-    f = space.field
-    coeffs = {}
-    for la, ca in x.items():
-        for lb, cb in y.items():
-            coeffs[("t", la, lb)] = f.mul(ca, cb)
-    return Vec.from_dict(space, coeffs)
 
 
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
@@ -463,29 +389,27 @@ def hom_space(v: GradedVect, w: GradedVect) -> GradedVect:
     )
 
 
-def vec_to_linmap(h: Vec, v: GradedVect, w: GradedVect) -> LinMap:
-    """Read a homogeneous hom-space element back as an honest map."""
-    degrees = {
-        k for k, comp in h.comps.items()
-        if any(c != h.space.field.zero() for c in comp)
-    }
-    assert len(degrees) <= 1, "hom element must be homogeneous"
-    n = degrees.pop() if degrees else 0
+def vec_to_linmap(h: dict, v: GradedVect, w: GradedVect) -> LinMap:
+    """Read a homogeneous hom-space element, a {("h", a, b): coefficient}
+    dict, back as an honest map."""
+    degrees = set()
     images = {}
     for (_, a, b), c in h.items():
-        images.setdefault(a, {})[b] = c
-    return LinMap.from_images(v, w, n, images)
+        if c:
+            degrees.add(w.degree_of(b) - v.degree_of(a))
+            images.setdefault(a, {})[b] = c
+    assert len(degrees) <= 1, "hom element must be homogeneous"
+    return LinMap.from_images(v, w, degrees.pop() if degrees else 0, images)
 
 
-def linmap_to_vec(f: LinMap, ambient: GradedVect | None = None) -> Vec:
-    """The hom-space element of a map; ambient defaults to hom(dom, cod)."""
-    space = ambient if ambient is not None else hom_space(f.dom, f.cod)
-    coeffs = {
+def linmap_to_vec(f: LinMap) -> dict:
+    """The hom-space element of a map as {("h", a, b): nonzero}, in the
+    basis order of hom(dom, cod)."""
+    return {
         ("h", a, b): c
         for _, _, a in f.dom.basis()
         for b, c in f.apply_label(a).items()
     }
-    return Vec.from_dict(space, coeffs)
 
 
 def hom_map(f: LinMap, g: LinMap, dom=None, cod=None) -> LinMap:
@@ -656,14 +580,7 @@ def equalizer_lin(f: LinMap, g: LinMap, prefix: str = "s") -> SubPresentation:
             continue
         dims[k] = len(basis)
         labels[k] = tuple((prefix, k, i) for i in range(len(basis)))
-        blocks[k] = Matrix.sparse(
-            f.dom.field,
-            (
-                {t: vec[i] for t, vec in enumerate(basis) if vec[i]}
-                for i in range(f.dom.dim(k))
-            ),
-            len(basis),
-        )
+        blocks[k] = Matrix.from_columns(f.dom.field, basis, f.dom.dim(k))
     space = GradedVect(f.dom.field, dims, labels)
     include = LinMap(space, f.dom, 0, blocks)
     return SubPresentation(f.dom, space, include)
@@ -724,14 +641,3 @@ def factor_through_include(include: LinMap, f: LinMap) -> LinMap:
             raise ValueError(f"map does not factor in degree {k}")
         blocks[k] = sol
     return LinMap(f.dom, include.dom, f.degree, blocks)
-
-
-def lands_in_sub(include: LinMap, v: Vec) -> bool:
-    for k, comp in v.comps.items():
-        if all(c == v.space.field.zero() for c in comp):
-            continue
-        if include.dom.dim(k) == 0:
-            return False
-        if include.block(k).solve(comp) is None:
-            return False
-    return True

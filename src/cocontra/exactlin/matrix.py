@@ -5,9 +5,11 @@ rank, nullspace bases, and linear solves.
 Matrices act on column vectors; an m x n matrix maps n-space to m-space.
 Each row is a ``{column: nonzero}`` dict that never holds a zero: every
 operation reads the nonzeros alone and drops an entry once it cancels
-(both fields' zeros, ``Fraction(0)`` and ``0``, are falsy).  Dense rows
-exist only at the edges: the constructor for outside input, and the
-``rows`` view that reports are written from.
+(both fields' zeros, ``Fraction(0)`` and ``0``, are falsy).  A vector is
+a one-column matrix or, where it stands alone (a nullspace basis
+vector), an ``{index: nonzero}`` dict.  Dense rows exist only at the
+edges: the constructor for outside input, and the ``rows`` view that
+reports are written from.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ class Matrix:
         return m
 
     @classmethod
+    def from_columns(cls, field, columns, height):
+        """Build from {row: nonzero} columns, such as nullspace vectors."""
+        rows = [{} for _ in range(height)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return cls.sparse(field, rows, len(columns))
+
+    @classmethod
     def from_rows(cls, field, rows, width=None):
         return cls(field, ([field.from_int(x) if isinstance(x, int) else x
                             for x in r] for r in rows), width)
@@ -84,10 +95,6 @@ class Matrix:
         i, j = ij
         return self.srows[i].get(j, self.field.zero())
 
-    def column(self, j):
-        z = self.field.zero()
-        return tuple(r.get(j, z) for r in self.srows)
-
     def __sub__(self, other) -> "Matrix":
         f = self.field
         out = []
@@ -123,17 +130,6 @@ class Matrix:
                     acc[j] = add(acc[j], x) if j in acc else x
             out.append({j: x for j, x in acc.items() if x})
         return Matrix.sparse(f, out, other.ncols)
-
-    def apply(self, vec):
-        """Matrix times column vector (a dense tuple)."""
-        f = self.field
-        out = []
-        for r in self.srows:
-            acc = f.zero()
-            for j, a in r.items():
-                acc = f.add(acc, f.mul(a, vec[j]))
-            out.append(acc)
-        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(self.srows)
@@ -189,35 +185,22 @@ class Matrix:
         return len(pivots)
 
     def kernel_basis(self):
-        """Column vectors spanning the nullspace, in canonical order."""
+        """The nullspace basis in canonical order: one ``{index: nonzero}``
+        column per free column j, holding 1 at j and minus the reduced
+        column j at the pivots (all of which lie left of j)."""
         f = self.field
-        z, o = f.zero(), f.one()
-        n = self.ncols
-        if n == 0:
-            return []
-        if self.nrows == 0:
-            return [
-                tuple(o if i == j else z for i in range(n)) for j in range(n)
-            ]
+        one = f.one()
         red, pivots = self.rref()
-        free = [j for j in range(n) if j not in pivots]
+        pivot_set = set(pivots)
         basis = []
-        for j in free:
-            vec = [z] * n
-            vec[j] = o
-            for r, c in enumerate(pivots):
-                x = red.srows[r].get(j)
-                if x:
-                    vec[c] = f.neg(x)
-            basis.append(tuple(vec))
+        for j in range(self.ncols):
+            if j in pivot_set:
+                continue
+            vec = {c: f.neg(x) for c, row in zip(pivots, red.srows)
+                   if (x := row.get(j))}
+            vec[j] = one
+            basis.append(vec)
         return basis
-
-    def solve(self, target):
-        """One solution x of self @ x = target, or None."""
-        sol = self.solve_matrix(
-            Matrix(self.field, ((t,) for t in target), 1)
-        )
-        return None if sol is None else sol.column(0)
 
     def solve_matrix(self, targets: "Matrix"):
         """One solution X of self @ X = targets, or None."""

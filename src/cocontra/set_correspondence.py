@@ -186,10 +186,11 @@ def _lr_explicit(m: SetComodule, r: ContraTable) -> QuotPresentation:
 
 @dataclass
 class _RoundTrip:
-    """Everything the equivalence checks read of one non-degenerate
+    """Everything the equivalence checks and the ``lr`` job read of one
     comodule, built once: its sections, their extensional form, the
     explicit round-trip quotient with its counit, and the generic quotient
-    of the extensional sections with its projection."""
+    of the extensional sections with its projection.  A degenerate
+    comodule has no sections, so both quotients are empty."""
 
     m: SetComodule
     sections: ContraTable

@@ -301,10 +301,8 @@ def test_bridge_preserves_morphism_spaces():
     from cocontra.exactlin import Matrix as Mx
 
     if units:
-        a = Mx(F2, tuple(tuple(v[j] for v in kernel)
-                         for j in range(len(units))), len(kernel))
-        b = Mx(F2, tuple(tuple(v[j] for v in mk)
-                         for j in range(len(units))), len(mk))
+        a = Mx.from_columns(F2, kernel, len(units))
+        b = Mx.from_columns(F2, mk, len(units))
         assert a.solve_matrix(b) is not None
         assert b.solve_matrix(a) is not None
 

@@ -9,12 +9,9 @@ from cocontra.exactlin import (
     GF,
     QQ,
     GradedVect,
-    Vec,
+    LinMap,
     compose,
-    identity_map,
-    linmap_to_vec,
     sub_maps,
-    tensor_vec,
     vec_to_linmap,
     zero_space,
 )
@@ -156,14 +153,9 @@ def test_enriched_composition_closed_associative_unital():
                 f = hxy.member_map(lf)
                 assert hxz.contains(compose(g, f))
                 # the factored map computes the same composite
-                coords = comp.apply(
-                    tensor_vec(
-                        Vec.basis_vec(hyz.space, lg),
-                        Vec.basis_vec(hxy.space, lf),
-                    )
-                )
                 via = vec_to_linmap(
-                    hxz.include.apply(coords), x.space, z.space
+                    compose(hxz.include, comp).apply_label(("t", lg, lf)),
+                    x.space, z.space,
                 )
                 assert sub_maps(via, compose(g, f)).is_zero()
         # unitality through the identity element
@@ -183,6 +175,48 @@ def test_enriched_composition_closed_associative_unital():
                 assert sub_maps(
                     compose(h, compose(g, f)), compose(compose(h, g), f)
                 ).is_zero()
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=["F2", "F3", "Q"])
+def test_hom_object_members_round_trip(field):
+    """Each basis label's member map is a member with that label's unit
+    coordinates, in every degree; a degree-zero matrix unit is a member
+    exactly when it is a structure map, and some are not."""
+    rng = random.Random(f"hom-members-{field.name}")
+    one = field.one()
+    comodules = (coalg.comodule_hom_object, coalg.is_comodule_map)
+    contramodules = (coalg.contra_hom_object, coalg.is_contramodule_map)
+    c = inst.group_like_coalgebra(field, 2)
+    x = GradedVect(field, {0: 1, 1: 1}, prefix="x")
+    cases = [
+        (comodules, coalg.cofree(x, c), coalg.cofree(x, c)),
+        (contramodules, coalg.free(x, c), coalg.free(x, c)),
+    ]
+    for _ in range(3):
+        c = inst.random_coalgebra(field, rng, max_dim=2)
+        cases.append((comodules, inst.random_comodule(c, rng, 2),
+                      inst.random_comodule(c, rng, 2)))
+        cases.append((contramodules, inst.random_contramodule(c, rng, 2),
+                      inst.random_contramodule(c, rng, 2)))
+    seen = {"members": 0, "graded": 0, "rejected": 0}
+    for (hom_object, is_map), src, dst in cases:
+        hom = hom_object(src, dst)
+        for k, _, lab in hom.space.basis():
+            f = hom.member_map(lab)
+            assert hom.coords_of(f) == {lab: one}
+            assert hom.contains(f)
+            seen["members"] += 1
+            seen["graded"] += k != 0
+        for k, _, (_, a, b) in hom.ambient.basis():
+            if k != 0:
+                continue
+            unit = LinMap.from_images(src.space, dst.space, 0,
+                                      {a: {b: one}})
+            member = is_map(unit, src, dst)
+            assert hom.contains(unit) is member
+            assert (hom.coords_of(unit) is None) is not member
+            seen["rejected"] += not member
+    assert all(seen.values()), seen
 
 
 def test_enriched_composition_contra_side():

@@ -11,7 +11,6 @@ from cocontra.exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    Vec,
     assoc,
     assoc_inv,
     braiding,
@@ -32,7 +31,6 @@ from cocontra.exactlin import (
     sub_maps,
     tensor,
     tensor_map,
-    tensor_vec,
     uncurry,
     unit_left,
     unit_right,
@@ -45,6 +43,16 @@ from cocontra.exactlin import (
 Q = QQ()
 F2 = GF(2)
 F5 = GF(5)
+
+
+def _apply(f, vec):
+    """f applied to a {label: coefficient} vector, as {label: nonzero}."""
+    fld = f.dom.field
+    out = {}
+    for lab, c in vec.items():
+        for y, x in f.apply_label(lab).items():
+            out[y] = fld.add(out.get(y, fld.zero()), fld.mul(c, x))
+    return {y: x for y, x in out.items() if x}
 
 
 def rand_linmap(rng, dom, cod, degree=0):
@@ -114,8 +122,8 @@ def test_rank_nullity_random():
 
 def test_solve_and_complement():
     m = Matrix.from_rows(Q, [[1, 0], [1, 0]])
-    assert m.solve((Fraction(2), Fraction(2))) is not None
-    assert m.solve((Fraction(1), Fraction(2))) is None
+    assert m.solve_matrix(Matrix.from_rows(Q, [[2], [2]])) is not None
+    assert m.solve_matrix(Matrix.from_rows(Q, [[1], [2]])) is None
     # greedy complement takes the lowest basis index that extends the
     # column space: e_0 is independent of (1,1)
     assert m.column_space_complement() == [0]
@@ -299,8 +307,8 @@ def test_ev_is_evaluation():
     f = rand_linmap(rng, v, w)
     fv = linmap_to_vec(f)
     for _, _, a in v.basis():
-        out = ev_map(v, w).apply(tensor_vec(fv, Vec.basis_vec(v, a)))
-        assert dict(out.items()) == f.apply_label(a)
+        out = _apply(ev_map(v, w), {("t", h, a): c for h, c in fv.items()})
+        assert out == f.apply_label(a)
 
 
 def test_vec_linmap_round_trip():
@@ -417,7 +425,11 @@ def _rand_graded(rng, field, prefix):
 def _rand_graded_map(rng, field):
     dom = _rand_graded(rng, field, "a")
     cod = _rand_graded(rng, field, "b")
-    degree = rng.randint(-1, 1)
+    return _rand_map_between(rng, dom, cod, rng.randint(-1, 1))
+
+
+def _rand_map_between(rng, dom, cod, degree):
+    field = dom.field
     blocks = {
         k: Matrix(
             field,
@@ -454,10 +466,49 @@ def test_apply_label_reads_the_column(field):
         images = {}
         for _, _, a in f.dom.basis():
             img = f.apply_label(a)
-            assert img == dict(f.apply(Vec.basis_vec(f.dom, a)).items())
+            k, j = f.dom.position(a)
+            column = zip(f.cod.labels.get(k + f.degree, ()),
+                         f.block(k).rows)
+            assert img == {lab: row[j] for lab, row in column if row[j]}
             assert all(c != field.zero() for c in img.values())
             images[a] = img
         assert LinMap.from_images(f.dom, f.cod, f.degree, images) == f
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_map_equality_agrees_with_a_zero_difference(field):
+    """``f == g`` holds exactly when ``sub_maps(f, g)`` is zero: on equal
+    maps built apart, on independent random maps, and on pairs that
+    differ in one entry, including maps of nonzero degree."""
+    rng = random.Random(f"map-equality-{field.name}")
+    seen = {"equal": 0, "unequal": 0, "one entry": 0, "nonzero degree": 0}
+    for _ in range(60):
+        f = _rand_graded_map(rng, field)
+        images = {a: f.apply_label(a) for _, _, a in f.dom.basis()}
+        pairs = [
+            (LinMap.from_images(f.dom, f.cod, f.degree, images), None),
+            (_rand_map_between(rng, f.dom, f.cod, f.degree), None),
+        ]
+        cells = [(a, b) for k, _, a in f.dom.basis()
+                 for b in f.cod.labels.get(k + f.degree, ())]
+        if cells:
+            a, b = rng.choice(cells)
+            moved = {**images, a: dict(images[a])}
+            moved[a][b] = field.add(moved[a].get(b, field.zero()),
+                                    _rand_scalar(rng, field) or field.one())
+            g = LinMap.from_images(f.dom, f.cod, f.degree, moved)
+            pairs.append((g, "one entry"))
+        for g, kind in pairs:
+            zero = sub_maps(f, g).is_zero()
+            assert (f == g) is zero and (g == f) is zero
+            assert (f != g) is not zero
+            seen["equal" if zero else "unequal"] += 1
+            if kind:
+                assert not zero
+                seen[kind] += 1
+            if f.degree and f.dom.total_dim:
+                seen["nonzero degree"] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
@@ -473,9 +524,10 @@ def test_matmul_and_apply_match_the_naive_loop(field):
             tuple(_rand_scalar(rng, field) for _ in range(n))
             for _ in range(k)), n)
         assert a @ b == _naive_matmul(a, b)
+        # a vector is applied as a one-column matrix
         vec = tuple(_rand_scalar(rng, field) for _ in range(k))
         col = Matrix(field, tuple((x,) for x in vec), 1)
-        assert a.apply(vec) == _naive_matmul(a, col).column(0)
+        assert a @ col == _naive_matmul(a, col)
 
 
 def test_from_images_rejects_entries_outside_the_target_degree():
@@ -603,7 +655,9 @@ def test_rref_kernel_and_complement_match_the_dense_reference(field):
             assert _stores_no_zero(red)
             assert (red.rows, pivots) == _dense_rref(field, rows, n)
             assert mat.rank() == len(pivots)
-            assert mat.kernel_basis() == _dense_kernel(field, rows, n)
+            assert mat.kernel_basis() == [
+                {i: x for i, x in enumerate(vec) if x}
+                for vec in _dense_kernel(field, rows, n)]
             assert mat.column_space_complement() == _dense_complement(
                 field, rows, m, n)
 
@@ -660,21 +714,51 @@ def test_products_differences_and_scalings_store_no_zero(field):
                 tuple(field.mul(s, x) for x in r) for r in a.rows)
 
 
-def test_only_the_report_writer_reads_dense_rows():
-    """``Matrix.rows`` builds dense rows; outside matrix.py only
-    serialize.py, which writes reports, may read it, so that no second
-    block representation grows back."""
+def _dense_row_sites(allowed, is_site):
+    """``file:line`` of every AST node that ``is_site`` picks out, over the
+    package sources whose path does not start with one of ``allowed``."""
     import ast
     from pathlib import Path
 
     import cocontra
 
     root = Path(cocontra.__file__).parent
-    allowed = {root / "exactlin" / "matrix.py", root / "serialize.py"}
-    readers = [
+    return [
         f"{path.relative_to(root)}:{node.lineno}"
-        for path in sorted(root.rglob("*.py")) if path not in allowed
+        for path in sorted(root.rglob("*.py"))
+        if not path.relative_to(root).as_posix().startswith(allowed)
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "rows"
+        if is_site(node)
     ]
+
+
+def test_only_the_report_writer_reads_dense_rows():
+    """Dense rows exist only at the edges.  ``Matrix.rows`` builds them;
+    outside matrix.py only serialize.py, which writes reports, may read
+    it.  ``Matrix(...)`` and ``Matrix.from_rows`` take them; outside
+    exactlin only outside input (serialize.py), the reference checks
+    (oracle.py) and random generation (coalg/instances.py) may call them,
+    so that every vector elsewhere stays a ``{label: nonzero}`` dict and
+    every block a sparse matrix."""
+    import ast
+
+    readers = _dense_row_sites(
+        ("exactlin/matrix.py", "serialize.py"),
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "rows",
+    )
     assert readers == []
+
+    def builds_from_dense_rows(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "Matrix") or (
+            isinstance(func, ast.Attribute) and func.attr == "from_rows"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "Matrix")
+
+    builders = _dense_row_sites(
+        ("exactlin/", "serialize.py", "oracle.py", "coalg/instances.py"),
+        builds_from_dense_rows,
+    )
+    assert builders == []

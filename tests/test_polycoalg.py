@@ -119,7 +119,7 @@ def test_relations_iff_comodule_axioms():
         ]
         ok_rel, _ = pcg.family_relations_hold(pc, v, ops)
         # assemble by hand and validate the axioms independently
-        from cocontra.exactlin import Vec, tensor
+        from cocontra.exactlin import tensor
 
         cs = pc.space
         images = {}
@@ -128,7 +128,7 @@ def test_relations_iff_comodule_axioms():
             for k, op in enumerate(ops):
                 for ylab, c in op.apply_label(lab).items():
                     coeffs[("t", ylab, f"z{k}")] = c
-            images[lab] = Vec.from_dict(tensor(v, cs), coeffs)
+            images[lab] = coeffs
         rho = LinMap.from_images(v, tensor(v, cs), 0, images)
         m = coalg.VComodule(pc.underlying, v, rho)
         assert ok_rel == coalg.validate_comodule(m)["ok"]
