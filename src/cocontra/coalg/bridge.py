@@ -198,16 +198,23 @@ def contramodule_to_module(p: VContramodule, alg: DualAlgebra) -> DualModule:
     return mod
 
 
+def _act(mod: DualModule, dual_label, xl) -> dict:
+    """A dual basis vector acting on a basis vector, on mod's side."""
+    if mod.side == "right":
+        return mod.action.apply_label(("t", xl, dual_label))
+    return mod.action.apply_label(("t", dual_label, xl))
+
+
 def module_to_comodule(mod: DualModule) -> VComodule:
-    """Recover the coaction from the action on the dual basis."""
-    assert mod.side == "right"
+    """Recover the coaction from the action of the dual basis, on either
+    side."""
     c = mod.algebra.coalgebra
     x = mod.space
     images = {
         xl: {
             ("t", yl, ck): cc
             for _, _, ck in c.space.basis()
-            for yl, cc in mod.action.apply_label(("t", xl, ("d", ck))).items()
+            for yl, cc in _act(mod, ("d", ck), xl).items()
         }
         for _, _, xl in x.basis()
     }
@@ -216,13 +223,13 @@ def module_to_comodule(mod: DualModule) -> VComodule:
 
 
 def module_to_contramodule(mod: DualModule) -> VContramodule:
-    """Recover the structure map by letting the dual basis act."""
-    assert mod.side == "left"
+    """Recover the structure map by letting the dual basis act, on either
+    side."""
     c = mod.algebra.coalgebra
     x = mod.space
     ambient = hom_space(c.space, x)
     images = {
-        ("h", cl, xl): mod.action.apply_label(("t", ("d", cl), xl))
+        ("h", cl, xl): _act(mod, ("d", cl), xl)
         for _, _, (_, cl, xl) in ambient.basis()
     }
     theta = LinMap.from_images(ambient, x, 0, images)
@@ -232,32 +239,12 @@ def module_to_contramodule(mod: DualModule) -> VContramodule:
 def comodule_to_contramodule(m: VComodule, alg: DualAlgebra) -> VContramodule:
     """The finite-dimensional collapse, comodule to contramodule: act with
     the dual basis through the right action."""
-    right = comodule_to_module(m, alg)
-    c = m.coalgebra
-    x = m.space
-    ambient = hom_space(c.space, x)
-    images = {
-        ("h", cl, xl): right.action.apply_label(("t", xl, ("d", cl)))
-        for _, _, (_, cl, xl) in ambient.basis()
-    }
-    theta = LinMap.from_images(ambient, x, 0, images)
-    return VContramodule(c, x, theta)
+    return module_to_contramodule(comodule_to_module(m, alg))
 
 
 def contramodule_to_comodule(p: VContramodule, alg: DualAlgebra) -> VComodule:
-    left = contramodule_to_module(p, alg)
-    c = p.coalgebra
-    x = p.space
-    images = {
-        xl: {
-            ("t", yl, ck): cc
-            for _, _, ck in c.space.basis()
-            for yl, cc in left.action.apply_label(("t", ("d", ck), xl)).items()
-        }
-        for _, _, xl in x.basis()
-    }
-    rho = LinMap.from_images(x, tensor(x, c.space), 0, images)
-    return VComodule(c, x, rho)
+    """The collapse back: coact through the left action."""
+    return module_to_comodule(contramodule_to_module(p, alg))
 
 
 def module_maps_degree_zero(m1: DualModule, m2: DualModule):
@@ -277,7 +264,7 @@ def module_maps_degree_zero(m1: DualModule, m2: DualModule):
     return _degree_zero_kernel(m1.space, m2.space, sides)
 
 
-def sections_bridge_iso(m: VComodule, alg: DualAlgebra | None = None):
+def sections_bridge_iso(m: VComodule):
     """The canonical comparison between the sections contramodule of a
     comodule and its bridge image: include the sections into the function
     space, read that as dual-tensor, and act.
@@ -289,20 +276,21 @@ def sections_bridge_iso(m: VComodule, alg: DualAlgebra | None = None):
     from .functors import functor_R_data
     from .instances import inverse_map
 
-    alg = alg or dual_algebra(m.coalgebra)
+    alg = dual_algebra(m.coalgebra)
+    right = comodule_to_module(m, alg)
     rdata = functor_R_data(m)
     dt = dual_tensor_into_hom(m.coalgebra, m.space)
     phi = compose(
-        comodule_to_module(m, alg).action,
+        right.action,
         compose(
             braiding(alg.space, m.space),
             compose(inverse_map(dt), rdata.hom.include),
         ),
     )
-    return phi, rdata.contramodule, comodule_to_contramodule(m, alg)
+    return phi, rdata.contramodule, module_to_contramodule(right)
 
 
-def quotient_bridge_iso(p: VContramodule, alg: DualAlgebra | None = None):
+def quotient_bridge_iso(p: VContramodule):
     """The canonical comparison between the quotient comodule of a
     contramodule and its bridge image: coact through the bridge and
     project.
@@ -310,8 +298,7 @@ def quotient_bridge_iso(p: VContramodule, alg: DualAlgebra | None = None):
     Returns (iso, quotient_comodule, bridged_comodule)."""
     from .functors import functor_L_data
 
-    alg = alg or dual_algebra(p.coalgebra)
-    bridged = contramodule_to_comodule(p, alg)
+    bridged = contramodule_to_comodule(p, dual_algebra(p.coalgebra))
     ldata = functor_L_data(p)
     psi = compose(ldata.quot.project, bridged.rho)
     return psi, ldata.comodule, bridged
@@ -320,9 +307,10 @@ def quotient_bridge_iso(p: VContramodule, alg: DualAlgebra | None = None):
 def bridge_certificate(m: VComodule, p: VContramodule) -> dict:
     """Round trips are identities and the module pictures validate."""
     alg = dual_algebra(m.coalgebra)
-    back_m = module_to_comodule(comodule_to_module(m, alg))
+    right = comodule_to_module(m, alg)
+    back_m = module_to_comodule(right)
     back_p = module_to_contramodule(contramodule_to_module(p, alg))
-    collapse = comodule_to_contramodule(m, alg)
+    collapse = module_to_contramodule(right)
     collapse_rep = validate_contramodule(collapse)
     back_collapse = contramodule_to_comodule(collapse, alg)
     comodule_back = back_m.rho == m.rho

@@ -54,7 +54,8 @@ class RData:
 @dataclass(eq=False)
 class LData:
     comodule: VComodule
-    quot: QuotPresentation  # quotient of M (x) C
+    quot: QuotPresentation  # quotient of P (x) C
+    pair: tuple[LinMap, LinMap]  # on [C,P] (x) C, coequalised by quot
 
 
 def functor_R_data(m: VComodule) -> RData:
@@ -89,9 +90,11 @@ def R_mor(v: LinMap, rm: RData, rn: RData) -> LinMap:
     return factor_through_include(rn.hom.include, lifted)
 
 
-def l_pair(p: VContramodule):
-    """The parallel pair on [C,P] (x) C whose coequaliser carries L."""
+def functor_L_data(p: VContramodule) -> LData:
+    """The quotient comodule of a contramodule, with its coaction induced
+    from the comultiplication on the free cover."""
     c = p.coalgebra
+    # the parallel pair on [C,P] (x) C whose coequaliser carries L
     fp = hom_space(c.space, p.space)
     delta_map = tensor_map(p.theta, identity_map(c.space))
     beta_map = compose(
@@ -101,14 +104,6 @@ def l_pair(p: VContramodule):
             tensor_map(identity_map(fp), c.delta),
         ),
     )
-    return delta_map, beta_map
-
-
-def functor_L_data(p: VContramodule) -> LData:
-    """The quotient comodule of a contramodule, with its coaction induced
-    from the comultiplication on the free cover."""
-    c = p.coalgebra
-    delta_map, beta_map = l_pair(p)
     quot = coequalizer_lin(delta_map, beta_map, prefix="l")
     x = p.space
     w = compose(
@@ -126,18 +121,15 @@ def functor_L_data(p: VContramodule) -> LData:
     m = VComodule(c, quot.space, rho)
     rep = validate_comodule(m)
     assert rep["ok"], rep
-    return LData(m, quot)
+    return LData(m, quot, (delta_map, beta_map))
 
 
 def functor_L(p: VContramodule) -> VComodule:
     return functor_L_data(p).comodule
 
 
-def unit_map(p: VContramodule, ldata: LData | None = None,
-             rdata: RData | None = None) -> LinMap:
-    """P -> sections of the quotient comodule."""
-    ldata = ldata or functor_L_data(p)
-    rdata = rdata or functor_R_data(ldata.comodule)
+def unit_map(p: VContramodule, ldata: LData, rdata: RData) -> LinMap:
+    """P -> sections of the quotient comodule, given L(p) and R(L(p))."""
     c = p.coalgebra
     curried = curry(
         ldata.quot.project, p.space, c.space, ldata.comodule.space
@@ -145,17 +137,15 @@ def unit_map(p: VContramodule, ldata: LData | None = None,
     return factor_through_include(rdata.hom.include, curried)
 
 
-def counit_map(m: VComodule, rdata: RData | None = None,
-               ldata: LData | None = None) -> LinMap:
-    """Quotient of the sections back onto m, by evaluation."""
-    rdata = rdata or functor_R_data(m)
-    ldata = ldata or functor_L_data(rdata.contramodule)
+def counit_map(m: VComodule, rdata: RData, ldata: LData) -> LinMap:
+    """Quotient of the sections back onto m, by evaluation, given R(m)
+    and L(R(m))."""
     c = m.coalgebra
     evaluate = compose(
         ev_map(c.space, m.space),
         tensor_map(rdata.hom.include, identity_map(c.space)),
     )
-    delta_map, beta_map = l_pair(rdata.contramodule)
+    delta_map, beta_map = ldata.pair
     assert compose(evaluate, delta_map) == compose(evaluate, beta_map), (
         "evaluation does not descend to the quotient"
     )
@@ -165,33 +155,38 @@ def counit_map(m: VComodule, rdata: RData | None = None,
 def triangle_identities(p: VContramodule, m: VComodule) -> dict:
     """Both triangle identities at the given objects, exactly."""
     require_same_coalgebra(p, m)
+    return _triangles(p, m, functor_L_data(p), functor_R_data(m))
+
+
+def _triangles(p: VContramodule, m: VComodule, ldata: LData,
+               rdata: RData) -> dict:
+    """:func:`triangle_identities` given L(p) and R(m); builds L(R(m)),
+    R(L(R(m))), R(L(p)) and L(R(L(p))) once each."""
     # contramodule side: R(counit) after unit at the sections of m
-    rdata = functor_R_data(m)
     ldata_rm = functor_L_data(rdata.contramodule)
-    eps = counit_map(m, rdata, ldata_rm)
-    eta_rm = unit_map(rdata.contramodule, ldata_rm)
     r_lrm = functor_R_data(ldata_rm.comodule)
+    eps = counit_map(m, rdata, ldata_rm)
+    eta_rm = unit_map(rdata.contramodule, ldata_rm, r_lrm)
     r_eps = R_mor(eps, r_lrm, rdata)
     tri_r = (
         compose(r_eps, eta_rm) == identity_map(rdata.contramodule.space)
     )
     # comodule side: counit at L(p) after L(unit)
-    ldata = functor_L_data(p)
     rdata_lp = functor_R_data(ldata.comodule)
     eta = unit_map(p, ldata, rdata_lp)
     ldata_rlp = functor_L_data(rdata_lp.contramodule)
-    l_eta = _l_mor(eta, p, rdata_lp.contramodule, ldata, ldata_rlp)
+    l_eta = _l_mor(eta, p, ldata, ldata_rlp)
     eps_lp = counit_map(ldata.comodule, rdata_lp, ldata_rlp)
     tri_l = compose(eps_lp, l_eta) == identity_map(ldata.comodule.space)
     return {"ok": tri_r and tri_l, "sections_side": tri_r,
             "quotient_side": tri_l}
 
 
-def _l_mor(u: LinMap, p: VContramodule, q: VContramodule,
-           lp: LData, lq: LData) -> LinMap:
+def _l_mor(u: LinMap, p: VContramodule, lp: LData, lq: LData) -> LinMap:
+    """L on a contramodule map u : p -> q, given L(p) and L(q)."""
     c = p.coalgebra
     w = compose(lq.quot.project, tensor_map(u, identity_map(c.space)))
-    delta_map, beta_map = l_pair(p)
+    delta_map, beta_map = lp.pair
     assert compose(w, delta_map) == compose(w, beta_map), (
         "map does not respect the quotient identification"
     )
@@ -199,7 +194,7 @@ def _l_mor(u: LinMap, p: VContramodule, q: VContramodule,
 
 
 def l_morphism(u: LinMap, p: VContramodule, q: VContramodule) -> LinMap:
-    return _l_mor(u, p, q, functor_L_data(p), functor_L_data(q))
+    return _l_mor(u, p, functor_L_data(p), functor_L_data(q))
 
 
 def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
@@ -243,6 +238,24 @@ def _unit_counit_report(p, m, ldata: LData, rdata_lp: RData,
     }
 
 
+def _embeddings(p: VContramodule, m: VComodule, ldata: LData,
+                rdata: RData):
+    """The comodule maps L(p) -> m and the contramodule maps p -> R(m),
+    each with its embedding into [P, FM]: (homT, a_incl, homF, b_incl)."""
+    c = p.coalgebra
+    homT = comodule_hom_object(ldata.comodule, m)
+    to_pfm_T = compose(
+        hom_tensor_iso(p.space, c.space, m.space),
+        hom_map(ldata.quot.project, identity_map(m.space)),
+    )
+    a_incl = compose(to_pfm_T, homT.include)
+    homF = contra_hom_object(p, rdata.contramodule)
+    b_incl = compose(
+        hom_map(identity_map(p.space), rdata.hom.include), homF.include
+    )
+    return homT, a_incl, homF, b_incl
+
+
 def adjunction_certificate(
     p: VContramodule, m: VComodule, squares=None
 ) -> dict:
@@ -253,25 +266,15 @@ def adjunction_certificate(
     sections embed by postcomposing with the inclusion.  The certificate
     checks the two images coincide (dimension and mutual containment) and,
     when morphism squares are supplied, that the identification is natural
-    in both arguments.
+    in both arguments.  Its ``"ok"`` covers those checks; the triangle
+    identities, from the same L(p) and R(m), are reported under
+    ``"triangles"``.
     """
     require_same_coalgebra(p, m)
     c = p.coalgebra
     ldata = functor_L_data(p)
     rdata = functor_R_data(m)
-    fm = hom_space(c.space, m.space)
-
-    homT = comodule_hom_object(ldata.comodule, m)
-    to_pfm_T = compose(
-        hom_tensor_iso(p.space, c.space, m.space),
-        hom_map(ldata.quot.project, identity_map(m.space)),
-    )
-    a_incl = compose(to_pfm_T, homT.include)
-
-    homF = contra_hom_object(p, rdata.contramodule)
-    b_incl = compose(
-        hom_map(identity_map(p.space), rdata.hom.include), homF.include
-    )
+    homT, a_incl, homF, b_incl = _embeddings(p, m, ldata, rdata)
 
     report = {
         "dim_comodule_side": homT.space.total_dim,
@@ -301,20 +304,10 @@ def adjunction_certificate(
         # u : P2 -> P a contramodule map, v : M -> M2 a comodule map
         ldata2 = functor_L_data(p2)
         rdata2 = functor_R_data(m2)
-        homT2 = comodule_hom_object(ldata2.comodule, m2)
-        homF2 = contra_hom_object(p2, rdata2.contramodule)
-        to_pfm_T2 = compose(
-            hom_tensor_iso(p2.space, c.space, m2.space),
-            hom_map(ldata2.quot.project, identity_map(m2.space)),
-        )
-        a_incl2 = compose(to_pfm_T2, homT2.include)
-        b_incl2 = compose(
-            hom_map(identity_map(p2.space), rdata2.hom.include),
-            homF2.include,
-        )
+        homT2, a_incl2, homF2, b_incl2 = _embeddings(p2, m2, ldata2, rdata2)
         fv = hom_map(identity_map(c.space), v)
         transport = hom_map(u, fv)  # [P,FM] -> [P2,FM2]
-        lu = _l_mor(u, p2, p, ldata2, ldata)
+        lu = _l_mor(u, p2, ldata2, ldata)
         chi_t = factor_through_include(
             homT2.include,
             compose(hom_map(lu, v), homT.include),
@@ -330,6 +323,7 @@ def adjunction_certificate(
             report["failures"].append("contramodule-side square broke")
         report["naturality_squares"] += 2
     report["ok"] = not report["failures"]
+    report["triangles"] = _triangles(p, m, ldata, rdata)
     return report
 
 

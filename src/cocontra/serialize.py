@@ -24,7 +24,7 @@ from .coalg import (
     free,
 )
 from .coalg.instances import group_like_coalgebra
-from .errors import ParseError
+from .errors import CocontraError, ParseError
 from .exactlin import (
     GradedVect,
     LinMap,
@@ -79,6 +79,9 @@ def blocks_in(field, dom: GradedVect, cod: GradedVect, degree: int,
     blocks = {}
     for key, rows in raw.items():
         k = int(key)
+        if len(rows) != cod.dim(k + degree):
+            raise ValueError(f"block {k} has {len(rows)} rows, its target "
+                             f"has dimension {cod.dim(k + degree)}")
         blocks[k] = matrix_in(field, rows, dom.dim(k))
     return LinMap(dom, cod, degree, blocks)
 
@@ -134,6 +137,10 @@ def _parse_declaration(decl: dict, env: Environment):
             raise ParseError(f"unknown declaration kind {kind!r}",
                              where=name)
         raise ParseError(f"missing field {exc} in {name!r}", where=name)
+    except ParseError:
+        raise
+    except (ValueError, CocontraError) as exc:
+        raise ParseError(f"{kind} {name!r} rejected: {exc}", where=name)
     env.add(name, kind, obj)
 
 

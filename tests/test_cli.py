@@ -391,6 +391,60 @@ def test_unresolved_reference_rejected():
         serialize.parse_bundle(doc)
 
 
+# declarations their parsers reject, each named "bad"
+REJECTED_DECLS = {
+    "delta-too-tall": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}},
+        {"kind": "coalgebra", "name": "bad", "space": "V",
+         "delta_blocks": {"0": [["1"], ["1"]]},
+         "eps_blocks": {"0": [["1"]]}},
+    ],
+    "ragged-rows": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 2}},
+        {"kind": "linmap", "name": "bad", "dom": "V", "cod": "V",
+         "blocks": {"0": [["1", "0"], ["1"]]}},
+    ],
+    "empty-fiber": [
+        {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+        {"kind": "contra_product", "name": "bad", "base": "C",
+         "fibers": {"1": [], "2": ["r"]}},
+    ],
+    "partial-finmap": [
+        {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+        {"kind": "finset", "name": "X", "elements": ["a", "b"]},
+        {"kind": "finmap", "name": "bad", "dom": "X", "cod": "C",
+         "table": {"a": "1"}},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_DECLS))
+def test_rejected_declaration_is_a_parse_error(case):
+    with pytest.raises(ParseError) as exc:
+        serialize.parse_bundle({"declarations": REJECTED_DECLS[case]})
+    assert exc.value.where == "bad"
+
+
+def test_rejected_declaration_exits_2_without_asserts(tmp_path):
+    # under -O an assert checks nothing, so input checks must be raises
+    import subprocess
+    import sys
+
+    src = Path(cli.__file__).parents[1]
+    for case, decls in sorted(REJECTED_DECLS.items()):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({"declarations": decls, "jobs": []}))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "cocontra.cli", "run", str(path)],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2, (case, proc.stderr)
+        assert proc.stderr.startswith("parse error at bad: "), (
+            case, proc.stderr)
+
+
 def test_canonical_round_trip_is_byte_identical(tmp_path):
     doc = {
         "declarations": BASE_DECLS,

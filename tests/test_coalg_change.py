@@ -354,3 +354,25 @@ def test_bridge_structure_bijective_exhaustively_tiny():
         seen.add(key)
         back = coalg.contramodule_to_comodule(p, alg)
         assert sub_maps(back.rho, m.rho).is_zero()
+
+
+def test_bridge_builds_the_comodule_module_once(monkeypatch):
+    from cocontra.coalg import bridge
+
+    built = []
+    build = bridge.comodule_to_module
+
+    def counted(m, alg):
+        built.append(m)
+        return build(m, alg)
+
+    monkeypatch.setattr(bridge, "comodule_to_module", counted)
+    rng = random.Random(15)
+    c = inst.random_coalgebra(F2, rng, max_dim=2)
+    m = inst.random_comodule(c, rng, max_dim=2)
+    p = inst.random_contramodule(c, rng, max_dim=2)
+    assert coalg.bridge_certificate(m, p)["ok"]
+    assert len(built) == 1
+    phi, sections, bridged_p = coalg.sections_bridge_iso(m)
+    assert coalg.is_contramodule_map(phi, sections, bridged_p)
+    assert len(built) == 2

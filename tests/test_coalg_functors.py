@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+
+import pytest
 
 from cocontra import coalg
 from cocontra.coalg import instances as inst
@@ -164,3 +167,49 @@ def test_functor_images_are_natural_on_random_maps():
     assert sub_maps(
         compose(eps_n, lrv), compose(v, eps_m)
     ).is_zero()
+
+
+def test_adjoint_job_builds_each_functor_datum_once(monkeypatch):
+    # per instance: L(p), L(R(m)), L(R(L(p))) and R(m), R(L(R(m))), R(L(p))
+    from cocontra import cli, serialize
+    from cocontra.coalg import functors
+
+    calls = Counter()
+    for name in ("functor_L_data", "functor_R_data"):
+        def counted(obj, _build=getattr(functors, name), _name=name):
+            calls[_name] += 1
+            return _build(obj)
+        monkeypatch.setattr(functors, name, counted)
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "group_like_coalgebra", "name": "G", "field": "F2",
+         "size": 2},
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 2}},
+        {"kind": "cofree_comodule", "name": "TV", "coalgebra": "G",
+         "on": "V"},
+        {"kind": "free_contramodule", "name": "FV", "coalgebra": "G",
+         "on": "V"},
+    ]})
+    ctx = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
+    jobs = [
+        ({"contramodule": "FV", "comodule": "TV"}, 1),
+        ({"random": {"field": "F2", "count": 2, "max_dim": 2}}, 2),
+    ]
+    for args, instances in jobs:
+        calls.clear()
+        entry = cli.run_job(env, {"command": "adjoint", "args": args}, ctx)
+        assert entry["status"] == "pass", entry
+        assert calls == {"functor_L_data": 3 * instances,
+                         "functor_R_data": 3 * instances}
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=lambda f: f.name)
+def test_certificate_reports_the_triangle_identities(field):
+    rng = random.Random(9)
+    for _ in range(3):
+        c = inst.random_coalgebra(field, rng, max_dim=2)
+        m = inst.random_comodule(c, rng, max_dim=2)
+        p = inst.random_contramodule(c, rng, max_dim=2)
+        rep = coalg.adjunction_certificate(p, m)
+        assert rep["triangles"] == coalg.triangle_identities(p, m)
+        assert rep["triangles"]["ok"]
