@@ -32,7 +32,7 @@ from . import coalg
 from .coalg import instances as coalg_instances
 from .errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, CocontraError,
                      ParseError)
-from .exactlin import GradedVect, field_from_name
+from .exactlin import GradedVect, dual, field_from_name
 from .finset import FinMap, FinSet
 from .serialize import Environment, serialize_result
 from .set_comodule import SetComodule
@@ -384,8 +384,9 @@ def _job_bridge(env, args, ctx):
                           ("contramodule", "comodule")):
         if args[name] is None and args[partner] is not None:
             raise _missing("bridge", name, f"to go with {partner!r}")
-    alg = coalg.dual_algebra(c)
-    payload = {"dual_algebra_dims": _dims(alg.space)}
+    # the dual algebra's space is dual(C); bridge_certificate builds the
+    # algebra itself
+    payload = {"dual_algebra_dims": _dims(dual(c.space))}
     if m is not None:
         rep = coalg.bridge_certificate(m, p)
         payload.update(rep)

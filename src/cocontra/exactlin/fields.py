@@ -1,7 +1,14 @@
 """Exact scalar fields: rationals and prime fields.
 
-Rational elements are ``fractions.Fraction``; prime-field elements are
-plain ints in ``range(p)``.  No floating point anywhere.
+Every coefficient is in its field's canonical form, so equal scalars are
+equal objects of one type.  A rational is a Python int when it is
+integral and a ``fractions.Fraction`` otherwise; a prime-field element is
+a plain int in ``range(p)``.  Field operations return canonical results
+from canonical arguments, so internal code never normalises; outside
+scalars are brought into this form by ``canonical``, ``from_int`` and
+``parse`` where they enter, and a sum that a kernel keeps as an integer
+numerator over a common denominator becomes a field element through
+``from_ratio``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -10,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-# Fraction is immutable, so every zero and one can be the same object
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _rational(x):
+    """An int or Fraction as a canonical rational: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -22,22 +29,46 @@ class QQ:
     name: str = "Q"
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
+    def canonical(self, a):
+        return _rational(a)
+
+    def from_ratio(self, n: int, d: int):
+        """n / d for ints n and d > 0."""
+        return n if d == 1 else _rational(Fraction(n, d))
+
+    # int results, the common case, skip the denominator test
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _rational(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _rational(c)
 
     def mul(self, a, b):
-        return a * b
+        # a factor of 1 or -1, which every identity map contributes, costs
+        # no Fraction arithmetic
+        if type(a) is int:
+            if type(b) is int:
+                return a * b
+            if a == 1:
+                return b
+            if a == -1:
+                return -b
+        elif type(b) is int:
+            if b == 1:
+                return a
+            if b == -1:
+                return -a
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -45,16 +76,16 @@ class QQ:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def div(self, a, b):
-        return Fraction(a) / Fraction(b)
+        return _rational(Fraction(a) / Fraction(b))
 
     def parse(self, s: str):
-        return Fraction(s)
+        return _rational(Fraction(s))
 
     def format(self, a) -> str:
-        return str(Fraction(a))
+        return str(a)
 
 
 def _is_prime(p: int) -> bool:
@@ -90,6 +121,13 @@ class GF:
 
     def from_int(self, n: int):
         return n % self.p
+
+    def canonical(self, a):
+        return a % self.p
+
+    def from_ratio(self, n: int, d: int):
+        """n / d for ints n and d prime to p."""
+        return n % self.p if d == 1 else self.div(n, d)
 
     def add(self, a, b):
         return (a + b) % self.p

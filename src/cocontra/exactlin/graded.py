@@ -158,16 +158,15 @@ class LinMap:
     @classmethod
     def from_images(cls, dom, cod, degree, images: dict):
         """Build from {domain label: image}, each image a {label: coeff}
-        dict; a missing label maps to zero."""
+        dict of canonical field elements; a missing label maps to
+        zero."""
         fld = dom.field
-        z = fld.zero()
         blocks = {}
         for k in dom.degrees():
             tgt = k + degree
             rows = [{} for _ in range(cod.dim(tgt))]
             for j, lab in enumerate(dom.labels[k]):
                 for clab, c in images.get(lab, {}).items():
-                    c = fld.add(z, c)  # into the field's own form
                     if not c:
                         continue
                     kk, i = cod.position(clab)

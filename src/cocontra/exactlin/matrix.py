@@ -5,16 +5,19 @@ rank, nullspace bases, and linear solves.
 Matrices act on column vectors; an m x n matrix maps n-space to m-space.
 Each row is a ``{column: nonzero}`` dict that never holds a zero: every
 operation reads the nonzeros alone and drops an entry once it cancels
-(both fields' zeros, ``Fraction(0)`` and ``0``, are falsy).  A vector is
-a one-column matrix or, where it stands alone (a nullspace basis
-vector), an ``{index: nonzero}`` dict.  Dense rows exist only at the
-edges: the constructor for outside input, and the ``rows`` view that
-reports are written from.
+(zero is the int ``0`` in both fields, and falsy).  A vector is a
+one-column matrix or, where it stands alone (a nullspace basis vector),
+an ``{index: nonzero}`` dict.  Entries are in their field's canonical
+form (see ``fields``); the constructor brings outside input into it, and
+every other operation keeps it.  Dense rows exist only at the edges: the
+constructor for outside input, and the ``rows`` view that reports are
+written from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 @dataclass(eq=True)
@@ -24,8 +27,9 @@ class Matrix:
     width: int
 
     def __init__(self, field, rows, width=None):
-        """Build from dense rows (outside input); width is needed when
-        there are no rows."""
+        """Build from dense rows (outside input: ints or field elements,
+        put into canonical form); width is needed when there are no
+        rows."""
         rows = [tuple(r) for r in rows]
         widths = {len(r) for r in rows}
         if len(widths) > 1:
@@ -39,7 +43,9 @@ class Matrix:
         elif width is None:
             width = 0
         self.field = field
-        self.srows = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
+        canon = field.canonical
+        self.srows = tuple({j: c for j, x in enumerate(r) if (c := canon(x))}
+                           for r in rows)
         self.width = width
 
     @classmethod
@@ -60,8 +66,9 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows, width=None):
-        return cls(field, ([field.from_int(x) if isinstance(x, int) else x
-                            for x in r] for r in rows), width)
+        """The constructor, by name: dense rows of ints or field
+        elements."""
+        return cls(field, rows, width)
 
     @classmethod
     def zeros(cls, field, m, n):
@@ -116,20 +123,40 @@ class Matrix:
             for r in self.srows), self.width)
 
     def __matmul__(self, other) -> "Matrix":
+        """The product.  Each entry of a row is summed as an integer over
+        the row's common denominator and becomes a field element once
+        (``from_ratio``), so the inner loop does no Fraction arithmetic
+        and a product over Q costs about the same whether its entries are
+        integral or not; over F_p every denominator is 1."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        add, mul = f.add, f.mul
+        ratio = self.field.from_ratio
         brows = other.srows
         out = []
         for r in self.srows:
-            acc = {}
+            acc, den = {}, 1  # entry j is acc[j] / den
             for t, a in r.items():
+                if type(a) is int:
+                    na, da = a, 1
+                else:
+                    na, da = a.numerator, a.denominator
                 for j, b in brows[t].items():
-                    x = mul(a, b)
-                    acc[j] = add(acc[j], x) if j in acc else x
-            out.append({j: x for j, x in acc.items() if x})
-        return Matrix.sparse(f, out, other.ncols)
+                    if type(b) is int:
+                        n, d = na * b, da
+                    else:
+                        n, d = na * b.numerator, da * b.denominator
+                    if d != den:
+                        if den % d:
+                            # widen den to lcm(den, d)
+                            up = d // gcd(den, d)
+                            for k in acc:
+                                acc[k] *= up
+                            den *= up
+                        n *= den // d
+                    acc[j] = acc[j] + n if j in acc else n
+            out.append({j: x for j, s in acc.items()
+                        if s and (x := ratio(s, den))})
+        return Matrix.sparse(self.field, out, other.ncols)
 
     def is_zero(self) -> bool:
         return not any(self.srows)

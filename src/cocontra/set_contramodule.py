@@ -370,10 +370,12 @@ def enumerate_all(
     nx, nc = len(carrier), len(base)
     if nx == 0:
         return []
-    budget.charge(nx ** (nx**nc), "theta-table enumeration")
     nb = nx**nc
-    # contraunitality fixes the constant functions: the odometer runs over
-    # the other slots only, which keeps the order of the survivors
+    # contraunitality fixes the constant functions (nx slots, or the one
+    # slot over an empty base): the odometer runs over the other slots
+    # only, which keeps the order of the survivors, and is charged for
+    # those, before any slot list is built
+    budget.charge(nx ** (nb - nx if nc else 0), "theta-table enumeration")
     const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
     free = [i for i in range(nb) if i not in const_idx]
     gather = [0] * nb

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,7 +109,7 @@ def test_budget_exceeded_surfaces_as_job_error(tmp_path):
     job = report["jobs"][0]
     assert job["status"] == "error"
     assert job["witnesses"][0]["error"] == "budget-exceeded"
-    assert job["witnesses"][0]["projected"] == 3 ** 9
+    assert job["witnesses"][0]["projected"] == 3 ** 6
 
 
 def test_reports_byte_identical_across_runs(tmp_path):
@@ -141,7 +142,7 @@ SET_SIDE_GOLDEN_SHA256 = (
 )
 
 
-def test_set_side_report_matches_golden_digest():
+def _set_side_manifest():
     decls = [
         {"kind": "finset", "name": "C", "elements": ["1", "2"]},
         {"kind": "finset", "name": "X", "elements": ["a", "b", "c"]},
@@ -175,8 +176,14 @@ def test_set_side_report_matches_golden_digest():
         {"id": "equivalence", "command": "equivalence",
          "args": {"max_carrier": 3, "max_base": 2, "max_fiber": 2}},
     ]
-    ctx = {"budget": 10**6, "oracle": True, "seed": 0, "timing": False}
-    report = cli.run_manifest({"declarations": decls, "jobs": jobs}, ctx)
+    return {"declarations": decls, "jobs": jobs}
+
+
+GOLDEN_CTX = {"budget": 10**6, "oracle": True, "seed": 0, "timing": False}
+
+
+def test_set_side_report_matches_golden_digest():
+    report = cli.run_manifest(_set_side_manifest(), GOLDEN_CTX)
     assert {j["status"] for j in report["jobs"]} == {"pass"}
     digest = hashlib.sha256(serialize.canonical_bytes(report)).hexdigest()
     assert digest == SET_SIDE_GOLDEN_SHA256
@@ -208,7 +215,7 @@ def _conjugated_group_like(name, field, space, fractions):
     ]
 
 
-def test_linear_side_report_matches_golden_digest():
+def _linear_side_manifest():
     decls = [
         # Q: the binomial coalgebra with z in degree 1, so odd degrees,
         # braiding signs and Koszul signs all reach the report
@@ -321,8 +328,11 @@ def test_linear_side_report_matches_golden_digest():
             {"id": f"{tag}-induce-p", "command": "induce",
              "args": {**along, "target": p2}},
         ]
-    ctx = {"budget": 10**6, "oracle": True, "seed": 0, "timing": False}
-    report = cli.run_manifest({"declarations": decls, "jobs": jobs}, ctx)
+    return {"declarations": decls, "jobs": jobs}
+
+
+def test_linear_side_report_matches_golden_digest():
+    report = cli.run_manifest(_linear_side_manifest(), GOLDEN_CTX)
     assert [j["id"] for j in report["jobs"] if j["status"] != "pass"] == []
     digest = hashlib.sha256(serialize.canonical_bytes(report)).hexdigest()
     assert digest == LINEAR_SIDE_GOLDEN_SHA256
@@ -860,7 +870,7 @@ CLI_SURFACE = {
     "enumerate": ("enumerate --carrier 3 --base 2 --oracle",
         0, "c00b09931c170ec637726416e58916fe60e38b0cd418af165e7852e659d984aa"),
     "enumerate-budget": ("enumerate --carrier 3 --base 2 --budget 10",
-        2, "e938f4876b7ac9f8c28ba9ffb84f00f1da4d5d6b32411066914801d9db184b27"),
+        2, "305b8fea61337c42e8abe5abc6a014bd2425f2e34b0c4cbea9d7cee5dd1558be"),
     "demo": ("demo-noncocontinuous --c-size 3",
         0, "5e7d6d1beda6232d4200e111c904e83d9f876ff47fb4b506c241be6cbd544f65"),
     "demo-default": ("demo-noncocontinuous",
@@ -937,14 +947,39 @@ CLI_SURFACE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CLI_SURFACE))
-def test_cli_surface_matches_recorded_reports(tmp_path, case):
+def _check_surface_case(tmp_path, case):
     template, code, digest = CLI_SURFACE[case]
     paths = _surface_files(tmp_path)
     argv = template.format(**paths).split()
     out = tmp_path / "report.json"
     assert cli.main([*argv, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(CLI_SURFACE))
+def test_cli_surface_matches_recorded_reports(tmp_path, case):
+    _check_surface_case(tmp_path, case)
+
+
+@pytest.mark.parametrize("case, builds", [
+    ("bridge", 0), ("bridge-objects", 1), ("bridge-poly", 0)])
+def test_bridge_job_builds_the_dual_algebra_once(monkeypatch, tmp_path,
+                                                 case, builds):
+    """The job reports the algebra's dimensions from dual(C); only the
+    certificate, run when a comodule is given, builds the algebra."""
+    from cocontra.coalg import bridge
+
+    built = []
+    build = bridge.dual_algebra
+
+    def counted(c):
+        built.append(c)
+        return build(c)
+
+    monkeypatch.setattr(bridge, "dual_algebra", counted)
+    monkeypatch.setattr(cli.coalg, "dual_algebra", counted)
+    _check_surface_case(tmp_path, case)
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("argv", [
@@ -956,3 +991,67 @@ def test_missing_required_flag_exits_through_argparse(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+# --- canonical scalars ---------------------------------------------------------
+#
+# A coefficient is always in its field's canonical form: a rational is an
+# int when integral and a Fraction otherwise, an F_p element an int in
+# range(p), and a stored block entry is never zero.  Nothing inside
+# exactlin normalises, so these tests are what checks it.
+
+def _golden_manifests():
+    return {
+        "examples": json.loads((EXAMPLES / "manifest.json").read_text()),
+        "set-side": _set_side_manifest(),
+        "linear-side": _linear_side_manifest(),
+        "surface": SURFACE_MANIFEST,
+    }
+
+
+@pytest.mark.parametrize("name", ["examples", "set-side", "linear-side",
+                                  "surface"])
+def test_golden_reports_print_no_fraction_repr(name):
+    """``serialize_result`` falls back to ``repr`` for a type it does not
+    know, so a stray Fraction in a payload would print as
+    ``Fraction(1, 2)``."""
+    report = cli.run_manifest(_golden_manifests()[name], GOLDEN_CTX)
+    assert b"Fraction(" not in serialize.canonical_bytes(report)
+
+
+def _noncanonical_entries(f):
+    fld = f.dom.field
+    p = getattr(fld, "p", None)
+    for k, blk in f.blocks.items():
+        for i, row in enumerate(blk.srows):
+            for j, x in row.items():
+                if p is None:
+                    ok = type(x) is int and x != 0 or (
+                        type(x) is Fraction and x.denominator != 1)
+                else:
+                    ok = type(x) is int and 0 < x < p
+                if not ok:
+                    yield fld.name, k, i, j, x
+
+
+@pytest.mark.parametrize("name", ["examples", "linear-side", "surface"])
+def test_structure_map_entries_are_canonical(monkeypatch, name):
+    """Every block entry of every map the golden linear jobs build, over
+    Q, F2 and F3."""
+    from cocontra.exactlin import LinMap
+
+    fields, bad = set(), []
+    build = LinMap.__init__
+
+    def checked(self, dom, cod, degree, blocks):
+        build(self, dom, cod, degree, blocks)
+        fields.add(dom.field.name)
+        bad.extend(_noncanonical_entries(self))
+
+    monkeypatch.setattr(LinMap, "__init__", checked)
+    report = cli.run_manifest(_golden_manifests()[name], GOLDEN_CTX)
+    assert [j["id"] for j in report["jobs"] if j["status"] != "pass"] == []
+    assert bad[:5] == []
+    assert "F2" in fields
+    if name == "linear-side":
+        assert fields == {"Q", "F2", "F3"}

@@ -93,6 +93,28 @@ def test_field_parsing_round_trips():
         GF(4)
 
 
+def test_equal_rationals_have_one_type():
+    """An integral rational is an int and any other a Fraction, so block
+    ``==`` and hashing agree and reports never see ``Fraction(2)``."""
+    half = Fraction(1, 2)
+    assert type(Q.add(half, half)) is int
+    assert type(Q.sub(half, -half)) is int
+    assert type(Q.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(Q.div(4, 2)) is int
+    assert type(Q.zero()) is int and type(Q.one()) is int
+    assert type(Q.from_int(-3)) is int
+    assert Q.inv(-2) == Fraction(-1, 2)
+    assert type(Q.inv(half)) is int
+    assert Q.parse("4/2") == 2 and type(Q.parse("4/2")) is int
+    assert Q.format(Q.parse("4/2")) == "2"
+    m = Matrix(Q, [[Fraction(2)]])
+    assert type(m.srows[0][0]) is int and m.srows[0][0] == 2
+    assert m == Matrix.from_rows(Q, [[2]])
+    assert Matrix(Q, [[Fraction(0), half]]).srows == ({1: half},)
+    # outside F_p input is reduced where it enters, and a zero is dropped
+    assert Matrix(GF(2), [[3, 2]]).srows == ({0: 1},)
+
+
 # --- matrices -----------------------------------------------------------------
 
 
@@ -528,6 +550,62 @@ def test_matmul_and_apply_match_the_naive_loop(field):
         vec = tuple(_rand_scalar(rng, field) for _ in range(k))
         col = Matrix(field, tuple((x,) for x in vec), 1)
         assert a @ col == _naive_matmul(a, col)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_matmul_makes_each_entry_once(field, monkeypatch):
+    """The product sums each entry as an integer over a common
+    denominator: no field ``add`` or ``mul`` runs, and ``from_ratio``
+    is asked once per nonzero sum.  Denominators 1, 2, 3, 5 and 7 make
+    the row denominator widen."""
+    rng = random.Random(f"matmul-once-{field.name}")
+
+    def scalar():
+        if rng.random() < 0.3:
+            return 0
+        if field == Q:
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+        return rng.randint(1, field.p - 1)
+
+    pairs = []
+    for _ in range(30):
+        m, k, n = (rng.randint(1, 5) for _ in range(3))
+        pairs.append((Matrix(field, [[scalar() for _ in range(k)]
+                                     for _ in range(m)], k),
+                      Matrix(field, [[scalar() for _ in range(n)]
+                                     for _ in range(k)], n)))
+    expected = [_naive_matmul(a, b) for a, b in pairs]
+
+    def refuse(self, x, y):
+        raise AssertionError("field arithmetic inside matmul")
+
+    calls = []
+    ratio = type(field).from_ratio
+
+    def counted(self, n, d):
+        calls.append((n, d))
+        return ratio(self, n, d)
+
+    monkeypatch.setattr(type(field), "add", refuse)
+    monkeypatch.setattr(type(field), "mul", refuse)
+    monkeypatch.setattr(type(field), "from_ratio", counted)
+    for (a, b), want in zip(pairs, expected):
+        before = len(calls)
+        prod = a @ b
+        assert prod == want and _stores_no_zero(prod)
+        assert len(calls) - before <= prod.nrows * prod.ncols
+    assert any(d > 1 for _, d in calls) is (field == Q)
+
+
+def test_unit_factors_skip_fraction_arithmetic():
+    third = Fraction(1, 3)
+    assert Q.mul(1, third) is third and Q.mul(third, 1) is third
+    assert Q.mul(-1, third) == Q.mul(third, -1) == Fraction(-1, 3)
+    assert Q.mul(-1, 5) == -5 and Q.mul(Fraction(3, 2), 2) == 3
+    assert type(Q.mul(Fraction(3, 2), 2)) is int
+    assert Q.from_ratio(6, 4) == Fraction(3, 2) and Q.from_ratio(6, 3) == 2
+    assert type(Q.from_ratio(6, 3)) is int
+    assert F3.from_ratio(7, 1) == 1 and F3.from_ratio(1, 2) == 2
 
 
 def test_from_images_rejects_entries_outside_the_target_degree():

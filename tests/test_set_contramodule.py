@@ -123,7 +123,11 @@ def test_enumerate_budget():
     x = FinSet(["a", "b", "c"])
     with pytest.raises(BudgetExceeded) as exc:
         sct.enumerate_all(x, C2, Budget(100))
-    assert exc.value.projected == 3 ** 9
+    # the odometer visits the tables that fix the 3 constant functions
+    assert exc.value.projected == 3 ** 6
+    assert len(sct.enumerate_all(x, C2, Budget(1000))) == 2
+    # over an empty base the odometer visits one table
+    assert len(sct.enumerate_all(x, FinSet([]), Budget(1))) == 1
 
 
 def test_decompose_round_trips_product():
