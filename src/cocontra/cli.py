@@ -32,7 +32,7 @@ from . import coalg
 from .coalg import instances as coalg_instances
 from .errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, CocontraError,
                      ParseError)
-from .exactlin import GradedVect, dual, field_from_name
+from .exactlin import GradedVect, dual, field_from_name, space_memo
 from .finset import FinMap, FinSet
 from .serialize import Environment, serialize_result
 from .set_comodule import SetComodule
@@ -624,14 +624,16 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
 
     ``ctx["budget"]`` is the default count, an int; a job's own
     ``budget`` overrides it, and every enumeration of the job is charged
-    against the resulting :class:`Budget`.
+    against the resulting :class:`Budget`.  The job builds each tensor and
+    hom space once (:func:`space_memo`); the table goes with the job.
     """
     command = job.get("command")
     start = time.monotonic()
     try:
         jctx = dict(ctx, budget=Budget(job.get("budget", ctx["budget"])))
-        args = _check_args(env, command, job.get("args", {}))
-        entry = COMMANDS[command].run(env, args, jctx)
+        with space_memo():
+            args = _check_args(env, command, job.get("args", {}))
+            entry = COMMANDS[command].run(env, args, jctx)
     except BudgetExceeded as exc:
         entry = {
             "status": "error",

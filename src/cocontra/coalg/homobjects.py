@@ -109,13 +109,7 @@ def comodule_structure_pair(m: VComodule, n: VComodule):
     """The parallel pair on [M,N] whose equaliser is the hom object."""
     require_same_coalgebra(m, n)
     c = m.coalgebra.space
-    ambient = hom_space(m.space, n.space)
-    phi = hom_map(
-        identity_map(m.space),
-        n.rho,
-        dom=ambient,
-        cod=hom_space(m.space, tensor(n.space, c)),
-    )
+    phi = hom_map(identity_map(m.space), n.rho)
     psi = compose(
         hom_map(m.rho, identity_map(tensor(n.space, c))),
         tensor_id_on_hom(m.space, n.space, c),

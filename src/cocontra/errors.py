@@ -49,7 +49,9 @@ class EmptyCarrier(CocontraError):
 class BudgetExceeded(CocontraError):
     """An enumeration would exceed its budget.
 
-    ``projected`` holds the exact count that would have been enumerated.
+    ``projected`` holds the count that would have been enumerated: the
+    exact int when it prints (see :func:`count_text`), and otherwise its
+    text, so a report can always write it.
     """
 
     def __init__(self, message, projected=None):
@@ -83,11 +85,40 @@ class Budget:
 
     def charge(self, projected: int, what: str):
         if projected > self.max_count:
-            raise BudgetExceeded(
-                f"{what} would enumerate {projected} items "
-                f"(budget {self.max_count})",
-                projected=projected,
-            )
+            if projected.bit_length() > PRINTED_BITS:
+                projected = count_text(projected)
+            self._refuse(projected, what)
+
+    def charge_power(self, base: int, exponent: int, what: str):
+        """Charge base ** exponent items.  A power that may be too long to
+        print and surely exceeds the budget (it is at least
+        2 ** (exponent * (bits of base - 1))) is refused as
+        "base^exponent", without being computed."""
+        bits = base.bit_length()
+        if (exponent * bits > PRINTED_BITS
+                and exponent * (bits - 1) >= self.max_count.bit_length()):
+            self._refuse(f"{base}^{count_text(exponent)}", what)
+        self.charge(base ** exponent, what)
+
+    def _refuse(self, projected, what: str):
+        raise BudgetExceeded(
+            f"{what} would enumerate {projected} items "
+            f"(budget {self.max_count})",
+            projected=projected,
+        )
+
+
+# a count of at most this many bits prints in decimal (at most 603
+# digits, below the least limit Python can be set to for int-to-str)
+PRINTED_BITS = 2000
+
+
+def count_text(n: int) -> str:
+    """n in decimal, or, for a longer count, the power of two it reaches:
+    "at least 2^k", with k written the same way."""
+    if n.bit_length() <= PRINTED_BITS:
+        return str(n)
+    return f"at least 2^{count_text(n.bit_length() - 1)}"
 
 
 DEFAULT_BUDGET = Budget()

@@ -11,6 +11,15 @@ takes and ``LinMap.apply_label`` returns; a hom-space element in that form
 is read back as a map by ``vec_to_linmap``.  Dense tuples appear only in
 reports and outside input.
 
+Tensor and hom spaces are built once per job: while ``space_memo`` is
+active (``cli.run_job`` holds it for one job), ``tensor`` and
+``hom_space`` return the space they already built for the same two
+argument objects; outside it they build a fresh space.  Each such space
+records, per pair of factor degrees, the offset of that pair's block in
+the degree it lands in, so ``tensor_map`` and ``hom_map`` write their
+block entries by index arithmetic, as a Kronecker product is laid out,
+without going through labels.
+
 The only sign convention in the package lives here: applying a tensor
 product of maps to a tensor of elements costs (-1)^(|g||x|) when g slides
 past x, and the braiding costs (-1)^(|x||y|).  All structure maps downstream
@@ -19,6 +28,7 @@ are degree zero, so these are the only places signs can enter.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import MismatchedSignature
@@ -30,6 +40,8 @@ class GradedVect:
     field: object
     dims: dict[int, int]
     labels: dict[int, tuple]
+    # tensor and hom spaces: {(i, j): offset of that pair's block}
+    offsets: dict | None = None
 
     def __init__(self, field, dims, labels=None, prefix="e"):
         self.field = field
@@ -53,7 +65,7 @@ class GradedVect:
                 self._pos[lab] = (k, i)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedVect)
             and self.field == other.field
             and self.dims == other.dims
@@ -248,46 +260,102 @@ def scale_map(c, f: LinMap) -> LinMap:
     )
 
 
-# --- tensor product -----------------------------------------------------------
+# --- tensor and hom spaces, built once per job -------------------------
+
+
+# {(tag, id(v), id(w)): (v, w, space)} while a space_memo block runs; each
+# entry holds its arguments, so no id is reused while the entry lives
+_spaces = None
+
+
+@contextmanager
+def space_memo():
+    """Within the block, ``tensor`` and ``hom_space`` build each space once
+    per pair of argument objects; the table goes when the block exits."""
+    global _spaces
+    outer, _spaces = _spaces, {}
+    try:
+        yield
+    finally:
+        _spaces = outer
+
+
+def _pair_space(tag: str, v: GradedVect, w: GradedVect) -> GradedVect:
+    """The space of (tag, a, b) labels: degree n stacks one block per pair
+    (i, j) of degrees of v and w that lands in n (i + j for the tensor tag
+    "t", j - i for the hom tag "h"), i ascending, then a's index, then b's;
+    ``offsets[i, j]`` is where the pair's block starts in n."""
+    memo = _spaces
+    if memo is not None:
+        hit = memo.get((tag, id(v), id(w)))
+        if hit is not None:
+            return hit[2]
+    assert v.field == w.field
+    sign = 1 if tag == "t" else -1
+    labels = {}
+    offsets = {}
+    for i in v.degrees():
+        for j in w.degrees():
+            labs = labels.setdefault(j + sign * i, [])
+            offsets[i, j] = len(labs)
+            labs.extend((tag, a, b) for a in v.labels[i] for b in w.labels[j])
+    space = GradedVect(
+        v.field, {n: len(labs) for n, labs in labels.items()}, labels
+    )
+    space.offsets = offsets
+    if memo is not None:
+        memo[tag, id(v), id(w)] = (v, w, space)
+    return space
 
 
 def tensor(v: GradedVect, w: GradedVect) -> GradedVect:
     """Degreewise convolution with ("t", a, b) labels; within a degree the
     first factor's degree ascends, then both indices."""
-    assert v.field == w.field
-    dims = {}
-    labels = {}
-    for i in v.degrees():
-        for j in w.degrees():
-            n = i + j
-            labs = [
-                ("t", a, b) for a in v.labels[i] for b in w.labels[j]
-            ]
-            labels.setdefault(n, []).extend(labs)
-            dims[n] = dims.get(n, 0) + len(labs)
-    return GradedVect(
-        v.field, dims, {k: tuple(ls) for k, ls in labels.items()}
-    )
+    return _pair_space("t", v, w)
+
+
+def _kron(out: list, r0: int, c0: int, arows, b: Matrix, mul):
+    """Write the Kronecker product of ``arows`` (one {column: nonzero} dict
+    per row) and b into the rows ``out``: a[ia][ja] b[ib][jb] goes to row
+    r0 + ia * b.nrows + ib, column c0 + ja * b.width + jb."""
+    height, width = b.nrows, b.width
+    for ia, arow in enumerate(arows):
+        if not arow:
+            continue
+        r = r0 + ia * height
+        for ib, brow in enumerate(b.srows):
+            if not brow:
+                continue
+            row = out[r + ib]
+            for ja, x in arow.items():
+                c = c0 + ja * width
+                for jb, y in brow.items():
+                    row[c + jb] = mul(x, y)
 
 
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    """(f (x) g)(x (x) y) = (-1)^(|g||x|) f(x) (x) g(y)."""
+    """(f (x) g)(x (x) y) = (-1)^(|g||x|) f(x) (x) g(y).
+
+    The block of a pair (i, j) of domain degrees is the Kronecker product
+    of f's block i and g's block j, written at the pair's offsets in the
+    domain and codomain degrees."""
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
     fld = dom.field
-    gcols = {lb: g.apply_label(lb) for _, _, lb in g.dom.basis()}
-    images = {}
-    for _, _, la in f.dom.basis():
-        fx = f.apply_label(la)
-        odd = g.degree % 2 == 1 and f.dom.degree_of(la) % 2 == 1
-        for lb, gy in gcols.items():
-            img = {}
-            for xa, ca in fx.items():
-                for yb, cb in gy.items():
-                    c = fld.mul(ca, cb)
-                    img[("t", xa, yb)] = fld.neg(c) if odd else c
-            images[("t", la, lb)] = img
-    return LinMap.from_images(dom, cod, f.degree + g.degree, images)
+    df, dg = f.degree, g.degree
+    rows = {n: [{} for _ in range(cod.dim(n + df + dg))]
+            for n in dom.degrees()}
+    for (i, j), c0 in dom.offsets.items():
+        fb, gb = f.blocks.get(i), g.blocks.get(j)
+        if fb is None or gb is None:
+            continue
+        frows = fb.srows
+        if dg % 2 and i % 2:
+            frows = [{t: fld.neg(a) for t, a in r.items()} for r in frows]
+        _kron(rows[i + j], cod.offsets[i + df, j + dg], c0, frows, gb,
+              fld.mul)
+    return LinMap(dom, cod, df + dg, {
+        n: Matrix.sparse(fld, rs, dom.dims[n]) for n, rs in rows.items()})
 
 
 def assoc(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
@@ -372,20 +440,7 @@ def braiding(v: GradedVect, w: GradedVect) -> LinMap:
 def hom_space(v: GradedVect, w: GradedVect) -> GradedVect:
     """[V,W]_n collects the maps raising degree by n, one ("h", a, b) label
     per matrix unit; source degree ascends first, then both indices."""
-    assert v.field == w.field
-    dims = {}
-    labels = {}
-    for k in v.degrees():
-        for m in w.degrees():
-            n = m - k
-            labs = [
-                ("h", a, b) for a in v.labels[k] for b in w.labels[m]
-            ]
-            labels.setdefault(n, []).extend(labs)
-            dims[n] = dims.get(n, 0) + len(labs)
-    return GradedVect(
-        v.field, dims, {k: tuple(ls) for k, ls in labels.items()}
-    )
+    return _pair_space("h", v, w)
 
 
 def vec_to_linmap(h: dict, v: GradedVect, w: GradedVect) -> LinMap:
@@ -411,27 +466,32 @@ def linmap_to_vec(f: LinMap) -> dict:
     }
 
 
-def hom_map(f: LinMap, g: LinMap, dom=None, cod=None) -> LinMap:
+def hom_map(f: LinMap, g: LinMap) -> LinMap:
     """[B,X] -> [A,Y] by h -> g o h o f, for degree-zero f: A -> B and
-    g: X -> Y."""
+    g: X -> Y.
+
+    The matrix unit b -> x goes to the sum of f[b, a] g[y, x] (a -> y), so
+    the block of a pair (k, m) of degrees of B and X is the Kronecker
+    product of f's block k transposed and g's block m, written at the
+    pair's offsets in [B,X] and [A,Y]."""
     assert f.degree == 0 and g.degree == 0, "hom_map wants degree-0 maps"
-    dom = dom if dom is not None else hom_space(f.cod, g.dom)
-    cod = cod if cod is not None else hom_space(f.dom, g.cod)
+    dom = hom_space(f.cod, g.dom)
+    cod = hom_space(f.dom, g.cod)
     fld = dom.field
-    images = {}
-    for _, _, lab in dom.basis():
-        _, b, x = lab
-        kb, ib = f.cod.position(b)
-        # the b-row of f: the nonzero coefficients of b in f(a)
-        frow = f.blocks[kb].srows[ib] if kb in f.blocks else {}
-        alabs = f.dom.labels.get(kb)
-        gx = g.apply_label(x)
-        images[lab] = {
-            ("h", alabs[ja], y): fld.mul(fa, cy)
-            for ja, fa in frow.items()
-            for y, cy in gx.items()
-        }
-    return LinMap.from_images(dom, cod, 0, images)
+    rows = {n: [{} for _ in range(cod.dim(n))] for n in dom.degrees()}
+    fcols = {}  # f's block k by columns: one {row: nonzero} dict per a
+    for (k, m), c0 in dom.offsets.items():
+        fb, gb = f.blocks.get(k), g.blocks.get(m)
+        if fb is None or gb is None:
+            continue
+        if k not in fcols:
+            cols = fcols[k] = [{} for _ in range(fb.width)]
+            for ib, frow in enumerate(fb.srows):
+                for ia, a in frow.items():
+                    cols[ia][ib] = a
+        _kron(rows[m - k], cod.offsets[k, m], c0, fcols[k], gb, fld.mul)
+    return LinMap(dom, cod, 0, {
+        n: Matrix.sparse(fld, rs, dom.dims[n]) for n, rs in rows.items()})
 
 
 def ev_map(v: GradedVect, w: GradedVect) -> LinMap:

@@ -375,7 +375,7 @@ def enumerate_all(
     # slot over an empty base): the odometer runs over the other slots
     # only, which keeps the order of the survivors, and is charged for
     # those, before any slot list is built
-    budget.charge(nx ** (nb - nx if nc else 0), "theta-table enumeration")
+    budget.charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
     const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
     free = [i for i in range(nb) if i not in const_idx]
     gather = [0] * nb

@@ -871,6 +871,8 @@ CLI_SURFACE = {
         0, "c00b09931c170ec637726416e58916fe60e38b0cd418af165e7852e659d984aa"),
     "enumerate-budget": ("enumerate --carrier 3 --base 2 --budget 10",
         2, "305b8fea61337c42e8abe5abc6a014bd2425f2e34b0c4cbea9d7cee5dd1558be"),
+    "enumerate-budget-huge": ("enumerate --carrier 3 --base 9 --budget 10",
+        2, "ae673cb9694b88d9a255a4d6b2add728f2b2154e54a95a2247ef14fd466a4000"),
     "demo": ("demo-noncocontinuous --c-size 3",
         0, "5e7d6d1beda6232d4200e111c904e83d9f876ff47fb4b506c241be6cbd544f65"),
     "demo-default": ("demo-noncocontinuous",
@@ -980,6 +982,80 @@ def test_bridge_job_builds_the_dual_algebra_once(monkeypatch, tmp_path,
     monkeypatch.setattr(cli.coalg, "dual_algebra", counted)
     _check_surface_case(tmp_path, case)
     assert len(built) == builds
+
+
+def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
+    """An F2 adjoint over a 2-dimensional coalgebra, as in the lin-f2
+    workload: the job builds each tensor and hom space once, and
+    ``tensor_map`` and ``hom_map`` write their blocks without
+    ``from_images``.  The counts cover the whole command, declaration
+    parsing included."""
+    from collections import Counter
+
+    from cocontra.exactlin import graded
+
+    counts = Counter()
+    init = graded.GradedVect.__init__
+    from_images = graded.LinMap.from_images.__func__
+
+    def counted_init(self, *args, **kwargs):
+        counts["spaces"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_from_images(cls, *args):
+        counts["from_images"] += 1
+        return from_images(cls, *args)
+
+    monkeypatch.setattr(graded.GradedVect, "__init__", counted_init)
+    monkeypatch.setattr(graded.LinMap, "from_images",
+                        classmethod(counted_from_images))
+    _check_surface_case(tmp_path, "adjoint")
+    assert counts == {"spaces": 162, "from_images": 41}
+
+
+def test_space_table_lives_only_while_a_job_runs(monkeypatch):
+    """Inside a job, ``tensor`` and ``hom_space`` return the space they
+    built for the same arguments; the table goes with the job whether it
+    passes, raises or exceeds its budget, and outside a job the two
+    functions keep nothing."""
+    from cocontra.errors import BudgetExceeded
+    from cocontra.exactlin import GF, GradedVect, graded, hom_space, tensor
+
+    v = GradedVect(GF(2), {0: 1, 1: 2})
+    assert tensor(v, v) is not tensor(v, v)
+    assert hom_space(v, v) is not hom_space(v, v)
+    assert graded._spaces is None
+
+    adjoint = cli.COMMANDS["adjoint"]
+    sizes = []
+
+    def run(env, args, jctx):
+        assert tensor(v, v) is tensor(v, v)
+        assert hom_space(v, v) is hom_space(v, v)
+        assert tensor(v, v) is not hom_space(v, v)
+        entry = adjoint.run(env, args, jctx)
+        sizes.append(len(graded._spaces))
+        if raised is not None:
+            raise raised
+        return entry
+
+    monkeypatch.setitem(cli.COMMANDS, "adjoint", adjoint._replace(run=run))
+    env = serialize.parse_bundle({"declarations": BASE_DECLS})
+    ctx = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
+    job = {"command": "adjoint",
+           "args": {"contramodule": "FV", "comodule": "TV"}}
+    for raised, status, error in (
+            (None, "pass", None),
+            (RuntimeError("boom"), "error", "RuntimeError"),
+            (BudgetExceeded("over", projected=7), "error",
+             "budget-exceeded")):
+        entry = cli.run_job(env, job, ctx)
+        assert entry["status"] == status
+        if error is not None:
+            assert entry["witnesses"][0]["error"] == error
+        assert sizes[-1] > 2
+        assert graded._spaces is None
+    assert len(sizes) == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -28,6 +29,7 @@ from cocontra.exactlin import (
     hom_tensor_iso_inv,
     identity_map,
     linmap_to_vec,
+    space_memo,
     sub_maps,
     tensor,
     tensor_map,
@@ -624,6 +626,97 @@ def test_from_images_rejects_entries_outside_the_target_degree():
     assert LinMap.from_images(
         x01, y0, 0, {"x1_0": {"y0_0": Q.zero()}}
     ).is_zero()
+
+
+# --- structural maps against the label-dict reference ---------------------
+#
+# tensor_map and hom_map write their blocks by offset arithmetic; these are
+# their earlier bodies, which route every entry through labels, and the two
+# must agree entry for entry.
+
+
+def _reference_tensor_map(f, g):
+    dom = tensor(f.dom, g.dom)
+    cod = tensor(f.cod, g.cod)
+    fld = dom.field
+    gcols = {lb: g.apply_label(lb) for _, _, lb in g.dom.basis()}
+    images = {}
+    for _, _, la in f.dom.basis():
+        fx = f.apply_label(la)
+        odd = g.degree % 2 == 1 and f.dom.degree_of(la) % 2 == 1
+        for lb, gy in gcols.items():
+            img = {}
+            for xa, ca in fx.items():
+                for yb, cb in gy.items():
+                    c = fld.mul(ca, cb)
+                    img[("t", xa, yb)] = fld.neg(c) if odd else c
+            images[("t", la, lb)] = img
+    return LinMap.from_images(dom, cod, f.degree + g.degree, images)
+
+
+def _reference_hom_map(f, g):
+    dom = hom_space(f.cod, g.dom)
+    cod = hom_space(f.dom, g.cod)
+    fld = dom.field
+    images = {}
+    for _, _, lab in dom.basis():
+        _, b, x = lab
+        kb, ib = f.cod.position(b)
+        frow = f.blocks[kb].srows[ib] if kb in f.blocks else {}
+        alabs = f.dom.labels.get(kb)
+        gx = g.apply_label(x)
+        images[lab] = {
+            ("h", alabs[ja], y): fld.mul(fa, cy)
+            for ja, fa in frow.items()
+            for y, cy in gx.items()
+        }
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _wide_graded(rng, field, prefix):
+    # degrees -2..2, odd and even, each possibly empty
+    return GradedVect(
+        field, {k: rng.randint(0, 2) for k in range(-2, 3)}, prefix=prefix
+    )
+
+
+def _structural_pairs(rng, field):
+    """Random map pairs, with zero maps and all-zero spaces mixed in."""
+    for trial in range(60):
+        a, b = _wide_graded(rng, field, "a"), _wide_graded(rng, field, "b")
+        x, y = _wide_graded(rng, field, "x"), _wide_graded(rng, field, "y")
+        if trial % 10 == 0:
+            a = GradedVect(field, {})
+        df, dg = rng.randint(-2, 2), rng.randint(-2, 2)
+        if trial % 4 == 0:
+            dg = rng.choice((-1, 1))  # odd, so the Koszul sign shows
+        f = _rand_map_between(rng, a, b, df)
+        g = _rand_map_between(rng, x, y, dg)
+        if trial % 7 == 0:
+            g = zero_map(x, y, dg)
+        f0 = _rand_map_between(rng, a, b, 0)
+        g0 = _rand_map_between(rng, x, y, 0)
+        yield f, g, f0, g0
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_tensor_and_hom_maps_match_the_label_reference(field):
+    rng = random.Random(f"structural-{field.name}")
+    odd_signs = 0
+    for f, g, f0, g0 in _structural_pairs(rng, field):
+        want_t = _reference_tensor_map(f, g)
+        want_h = _reference_hom_map(f0, g0)
+        odd_signs += g.degree % 2 == 1 and not g.is_zero() and any(
+            k % 2 and not f.block(k).is_zero() for k in f.dom.degrees())
+        for scope in (nullcontext, space_memo):
+            with scope():
+                got_t, got_h = tensor_map(f, g), hom_map(f0, g0)
+            assert got_t == want_t
+            assert got_h == want_h
+            for got in (got_t, got_h):
+                assert all(_stores_no_zero(got.block(k))
+                           for k in got.dom.degrees())
+    assert odd_signs > 0
 
 
 # --- the sparse kernels against dense references ------------------------------

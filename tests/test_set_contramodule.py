@@ -11,6 +11,7 @@ from cocontra.errors import (
     BudgetExceeded,
     EmptyCarrier,
     EmptyFiber,
+    count_text,
 )
 from cocontra.finset import FinMap, FinSet
 
@@ -128,6 +129,30 @@ def test_enumerate_budget():
     assert len(sct.enumerate_all(x, C2, Budget(1000))) == 2
     # over an empty base the odometer visits one table
     assert len(sct.enumerate_all(x, FinSet([]), Budget(1))) == 1
+
+
+def test_budget_counts_too_long_to_print():
+    """A count past 2,000 bits still ends as BudgetExceeded, with its text
+    in ``projected``: the enumerate power as "base^exponent", never
+    computed, and any other count by the power of two it reaches."""
+    x = FinSet(["a", "b", "c"])
+    base9 = FinSet([f"c{i}" for i in range(9)])
+    with pytest.raises(BudgetExceeded) as exc:
+        sct.enumerate_all(x, base9, Budget(10))
+    assert exc.value.projected == "3^19680"
+    assert str(exc.value) == (
+        "theta-table enumeration would enumerate 3^19680 items (budget 10)")
+    with pytest.raises(BudgetExceeded) as exc:
+        Budget(10).charge(3 ** 19680, "tables")
+    assert exc.value.projected == "at least 2^31192"
+    assert 2 ** 31192 <= 3 ** 19680 < 2 ** 31193
+    assert count_text(2 ** 1999) == str(2 ** 1999)
+    assert count_text(2 ** 2000) == "at least 2^2000"
+    # a power that fits is computed and charged as before
+    with pytest.raises(BudgetExceeded) as exc:
+        Budget(10).charge_power(3, 6, "tables")
+    assert exc.value.projected == 729
+    Budget(10 ** 700).charge_power(3, 1400, "tables")
 
 
 def test_decompose_round_trips_product():
