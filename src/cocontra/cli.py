@@ -470,15 +470,17 @@ class Arg(NamedTuple):
     """One argument of a command.
 
     A string naming a declaration of one of ``kinds`` is resolved to that
-    declaration's object; otherwise the value must be a ``type``.  An
-    absent argument takes ``default``, and ``REQUIRED`` refuses it.
-    ``cli`` is its role in the command's subcommand, if it has one.
+    declaration's object; otherwise the value must be a ``type``, and an
+    int at least ``least``: every int argument is a count.  An absent
+    argument takes ``default``, and ``REQUIRED`` refuses it.  ``cli`` is
+    its role in the command's subcommand, if it has one.
     """
 
     kinds: tuple[str, ...] = ()
     type: type | None = None
     default: object = REQUIRED
     cli: str | None = None
+    least: int = 0
 
     def expects(self) -> str:
         want = [self.type.__name__] if self.type else []
@@ -491,6 +493,9 @@ class Arg(NamedTuple):
             if env.kinds.get(value) in self.kinds:
                 return env.objects[value]
         elif isinstance(value, self.type or ()) and type(value) is not bool:
+            if isinstance(value, int) and value < self.least:
+                raise ParseError(f"{command}: argument {name!r} must be at "
+                                 f"least {self.least}, got {value}")
             return value
         got = repr(value)
         if isinstance(value, str) and self.kinds:
@@ -559,7 +564,7 @@ COMMANDS = {
     "induce": Command(_job_induce, _ALONG),
     "induction-adjunction": Command(_job_induction_adjunction, {
         "along": Arg(("finmap",), cli=FILE),
-        "fiber_bound": Arg(type=int, default=2, cli=FLAG)}),
+        "fiber_bound": Arg(type=int, default=2, cli=FLAG, least=1)}),
     "kleisli": Command(_job_kleisli, {
         "coalgebra": Arg(COALGEBRA, cli=FILE),
         "on": Arg(("graded_space",), default=None),

@@ -713,12 +713,28 @@ def _transpose_codes(plan, u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _failing_squares(families, pairs, slots, failing):
+    """The naturality squares (x, u) that fail, in the order of families x
+    pairs.  ``slots[y]`` holds the positions that the slot over y reads in
+    x and in u, and ``failing[y]`` the pairs of restrictions to them that
+    fail there; a square fails when one of its slots does."""
+    for x in families:
+        for u, _ in pairs:
+            for (xs, zs), bad in zip(slots, failing):
+                if bad and (tuple([x[k] for k in xs]),
+                            tuple([u[z] for z in zs])) in bad:
+                    yield x, u
+                    break
+
+
 class _InductionCheck:
     """The per-call state of :func:`induction_adjunction_certificate`: the
-    shapes on codes and the memoised families, transposes and composition
-    rows.  Every table lives as long as the call."""
+    shapes on codes and the memoised families, transpose plans, slot
+    tables, slot checks and composition rows.  Every table lives as long
+    as the call."""
 
     def __init__(self, f: FinMap, fiber_bound: int, budget: Budget):
+        self.table = dict(f.table)
         self.budget = budget
         self.ckeys, self.ykeys = f.dom.elements, f.cod.elements
         self.fy = [f.cod.index(f(z)) for z in self.ckeys]
@@ -732,9 +748,13 @@ class _InductionCheck:
         self.s_sizes = [tuple(map(len, fib)) for fib in self.s_fibers]
         self.res = [_regrouping(f, s) for s in ss]
         self.res_sizes = [tuple(r.size for r in res) for res in self.res]
+        # per s_j and y, the labels of the fibers of s_j over the preimage
+        self.res_labels = [[tuple([fib[z] for z in r.zs]) for r in res]
+                           for fib, res in zip(self.s_fibers, self.res)]
         self.families = {}
-        self.res_maps = {}
-        self.transposes = {}
+        self.plans = {}
+        self.slot_tables = {}
+        self.slots = {}
         self.compositions = {}
 
     def family_list(self, key, src, tgt):
@@ -747,17 +767,36 @@ class _InductionCheck:
                 _slot_families(src, tgt, self.budget))
         return got
 
-    def transposer(self, i: int, j: int):
-        """The transpose plan and memo of the pair (t_i, s_j)."""
-        got = self.transposes.get((i, j))
+    def plan(self, i: int, j: int):
+        """The transpose plan of the pair (t_i, s_j)."""
+        got = self.plans.get((i, j))
         if got is None:
             m = self.t_sizes[i]
-            plan = (
+            got = self.plans[(i, j)] = (
                 [_slot_maps(m[y], n) for y, n in zip(self.fy,
                                                       self.s_sizes[j])],
                 [(r.zs, r.pos, r.size) for r in self.res[j]],
             )
-            got = self.transposes[(i, j)] = (plan, {})
+        return got
+
+    def slot_table(self, i: int, j: int, y: int) -> dict:
+        """The slot over y of the transpose of the pair (t_i, s_j), by the
+        restriction of u to the preimage zs of y, for every restriction:
+        the transpose on the one-slot plan, with u 0 off zs.  The slot
+        reads only those fibers, so the table is memoised by their labels
+        and shared by every pair that has them."""
+        key = (y, self.t_fibers[i][y], self.res_labels[j][y])
+        got = self.slot_tables.get(key)
+        if got is None:
+            tables, slots = self.plan(i, j)
+            plan = (tables, [slots[y]])
+            zs = slots[y][0]
+            u = [0] * len(tables)
+            got = self.slot_tables[key] = {}
+            for uz in iproduct(*[range(len(tables[z])) for z in zs]):
+                for z, code in zip(zs, uz):
+                    u[z] = code
+                got[uz] = _transpose_codes(plan, tuple(u))[0]
         return got
 
     def before(self, a: int, m: int, n: int, p: int) -> tuple[int, ...]:
@@ -791,13 +830,11 @@ class _InductionCheck:
         self.budget.charge(math.prod(bounds), "slotwise hom enumeration")
         report["pairs"] += 1
         report["hom_elements"] += len(hom1)
-        plan, memo = self.transposer(i, j)
+        plan = self.plan(i, j)
         pairs = []
         image = set()
         for u in hom1:
-            v = memo.get(u)
-            if v is None:
-                v = memo[u] = _transpose_codes(plan, u)
+            v = _transpose_codes(plan, u)
             image.add(v)
             if all(0 <= code < b for code, b in zip(v, bounds)):
                 pairs.append((u, v))
@@ -813,83 +850,114 @@ class _InductionCheck:
             )
         return pairs
 
-    def source_naturality(self, i: int, j: int, pairs, failures) -> int:
-        """For every a: t2 -> t, the transpose of u o Ind(a) is v o a."""
-        m, n, big = self.t_sizes[i], self.s_sizes[j], self.res_sizes[j]
-        squares = 0
-        for i2, m2 in enumerate(self.t_sizes):
-            plan, memo = self.transposer(i2, j)
-            for a in self.family_list(("source", i2, i), m2, m):
-                # (u o Ind(a))_z = u_z o a_f(z) by u_z; (v o a)_y by v_y
-                left = [self.before(a[y], m2[y], m[y], nz)
-                        for y, nz in zip(self.fy, n)]
-                right = [self.before(a[y], m2[y], m[y], big[y])
-                         for y in range(len(m))]
-                for u, v in pairs:
-                    comp = tuple(map(getitem, left, u))
-                    lhs = memo.get(comp)
-                    if lhs is None:
-                        lhs = memo[comp] = _transpose_codes(plan, comp)
-                    if lhs != tuple(map(getitem, right, v)):
-                        failures.append(
-                            {"kind": "not-natural-in-source",
-                             "a": _decode_family(self.ykeys,
-                                                 self.t_fibers[i2],
-                                                 self.t_fibers[i], a),
-                             "u": self.decode_u(i, j, u)}
-                        )
-                squares += len(pairs)
-        return squares
-
-    def target_families(self, j: int, j2: int):
-        """Every b: s_j -> s_j2 with the value tuples of its slots and, per
-        y, Res(b) on the regrouped fibers over y, which acts inside every
-        fiber; charged at first use like :meth:`family_list`."""
-        key = ("target", j, j2)
-        got = self.res_maps.get(key)
+    def source_slot(self, i2: int, i: int, j: int, y: int) -> set:
+        """The slot over y of the squares "the transpose of u o Ind(a) is
+        v o a" for a: t_i2 -> t_i and u: Ind t_i -> s_j.  Both sides read
+        only a_y and u on the preimage zs of y: (u o Ind(a))_z = u_z o a_y
+        and (v o a)_y = v_y o a_y.  Returns the failing (a_y, u|zs)."""
+        key = ("source", y, self.t_fibers[i2][y], self.t_fibers[i][y],
+               self.res_labels[j][y])
+        got = self.slots.get(key)
         if got is None:
-            n, n2 = self.s_sizes[j], self.s_sizes[j2]
-            got = self.res_maps[key] = []
-            for b in self.family_list(key, n, n2):
-                b_rows = [_slot_maps(nz, nz2)[code]
-                          for nz, nz2, code in zip(n, n2, b)]
-                res_b = [
-                    tuple(r2.pos[tuple([b_rows[z][x]
-                                        for z, x in zip(r.zs, ch)])]
-                          for ch in r.order)
-                    for r, r2 in zip(self.res[j], self.res[j2])
-                ]
-                got.append((b, b_rows, res_b))
+            got = self.slots[key] = set()
+            m2, m = self.t_sizes[i2][y], self.t_sizes[i][y]
+            zs = self.res[j][y].zs
+            n = [self.s_sizes[j][z] for z in zs]
+            big = self.res_sizes[j][y]
+            vs, lhs = self.slot_table(i, j, y), self.slot_table(i2, j, y)
+            for a in range(m**m2):
+                left = [self.before(a, m2, m, nz) for nz in n]
+                right = self.before(a, m2, m, big)
+                for uz, v in vs.items():
+                    # a v_y outside Res(s_j) over y is no hom: no square
+                    if 0 <= v < len(right) and (
+                            lhs[tuple(map(getitem, left, uz))] != right[v]):
+                        got.add(((a,), uz))
         return got
 
-    def target_naturality(self, i: int, j: int, pairs, failures) -> int:
-        """For every b: s -> s2, the transpose of b o u is Res(b) o v."""
-        m = self.t_sizes[i]
+    def target_slot(self, i: int, j: int, j2: int, y: int) -> set:
+        """The slot over y of the squares "the transpose of b o u is
+        Res(b) o v" for b: s_j -> s_j2 and u: Ind t_i -> s_j.  Both sides
+        read only b and u on the preimage zs of y: (b o u)_z = b_z o u_z,
+        and Res(b) acts inside the fiber over y by b|zs.  Returns the
+        failing (b|zs, u|zs)."""
+        key = ("target", y, self.t_fibers[i][y], self.res_labels[j][y],
+               self.res_labels[j2][y])
+        got = self.slots.get(key)
+        if got is None:
+            got = self.slots[key] = set()
+            m = self.t_sizes[i][y]
+            r, r2 = self.res[j][y], self.res[j2][y]
+            n = [self.s_sizes[j][z] for z in r.zs]
+            n2 = [self.s_sizes[j2][z] for z in r.zs]
+            vs, lhs = self.slot_table(i, j, y), self.slot_table(i, j2, y)
+            for b in iproduct(*[range(p**q) for q, p in zip(n, n2)]):
+                b_rows = [_slot_maps(q, p)[code]
+                          for q, p, code in zip(n, n2, b)]
+                res_b = tuple(
+                    r2.pos[tuple([row[x] for row, x in zip(b_rows, ch)])]
+                    for ch in r.order)
+                left = [self.after(g, p, m) for g, p in zip(b_rows, n2)]
+                right = self.after(res_b, r2.size, m)
+                for uz, v in vs.items():
+                    if 0 <= v < len(right) and (
+                            lhs[tuple(map(getitem, left, uz))] != right[v]):
+                        got.add((b, uz))
+        return got
+
+    def naturality(self, i: int, j: int, pairs, failures) -> int:
+        """Naturality of the transpose of the pair (t_i, s_j) in both
+        arguments, slot by slot; the squares are walked only to report the
+        failing ones.  Returns the number of squares."""
+        m, n = self.t_sizes[i], self.s_sizes[j]
+        zss = [r.zs for r in self.res[j]]
         squares = 0
+        for i2, m2 in enumerate(self.t_sizes):
+            families = self.family_list(("source", i2, i), m2, m)
+            squares += len(families) * len(pairs)
+            failing = [self.source_slot(i2, i, j, y) for y in range(len(m))]
+            if any(failing):
+                slots = [((y,), zs) for y, zs in enumerate(zss)]
+                for a, u in _failing_squares(families, pairs, slots,
+                                             failing):
+                    failures.append(
+                        {"kind": "not-natural-in-source",
+                         "a": _decode_family(self.ykeys, self.t_fibers[i2],
+                                             self.t_fibers[i], a),
+                         "u": self.decode_u(i, j, u)}
+                    )
         for j2, n2 in enumerate(self.s_sizes):
-            plan, memo = self.transposer(i, j2)
-            big2 = self.res_sizes[j2]
-            for b, b_rows, res_b in self.target_families(j, j2):
-                # (b o u)_z = b_z o u_z by u_z; (Res(b) o v)_y by v_y
-                left = [self.after(g, nz2, m[y])
-                        for g, nz2, y in zip(b_rows, n2, self.fy)]
-                right = [self.after(g, p, my)
-                         for g, p, my in zip(res_b, big2, m)]
-                for u, v in pairs:
-                    comp = tuple(map(getitem, left, u))
-                    lhs = memo.get(comp)
-                    if lhs is None:
-                        lhs = memo[comp] = _transpose_codes(plan, comp)
-                    if lhs != tuple(map(getitem, right, v)):
-                        failures.append(
-                            {"kind": "not-natural-in-target",
-                             "b": _decode_family(self.ckeys,
-                                                 self.s_fibers[j],
-                                                 self.s_fibers[j2], b),
-                             "u": self.decode_u(i, j, u)}
-                        )
-                squares += len(pairs)
+            families = self.family_list(("target", j, j2), n, n2)
+            squares += len(families) * len(pairs)
+            failing = [self.target_slot(i, j, j2, y) for y in range(len(m))]
+            if any(failing):
+                slots = [(zs, zs) for zs in zss]
+                for b, u in _failing_squares(families, pairs, slots,
+                                             failing):
+                    failures.append(
+                        {"kind": "not-natural-in-target",
+                         "b": _decode_family(self.ckeys, self.s_fibers[j],
+                                             self.s_fibers[j2], b),
+                         "u": self.decode_u(i, j, u)}
+                    )
         return squares
+
+    def certificate(self) -> dict:
+        report = {
+            "f": self.table,
+            "pairs": 0,
+            "hom_elements": 0,
+            "naturality_squares": 0,
+            "failures": [],
+        }
+        squares = 0
+        for i in range(len(self.t_sizes)):
+            for j in range(len(self.s_sizes)):
+                pairs = self.homs(i, j, report)
+                squares += self.naturality(i, j, pairs, report["failures"])
+        report["naturality_squares"] = squares
+        report["ok"] = not report["failures"]
+        return report
 
 
 def induction_adjunction_certificate(
@@ -901,33 +969,20 @@ def induction_adjunction_certificate(
     transpose is checked to be a bijection between the two hom sets, and
     its naturality in both arguments is checked on every morphism of the
     bounded family; each hom enumeration is charged against the budget.
-    Hom elements, naturality families, Res(b) and composites are families
-    of slot codes (see :func:`_slot_maps`): a square is two lookups in
-    composition rows, one memoised transpose and one comparison of code
-    tuples, and labels are rebuilt only for failure witnesses.  The code
-    calculus is certified against carrier-level maps by the test-suite on
-    small bases.  A transpose that is not a hom is reported and left out of
-    the naturality squares.
+    Hom elements, naturality families and composites are families of slot
+    codes (see :func:`_slot_maps`).  Both sides of a naturality square are
+    families over the points y of f's codomain, and the slot over y reads
+    only the morphism and u on the preimage of y, so a square holds
+    exactly when each of its slots does.  Each distinct slot equation is
+    checked once per call, on a one-slot transpose plan, for every
+    restriction of the morphism and of u at once, and shared by all the
+    pairs of shapes whose fibers over y carry the same labels; the squares
+    are counted, and walked only to report those that fail, with labels
+    rebuilt for the witnesses.  The code calculus is certified against
+    carrier-level maps by the test-suite on small bases.  A transpose
+    that is not a hom is reported and left out of the naturality squares.
     """
-    check = _InductionCheck(f, fiber_bound, budget)
-    report = {
-        "f": dict(f.table),
-        "pairs": 0,
-        "hom_elements": 0,
-        "naturality_squares": 0,
-        "failures": [],
-    }
-    squares = 0
-    for i in range(len(check.t_sizes)):
-        for j in range(len(check.s_sizes)):
-            pairs = check.homs(i, j, report)
-            squares += check.source_naturality(i, j, pairs,
-                                               report["failures"])
-            squares += check.target_naturality(i, j, pairs,
-                                               report["failures"])
-    report["naturality_squares"] = squares
-    report["ok"] = not report["failures"]
-    return report
+    return _InductionCheck(f, fiber_bound, budget).certificate()
 
 
 def noncocontinuity_demo(c: FinSet) -> dict:

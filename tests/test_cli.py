@@ -595,6 +595,8 @@ def _malformed_cases():
                     **valid, name: "2"}
                 yield f"{command}-{name}-bool", command, name, {
                     **valid, name: True}
+                yield f"{command}-{name}-below-{arg.least}", command, name, {
+                    **valid, name: arg.least - 1}
     # rules that depend on another argument, checked by the runner
     yield "unique-comonoid-neither", "unique-comonoid", "size", {}
     yield "adjoint-lone-contramodule", "adjoint", "comodule", {
@@ -674,6 +676,45 @@ def test_malformed_job_is_a_parse_error_entry(tmp_path, case):
     assert witness["error"] == "ParseError"
     assert witness["message"].startswith(f"{command}: ")
     assert repr(name) in witness["message"]
+
+
+@pytest.mark.parametrize("command, name, value, message", [
+    # each of these once ran: the first four passed vacuously, a
+    # certificate of nothing, and the last ended in a raw IndexError
+    ("induction-adjunction", "fiber_bound", 0,
+     "induction-adjunction: argument 'fiber_bound' must be at least 1, "
+     "got 0"),
+    ("induction-adjunction", "fiber_bound", -1,
+     "induction-adjunction: argument 'fiber_bound' must be at least 1, "
+     "got -1"),
+    ("kleisli", "dim", -1, "kleisli: argument 'dim' must be at least 0, "
+     "got -1"),
+    ("unique-comonoid", "size", -3,
+     "unique-comonoid: argument 'size' must be at least 0, got -3"),
+    ("equivalence", "max_base", -1,
+     "equivalence: argument 'max_base' must be at least 0, got -1"),
+    ("enumerate", "base", -1,
+     "enumerate: argument 'base' must be at least 0, got -1"),
+    ("enumerate", "carrier", -2,
+     "enumerate: argument 'carrier' must be at least 0, got -2"),
+    ("demo-noncocontinuous", "c_size", -1,
+     "demo-noncocontinuous: argument 'c_size' must be at least 0, got -1"),
+    ("equivalence", "naturality_carrier", -1,
+     "equivalence: argument 'naturality_carrier' must be at least 0, "
+     "got -1"),
+])
+def test_size_below_its_meaning_is_a_parse_error(command, name, value,
+                                                 message):
+    env = serialize.parse_bundle({"declarations": MALFORMED_DECLS})
+    ctx = {"budget": 10**6, "oracle": True, "seed": 1, "timing": False}
+    args = dict(VALID_ARGS[command])
+    if command == "unique-comonoid":
+        args = {}
+    args[name] = value
+    entry = cli.run_job(env, {"command": command, "args": args}, ctx)
+    assert entry["status"] == "error"
+    assert entry["witnesses"] == [{"error": "ParseError",
+                                   "message": message}]
 
 
 def test_universal_property_names_the_missing_role():

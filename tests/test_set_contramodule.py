@@ -376,7 +376,7 @@ def test_component_calculus_matches_carrier_maps():
         for i, t in enumerate(sct.all_product_shapes(chat, 2)):
             ind_t = sct.induce_contra(f, t)
             for j, s in enumerate(sct.all_product_shapes(c, 2)):
-                plan, _ = check.transposer(i, j)
+                plan = check.plan(i, j)
                 res_s = sct.restrict_contra(f, s)
                 for u in sct.contra_hom_members(ind_t, s):
                     v = sct.transpose_hom(f, t, s, u)
@@ -399,6 +399,20 @@ def test_component_calculus_matches_carrier_maps():
                         },
                     )
                     assert rebuilt == v
+    # the one-slot transposes, shared across pairs of shapes by the labels
+    # of the fibers they read, are the slots of the full transpose
+    for nch in (2, 3):
+        chat = FinSet([f"w{k}" for k in range(nch)])
+        for f in finset._all_maps(c, chat):
+            check = sct._InductionCheck(f, 2, Budget())
+            for i, m in enumerate(check.t_sizes):
+                for j, n in enumerate(check.s_sizes):
+                    ind_t = [m[y] for y in check.fy]
+                    for u in sct._slot_families(ind_t, n, Budget()):
+                        v = sct._transpose_codes(check.plan(i, j), u)
+                        for y, r in enumerate(check.res[j]):
+                            uz = tuple(u[z] for z in r.zs)
+                            assert check.slot_table(i, j, y)[uz] == v[y]
 
 
 def test_regrouping_looks_positions_up_by_label():
@@ -459,6 +473,158 @@ def test_faulty_transpose_is_reported_with_label_witnesses(monkeypatch):
     # an ill-typed transpose is left out of the squares
     assert rep["pairs"] == honest_rep["pairs"]
     assert rep["naturality_squares"] < honest_rep["naturality_squares"]
+
+
+# --- the slot check against the whole-square check ---------------------------
+#
+# The certificate checks each naturality square through its slots over the
+# points of f's codomain.  The reference below is the check it replaced:
+# every square, whole, on the full transpose plans.
+
+
+def _reference_source(check, memos, i, j, pairs, failures):
+    """For every a: t2 -> t, the transpose of u o Ind(a) is v o a."""
+    m, n, big = check.t_sizes[i], check.s_sizes[j], check.res_sizes[j]
+    squares = 0
+    for i2, m2 in enumerate(check.t_sizes):
+        plan, memo = check.plan(i2, j), memos.setdefault((i2, j), {})
+        for a in check.family_list(("source", i2, i), m2, m):
+            left = [check.before(a[y], m2[y], m[y], nz)
+                    for y, nz in zip(check.fy, n)]
+            right = [check.before(a[y], m2[y], m[y], big[y])
+                     for y in range(len(m))]
+            for u, v in pairs:
+                comp = tuple(row[code] for row, code in zip(left, u))
+                lhs = memo.get(comp)
+                if lhs is None:
+                    lhs = memo[comp] = sct._transpose_codes(plan, comp)
+                if lhs != tuple(row[code] for row, code in zip(right, v)):
+                    failures.append(
+                        {"kind": "not-natural-in-source",
+                         "a": sct._decode_family(check.ykeys,
+                                                 check.t_fibers[i2],
+                                                 check.t_fibers[i], a),
+                         "u": check.decode_u(i, j, u)}
+                    )
+            squares += len(pairs)
+    return squares
+
+
+def _reference_target(check, memos, i, j, pairs, failures):
+    """For every b: s -> s2, the transpose of b o u is Res(b) o v."""
+    m, n = check.t_sizes[i], check.s_sizes[j]
+    squares = 0
+    for j2, n2 in enumerate(check.s_sizes):
+        plan, memo = check.plan(i, j2), memos.setdefault((i, j2), {})
+        big2 = check.res_sizes[j2]
+        for b in check.family_list(("target", j, j2), n, n2):
+            b_rows = [sct._slot_maps(nz, nz2)[code]
+                      for nz, nz2, code in zip(n, n2, b)]
+            res_b = [
+                tuple(r2.pos[tuple(b_rows[z][x] for z, x in zip(r.zs, ch))]
+                      for ch in r.order)
+                for r, r2 in zip(check.res[j], check.res[j2])
+            ]
+            left = [check.after(g, nz2, m[y])
+                    for g, nz2, y in zip(b_rows, n2, check.fy)]
+            right = [check.after(g, p, my)
+                     for g, p, my in zip(res_b, big2, m)]
+            for u, v in pairs:
+                comp = tuple(row[code] for row, code in zip(left, u))
+                lhs = memo.get(comp)
+                if lhs is None:
+                    lhs = memo[comp] = sct._transpose_codes(plan, comp)
+                if lhs != tuple(row[code] for row, code in zip(right, v)):
+                    failures.append(
+                        {"kind": "not-natural-in-target",
+                         "b": sct._decode_family(check.ckeys,
+                                                 check.s_fibers[j],
+                                                 check.s_fibers[j2], b),
+                         "u": check.decode_u(i, j, u)}
+                    )
+            squares += len(pairs)
+    return squares
+
+
+def _reference_certificate(f, fiber_bound):
+    check = sct._InductionCheck(f, fiber_bound, Budget())
+    report = {"f": dict(f.table), "pairs": 0, "hom_elements": 0,
+              "naturality_squares": 0, "failures": []}
+    memos = {}  # the transposes of each pair of shapes, by u
+    squares = 0
+    for i in range(len(check.t_sizes)):
+        for j in range(len(check.s_sizes)):
+            pairs = check.homs(i, j, report)
+            squares += _reference_source(check, memos, i, j, pairs,
+                                         report["failures"])
+            squares += _reference_target(check, memos, i, j, pairs,
+                                         report["failures"])
+    report["naturality_squares"] = squares
+    report["ok"] = not report["failures"]
+    return report
+
+
+def _fault_in_first_slot(when, change):
+    """A transpose that is wrong in the slot over f(z0) only, and there
+    only when u_z0 has the value tuple ``when``: the slot's code becomes
+    ``change(code, bound)``, bound being the number of slot maps.  The
+    fault reads only what that slot reads, so it is the same fault on the
+    full plan and on a one-slot plan."""
+    honest = sct._transpose_codes
+
+    def faulty(plan, u):
+        tables, slots = plan
+        row = tables[0][u[0]]
+        v = list(honest(plan, u))
+        for k, (zs, _, size) in enumerate(slots):
+            if 0 in zs and row == when:
+                v[k] = change(v[k], size ** len(row))
+        return tuple(v)
+
+    return faulty
+
+
+def _tokens(rep) -> str:
+    """The report's JSON tokens as canonical_bytes writes them, without
+    its indentation: equal exactly when the canonical bytes are, and
+    written by the C encoder, which the faulty reports' tens of thousands
+    of witnesses need."""
+    return json.dumps(rep, sort_keys=True, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("fault", [
+    None,
+    # a slot map, but the wrong one
+    _fault_in_first_slot((1, 0), lambda code, bound: (code + 1) % bound),
+    # off by one, past the last slot map at times
+    _fault_in_first_slot((0, 1), lambda code, bound: code + 1),
+    # the first code past the slot maps
+    _fault_in_first_slot((1,), lambda code, bound: bound),
+], ids=["honest", "wrong-code", "off-by-one", "out-of-range"])
+def test_slot_check_matches_whole_square_reference(monkeypatch, fault):
+    if fault is not None:
+        monkeypatch.setattr(sct, "_transpose_codes", fault)
+    failing = 0
+    for nc, nch in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
+        for f in _base_maps(nc, nch):
+            rep = sct.induction_adjunction_certificate(f, 2)
+            assert _tokens(rep) == _tokens(_reference_certificate(f, 2))
+            failing += not rep["ok"]
+    assert failing == (0 if fault is None else 25)
+
+
+def test_slot_checks_are_shared_across_pairs_of_shapes():
+    # over each of the two points the slot equations are read by fiber
+    # sizes 1 and 2: (a_y, u_z) on t2 -> t and Ind t -> s, and (b_z, u_z)
+    # on t, s -> s2, so 8 source and 8 target slot checks per point, where
+    # a check per pair of shapes would make 4 * 4 * 4 of each per point
+    f = FinMap(C2, FinSet(["x", "y"]), {"1": "x", "2": "y"})
+    check = sct._InductionCheck(f, 2, Budget())
+    rep = check.certificate()
+    assert rep["ok"] and rep["naturality_squares"] == 2592
+    kinds = [key[0] for key in check.slots]
+    assert (kinds.count("source"), kinds.count("target")) == (16, 16)
+    assert len(check.slot_tables) == 8
 
 
 # --- goldens of the set-side certificates -------------------------------------
@@ -629,8 +795,9 @@ def test_set_side_tables_are_bounded_and_built_on_demand():
     from cocontra import set_correspondence as sco
 
     # slot-map tables are the one table kept across calls, behind a bound;
-    # composition rows, transposes, Res(b) and row-diagonal plans live in
-    # one call, so neither module keeps a container of its own
+    # composition rows, transpose plans, slot transposes, slot checks and
+    # row-diagonal plans live in one call, so neither module keeps a
+    # container of its own
     assert sct._SLOT_MAP_TABLES_CACHED == 64
     assert sct._slot_maps.cache_info().maxsize == 64
     for module in (sct, sco):
