@@ -30,8 +30,8 @@ from . import oracle, serialize, set_comodule, set_contramodule
 from . import set_correspondence as set_corr
 from . import coalg
 from .coalg import instances as coalg_instances
-from .errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, CocontraError,
-                     ParseError)
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, CocontraError,
+                     ParseError, job_budget)
 from .exactlin import GradedVect, dual, field_from_name, space_memo
 from .finset import FinMap, FinSet
 from .serialize import Environment, serialize_result
@@ -84,8 +84,8 @@ def _dims(space) -> dict:
 def _job_check(env, args, ctx):
     target = args["target"]
     if isinstance(target, ContraTable):
-        t = set_contramodule.to_extensional(target, ctx["budget"])
-        return _from_report(set_contramodule.validate(t, ctx["budget"]))
+        t = set_contramodule.to_extensional(target)
+        return _from_report(set_contramodule.validate(t))
     if isinstance(target, SetComodule):
         degenerate = set_comodule.is_degenerate(target)
         return _pass({"degenerate": degenerate})
@@ -98,7 +98,7 @@ def _job_unique_comonoid(env, args, ctx):
         if args["size"] is None:
             raise _missing("unique-comonoid", "size", "unless 'base' is given")
         base = FinSet([f"c{i}" for i in range(args["size"])])
-    rep = set_comodule.unique_comonoid_certificate(base, ctx["budget"])
+    rep = set_comodule.unique_comonoid_certificate(base)
     ok = rep["valid"] == 1 and rep["valid_is_diagonal"] and rep.get(
         "coassociative", False
     )
@@ -120,13 +120,10 @@ def _job_r(env, args, ctx):
 def _job_l(env, args, ctx):
     target = args["target"]
     if isinstance(target, ContraTable):
-        result = set_corr.L_set(target, ctx["budget"])
+        result = set_corr.L_set(target)
         payload = serialize_result(result)
         if ctx["oracle"] and target.fibers is not None:
-            generic = set_corr.L_set(
-                set_contramodule.to_extensional(target, ctx["budget"]),
-                ctx["budget"],
-            )
+            generic = set_corr.L_set(set_contramodule.to_extensional(target))
             fc = set_comodule.fibers(result)
             fg = set_comodule.fibers(generic)
             if {a: len(v) for a, v in fc.items()} != {
@@ -220,11 +217,10 @@ def _job_adjoint_random(spec, ctx):
 
 
 def _job_decompose(env, args, ctx):
-    t = set_contramodule.to_extensional(args["target"], ctx["budget"])
+    t = set_contramodule.to_extensional(args["target"])
     family, pi, sigma = set_contramodule.decompose(t, args["basepoint"])
     prod = set_contramodule.product_contra(t.base, family)
-    is_map = set_contramodule.is_contramodule_map(pi, t, prod,
-                                                  ctx["budget"])
+    is_map = set_contramodule.is_contramodule_map(pi, t, prod)
     payload = {
         "fibers": {a: list(v.elements) for a, v in sorted(family.items())},
         "pi": serialize_result(pi),
@@ -243,7 +239,7 @@ def _job_enumerate(env, args, ctx):
         carrier = FinSet([f"x{i}" for i in range(carrier)])
     if isinstance(base, int):
         base = FinSet([f"c{i}" for i in range(base)])
-    tables = set_contramodule.enumerate_all(carrier, base, ctx["budget"])
+    tables = set_contramodule.enumerate_all(carrier, base)
     counts = {"valid": len(tables)}
     payload = {"valid": len(tables)}
     if ctx["oracle"]:
@@ -262,23 +258,21 @@ def _job_hom(env, args, ctx):
                      f"must be modules of one kind, got a "
                      f"{type(a).__name__} and a {type(b).__name__}")
     if isinstance(a, SetComodule):
-        sub = set_comodule.hom_over(a, b, ctx["budget"])
+        sub = set_comodule.hom_over(a, b)
         payload = {"members": list(sub.members.elements)}
         if ctx["oracle"]:
-            generic = set_comodule.hom_over_generic(a, b, ctx["budget"])
+            generic = set_comodule.hom_over_generic(a, b)
             if generic.members != sub.members:
                 return _fail([{"direct": payload,
                                "generic": list(generic.members.elements)}])
         return _pass(payload, {"size": len(sub.members)})
     if isinstance(a, ContraTable):
-        members = set_contramodule.contra_hom_members(a, b, ctx["budget"])
+        members = set_contramodule.contra_hom_members(a, b)
         payload = {"members": [serialize_result(f) for f in members]}
         if ctx["oracle"]:
-            ae = set_contramodule.to_extensional(a, ctx["budget"])
-            be = set_contramodule.to_extensional(b, ctx["budget"])
-            odefn = set_contramodule.contra_hom_by_definition(
-                ae, be, ctx["budget"]
-            )
+            ae = set_contramodule.to_extensional(a)
+            be = set_contramodule.to_extensional(b)
+            odefn = set_contramodule.contra_hom_by_definition(ae, be)
             if {str(sorted(f.table.items())) for f in members} != {
                 str(sorted(f.table.items())) for f in odefn
             }:
@@ -366,8 +360,7 @@ def _job_induce(env, args, ctx):
 
 def _job_induction_adjunction(env, args, ctx):
     rep = set_contramodule.induction_adjunction_certificate(
-        args["along"], args["fiber_bound"], ctx["budget"]
-    )
+        args["along"], args["fiber_bound"])
     return _from_report(rep)
 
 
@@ -417,7 +410,7 @@ def _job_demo_noncocontinuous(env, args, ctx):
 
 
 def _job_equivalence(env, args, ctx):
-    rep = set_corr.equivalence_certificate(**args, budget=ctx["budget"])
+    rep = set_corr.equivalence_certificate(**args)
     return _from_report(rep)
 
 
@@ -453,7 +446,7 @@ def _job_universal_property(env, args, ctx):
                              f"argument 'data' expects the name of a {kind} "
                              f"declaration, got {name!r}")
         data[role] = env.objects[name]
-    rep = oracle.universal_property_check(which, data, ctx["budget"])
+    rep = oracle.universal_property_check(which, data)
     return _from_report(rep)
 
 
@@ -628,17 +621,18 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
     """Run one job; whatever it raises becomes its ``error`` entry.
 
     ``ctx["budget"]`` is the default count, an int; a job's own
-    ``budget`` overrides it, and every enumeration of the job is charged
-    against the resulting :class:`Budget`.  The job builds each tensor and
-    hom space once (:func:`space_memo`); the table goes with the job.
+    ``budget`` overrides it.  The job holds its budget as it holds its
+    space table: every enumeration the job runs, its certificates and
+    oracles included, is charged against that count (:func:`job_budget`),
+    and it builds each tensor and hom space once (:func:`space_memo`).
+    Both go with the job, however it ends.
     """
     command = job.get("command")
     start = time.monotonic()
     try:
-        jctx = dict(ctx, budget=Budget(job.get("budget", ctx["budget"])))
-        with space_memo():
+        with job_budget(job.get("budget", ctx["budget"])), space_memo():
             args = _check_args(env, command, job.get("args", {}))
-            entry = COMMANDS[command].run(env, args, jctx)
+            entry = COMMANDS[command].run(env, args, ctx)
     except BudgetExceeded as exc:
         entry = {
             "status": "error",
@@ -733,8 +727,7 @@ def _single_command_manifest(ns) -> dict:
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="report file path")
-    common.add_argument("--budget", type=int,
-                        default=DEFAULT_BUDGET.max_count)
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--oracle", action="store_true",
                         help="enable independent cross-checks")
     common.add_argument("--seed", type=int, default=None,

@@ -4,7 +4,7 @@ Every error carries enough data to reconstruct the failing call; batch
 drivers convert them into report entries instead of crashing.
 """
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 
 class CocontraError(Exception):
@@ -59,53 +59,54 @@ class BudgetExceeded(CocontraError):
         self.projected = projected
 
 
-@dataclass(frozen=True)
-class Budget:
-    """The most items one enumeration may visit, plus a wall-clock ceiling
-    for the generators that enumerate lazily.
+# the most items one enumeration may visit: the job's count while a
+# job_budget block runs, the default outside any job
+DEFAULT_BUDGET = 1_000_000
+_budget = DEFAULT_BUDGET
 
-    Every enumerator charges its exact projected count before it starts,
-    so an over-budget call fails at once with that count.  The count often
-    comes from a manifest, hence a raised error rather than an assert.
-    """
 
-    max_count: int = 1_000_000
-    time_ceiling_s: float = 60.0
+@contextmanager
+def job_budget(count):
+    """Within the block every charge is checked against ``count``; the outer
+    count comes back when the block exits.  The count often comes from a
+    manifest, hence a raised error rather than an assert."""
+    global _budget
+    if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
+        raise CocontraError(
+            f"budget must be a positive integer, got {count!r}")
+    outer, _budget = _budget, count
+    try:
+        yield
+    finally:
+        _budget = outer
 
-    def __post_init__(self):
-        if (not isinstance(self.max_count, int)
-                or isinstance(self.max_count, bool) or self.max_count <= 0):
-            raise CocontraError(
-                f"budget must be a positive integer, got {self.max_count!r}"
-            )
-        if not self.time_ceiling_s > 0:
-            raise CocontraError(
-                f"time ceiling must be positive, got {self.time_ceiling_s!r}"
-            )
 
-    def charge(self, projected: int, what: str):
-        if projected > self.max_count:
-            if projected.bit_length() > PRINTED_BITS:
-                projected = count_text(projected)
-            self._refuse(projected, what)
+def charge(projected: int, what: str):
+    """Every enumerator charges its exact projected count before it starts,
+    so an over-budget call fails at once with that count."""
+    if projected > _budget:
+        if projected.bit_length() > PRINTED_BITS:
+            projected = count_text(projected)
+        _refuse(projected, what)
 
-    def charge_power(self, base: int, exponent: int, what: str):
-        """Charge base ** exponent items.  A power that may be too long to
-        print and surely exceeds the budget (it is at least
-        2 ** (exponent * (bits of base - 1))) is refused as
-        "base^exponent", without being computed."""
-        bits = base.bit_length()
-        if (exponent * bits > PRINTED_BITS
-                and exponent * (bits - 1) >= self.max_count.bit_length()):
-            self._refuse(f"{base}^{count_text(exponent)}", what)
-        self.charge(base ** exponent, what)
 
-    def _refuse(self, projected, what: str):
-        raise BudgetExceeded(
-            f"{what} would enumerate {projected} items "
-            f"(budget {self.max_count})",
-            projected=projected,
-        )
+def charge_power(base: int, exponent: int, what: str):
+    """Charge base ** exponent items.  A power that may be too long to
+    print and surely exceeds the budget (it is at least
+    2 ** (exponent * (bits of base - 1))) is refused as
+    "base^exponent", without being computed."""
+    bits = base.bit_length()
+    if (exponent * bits > PRINTED_BITS
+            and exponent * (bits - 1) >= _budget.bit_length()):
+        _refuse(f"{base}^{count_text(exponent)}", what)
+    charge(base ** exponent, what)
+
+
+def _refuse(projected, what: str):
+    raise BudgetExceeded(
+        f"{what} would enumerate {projected} items (budget {_budget})",
+        projected=projected,
+    )
 
 
 # a count of at most this many bits prints in decimal (at most 603
@@ -119,9 +120,6 @@ def count_text(n: int) -> str:
     if n.bit_length() <= PRINTED_BITS:
         return str(n)
     return f"at least 2^{count_text(n.bit_length() - 1)}"
-
-
-DEFAULT_BUDGET = Budget()
 
 
 class IncompatibleTriple(CocontraError):

@@ -3,17 +3,18 @@
 These never share code with the production paths they certify: maps are
 enumerated by odometer, universal properties by checking every competing
 cone from small canonical test objects, and linear (co)equalisers by
-solving the defining systems from scratch.  Budgets are hard errors with
-exact projected counts, never silent truncation.
+solving the defining systems from scratch.  Each enumeration is charged
+against the budget of the job that runs it (:func:`errors.job_budget`),
+the default outside any job: an over-budget one is a hard error with its
+exact projected count, never silent truncation.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import product as iproduct
 
 from . import finset
-from .errors import DEFAULT_BUDGET, Budget, BudgetExceeded
+from .errors import charge
 from .exactlin import (
     GradedVect,
     LinMap,
@@ -24,19 +25,15 @@ from .exactlin import (
 from .finset import FinMap, FinSet
 
 
-def all_maps(a: FinSet, b: FinSet, budget: Budget = DEFAULT_BUDGET):
+def all_maps(a: FinSet, b: FinSet):
     """Every total map exactly once, canonical odometer order."""
     if len(a) > 0:
-        budget.charge(len(b) ** len(a), "map enumeration")
-    deadline = time.monotonic() + budget.time_ceiling_s
+        charge(len(b) ** len(a), "map enumeration")
     for values in iproduct(b.elements, repeat=len(a)):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("map enumeration hit the time ceiling")
         yield FinMap(a, b, dict(zip(a.elements, values)))
 
 
-def all_linmaps(v: GradedVect, w: GradedVect, budget: Budget = DEFAULT_BUDGET,
-                degree: int = 0):
+def all_linmaps(v: GradedVect, w: GradedVect, degree: int = 0):
     """Every degree-homogeneous map exactly once over a prime field."""
     fld = v.field
     assert hasattr(fld, "p"), "exhaustive map enumeration needs a prime field"
@@ -44,11 +41,8 @@ def all_linmaps(v: GradedVect, w: GradedVect, budget: Budget = DEFAULT_BUDGET,
     for k in v.degrees():
         m, n = w.dim(k + degree), v.dim(k)
         cells.extend(((k, i, j) for i in range(m) for j in range(n)))
-    budget.charge(fld.p ** len(cells), "matrix enumeration")
-    deadline = time.monotonic() + budget.time_ceiling_s
+    charge(fld.p ** len(cells), "matrix enumeration")
     for values in iproduct(range(fld.p), repeat=len(cells)):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("matrix enumeration hit the time ceiling")
         blocks: dict[int, list] = {}
         for (k, i, j), val in zip(cells, values):
             if k not in blocks:
@@ -83,8 +77,7 @@ def _count_mediators(dom: FinSet, cod: FinSet, allowed) -> int:
     return total
 
 
-def universal_property_check(kind: str, data: dict,
-                             budget: Budget = DEFAULT_BUDGET) -> dict:
+def universal_property_check(kind: str, data: dict) -> dict:
     """Enumerate all competing (co)cones from canonical test sets and
     verify existence and uniqueness of the mediating morphism."""
     checkers = {
@@ -96,15 +89,15 @@ def universal_property_check(kind: str, data: dict,
     }
     if kind not in checkers:
         raise ValueError(f"unknown universal property kind {kind!r}")
-    return checkers[kind](data, budget)
+    return checkers[kind](data)
 
 
-def _up_equalizer(data, budget):
+def _up_equalizer(data):
     f, g = data["f"], data["g"]
     eq = finset.equalizer(f, g)
     cones = 0
     for z in _test_sets():
-        for h in all_maps(z, f.dom, budget):
+        for h in all_maps(z, f.dom):
             if finset.compose(f, h) != finset.compose(g, h):
                 continue
             cones += 1
@@ -117,13 +110,13 @@ def _up_equalizer(data, budget):
     return {"ok": True, "cones": cones, "witness": None}
 
 
-def _up_coequalizer(data, budget):
+def _up_coequalizer(data):
     f, g = data["f"], data["g"]
     q = finset.coequalizer(f, g)
     quotient = q.project.cod
     cocones = 0
     for z in _test_sets():
-        for h in all_maps(f.cod, z, budget):
+        for h in all_maps(f.cod, z):
             if finset.compose(h, f) != finset.compose(h, g):
                 continue
             cocones += 1
@@ -138,13 +131,13 @@ def _up_coequalizer(data, budget):
     return {"ok": True, "cocones": cocones, "witness": None}
 
 
-def _up_product(data, budget):
+def _up_product(data):
     a, b = data["a"], data["b"]
     p, proj1, proj2 = finset.product(a, b)
     cones = 0
     for z in _test_sets():
-        for h1 in all_maps(z, a, budget):
-            for h2 in all_maps(z, b, budget):
+        for h1 in all_maps(z, a):
+            for h2 in all_maps(z, b):
                 cones += 1
                 n = _count_mediators(
                     z,
@@ -158,15 +151,15 @@ def _up_product(data, budget):
     return {"ok": True, "cones": cones, "witness": None}
 
 
-def _up_coproduct(data, budget):
+def _up_coproduct(data):
     a, b = data["a"], data["b"]
     c, inj1, inj2 = finset.coproduct(a, b)
     back = {inj1(x): ("L", x) for x in a}
     back.update({inj2(y): ("R", y) for y in b})
     cocones = 0
     for z in _test_sets():
-        for h1 in all_maps(a, z, budget):
-            for h2 in all_maps(b, z, budget):
+        for h1 in all_maps(a, z):
+            for h2 in all_maps(b, z):
                 cocones += 1
 
                 def allowed(d, v, h1=h1, h2=h2):
@@ -182,13 +175,13 @@ def _up_coproduct(data, budget):
     return {"ok": True, "cocones": cocones, "witness": None}
 
 
-def _up_pullback(data, budget):
+def _up_pullback(data):
     f, g = data["f"], data["g"]
     p, proj1, proj2 = finset.pullback(f, g)
     cones = 0
     for z in _test_sets():
-        for h1 in all_maps(z, f.dom, budget):
-            for h2 in all_maps(z, g.dom, budget):
+        for h1 in all_maps(z, f.dom):
+            for h2 in all_maps(z, g.dom):
                 if finset.compose(f, h1) != finset.compose(g, h2):
                     continue
                 cones += 1

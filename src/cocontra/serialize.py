@@ -172,8 +172,13 @@ def _p_contra_table(decl, env):
 
     carrier = env.get(decl["carrier"])
     base = env.get(decl["base"])
+    table = dict(decl["theta"])
+    # a table of the wrong size is refused before the function space,
+    # which has |X|^|C| labels, is built to compare it with
+    if len(table) != len(carrier) ** len(base):
+        raise ValueError("table is not total on the domain")
     ambient = fs.function_space(base, carrier)
-    theta = FinMap(ambient, carrier, dict(decl["theta"]))
+    theta = FinMap(ambient, carrier, table)
     return ContraTable(carrier, base, theta=theta)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import finset
-from .errors import DEFAULT_BUDGET, BaseMismatch, Budget, NotCounital
+from .errors import BaseMismatch, NotCounital, charge
 from .finset import FinMap, FinSet, SubPresentation
 
 
@@ -96,13 +96,12 @@ def is_degenerate(m: SetComodule) -> bool:
     return not m.phi.is_surjective()
 
 
-def hom_over(m: SetComodule, n: SetComodule,
-             budget: Budget = DEFAULT_BUDGET) -> SubPresentation:
+def hom_over(m: SetComodule, n: SetComodule) -> SubPresentation:
     """All carrier maps commuting with the structure maps, as a subset of
     the full function space."""
     if m.base != n.base:
         raise BaseMismatch("hom_over needs a shared base")
-    budget.charge(len(n.carrier) ** len(m.carrier), "hom_over")
+    charge(len(n.carrier) ** len(m.carrier), "hom_over")
     ambient = finset.function_space(m.carrier, n.carrier)
     members = []
     for label in ambient:
@@ -114,8 +113,7 @@ def hom_over(m: SetComodule, n: SetComodule,
     return SubPresentation(ambient, members_set, include)
 
 
-def hom_over_generic(m: SetComodule, n: SetComodule,
-                     budget: Budget = DEFAULT_BUDGET) -> SubPresentation:
+def hom_over_generic(m: SetComodule, n: SetComodule) -> SubPresentation:
     """The same hom set by the generic equaliser route.
 
     Both maps land in the function space into carrier x base: one
@@ -126,7 +124,7 @@ def hom_over_generic(m: SetComodule, n: SetComodule,
     if m.base != n.base:
         raise BaseMismatch("hom_over needs a shared base")
     x, y, c = m.carrier, n.carrier, m.base
-    budget.charge((len(y) * len(c)) ** len(x), "hom_over_generic")
+    charge((len(y) * len(c)) ** len(x), "hom_over_generic")
     hom_xy = finset.function_space(x, y)
     yc, _, _ = finset.product(y, c)
     hom_xyc = finset.function_space(x, yc)
@@ -164,14 +162,13 @@ def induce_along(f: FinMap, p: SetComodule) -> SetComodule:
     return SetComodule(carrier, f.dom, proj2)
 
 
-def unique_comonoid_certificate(c: FinSet,
-                                budget: Budget = DEFAULT_BUDGET) -> dict:
+def unique_comonoid_certificate(c: FinSet) -> dict:
     """Enumerate all candidate comultiplications on c and count the counital
     ones; exactly the diagonal should survive.
 
     Returns a report dict with candidate/valid counts and the witness.
     """
-    budget.charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
+    charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
     prod, proj1, proj2 = finset.product(c, c)
     diagonal = SetComonoid(c).diagonal()
     # psi is counital exactly when both projections of each psi(x) are x,

@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 from . import finset
 from .errors import (
-    DEFAULT_BUDGET,
     BaseMismatch,
-    Budget,
     EmptyCarrier,
     EmptyFiber,
+    charge,
+    charge_power,
 )
 from .finset import FinMap, FinSet, SubPresentation
 
@@ -97,12 +97,11 @@ def empty_contramodule(base: FinSet) -> ContraTable:
     return ContraTable(finset.EMPTY, base, theta=theta)
 
 
-def to_extensional(t: ContraTable,
-                   budget: Budget = DEFAULT_BUDGET) -> ContraTable:
+def to_extensional(t: ContraTable) -> ContraTable:
     """Materialise the full theta table of a product-form contramodule."""
     if t.theta is not None:
         return t
-    budget.charge(len(t.carrier) ** len(t.base), "extensional table")
+    charge(len(t.carrier) ** len(t.base), "extensional table")
     ambient = finset.function_space(t.base, t.carrier)
     decode = finset.choice_table(t.base, t.fibers)
     table = {}
@@ -117,7 +116,7 @@ def to_extensional(t: ContraTable,
 # --- validation ---------------------------------------------------------------
 
 
-def validate(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> dict:
+def validate(t: ContraTable) -> dict:
     """Check contraunitality and the row-diagonal identity exhaustively.
 
     Requires the extensional form.  Returns a report dict; the first
@@ -131,7 +130,7 @@ def validate(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> dict:
         return {"ok": True, "contraunital": True, "row_diagonal": True,
                 "checked_matrices": 0, "witness": None}
     n_matrices = nx ** (nc * nc)
-    budget.charge(n_matrices, "row-diagonal check")
+    charge(n_matrices, "row-diagonal check")
     theta_idx = _packed_theta(t)
     ok_unit, unit_witness = _check_contraunit(theta_idx, nx, nc)
     ok_row, row_witness = (True, None)
@@ -268,13 +267,11 @@ def decompose(t: ContraTable, u: str):
     return family, pi, sigma
 
 
-def is_contramodule_map(
-    f: FinMap, s: ContraTable, t: ContraTable, budget: Budget = DEFAULT_BUDGET
-) -> bool:
+def is_contramodule_map(f: FinMap, s: ContraTable, t: ContraTable) -> bool:
     """Definition check: f(theta_s(beta)) == theta_t(f o beta) for all beta."""
     if s.base != t.base:
         raise BaseMismatch("contramodule maps need a shared base")
-    budget.charge(len(s.carrier) ** len(s.base), "contramodule-map check")
+    charge(len(s.carrier) ** len(s.base), "contramodule-map check")
     for beta in finset._all_maps(s.base, s.carrier):
         f_beta = FinMap(
             t.base, t.carrier, {a: f(beta(a)) for a in t.base}
@@ -287,8 +284,7 @@ def is_contramodule_map(
 # --- homs ---------------------------------------------------------------------
 
 
-def contra_hom_members(s: ContraTable, t: ContraTable,
-                       budget: Budget = DEFAULT_BUDGET) -> list[FinMap]:
+def contra_hom_members(s: ContraTable, t: ContraTable) -> list[FinMap]:
     """All contramodule maps s -> t as carrier maps, fiberwise.
 
     Both inputs must be valid.  Non-product forms are decomposed first (at
@@ -306,7 +302,7 @@ def contra_hom_members(s: ContraTable, t: ContraTable,
     decode = finset.choice_table(s.base, s_family)
     decoded = [(x, decode[s_pi(x)].table) for x in s.carrier]
     members = []
-    for comps in _component_families(s.base, s_family, t_family, budget):
+    for comps in _component_families(s.base, s_family, t_family):
         table = {
             x: t_sigma(finset.encode_table(
                 t.base, {a: comps[a][ch[a]] for a in t.base}
@@ -332,29 +328,26 @@ def _as_product(t: ContraTable):
     return decompose(t, u)
 
 
-def contra_hom(
-    s: ContraTable, t: ContraTable, budget: Budget = DEFAULT_BUDGET
-) -> SubPresentation:
+def contra_hom(s: ContraTable, t: ContraTable) -> SubPresentation:
     """The contramodule maps as a subset of the full function space."""
     if s.base != t.base:
         raise BaseMismatch("contra_hom needs a shared base")
-    budget.charge(len(t.carrier) ** len(s.carrier), "function space")
+    charge(len(t.carrier) ** len(s.carrier), "function space")
     ambient = finset.function_space(s.carrier, t.carrier)
     labels = sorted(
-        finset.encode_map(f) for f in contra_hom_members(s, t, budget)
+        finset.encode_map(f) for f in contra_hom_members(s, t)
     )
     members = FinSet(labels)
     include = FinMap(members, ambient, {x: x for x in members})
     return SubPresentation(ambient, members, include)
 
 
-def contra_hom_by_definition(s: ContraTable, t: ContraTable,
-                             budget: Budget = DEFAULT_BUDGET) -> list[FinMap]:
+def contra_hom_by_definition(s: ContraTable, t: ContraTable) -> list[FinMap]:
     """Brute-force oracle for contra_hom: filter every carrier map."""
-    budget.charge(len(t.carrier) ** len(s.carrier), "carrier map enumeration")
+    charge(len(t.carrier) ** len(s.carrier), "carrier map enumeration")
     out = []
     for f in finset._all_maps(s.carrier, t.carrier):
-        if is_contramodule_map(f, s, t, budget):
+        if is_contramodule_map(f, s, t):
             out.append(f)
     return out
 
@@ -362,9 +355,7 @@ def contra_hom_by_definition(s: ContraTable, t: ContraTable,
 # --- exhaustive enumeration -----------------------------------------------
 
 
-def enumerate_all(
-    carrier: FinSet, base: FinSet, budget: Budget = DEFAULT_BUDGET
-) -> list[ContraTable]:
+def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
     """Every valid extensional theta table on the given carrier and base,
     in canonical (odometer) order."""
     nx, nc = len(carrier), len(base)
@@ -375,7 +366,7 @@ def enumerate_all(
     # slot over an empty base): the odometer runs over the other slots
     # only, which keeps the order of the survivors, and is charged for
     # those, before any slot list is built
-    budget.charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
+    charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
     const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
     free = [i for i in range(nb) if i not in const_idx]
     gather = [0] * nb
@@ -460,6 +451,7 @@ def restrict_contra(f: FinMap, t: ContraTable) -> ContraTable:
         raise BaseMismatch("restriction needs f.dom == base")
     chat = f.cod
     if t.theta is not None:
+        charge(len(t.carrier) ** len(chat), "restricted theta table")
         ambient = finset.function_space(chat, t.carrier)
         table = {}
         for label in ambient:
@@ -594,12 +586,11 @@ def transpose_hom(
     return FinMap(t.carrier, res_s.carrier, table)
 
 
-def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict,
-                        budget: Budget):
+def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict):
     """All slotwise families between two fiber families over one base (=
     all contramodule maps between their products, via
     :func:`contra_components`), each slot map a dict."""
-    budget.charge(
+    charge(
         math.prod(len(t_fibers[a]) ** len(s_fibers[a]) for a in base),
         "slotwise hom enumeration",
     )
@@ -644,13 +635,12 @@ def _before(h: tuple[int, ...], n: int, p: int) -> tuple[int, ...]:
     return tuple(_beta_index([g[x] for x in h], p) for g in _slot_maps(n, p))
 
 
-def _slot_families(src: tuple[int, ...], tgt: tuple[int, ...],
-                   budget: Budget):
+def _slot_families(src: tuple[int, ...], tgt: tuple[int, ...]):
     """Hom enumeration on codes: every family of slot maps between fibers
     of the given sizes, in the order of :func:`_component_families`, which
     charges the same count."""
     counts = [n**m for m, n in zip(src, tgt)]
-    budget.charge(math.prod(counts), "slotwise hom enumeration")
+    charge(math.prod(counts), "slotwise hom enumeration")
     return iproduct(*map(range, counts))
 
 
@@ -733,9 +723,8 @@ class _InductionCheck:
     tables, slot checks and composition rows.  Every table lives as long
     as the call."""
 
-    def __init__(self, f: FinMap, fiber_bound: int, budget: Budget):
+    def __init__(self, f: FinMap, fiber_bound: int):
         self.table = dict(f.table)
-        self.budget = budget
         self.ckeys, self.ykeys = f.dom.elements, f.cod.elements
         self.fy = [f.cod.index(f(z)) for z in self.ckeys]
         ts = list(all_product_shapes(f.cod, fiber_bound))
@@ -764,7 +753,7 @@ class _InductionCheck:
         got = self.families.get(key)
         if got is None:
             got = self.families[key] = list(
-                _slot_families(src, tgt, self.budget))
+                _slot_families(src, tgt))
         return got
 
     def plan(self, i: int, j: int):
@@ -825,9 +814,9 @@ class _InductionCheck:
         only counted: its members are the code tuples within the bounds.
         Returns the (u, v) pairs whose v is a member."""
         ind_t = tuple(self.t_sizes[i][y] for y in self.fy)
-        hom1 = list(_slot_families(ind_t, self.s_sizes[j], self.budget))
+        hom1 = list(_slot_families(ind_t, self.s_sizes[j]))
         bounds = [n**m for m, n in zip(self.t_sizes[i], self.res_sizes[j])]
-        self.budget.charge(math.prod(bounds), "slotwise hom enumeration")
+        charge(math.prod(bounds), "slotwise hom enumeration")
         report["pairs"] += 1
         report["hom_elements"] += len(hom1)
         plan = self.plan(i, j)
@@ -960,15 +949,13 @@ class _InductionCheck:
         return report
 
 
-def induction_adjunction_certificate(
-    f: FinMap, fiber_bound: int = 2, budget: Budget = DEFAULT_BUDGET
-) -> dict:
+def induction_adjunction_certificate(f: FinMap, fiber_bound: int = 2) -> dict:
     """Certify that induction is left adjoint to restriction along f.
 
     For every pair of product contramodules within the fiber bound, the
     transpose is checked to be a bijection between the two hom sets, and
     its naturality in both arguments is checked on every morphism of the
-    bounded family; each hom enumeration is charged against the budget.
+    bounded family; each hom enumeration is charged against the job's budget.
     Hom elements, naturality families and composites are families of slot
     codes (see :func:`_slot_maps`).  Both sides of a naturality square are
     families over the points y of f's codomain, and the slot over y reads
@@ -982,7 +969,7 @@ def induction_adjunction_certificate(
     carrier-level maps by the test-suite on small bases.  A transpose
     that is not a hom is reported and left out of the naturality squares.
     """
-    return _InductionCheck(f, fiber_bound, budget).certificate()
+    return _InductionCheck(f, fiber_bound).certificate()
 
 
 def noncocontinuity_demo(c: FinSet) -> dict:
@@ -994,6 +981,7 @@ def noncocontinuity_demo(c: FinSet) -> dict:
     leaves 2^|base| - 1 classes; the sizes disagree whenever the base has
     at least two points.
     """
+    charge_power(2, len(c), "function space")
     x = FinSet(("a", "b"))
     alpha = finset.constant(finset.POINT, x, "a")
     beta = finset.constant(finset.POINT, x, "b")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from . import finset, set_comodule, set_contramodule
-from .errors import DEFAULT_BUDGET, Budget
+from .errors import charge
 from .finset import FinMap, FinSet, QuotPresentation
 from .set_comodule import SetComodule, fibers, is_degenerate
 from .set_contramodule import (
@@ -69,7 +69,7 @@ def _push_sections(v: FinMap, m: SetComodule, rm: ContraTable,
     return FinMap(rm.carrier, rn.carrier, table)
 
 
-def l_set_with_projection(t: ContraTable, budget: Budget = DEFAULT_BUDGET):
+def l_set_with_projection(t: ContraTable):
     """The quotient comodule together with the projection from carrier x base.
 
     Product-form input takes the closed-form route (the disjoint union of
@@ -102,7 +102,7 @@ def l_set_with_projection(t: ContraTable, budget: Budget = DEFAULT_BUDGET):
             },
         )
         return SetComodule(carrier, c, phi), project
-    budget.charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
+    charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
     hom_cy = finset.function_space(c, t.carrier)
     dom, _, _ = finset.product(hom_cy, c)
     cod, _, _ = finset.product(t.carrier, c)
@@ -130,8 +130,8 @@ def l_set_with_projection(t: ContraTable, budget: Budget = DEFAULT_BUDGET):
     return SetComodule(carrier, c, phi), q.project
 
 
-def L_set(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> SetComodule:
-    m, _ = l_set_with_projection(t, budget)
+def L_set(t: ContraTable) -> SetComodule:
+    m, _ = l_set_with_projection(t)
     return m
 
 
@@ -265,9 +265,9 @@ def _counit_is_comodule_map(m: SetComodule, r: ContraTable,
     return True
 
 
-def unit(t: ContraTable, budget: Budget = DEFAULT_BUDGET) -> FinMap:
+def unit(t: ContraTable) -> FinMap:
     """The carrier map into the sections of the quotient comodule."""
-    l, project = l_set_with_projection(t, budget)
+    l, project = l_set_with_projection(t)
     return _unit(t, project, R_set(l))
 
 
@@ -291,10 +291,9 @@ def unit_is_contramodule_map(t: ContraTable) -> bool:
 # --- batch certificate --------------------------------------------------------
 
 
-def all_comodules(carrier_size: int, base_size: int,
-                  budget: Budget = DEFAULT_BUDGET):
+def all_comodules(carrier_size: int, base_size: int):
     """Every set comodule on canonical labels of the given sizes."""
-    budget.charge(base_size ** carrier_size, "comodule enumeration")
+    charge(base_size ** carrier_size, "comodule enumeration")
     carrier = FinSet([f"x{i}" for i in range(1, carrier_size + 1)])
     base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
     for phi in finset._all_maps(carrier, base):
@@ -351,7 +350,6 @@ def equivalence_certificate(
     max_base: int = 2,
     max_fiber: int = 3,
     naturality_carrier: int = 3,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> dict:
     """Exhaustively certify the correspondence on bounded instances.
 
@@ -361,9 +359,11 @@ def equivalence_certificate(
     is a bijective contramodule map and the quotient-side triangle holds.
     Naturality of both is checked on all structure maps between instances
     with carriers up to ``naturality_carrier``.  Degenerate comodules are
-    reported and excluded, never errors.  The comodule and hom
-    enumerations are charged against the budget.  Each comodule's sections,
-    quotients and counit are built once and shared by its checks.
+    reported and excluded, never errors.  Every enumeration, the
+    comodules, homs, extensional tables, coequaliser ambients and
+    contramodule-map checks, is charged against the job's budget.  Each
+    comodule's sections, quotients and counit are built once and shared
+    by its checks.
     """
     report = {
         "comodules": 0,
@@ -377,7 +377,7 @@ def equivalence_certificate(
         # the round trips the naturality check reuses, by structure map
         round_trips = {}
         for carrier_size in range(0, max_carrier + 1):
-            for m in all_comodules(carrier_size, base_size, budget):
+            for m in all_comodules(carrier_size, base_size):
                 report["comodules"] += 1
                 if is_degenerate(m):
                     report["degenerate"] += 1
@@ -431,20 +431,20 @@ def equivalence_certificate(
                      "shape": {a: len(v) for a, v in t.fibers.items()}}
                 )
         report["naturality_squares"] += _counit_naturality(
-            base_size, naturality_carrier, report, budget, round_trips
+            base_size, naturality_carrier, report, round_trips
         )
     report["ok"] = not report["failures"]
     return report
 
 
 def _counit_naturality(base_size: int, max_carrier: int, report,
-                       budget: Budget, round_trips: dict) -> int:
+                       round_trips: dict) -> int:
     """counit o L(R(f)) == f o counit for every comodule map f, on the
     round trips of the instances (built here when the main loop did not)."""
     squares = 0
     comodules = []
     for carrier_size in range(0, max_carrier + 1):
-        comodules.extend(all_comodules(carrier_size, base_size, budget))
+        comodules.extend(all_comodules(carrier_size, base_size))
     instances = [
         round_trips.get(finset.encode_map(m.phi)) or _round_trip(m)
         for m in comodules if not is_degenerate(m)
@@ -452,7 +452,7 @@ def _counit_naturality(base_size: int, max_carrier: int, report,
     for a in instances:
         for b in instances:
             m, n = a.m, b.m
-            hom = set_comodule.hom_over(m, n, budget)
+            hom = set_comodule.hom_over(m, n)
             for label in hom.members:
                 f = finset.decode_map(label, m.carrier, n.carrier)
                 rf = _push_sections(f, m, a.sections, b.sections)

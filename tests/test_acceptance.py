@@ -232,17 +232,15 @@ def test_criterion_09_finite_dimensional_collapse(linear_family):
         c = inst.group_like_coalgebra(F2, 2)
         alg = coalg.dual_algebra(c)
         x = GradedVect(F2, {0: 2}, prefix="x")
-        budget = oracle.Budget(max_count=10 ** 6)
         comodules = [
             coalg.VComodule(c, x, rho)
-            for rho in oracle.all_linmaps(x, tensor(x, c.space), budget)
+            for rho in oracle.all_linmaps(x, tensor(x, c.space))
             if coalg.validate_comodule(
                 coalg.VComodule(c, x, rho))["ok"]
         ]
         contras = [
             coalg.VContramodule(c, x, theta)
-            for theta in oracle.all_linmaps(
-                hom_space(c.space, x), x, budget)
+            for theta in oracle.all_linmaps(hom_space(c.space, x), x)
             if coalg.validate_contramodule(
                 coalg.VContramodule(c, x, theta))["ok"]
         ]

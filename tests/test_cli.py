@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from cocontra import cli, serialize
-from cocontra.errors import ParseError
+from cocontra import cli, finset, serialize
+from cocontra.errors import (DEFAULT_BUDGET, BudgetExceeded, ParseError,
+                             charge)
 
 
 BASE_DECLS = [
@@ -815,6 +816,144 @@ def test_induction_adjunction_is_charged(tmp_path):
     code, report = run_cli(tmp_path, {"declarations": decls,
                                       "jobs": [{**job, "budget": 16}]})
     assert code == 0
+
+
+def test_job_budget_reaches_the_certificates(tmp_path):
+    # the extensional tables, coequaliser ambients and contramodule-map
+    # checks of the equivalence certificate: the first above 100 is the
+    # quotient-side triangle's ambient on the 3 x 3 product, 9^2 * 2
+    job = {"id": "e", "command": "equivalence", "args": {}, "budget": 100}
+    code, report = run_cli(tmp_path, {"declarations": [], "jobs": [job]})
+    assert code == 2
+    entry = report["jobs"][0]
+    assert entry["witnesses"] == [{"error": "budget-exceeded",
+                                   "projected": 162}]
+    assert entry["result"] == (
+        "coequaliser ambient would enumerate 162 items (budget 100)")
+    # lr on fibers of sizes 2 and 2: the 4 sections' extensional table
+    decls = [
+        BASE_DECLS[0],
+        {"kind": "finset", "name": "X4", "elements": ["a", "b", "c", "d"]},
+        {"kind": "set_comodule", "name": "M4", "carrier": "X4", "base": "C",
+         "phi": {"a": "1", "b": "1", "c": "2", "d": "2"}},
+    ]
+    job = {"id": "lr", "command": "lr", "args": {"target": "M4"},
+           "budget": 2}
+    assert budget_error(tmp_path, decls, job, ()) == 16
+
+
+def test_restricting_a_theta_table_is_charged(tmp_path):
+    points = ["a", "b", "c", "d"]
+    decls = [
+        {"kind": "finset", "name": "C1", "elements": ["1"]},
+        {"kind": "finset", "name": "X4", "elements": points},
+        {"kind": "finset", "name": "P3", "elements": ["x", "y", "z"]},
+        {"kind": "contra_table", "name": "T", "carrier": "X4", "base": "C1",
+         "theta": {finset.encode_table(["1"], {"1": x}): x
+                   for x in points}},
+        {"kind": "finmap", "name": "f", "dom": "C1", "cod": "P3",
+         "table": {"1": "x"}},
+    ]
+    job = {"id": "r", "command": "restrict",
+           "args": {"along": "f", "target": "T"}}
+    # the restricted theta has one entry per map P3 -> X4
+    assert budget_error(tmp_path, decls, {**job, "budget": 63}, ()) == 64
+    code, _ = run_cli(tmp_path, {"declarations": decls,
+                                 "jobs": [{**job, "budget": 64}]})
+    assert code == 0
+
+
+def test_noncocontinuity_demo_is_charged(tmp_path):
+    out = tmp_path / "report.json"
+    for argv, projected in ((["--c-size", "6", "--budget", "10"], 64),
+                            (["--c-size", "30"], 2 ** 30)):
+        assert cli.main(["demo-noncocontinuous", *argv,
+                         "--out", str(out)]) == 2
+        entry = json.loads(out.read_text())["jobs"][0]
+        assert entry["witnesses"] == [{"error": "budget-exceeded",
+                                       "projected": projected}]
+
+
+def test_job_budget_lives_only_while_a_job_runs(monkeypatch):
+    """Every charge a job makes is checked against the job's own budget,
+    and the default comes back when the job ends, whether it passes,
+    raises or exceeds its budget."""
+    def outside_any_job():
+        charge(DEFAULT_BUDGET, "outside")
+        with pytest.raises(BudgetExceeded):
+            charge(DEFAULT_BUDGET + 1, "outside")
+
+    def run(env, args, jctx):
+        charge(7, "inside")
+        if raised is not None:
+            raise raised
+        return cli._pass()
+
+    outside_any_job()
+    monkeypatch.setitem(cli.COMMANDS, "r",
+                        cli.COMMANDS["r"]._replace(run=run))
+    env = serialize.parse_bundle({"declarations": BASE_DECLS})
+    ctx = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
+    job = {"command": "r", "args": {"target": "M"}, "budget": 7}
+    for raised, witnesses in (
+            (None, []),
+            (RuntimeError("boom"), [{"error": "RuntimeError",
+                                     "message": "boom"}])):
+        assert cli.run_job(env, job, ctx)["witnesses"] == witnesses
+        outside_any_job()
+    entry = cli.run_job(env, {**job, "budget": 6}, ctx)
+    assert entry["witnesses"] == [{"error": "budget-exceeded",
+                                   "projected": 7}]
+    outside_any_job()
+
+
+def test_no_function_takes_a_budget_parameter():
+    """The budget is the job's (errors.job_budget), never a parameter: a
+    parameter with a default lets a caller that leaves it out replace the
+    job's budget by the default."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import cocontra
+
+    checked, takes = 0, []
+    for info in pkgutil.walk_packages(cocontra.__path__, "cocontra."):
+        mod = importlib.import_module(info.name)
+        for name, obj in vars(mod).items():
+            members = [(name, obj)]
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                members += [(f"{name}.{attr}", value)
+                            for attr, value in vars(obj).items()]
+            for qualname, fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if (inspect.isfunction(fn)
+                        and fn.__module__ == mod.__name__):
+                    checked += 1
+                    if "budget" in inspect.signature(fn).parameters:
+                        takes.append(f"{mod.__name__}.{qualname}")
+    # the walk reaches the whole package (about 500 functions and methods)
+    assert checked > 300
+    assert takes == []
+
+
+def test_contra_table_of_the_wrong_size_is_refused_before_its_space(
+        monkeypatch):
+    def unbuilt(a, b):
+        raise AssertionError("the function space was built")
+
+    monkeypatch.setattr(finset, "function_space", unbuilt)
+    points = [f"p{i}" for i in range(20)]
+    for theta in ({}, {"one": "p0"}):
+        doc = {"declarations": [
+            {"kind": "finset", "name": "X", "elements": points},
+            {"kind": "contra_table", "name": "T", "carrier": "X",
+             "base": "X", "theta": theta},
+        ]}
+        with pytest.raises(ParseError) as exc:
+            serialize.parse_bundle(doc)
+        assert str(exc.value) == (
+            "contra_table 'T' rejected: table is not total on the domain")
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cli"

@@ -331,13 +331,12 @@ def test_bridge_structure_bijective_exhaustively_tiny():
     alg = coalg.dual_algebra(c)
     x = GradedVect(F2, {0: 2}, prefix="x")
     comodules = []
-    budget = oracle.Budget(max_count=10 ** 6)
-    for rho in oracle.all_linmaps(x, tensor(x, c.space), budget):
+    for rho in oracle.all_linmaps(x, tensor(x, c.space)):
         m = coalg.VComodule(c, x, rho)
         if coalg.validate_comodule(m)["ok"]:
             comodules.append(m)
     contras = []
-    for theta in oracle.all_linmaps(hom_space(c.space, x), x, budget):
+    for theta in oracle.all_linmaps(hom_space(c.space, x), x):
         p = coalg.VContramodule(c, x, theta)
         if coalg.validate_contramodule(p)["ok"]:
             contras.append(p)

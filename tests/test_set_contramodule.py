@@ -7,11 +7,13 @@ import pytest
 from cocontra import finset, serialize, set_contramodule as sct
 from cocontra.errors import (
     BaseMismatch,
-    Budget,
     BudgetExceeded,
     EmptyCarrier,
     EmptyFiber,
+    charge,
+    charge_power,
     count_text,
+    job_budget,
 )
 from cocontra.finset import FinMap, FinSet
 
@@ -97,8 +99,8 @@ def test_validate_budget_exceeded_reports_projected_count():
         ),
     )
     # carrier size 2: 2^(2*2) = 16 matrices; force a tiny budget
-    with pytest.raises(BudgetExceeded) as exc:
-        sct.validate(t, Budget(3))
+    with job_budget(3), pytest.raises(BudgetExceeded) as exc:
+        sct.validate(t)
     assert exc.value.projected == 16
 
 
@@ -122,13 +124,15 @@ def test_enumerate_two_gives_the_two_projections():
 
 def test_enumerate_budget():
     x = FinSet(["a", "b", "c"])
-    with pytest.raises(BudgetExceeded) as exc:
-        sct.enumerate_all(x, C2, Budget(100))
+    with job_budget(100), pytest.raises(BudgetExceeded) as exc:
+        sct.enumerate_all(x, C2)
     # the odometer visits the tables that fix the 3 constant functions
     assert exc.value.projected == 3 ** 6
-    assert len(sct.enumerate_all(x, C2, Budget(1000))) == 2
+    with job_budget(1000):
+        assert len(sct.enumerate_all(x, C2)) == 2
     # over an empty base the odometer visits one table
-    assert len(sct.enumerate_all(x, FinSet([]), Budget(1))) == 1
+    with job_budget(1):
+        assert len(sct.enumerate_all(x, FinSet([]))) == 1
 
 
 def test_budget_counts_too_long_to_print():
@@ -137,22 +141,23 @@ def test_budget_counts_too_long_to_print():
     computed, and any other count by the power of two it reaches."""
     x = FinSet(["a", "b", "c"])
     base9 = FinSet([f"c{i}" for i in range(9)])
-    with pytest.raises(BudgetExceeded) as exc:
-        sct.enumerate_all(x, base9, Budget(10))
+    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+        sct.enumerate_all(x, base9)
     assert exc.value.projected == "3^19680"
     assert str(exc.value) == (
         "theta-table enumeration would enumerate 3^19680 items (budget 10)")
-    with pytest.raises(BudgetExceeded) as exc:
-        Budget(10).charge(3 ** 19680, "tables")
+    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+        charge(3 ** 19680, "tables")
     assert exc.value.projected == "at least 2^31192"
     assert 2 ** 31192 <= 3 ** 19680 < 2 ** 31193
     assert count_text(2 ** 1999) == str(2 ** 1999)
     assert count_text(2 ** 2000) == "at least 2^2000"
     # a power that fits is computed and charged as before
-    with pytest.raises(BudgetExceeded) as exc:
-        Budget(10).charge_power(3, 6, "tables")
+    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+        charge_power(3, 6, "tables")
     assert exc.value.projected == 729
-    Budget(10 ** 700).charge_power(3, 1400, "tables")
+    with job_budget(10 ** 700):
+        charge_power(3, 1400, "tables")
 
 
 def test_decompose_round_trips_product():
@@ -372,7 +377,7 @@ def test_component_calculus_matches_carrier_maps():
     c = FinSet(["1", "2"])
     chat = FinSet(["x", "y"])
     for f in finset._all_maps(c, chat):
-        check = sct._InductionCheck(f, 2, Budget())
+        check = sct._InductionCheck(f, 2)
         for i, t in enumerate(sct.all_product_shapes(chat, 2)):
             ind_t = sct.induce_contra(f, t)
             for j, s in enumerate(sct.all_product_shapes(c, 2)):
@@ -404,11 +409,11 @@ def test_component_calculus_matches_carrier_maps():
     for nch in (2, 3):
         chat = FinSet([f"w{k}" for k in range(nch)])
         for f in finset._all_maps(c, chat):
-            check = sct._InductionCheck(f, 2, Budget())
+            check = sct._InductionCheck(f, 2)
             for i, m in enumerate(check.t_sizes):
                 for j, n in enumerate(check.s_sizes):
                     ind_t = [m[y] for y in check.fy]
-                    for u in sct._slot_families(ind_t, n, Budget()):
+                    for u in sct._slot_families(ind_t, n):
                         v = sct._transpose_codes(check.plan(i, j), u)
                         for y, r in enumerate(check.res[j]):
                             uz = tuple(u[z] for z in r.zs)
@@ -547,7 +552,7 @@ def _reference_target(check, memos, i, j, pairs, failures):
 
 
 def _reference_certificate(f, fiber_bound):
-    check = sct._InductionCheck(f, fiber_bound, Budget())
+    check = sct._InductionCheck(f, fiber_bound)
     report = {"f": dict(f.table), "pairs": 0, "hom_elements": 0,
               "naturality_squares": 0, "failures": []}
     memos = {}  # the transposes of each pair of shapes, by u
@@ -619,7 +624,7 @@ def test_slot_checks_are_shared_across_pairs_of_shapes():
     # on t, s -> s2, so 8 source and 8 target slot checks per point, where
     # a check per pair of shapes would make 4 * 4 * 4 of each per point
     f = FinMap(C2, FinSet(["x", "y"]), {"1": "x", "2": "y"})
-    check = sct._InductionCheck(f, 2, Budget())
+    check = sct._InductionCheck(f, 2)
     rep = check.certificate()
     assert rep["ok"] and rep["naturality_squares"] == 2592
     kinds = [key[0] for key in check.slots]
@@ -630,16 +635,18 @@ def test_slot_checks_are_shared_across_pairs_of_shapes():
 # --- goldens of the set-side certificates -------------------------------------
 
 
-class RecordingBudget(Budget):
-    """A budget that logs every charge, in order, before enforcing it."""
+@pytest.fixture
+def charges(monkeypatch):
+    """Every charge set_contramodule makes, in order, logged before the
+    budget checks it."""
+    log = []
 
-    def __init__(self, max_count=1_000_000, log=None):
-        super().__init__(max_count)
-        object.__setattr__(self, "log", [] if log is None else log)
+    def record(projected, what):
+        log.append((projected, what))
+        charge(projected, what)
 
-    def charge(self, projected, what):
-        self.log.append((projected, what))
-        super().charge(projected, what)
+    monkeypatch.setattr(sct, "charge", record)
+    return log
 
 
 def _base_maps(nc, nch):
@@ -698,21 +705,18 @@ INDUCTION_CHARGES_SHA256 = (
 )
 
 
-def test_induction_adjunction_reports_and_charges_match_goldens():
-    log = []
+def test_induction_adjunction_reports_and_charges_match_goldens(charges):
     digests = {}
     for nc, nch in ((2, 2), (2, 3), (3, 2)):
         for f in _base_maps(nc, nch):
-            rep = sct.induction_adjunction_certificate(
-                f, 2, RecordingBudget(log=log)
-            )
+            rep = sct.induction_adjunction_certificate(f, 2)
             assert rep["ok"]
             digests[_map_key(f)] = hashlib.sha256(
                 serialize.canonical_bytes(rep)).hexdigest()
     assert digests == INDUCTION_GOLDEN_SHA256
-    assert len(log) == 2704
-    charges = hashlib.sha256(json.dumps(log).encode()).hexdigest()
-    assert charges == INDUCTION_CHARGES_SHA256
+    assert len(charges) == 2704
+    digest = hashlib.sha256(json.dumps(charges).encode()).hexdigest()
+    assert digest == INDUCTION_CHARGES_SHA256
 
 
 @pytest.mark.parametrize("max_count, message, charged", [
@@ -724,17 +728,14 @@ def test_induction_adjunction_reports_and_charges_match_goldens():
     (16, "slotwise hom enumeration would enumerate 32 items (budget 16)",
      134),
 ])
-def test_induction_adjunction_budget_cut_matches_golden(max_count, message,
-                                                        charged):
+def test_induction_adjunction_budget_cut_matches_golden(charges, max_count,
+                                                        message, charged):
     f = _base_maps(2, 3)[1]
     assert f.table == {"z0": "w0", "z1": "w1"}
-    log = []
-    with pytest.raises(BudgetExceeded) as err:
-        sct.induction_adjunction_certificate(
-            f, 2, RecordingBudget(max_count, log)
-        )
+    with job_budget(max_count), pytest.raises(BudgetExceeded) as err:
+        sct.induction_adjunction_certificate(f, 2)
     assert str(err.value) == message
-    assert len(log) == charged
+    assert len(charges) == charged
 
 
 # Recorded before the theta-table odometer fixed the constant slots: every
