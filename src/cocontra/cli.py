@@ -34,7 +34,9 @@ from .errors import (DEFAULT_BUDGET, BudgetExceeded, CocontraError,
                      ParseError, job_budget)
 from .exactlin import GradedVect, dual, field_from_name, space_memo
 from .finset import FinMap, FinSet
-from .serialize import Environment, serialize_result
+from .serialize import (COALGEBRA, COMODULE, CONTRAMODULE, FINSET,
+                        GRADED_SPACE, SET_COMODULE, SET_CONTRAMODULE,
+                        Environment, serialize_result)
 from .set_comodule import SetComodule
 from .set_contramodule import ContraTable
 
@@ -510,12 +512,6 @@ class Command(NamedTuple):
         return [name for name, arg in self.args.items() if arg.cli in roles]
 
 
-FINSET = ("finset",)
-SET_COMODULE = ("set_comodule",)
-SET_CONTRAMODULE = ("contra_product", "contra_table")
-COALGEBRA = ("coalgebra", "group_like_coalgebra", "poly_coalgebra")
-COMODULE = ("vcomodule", "cofree_comodule")
-CONTRAMODULE = ("vcontramodule", "free_contramodule")
 MODULES = SET_COMODULE + SET_CONTRAMODULE + COMODULE + CONTRAMODULE
 
 _COMODULE_TARGET = {"target": Arg(SET_COMODULE + COMODULE, cli=FILE)}
@@ -560,7 +556,7 @@ COMMANDS = {
         "fiber_bound": Arg(type=int, default=2, cli=FLAG, least=1)}),
     "kleisli": Command(_job_kleisli, {
         "coalgebra": Arg(COALGEBRA, cli=FILE),
-        "on": Arg(("graded_space",), default=None),
+        "on": Arg(GRADED_SPACE, default=None),
         "dim": Arg(type=int, default=1, cli=FLAG)}),
     "bridge": Command(_job_bridge, {
         "coalgebra": Arg(COALGEBRA, cli=FILE),
@@ -569,7 +565,7 @@ COMMANDS = {
     "probe": Command(_job_probe, {
         "comodule": Arg(COMODULE, cli=FILE),
         "left_comodule": Arg(COMODULE, cli=FILE),
-        "space": Arg(("graded_space",), cli=FILE)}),
+        "space": Arg(GRADED_SPACE, cli=FILE)}),
     "demo-noncocontinuous": Command(_job_demo_noncocontinuous, {
         "base": Arg(FINSET, default=None),
         "c_size": Arg(type=int, default=2, cli=FLAG)}, job_id="demo"),

@@ -22,6 +22,7 @@ from ..exactlin import (
     hom_space,
     identity_map,
     pairing,
+    relabel,
     tensor,
     tensor_map,
     unit_left_inv,
@@ -175,15 +176,8 @@ def comodule_to_module(m: VComodule, alg: DualAlgebra) -> DualModule:
 
 def dual_tensor_into_hom(c: Coalgebra, x: GradedVect) -> LinMap:
     """C* (x) X -> [C, X]; an isomorphism at finite dimension."""
-    a = dual(c.space)
-    dom = tensor(a, x)
-    cod = hom_space(c.space, x)
-    one = c.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, dl, xl = lab
-        images[lab] = {("h", dl[1], xl): one}
-    out = LinMap.from_images(dom, cod, 0, images)
+    out = relabel(tensor(dual(c.space), x), hom_space(c.space, x),
+                  lambda t: ("h", t[1][1], t[2]))
     assert out.is_iso()
     return out
 

@@ -21,6 +21,7 @@ from ..exactlin import (
     hom_space,
     hom_tensor_iso_inv,
     identity_map,
+    relabel,
     sub_maps,
     tensor,
     tensor_map,
@@ -167,10 +168,8 @@ def validate_comodule(m: VComodule) -> dict:
 
 def unit_hom_iso(x: GradedVect) -> LinMap:
     """X -> [unit, X]."""
-    cod = hom_space(unit_space(x.field), x)
-    one = x.field.one()
-    images = {lab: {("h", "1", lab): one} for _, _, lab in x.basis()}
-    return LinMap.from_images(x, cod, 0, images)
+    return relabel(x, hom_space(unit_space(x.field), x),
+                   lambda a: ("h", "1", a))
 
 
 def eps_star(c: Coalgebra, x: GradedVect) -> LinMap:

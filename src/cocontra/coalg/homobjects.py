@@ -18,6 +18,7 @@ from ..exactlin import (
     hom_space,
     identity_map,
     linmap_to_vec,
+    relabel,
     tensor,
     tensor_map,
     vec_to_linmap,
@@ -208,18 +209,11 @@ def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:
 def composition_on_ambient(
     x: GradedVect, y: GradedVect, z: GradedVect
 ) -> LinMap:
-    """[Y,Z] (x) [X,Y] -> [X,Z], matching matrix units through the middle."""
-    dom = tensor(hom_space(y, z), hom_space(x, y))
-    cod = hom_space(x, z)
-    one = x.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, g, f = lab
-        _, b2, cl = g
-        _, a, b = f
-        if b == b2:
-            images[lab] = {("h", a, cl): one}
-    return LinMap.from_images(dom, cod, 0, images)
+    """[Y,Z] (x) [X,Y] -> [X,Z], matching matrix units through the middle:
+    (b' -> c) (x) (a -> b) goes to a -> c when b = b', to zero otherwise."""
+    return relabel(tensor(hom_space(y, z), hom_space(x, y)), hom_space(x, z),
+                   lambda t: ("h", t[2][1], t[1][2])
+                   if t[2][2] == t[1][1] else None)
 
 
 def identity_element(hobj: HomObject):

@@ -18,6 +18,7 @@ from ..exactlin import (
     compose,
     hom_map,
     identity_map,
+    relabel,
     tensor,
     tensor_map,
     unit_space,
@@ -48,19 +49,8 @@ def group_like_coalgebra(field, n: int, degrees=None) -> Coalgebra:
     space = GradedVect(
         field, dims, {k: tuple(v) for k, v in labels.items()}
     )
-    one = field.one()
-    delta = LinMap.from_images(
-        space,
-        tensor(space, space),
-        0,
-        {g: {("t", g, g): one} for _, _, g in space.basis()},
-    )
-    eps = LinMap.from_images(
-        space,
-        unit_space(field),
-        0,
-        {g: {"1": one} for _, _, g in space.basis()},
-    )
+    delta = relabel(space, tensor(space, space), lambda g: ("t", g, g))
+    eps = relabel(space, unit_space(field), lambda g: "1")
     c = Coalgebra(space, delta, eps)
     assert validate_coalgebra(c)["ok"]
     return c
@@ -147,12 +137,8 @@ def transport_contramodule(p: VContramodule, g: LinMap) -> VContramodule:
 def grading_comodule(c: Coalgebra, assignment, space) -> VComodule:
     """Over a group-like coalgebra, a choice of group-like per basis vector
     is exactly a comodule."""
-    one = c.field.one()
-    images = {
-        lab: {("t", lab, assignment[lab]): one}
-        for _, _, lab in space.basis()
-    }
-    rho = LinMap.from_images(space, tensor(space, c.space), 0, images)
+    rho = relabel(space, tensor(space, c.space),
+                  lambda a: ("t", a, assignment[a]))
     out = VComodule(c, space, rho)
     assert validate_comodule(out)["ok"]
     return out

@@ -11,6 +11,11 @@ takes and ``LinMap.apply_label`` returns; a hom-space element in that form
 is read back as a map by ``vec_to_linmap``.  Dense tuples appear only in
 reports and outside input.
 
+The structural maps (associator, unitors, braiding, evaluation, the
+tensor-hom isomorphism, the duality maps) send each basis label to at most
+one label, up to sign, and each is one ``relabel`` call;
+``from_images`` builds the maps with arbitrary coefficients.
+
 Tensor and hom spaces are built once per job: while ``space_memo`` is
 active (``cli.run_job`` holds it for one job), ``tensor`` and
 ``hom_space`` return the space they already built for the same two
@@ -260,6 +265,27 @@ def scale_map(c, f: LinMap) -> LinMap:
     )
 
 
+def relabel(dom: GradedVect, cod: GradedVect, image, sign=None) -> LinMap:
+    """The degree-zero map sending each basis label a of dom to the label
+    image(a) of cod, times sign(a) when ``sign`` is given; a label whose
+    image is None goes to zero.  Every structural map is of this kind."""
+    fld = dom.field
+    one = fld.one()
+    pos = cod.position
+    blocks = {}
+    for k in dom.degrees():
+        rows = [{} for _ in range(cod.dim(k))]
+        for j, a in enumerate(dom.labels[k]):
+            b = image(a)
+            if b is None:
+                continue
+            kk, i = pos(b)
+            assert kk == k, f"image of {a} lies in degree {kk}, not {k}"
+            rows[i][j] = sign(a) if sign else one
+        blocks[k] = Matrix.sparse(fld, rows, dom.dim(k))
+    return LinMap(dom, cod, 0, blocks)
+
+
 # --- tensor and hom spaces, built once per job -------------------------
 
 
@@ -360,78 +386,45 @@ def tensor_map(f: LinMap, g: LinMap) -> LinMap:
 
 def assoc(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """((x,y),z) -> (x,(y,z)), a permutation of basis labels."""
-    dom = tensor(tensor(u, v), w)
-    cod = tensor(u, tensor(v, w))
-    one = dom.field.one()
-    images = {
-        ("t", ("t", a, b), c): {("t", a, ("t", b, c)): one}
-        for _, _, (_, (_, a, b), c) in dom.basis()
-    }
-    return LinMap.from_images(dom, cod, 0, images)
+    return relabel(tensor(tensor(u, v), w), tensor(u, tensor(v, w)),
+                   lambda t: ("t", t[1][1], ("t", t[1][2], t[2])))
 
 
 def assoc_inv(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
-    dom = tensor(u, tensor(v, w))
-    cod = tensor(tensor(u, v), w)
-    one = dom.field.one()
-    images = {
-        ("t", a, ("t", b, c)): {("t", ("t", a, b), c): one}
-        for _, _, (_, a, (_, b, c)) in dom.basis()
-    }
-    return LinMap.from_images(dom, cod, 0, images)
+    return relabel(tensor(u, tensor(v, w)), tensor(tensor(u, v), w),
+                   lambda t: ("t", ("t", t[1], t[2][1]), t[2][2]))
 
 
 def unit_left(v: GradedVect) -> LinMap:
     """k (x) V -> V."""
-    k = unit_space(v.field)
-    dom = tensor(k, v)
-    one = v.field.one()
-    images = {
-        ("t", "1", a): {a: one} for _, _, (_, _, a) in dom.basis()
-    }
-    return LinMap.from_images(dom, v, 0, images)
+    return relabel(tensor(unit_space(v.field), v), v, lambda t: t[2])
 
 
 def unit_right(v: GradedVect) -> LinMap:
     """V (x) k -> V."""
-    k = unit_space(v.field)
-    dom = tensor(v, k)
-    one = v.field.one()
-    images = {
-        ("t", a, "1"): {a: one} for _, _, (_, a, _) in dom.basis()
-    }
-    return LinMap.from_images(dom, v, 0, images)
+    return relabel(tensor(v, unit_space(v.field)), v, lambda t: t[1])
 
 
 def unit_left_inv(v: GradedVect) -> LinMap:
-    k = unit_space(v.field)
-    cod = tensor(k, v)
-    one = v.field.one()
-    images = {a: {("t", "1", a): one} for _, _, a in v.basis()}
-    return LinMap.from_images(v, cod, 0, images)
+    return relabel(v, tensor(unit_space(v.field), v),
+                   lambda a: ("t", "1", a))
 
 
 def unit_right_inv(v: GradedVect) -> LinMap:
-    k = unit_space(v.field)
-    cod = tensor(v, k)
-    one = v.field.one()
-    images = {a: {("t", a, "1"): one} for _, _, a in v.basis()}
-    return LinMap.from_images(v, cod, 0, images)
+    return relabel(v, tensor(v, unit_space(v.field)),
+                   lambda a: ("t", a, "1"))
 
 
 def braiding(v: GradedVect, w: GradedVect) -> LinMap:
     """V (x) W -> W (x) V with the sign (-1)^(|x||y|)."""
-    dom = tensor(v, w)
-    cod = tensor(w, v)
-    fld = v.field
-    images = {}
-    for _, _, lab in dom.basis():
-        _, a, b = lab
-        c = fld.one()
-        if v.degree_of(a) % 2 == 1 and w.degree_of(b) % 2 == 1:
-            c = fld.from_int(-1)
-        images[lab] = {("t", b, a): c}
-    return LinMap.from_images(dom, cod, 0, images)
+    one, minus = v.field.one(), v.field.from_int(-1)
+
+    def sign(t):
+        odd = v.degree_of(t[1]) % 2 and w.degree_of(t[2]) % 2
+        return minus if odd else one
+
+    return relabel(tensor(v, w), tensor(w, v),
+                   lambda t: ("t", t[2], t[1]), sign)
 
 
 # --- internal hom and duals -----------------------------------------------
@@ -495,17 +488,10 @@ def hom_map(f: LinMap, g: LinMap) -> LinMap:
 
 
 def ev_map(v: GradedVect, w: GradedVect) -> LinMap:
-    """[V,W] (x) V -> W, pairing a matrix unit against a basis vector."""
-    hom_vw = hom_space(v, w)
-    dom = tensor(hom_vw, v)
-    one = v.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, h, a2 = lab
-        _, a, b = h
-        if a == a2:
-            images[lab] = {b: one}
-    return LinMap.from_images(dom, w, 0, images)
+    """[V,W] (x) V -> W, pairing a matrix unit a -> b against a basis
+    vector: b when the vector is a, zero otherwise."""
+    return relabel(tensor(hom_space(v, w), v), w,
+                   lambda t: t[1][2] if t[1][1] == t[2] else None)
 
 
 def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
@@ -536,27 +522,13 @@ def uncurry(g: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
 
 def hom_tensor_iso(a: GradedVect, b: GradedVect, x: GradedVect) -> LinMap:
     """[A (x) B, X] -> [A, [B, X]], a label permutation."""
-    dom = hom_space(tensor(a, b), x)
-    cod = hom_space(a, hom_space(b, x))
-    one = a.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, tlab, xl = lab
-        _, la, lb = tlab
-        images[lab] = {("h", la, ("h", lb, xl)): one}
-    return LinMap.from_images(dom, cod, 0, images)
+    return relabel(hom_space(tensor(a, b), x), hom_space(a, hom_space(b, x)),
+                   lambda h: ("h", h[1][1], ("h", h[1][2], h[2])))
 
 
 def hom_tensor_iso_inv(a: GradedVect, b: GradedVect, x: GradedVect) -> LinMap:
-    dom = hom_space(a, hom_space(b, x))
-    cod = hom_space(tensor(a, b), x)
-    one = a.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, la, hlab = lab
-        _, lb, xl = hlab
-        images[lab] = {("h", ("t", la, lb), xl): one}
-    return LinMap.from_images(dom, cod, 0, images)
+    return relabel(hom_space(a, hom_space(b, x)), hom_space(tensor(a, b), x),
+                   lambda h: ("h", ("t", h[1], h[2][1]), h[2][2]))
 
 
 def dual(v: GradedVect) -> GradedVect:
@@ -584,23 +556,13 @@ def dual_map(f: LinMap) -> LinMap:
 
 
 def double_dual_iso(v: GradedVect) -> LinMap:
-    one = v.field.one()
-    images = {
-        a: {("d", ("d", a)): one} for _, _, a in v.basis()
-    }
-    return LinMap.from_images(v, dual(dual(v)), 0, images)
+    return relabel(v, dual(dual(v)), lambda a: ("d", ("d", a)))
 
 
 def pairing(v: GradedVect) -> LinMap:
     """V (x) V* -> k."""
-    dom = tensor(v, dual(v))
-    one = v.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, a, dl = lab
-        if dl == ("d", a):
-            images[lab] = {"1": one}
-    return LinMap.from_images(dom, unit_space(v.field), 0, images)
+    return relabel(tensor(v, dual(v)), unit_space(v.field),
+                   lambda t: "1" if t[2] == ("d", t[1]) else None)
 
 
 # --- (co)equalisers of parallel pairs ------------------------------------

@@ -283,18 +283,7 @@ def coequalizer(f: FinMap, g: FinMap) -> QuotPresentation:
     """The quotient of the codomain by the relation generated by f(x)~g(x)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchedSignature("coequalizer needs parallel maps")
-    uf = _UnionFind(f.cod.elements)
-    for x in f.dom:
-        uf.union(f(x), g(x))
-    classes: dict[str, list[str]] = {}
-    for y in f.cod:
-        classes.setdefault(uf.find(y), []).append(y)
-    quotient = FinSet(classes.keys())
-    project = FinMap(f.cod, quotient, {y: uf.find(y) for y in f.cod})
-    reps = FinMap(quotient, f.cod, {k: k for k in quotient})
-    return QuotPresentation(
-        f.cod, {k: tuple(sorted(v)) for k, v in classes.items()}, project, reps
-    )
+    return quotient_by_pairs(f.cod, [(f(x), g(x)) for x in f.dom])
 
 
 def quotient_by_pairs(ambient: FinSet, pairs) -> QuotPresentation:

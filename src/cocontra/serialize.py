@@ -105,6 +105,16 @@ def graded_out(v: GradedVect) -> dict:
     }
 
 
+# the declaration kinds of each sort of object a reference may name
+FINSET = ("finset",)
+GRADED_SPACE = ("graded_space",)
+SET_COMODULE = ("set_comodule",)
+SET_CONTRAMODULE = ("contra_product", "contra_table")
+COALGEBRA = ("coalgebra", "group_like_coalgebra", "poly_coalgebra")
+COMODULE = ("vcomodule", "cofree_comodule")
+CONTRAMODULE = ("vcontramodule", "free_contramodule")
+
+
 class Environment:
     """Resolved declarations by name."""
 
@@ -118,9 +128,14 @@ class Environment:
         self.objects[name] = obj
         self.kinds[name] = kind
 
-    def get(self, name: str):
-        if name not in self.objects:
+    def get(self, name: str, kinds: tuple[str, ...]):
+        """The object of the declaration ``name``, which must be of one of
+        ``kinds``."""
+        if not isinstance(name, str) or name not in self.objects:
             raise ParseError(f"unresolved reference {name!r}", where=name)
+        if self.kinds[name] not in kinds:
+            raise ValueError(f"{name!r} is a {self.kinds[name]} declaration, "
+                             f"expected a {' / '.join(kinds)}")
         return self.objects[name]
 
 
@@ -149,20 +164,20 @@ def _p_finset(decl, env):
 
 
 def _p_finmap(decl, env):
-    dom = env.get(decl["dom"])
-    cod = env.get(decl["cod"])
+    dom = env.get(decl["dom"], FINSET)
+    cod = env.get(decl["cod"], FINSET)
     return FinMap(dom, cod, dict(decl["table"]))
 
 
 def _p_set_comodule(decl, env):
-    carrier = env.get(decl["carrier"])
-    base = env.get(decl["base"])
+    carrier = env.get(decl["carrier"], FINSET)
+    base = env.get(decl["base"], FINSET)
     phi = FinMap(carrier, base, dict(decl["phi"]))
     return SetComodule(carrier, base, phi)
 
 
 def _p_contra_product(decl, env):
-    base = env.get(decl["base"])
+    base = env.get(decl["base"], FINSET)
     fibers = {a: FinSet(v) for a, v in decl["fibers"].items()}
     return product_contra(base, fibers)
 
@@ -170,8 +185,8 @@ def _p_contra_product(decl, env):
 def _p_contra_table(decl, env):
     from . import finset as fs
 
-    carrier = env.get(decl["carrier"])
-    base = env.get(decl["base"])
+    carrier = env.get(decl["carrier"], FINSET)
+    base = env.get(decl["base"], FINSET)
     table = dict(decl["theta"])
     # a table of the wrong size is refused before the function space,
     # which has |X|^|C| labels, is built to compare it with
@@ -193,14 +208,14 @@ def _p_graded_space(decl, env):
 
 
 def _p_linmap(decl, env):
-    dom = env.get(decl["dom"])
-    cod = env.get(decl["cod"])
+    dom = env.get(decl["dom"], GRADED_SPACE)
+    cod = env.get(decl["cod"], GRADED_SPACE)
     return blocks_in(dom.field, dom, cod, decl.get("degree", 0),
                      decl["blocks"])
 
 
 def _p_coalgebra(decl, env):
-    space = env.get(decl["space"])
+    space = env.get(decl["space"], GRADED_SPACE)
     delta = blocks_in(space.field, space, tensor(space, space), 0,
                       decl["delta_blocks"])
     eps = blocks_in(space.field, space, unit_space(space.field), 0,
@@ -223,8 +238,8 @@ def _p_poly_coalgebra(decl, env):
 
 
 def _p_vcomodule(decl, env):
-    c = env.get(decl["coalgebra"])
-    space = env.get(decl["space"])
+    c = env.get(decl["coalgebra"], COALGEBRA)
+    space = env.get(decl["space"], GRADED_SPACE)
     rho = blocks_in(space.field, space, tensor(space, c.space), 0,
                     decl["rho_blocks"])
     return VComodule(c, space, rho, side=decl.get("side", "right"))
@@ -233,26 +248,26 @@ def _p_vcomodule(decl, env):
 def _p_vcontramodule(decl, env):
     from .exactlin import hom_space
 
-    c = env.get(decl["coalgebra"])
-    space = env.get(decl["space"])
+    c = env.get(decl["coalgebra"], COALGEBRA)
+    space = env.get(decl["space"], GRADED_SPACE)
     ambient = hom_space(c.space, space)
     theta = blocks_in(space.field, ambient, space, 0, decl["theta_blocks"])
     return VContramodule(c, space, theta)
 
 
 def _p_cofree(decl, env):
-    c = env.get(decl["coalgebra"])
-    return cofree(env.get(decl["on"]), c)
+    c = env.get(decl["coalgebra"], COALGEBRA)
+    return cofree(env.get(decl["on"], GRADED_SPACE), c)
 
 
 def _p_free(decl, env):
-    c = env.get(decl["coalgebra"])
-    return free(env.get(decl["on"]), c)
+    c = env.get(decl["coalgebra"], COALGEBRA)
+    return free(env.get(decl["on"], GRADED_SPACE), c)
 
 
 def _p_coalgebra_morphism(decl, env):
-    c = env.get(decl["dom"])
-    chat = env.get(decl["cod"])
+    c = env.get(decl["dom"], COALGEBRA)
+    chat = env.get(decl["cod"], COALGEBRA)
     f = blocks_in(c.space.field, c.space, chat.space, 0, decl["blocks"])
     check_coalgebra_morphism(f, c, chat)
     return f

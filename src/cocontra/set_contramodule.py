@@ -402,14 +402,28 @@ def count_product_structures(carrier: FinSet, base: FinSet) -> int:
     of the carrier whose classes meet in exactly one point each way.
 
     Each such family induces exactly one valid theta table, so this count
-    must match ``len(enumerate_all(...))``.
+    must match ``len(enumerate_all(...))``.  It visits Bell(|X|)^|C|
+    families, charged before the partitions are listed.
     """
+    charge_power(_bell(len(carrier)), len(base), "partition families")
     parts = list(_partitions(list(carrier.elements)))
     count = 0
     for combo in iproduct(parts, repeat=len(base)):
         if _is_grid(combo, len(carrier)):
             count += 1
     return count
+
+
+def _bell(n: int) -> int:
+    """The number of partitions of an n-element set, by the Bell
+    triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def _partitions(items):

@@ -456,6 +456,28 @@ def test_rejected_declaration_exits_2_without_asserts(tmp_path):
             case, proc.stderr)
 
 
+@pytest.mark.parametrize("carrier, message", [
+    # a contra_table whose carrier names a finmap, not a finset
+    ("f", "parse error at T: contra_table 'T' rejected: 'f' is a finmap "
+          "declaration, expected a finset\n"),
+    (["X"], "parse error at ['X']: unresolved reference ['X']\n"),
+])
+def test_reference_of_the_wrong_kind_is_a_parse_error(tmp_path, capsys,
+                                                      carrier, message):
+    decls = [
+        {"kind": "finset", "name": "C", "elements": ["1"]},
+        {"kind": "finset", "name": "X", "elements": ["a", "b"]},
+        {"kind": "finmap", "name": "f", "dom": "X", "cod": "C",
+         "table": {"a": "1", "b": "1"}},
+        {"kind": "contra_table", "name": "T", "carrier": carrier,
+         "base": "C", "theta": {"{1:a}": "a", "{1:b}": "b"}},
+    ]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"declarations": decls, "jobs": []}))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_canonical_round_trip_is_byte_identical(tmp_path):
     doc = {
         "declarations": BASE_DECLS,
@@ -874,6 +896,18 @@ def test_noncocontinuity_demo_is_charged(tmp_path):
                                        "projected": projected}]
 
 
+def test_partition_family_oracle_is_charged(tmp_path):
+    # Bell(10) = 115975 partitions of the carrier, one per base point; the
+    # tables over a one-point base charge only 1
+    out = tmp_path / "report.json"
+    argv = ["enumerate", "--carrier", "10", "--base", "1", "--oracle",
+            "--budget", "10", "--out", str(out)]
+    assert cli.main(argv) == 2
+    entry = json.loads(out.read_text())["jobs"][0]
+    assert entry["witnesses"] == [{"error": "budget-exceeded",
+                                   "projected": 115975}]
+
+
 def test_job_budget_lives_only_while_a_job_runs(monkeypatch):
     """Every charge a job makes is checked against the job's own budget,
     and the default comes back when the job ends, whether it passes,
@@ -1190,7 +1224,7 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    assert counts == {"spaces": 162, "from_images": 41}
+    assert counts == {"spaces": 162, "from_images": 7}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):

@@ -6,6 +6,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cocontra.coalg import Coalgebra
+from cocontra.coalg.bridge import dual_tensor_into_hom
+from cocontra.coalg.core import unit_hom_iso
+from cocontra.coalg.homobjects import composition_on_ambient
+from cocontra.coalg.instances import grading_comodule, group_like_coalgebra
 from cocontra.exactlin import (
     GF,
     QQ,
@@ -29,13 +34,17 @@ from cocontra.exactlin import (
     hom_tensor_iso_inv,
     identity_map,
     linmap_to_vec,
+    pairing,
+    relabel,
     space_memo,
     sub_maps,
     tensor,
     tensor_map,
     uncurry,
     unit_left,
+    unit_left_inv,
     unit_right,
+    unit_right_inv,
     unit_space,
     vec_to_linmap,
     zero_map,
@@ -717,6 +726,273 @@ def test_tensor_and_hom_maps_match_the_label_reference(field):
                 assert all(_stores_no_zero(got.block(k))
                            for k in got.dom.degrees())
     assert odd_signs > 0
+
+
+# --- relabelling maps against their label-dict bodies ----------------------
+#
+# Every structural map is one ``relabel`` call; these are their earlier
+# bodies, which build a {label: {label: one}} dict and go through
+# ``from_images``, and the two must agree entry for entry.
+
+
+def _reference_assoc(u, v, w):
+    dom = tensor(tensor(u, v), w)
+    cod = tensor(u, tensor(v, w))
+    one = dom.field.one()
+    images = {
+        ("t", ("t", a, b), c): {("t", a, ("t", b, c)): one}
+        for _, _, (_, (_, a, b), c) in dom.basis()
+    }
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_assoc_inv(u, v, w):
+    dom = tensor(u, tensor(v, w))
+    cod = tensor(tensor(u, v), w)
+    one = dom.field.one()
+    images = {
+        ("t", a, ("t", b, c)): {("t", ("t", a, b), c): one}
+        for _, _, (_, a, (_, b, c)) in dom.basis()
+    }
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_unit_left(v):
+    dom = tensor(unit_space(v.field), v)
+    one = v.field.one()
+    images = {
+        ("t", "1", a): {a: one} for _, _, (_, _, a) in dom.basis()
+    }
+    return LinMap.from_images(dom, v, 0, images)
+
+
+def _reference_unit_right(v):
+    dom = tensor(v, unit_space(v.field))
+    one = v.field.one()
+    images = {
+        ("t", a, "1"): {a: one} for _, _, (_, a, _) in dom.basis()
+    }
+    return LinMap.from_images(dom, v, 0, images)
+
+
+def _reference_unit_left_inv(v):
+    cod = tensor(unit_space(v.field), v)
+    one = v.field.one()
+    images = {a: {("t", "1", a): one} for _, _, a in v.basis()}
+    return LinMap.from_images(v, cod, 0, images)
+
+
+def _reference_unit_right_inv(v):
+    cod = tensor(v, unit_space(v.field))
+    one = v.field.one()
+    images = {a: {("t", a, "1"): one} for _, _, a in v.basis()}
+    return LinMap.from_images(v, cod, 0, images)
+
+
+def _reference_braiding(v, w):
+    dom = tensor(v, w)
+    cod = tensor(w, v)
+    fld = v.field
+    images = {}
+    for _, _, lab in dom.basis():
+        _, a, b = lab
+        c = fld.one()
+        if v.degree_of(a) % 2 == 1 and w.degree_of(b) % 2 == 1:
+            c = fld.from_int(-1)
+        images[lab] = {("t", b, a): c}
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_ev_map(v, w):
+    dom = tensor(hom_space(v, w), v)
+    one = v.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, h, a2 = lab
+        _, a, b = h
+        if a == a2:
+            images[lab] = {b: one}
+    return LinMap.from_images(dom, w, 0, images)
+
+
+def _reference_hom_tensor_iso(a, b, x):
+    dom = hom_space(tensor(a, b), x)
+    cod = hom_space(a, hom_space(b, x))
+    one = a.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, tlab, xl = lab
+        _, la, lb = tlab
+        images[lab] = {("h", la, ("h", lb, xl)): one}
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_hom_tensor_iso_inv(a, b, x):
+    dom = hom_space(a, hom_space(b, x))
+    cod = hom_space(tensor(a, b), x)
+    one = a.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, la, hlab = lab
+        _, lb, xl = hlab
+        images[lab] = {("h", ("t", la, lb), xl): one}
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_double_dual_iso(v):
+    one = v.field.one()
+    images = {
+        a: {("d", ("d", a)): one} for _, _, a in v.basis()
+    }
+    return LinMap.from_images(v, dual(dual(v)), 0, images)
+
+
+def _reference_pairing(v):
+    dom = tensor(v, dual(v))
+    one = v.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, a, dl = lab
+        if dl == ("d", a):
+            images[lab] = {"1": one}
+    return LinMap.from_images(dom, unit_space(v.field), 0, images)
+
+
+def _reference_unit_hom_iso(x):
+    cod = hom_space(unit_space(x.field), x)
+    one = x.field.one()
+    images = {lab: {("h", "1", lab): one} for _, _, lab in x.basis()}
+    return LinMap.from_images(x, cod, 0, images)
+
+
+def _reference_dual_tensor_into_hom(c, x):
+    dom = tensor(dual(c.space), x)
+    cod = hom_space(c.space, x)
+    one = c.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, dl, xl = lab
+        images[lab] = {("h", dl[1], xl): one}
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_composition_on_ambient(x, y, z):
+    dom = tensor(hom_space(y, z), hom_space(x, y))
+    cod = hom_space(x, z)
+    one = x.field.one()
+    images = {}
+    for _, _, lab in dom.basis():
+        _, g, f = lab
+        _, b2, cl = g
+        _, a, b = f
+        if b == b2:
+            images[lab] = {("h", a, cl): one}
+    return LinMap.from_images(dom, cod, 0, images)
+
+
+def _reference_group_like(space):
+    one = space.field.one()
+    delta = LinMap.from_images(
+        space, tensor(space, space), 0,
+        {g: {("t", g, g): one} for _, _, g in space.basis()},
+    )
+    eps = LinMap.from_images(
+        space, unit_space(space.field), 0,
+        {g: {"1": one} for _, _, g in space.basis()},
+    )
+    return delta, eps
+
+
+def _reference_grading_rho(c, assignment, space):
+    one = c.field.one()
+    images = {
+        lab: {("t", lab, assignment[lab]): one}
+        for _, _, lab in space.basis()
+    }
+    return LinMap.from_images(space, tensor(space, c.space), 0, images)
+
+
+def _relabel_cases(field):
+    """(name, build, reference) for every map ``relabel`` builds, on
+    spaces with degrees 0 and 1; ``build`` makes the map when called."""
+    u = GradedVect(field, {0: 2, 1: 1}, prefix="u")
+    v = GradedVect(field, {0: 1, 1: 2}, prefix="v")
+    w = GradedVect(field, {0: 2, 1: 2}, prefix="w")
+    unvalidated = Coalgebra(u, zero_map(u, tensor(u, u)),
+                            zero_map(u, unit_space(field)))
+    grouplike = group_like_coalgebra(field, 2)
+    x = GradedVect(field, {0: 3}, prefix="x")
+    g0, g1 = grouplike.space.labels[0]
+    assignment = {"x0_0": g1, "x0_1": g0, "x0_2": g1}
+    delta, eps = _reference_group_like(grouplike.space)
+    return [
+        ("assoc", lambda: assoc(u, v, w), _reference_assoc(u, v, w)),
+        ("assoc_inv", lambda: assoc_inv(u, v, w),
+         _reference_assoc_inv(u, v, w)),
+        ("unit_left", lambda: unit_left(v), _reference_unit_left(v)),
+        ("unit_right", lambda: unit_right(v), _reference_unit_right(v)),
+        ("unit_left_inv", lambda: unit_left_inv(v),
+         _reference_unit_left_inv(v)),
+        ("unit_right_inv", lambda: unit_right_inv(v),
+         _reference_unit_right_inv(v)),
+        ("braiding", lambda: braiding(v, w), _reference_braiding(v, w)),
+        ("ev_map", lambda: ev_map(v, w), _reference_ev_map(v, w)),
+        ("hom_tensor_iso", lambda: hom_tensor_iso(u, v, w),
+         _reference_hom_tensor_iso(u, v, w)),
+        ("hom_tensor_iso_inv", lambda: hom_tensor_iso_inv(u, v, w),
+         _reference_hom_tensor_iso_inv(u, v, w)),
+        ("double_dual_iso", lambda: double_dual_iso(v),
+         _reference_double_dual_iso(v)),
+        ("pairing", lambda: pairing(v), _reference_pairing(v)),
+        ("unit_hom_iso", lambda: unit_hom_iso(v), _reference_unit_hom_iso(v)),
+        ("dual_tensor_into_hom", lambda: dual_tensor_into_hom(unvalidated, w),
+         _reference_dual_tensor_into_hom(unvalidated, w)),
+        ("composition_on_ambient", lambda: composition_on_ambient(u, v, w),
+         _reference_composition_on_ambient(u, v, w)),
+        ("group_like delta", lambda: group_like_coalgebra(field, 2).delta,
+         delta),
+        ("group_like eps", lambda: group_like_coalgebra(field, 2).eps, eps),
+        ("grading_comodule", lambda: grading_comodule(
+            grouplike, assignment, x).rho,
+         _reference_grading_rho(grouplike, assignment, x)),
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_relabelling_maps_match_the_label_reference(field, monkeypatch):
+    """Each map equals its label-dict body, and none of them goes through
+    ``from_images``: it is patched to raise while they are built."""
+    cases = _relabel_cases(field)
+
+    def refused(cls, *args):
+        raise AssertionError("a relabelling map called from_images")
+
+    monkeypatch.setattr(LinMap, "from_images", classmethod(refused))
+    minus = field.from_int(-1)
+    for name, build, want in cases:
+        for scope in (nullcontext, space_memo):
+            with scope():
+                got = build()
+            assert got == want, name
+            assert all(_stores_no_zero(got.block(k))
+                       for k in got.dom.degrees()), name
+        columns = [got.apply_label(a) for _, _, a in got.dom.basis()]
+        if name in ("ev_map", "pairing", "composition_on_ambient"):
+            # labels that meet no matrix unit go to zero
+            assert {} in columns and any(columns), name
+        if name == "braiding":
+            # odd past odd: the Koszul sign shows over Q and F3
+            assert any(minus in col.values() for col in columns)
+
+
+def test_relabel_keeps_the_degree_check():
+    x = GradedVect(Q, {0: 1, 1: 1}, prefix="x")
+    y = GradedVect(Q, {0: 2}, prefix="y")
+    # x1_0 would land in degree 0
+    with pytest.raises(AssertionError):
+        relabel(x, y, lambda a: "y0_" + a[-1])
+    assert relabel(x, y, lambda a: "y0_1" if a == "x0_0" else None) == \
+        LinMap.from_images(x, y, 0, {"x0_0": {"y0_1": Q.one()}})
 
 
 # --- the sparse kernels against dense references ------------------------------
