@@ -28,11 +28,11 @@ from typing import Callable, NamedTuple
 
 from . import oracle, serialize, set_comodule, set_contramodule
 from . import set_correspondence as set_corr
-from . import coalg
+from . import coalg, errors
 from .coalg import instances as coalg_instances
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, CocontraError,
-                     ParseError, job_budget)
-from .exactlin import GradedVect, dual, field_from_name, space_memo
+                     ParseError)
+from .exactlin import GradedVect, dual, field_from_name
 from .finset import FinMap, FinSet
 from .serialize import (COALGEBRA, COMODULE, CONTRAMODULE, FINSET,
                         GRADED_SPACE, SET_COMODULE, SET_CONTRAMODULE,
@@ -617,16 +617,15 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
     """Run one job; whatever it raises becomes its ``error`` entry.
 
     ``ctx["budget"]`` is the default count, an int; a job's own
-    ``budget`` overrides it.  The job holds its budget as it holds its
-    space table: every enumeration the job runs, its certificates and
-    oracles included, is charged against that count (:func:`job_budget`),
-    and it builds each tensor and hom space once (:func:`space_memo`).
-    Both go with the job, however it ends.
+    ``budget`` overrides it.  The job runs in one job context
+    (:func:`errors.job`), which goes with it however it ends: each
+    enumeration it runs, oracles included, is charged against that
+    count, and each table its calls share is built once.
     """
     command = job.get("command")
     start = time.monotonic()
     try:
-        with job_budget(job.get("budget", ctx["budget"])), space_memo():
+        with errors.job(job.get("budget", ctx["budget"])):
             args = _check_args(env, command, job.get("args", {}))
             entry = COMMANDS[command].run(env, args, ctx)
     except BudgetExceeded as exc:

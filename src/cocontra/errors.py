@@ -1,10 +1,11 @@
-"""Shared exception types and the enumeration budget.
+"""Shared exception types and the job context: budget and tables.
 
 Every error carries enough data to reconstruct the failing call; batch
 drivers convert them into report entries instead of crashing.
 """
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 
 class CocontraError(Exception):
@@ -59,32 +60,56 @@ class BudgetExceeded(CocontraError):
         self.projected = projected
 
 
-# the most items one enumeration may visit: the job's count while a
-# job_budget block runs, the default outside any job
+# the most items one enumeration may visit outside any job
 DEFAULT_BUDGET = 1_000_000
-_budget = DEFAULT_BUDGET
+
+
+class _Job(NamedTuple):
+    budget: int
+    tables: dict
+
+
+# the running job, None outside any job: its count and the tables its
+# calls share (spaces, decode and slot-map tables), each built once
+_job = None
 
 
 @contextmanager
-def job_budget(count):
-    """Within the block every charge is checked against ``count``; the outer
-    count comes back when the block exits.  The count often comes from a
-    manifest, hence a raised error rather than an assert."""
-    global _budget
+def job(count):
+    """Run the block as one job: every charge is checked against ``count``
+    and :func:`job_table` builds each table once; the tables go, and the
+    outer job comes back, when the block exits.  The count often comes
+    from a manifest, hence a raised error rather than an assert."""
+    global _job
     if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
         raise CocontraError(
             f"budget must be a positive integer, got {count!r}")
-    outer, _budget = _budget, count
+    outer, _job = _job, _Job(count, {})
     try:
         yield
     finally:
-        _budget = outer
+        _job = outer
+
+
+def job_table(key, build):
+    """``build()``, once per key within a job, and on every call outside
+    one."""
+    if _job is None:
+        return build()
+    got = _job.tables.get(key)
+    if got is None:
+        got = _job.tables[key] = build()
+    return got
+
+
+def _budget() -> int:
+    return DEFAULT_BUDGET if _job is None else _job.budget
 
 
 def charge(projected: int, what: str):
     """Every enumerator charges its exact projected count before it starts,
     so an over-budget call fails at once with that count."""
-    if projected > _budget:
+    if projected > _budget():
         if projected.bit_length() > PRINTED_BITS:
             projected = count_text(projected)
         _refuse(projected, what)
@@ -97,14 +122,14 @@ def charge_power(base: int, exponent: int, what: str):
     "base^exponent", without being computed."""
     bits = base.bit_length()
     if (exponent * bits > PRINTED_BITS
-            and exponent * (bits - 1) >= _budget.bit_length()):
+            and exponent * (bits - 1) >= _budget().bit_length()):
         _refuse(f"{base}^{count_text(exponent)}", what)
     charge(base ** exponent, what)
 
 
 def _refuse(projected, what: str):
     raise BudgetExceeded(
-        f"{what} would enumerate {projected} items (budget {_budget})",
+        f"{what} would enumerate {projected} items (budget {_budget()})",
         projected=projected,
     )
 

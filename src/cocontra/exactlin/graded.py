@@ -16,14 +16,14 @@ tensor-hom isomorphism, the duality maps) send each basis label to at most
 one label, up to sign, and each is one ``relabel`` call;
 ``from_images`` builds the maps with arbitrary coefficients.
 
-Tensor and hom spaces are built once per job: while ``space_memo`` is
-active (``cli.run_job`` holds it for one job), ``tensor`` and
-``hom_space`` return the space they already built for the same two
-argument objects; outside it they build a fresh space.  Each such space
-records, per pair of factor degrees, the offset of that pair's block in
-the degree it lands in, so ``tensor_map`` and ``hom_map`` write their
-block entries by index arithmetic, as a Kronecker product is laid out,
-without going through labels.
+Tensor and hom spaces, and the unit space, are built once per job:
+within ``errors.job`` (``cli.run_job`` holds one per job), ``tensor``
+and ``hom_space`` return the space they already built for the same two
+argument objects; outside a job they build a fresh space.  Each such
+space records, per pair of factor degrees, the offset of that pair's
+block in the degree it lands in, so ``tensor_map`` and ``hom_map`` write
+their block entries by index arithmetic, as a Kronecker product is laid
+out, without going through labels.
 
 The only sign convention in the package lives here: applying a tensor
 product of maps to a tensor of elements costs (-1)^(|g||x|) when g slides
@@ -33,10 +33,9 @@ are degree zero, so these are the only places signs can enter.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..errors import MismatchedSignature
+from ..errors import MismatchedSignature, job_table
 from .matrix import Matrix
 
 
@@ -107,7 +106,9 @@ class GradedVect:
 
 
 def unit_space(field) -> GradedVect:
-    return GradedVect(field, {0: 1}, {0: ("1",)})
+    """The ground field in degree 0, one object per field and job."""
+    return job_table(("unit", field),
+                     lambda: GradedVect(field, {0: 1}, {0: ("1",)}))
 
 
 def zero_space(field) -> GradedVect:
@@ -289,49 +290,31 @@ def relabel(dom: GradedVect, cod: GradedVect, image, sign=None) -> LinMap:
 # --- tensor and hom spaces, built once per job -------------------------
 
 
-# {(tag, id(v), id(w)): (v, w, space)} while a space_memo block runs; each
-# entry holds its arguments, so no id is reused while the entry lives
-_spaces = None
-
-
-@contextmanager
-def space_memo():
-    """Within the block, ``tensor`` and ``hom_space`` build each space once
-    per pair of argument objects; the table goes when the block exits."""
-    global _spaces
-    outer, _spaces = _spaces, {}
-    try:
-        yield
-    finally:
-        _spaces = outer
-
-
 def _pair_space(tag: str, v: GradedVect, w: GradedVect) -> GradedVect:
     """The space of (tag, a, b) labels: degree n stacks one block per pair
     (i, j) of degrees of v and w that lands in n (i + j for the tensor tag
     "t", j - i for the hom tag "h"), i ascending, then a's index, then b's;
-    ``offsets[i, j]`` is where the pair's block starts in n."""
-    memo = _spaces
-    if memo is not None:
-        hit = memo.get((tag, id(v), id(w)))
-        if hit is not None:
-            return hit[2]
-    assert v.field == w.field
-    sign = 1 if tag == "t" else -1
-    labels = {}
-    offsets = {}
-    for i in v.degrees():
-        for j in w.degrees():
-            labs = labels.setdefault(j + sign * i, [])
-            offsets[i, j] = len(labs)
-            labs.extend((tag, a, b) for a in v.labels[i] for b in w.labels[j])
-    space = GradedVect(
-        v.field, {n: len(labs) for n, labs in labels.items()}, labels
-    )
-    space.offsets = offsets
-    if memo is not None:
-        memo[tag, id(v), id(w)] = (v, w, space)
-    return space
+    ``offsets[i, j]`` is where the pair's block starts in n.  The job
+    table holds (v, w, space) under (tag, id(v), id(w)), so no id is
+    reused while the entry lives."""
+    def build():
+        assert v.field == w.field
+        sign = 1 if tag == "t" else -1
+        labels = {}
+        offsets = {}
+        for i in v.degrees():
+            for j in w.degrees():
+                labs = labels.setdefault(j + sign * i, [])
+                offsets[i, j] = len(labs)
+                labs.extend((tag, a, b)
+                            for a in v.labels[i] for b in w.labels[j])
+        space = GradedVect(
+            v.field, {n: len(labs) for n, labs in labels.items()}, labels
+        )
+        space.offsets = offsets
+        return v, w, space
+
+    return job_table((tag, id(v), id(w)), build)[2]
 
 
 def tensor(v: GradedVect, w: GradedVect) -> GradedVect:

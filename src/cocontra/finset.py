@@ -10,11 +10,10 @@ all "up to isomorphism" slack from downstream certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 
-from .errors import MismatchedSignature
+from .errors import MismatchedSignature, job_table
 
 
 @dataclass(frozen=True)
@@ -145,31 +144,28 @@ def encode_map(f: FinMap) -> str:
     return encode_table(f.dom.elements, f.table)
 
 
-# one set-cert pass decodes about 500 distinct (keys, pools) families
-_DECODE_TABLES_CACHED = 1024
-
-
-@lru_cache(maxsize=_DECODE_TABLES_CACHED)
 def _decode_table(dom: FinSet, pools: tuple[FinSet, ...],
                   cod: FinSet | None = None) -> dict[str, FinMap]:
     """Every choice function of ``choices(dom, pools)`` keyed by its label,
-    as a map into ``cod`` (by default the union of the pools).
+    as a map into ``cod`` (the union of the pools by default), once per job.
 
     Decoding is by lookup, never by parsing, so arbitrary label vocabularies
     are safe as long as the encoding stays injective (asserted below).
     """
-    if cod is None:
-        cod = FinSet(set().union(*pools))
-    out = {}
-    for table in choices(dom.elements, pools):
-        out[encode_table(dom.elements, table)] = FinMap(dom, cod, table)
-    assert len(out) == prod(len(p) for p in pools), "label collision"
-    return out
+    def build():
+        into = FinSet(set().union(*pools)) if cod is None else cod
+        out = {}
+        for table in choices(dom.elements, pools):
+            out[encode_table(dom.elements, table)] = FinMap(dom, into, table)
+        assert len(out) == prod(len(p) for p in pools), "label collision"
+        return out
+
+    return job_table(("decode", dom, pools, cod), build)
 
 
 def choice_table(keys: FinSet, fibers) -> dict[str, FinMap]:
     """Label -> choice map for every choice of ``fibers[k]`` at each key
-    ``k``, from the shared decode cache."""
+    ``k``; a loop that decodes many labels fetches the table once."""
     return _decode_table(keys, tuple([fibers[k] for k in keys]))
 
 
@@ -179,13 +175,23 @@ def _all_maps(a: FinSet, b: FinSet):
         yield FinMap(a, b, table)
 
 
+def function_table(a: FinSet, b: FinSet) -> dict[str, FinMap]:
+    """Label -> map for every total map a -> b; a loop that decodes many
+    labels fetches the table once."""
+    return _decode_table(a, (b,) * len(a), b)
+
+
+def choice_labels(keys, pools) -> list[str]:
+    """The labels ``encode_table`` writes for ``choices(keys, pools)``, in
+    that order, joined from their "k:v" pieces without building a table."""
+    pieces = [[f"{k}:{v}" for v in pool] for k, pool in zip(keys, pools)]
+    return ["{" + ",".join(p) + "}" for p in odometer(pieces)]
+
+
 def function_space(a: FinSet, b: FinSet) -> FinSet:
-    """The internal hom: all total maps a -> b as an object."""
-    return FinSet(_decode_table(a, (b,) * len(a), b).keys())
-
-
-def decode_map(label: str, a: FinSet, b: FinSet) -> FinMap:
-    return _decode_table(a, (b,) * len(a), b)[label]
+    """The internal hom: the labels of all total maps a -> b, as an
+    object; no map is built."""
+    return FinSet(choice_labels(a, [b] * len(a)))
 
 
 # --- limits and colimits ------------------------------------------------------

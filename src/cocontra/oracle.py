@@ -4,8 +4,8 @@ These never share code with the production paths they certify: maps are
 enumerated by odometer, universal properties by checking every competing
 cone from small canonical test objects, and linear (co)equalisers by
 solving the defining systems from scratch.  Each enumeration is charged
-against the budget of the job that runs it (:func:`errors.job_budget`),
-the default outside any job: an over-budget one is a hard error with its
+against the budget of the job that runs it (:func:`errors.job`), the
+default outside any job: an over-budget one is a hard error with its
 exact projected count, never silent truncation.
 """
 

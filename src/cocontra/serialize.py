@@ -142,8 +142,8 @@ class Environment:
 def _parse_declaration(decl: dict, env: Environment):
     kind = decl.get("kind")
     name = decl.get("name")
-    if not kind or not name:
-        raise ParseError("declaration needs 'kind' and 'name'",
+    if not (kind and isinstance(kind, str) and name and isinstance(name, str)):
+        raise ParseError("declaration needs 'kind' and 'name' strings",
                          where=str(decl)[:80])
     try:
         obj = _PARSERS[kind](decl, env)

@@ -102,13 +102,11 @@ def hom_over(m: SetComodule, n: SetComodule) -> SubPresentation:
     if m.base != n.base:
         raise BaseMismatch("hom_over needs a shared base")
     charge(len(n.carrier) ** len(m.carrier), "hom_over")
-    ambient = finset.function_space(m.carrier, n.carrier)
-    members = []
-    for label in ambient:
-        f = finset.decode_map(label, m.carrier, n.carrier)
-        if all(n.phi(f(x)) == m.phi(x) for x in m.carrier):
-            members.append(label)
-    members_set = FinSet(members)
+    maps = finset.function_table(m.carrier, n.carrier)
+    ambient = FinSet(maps)
+    members_set = FinSet([
+        label for label, f in maps.items()
+        if all(n.phi(f(x)) == m.phi(x) for x in m.carrier)])
     include = FinMap(members_set, ambient, {x: x for x in members_set})
     return SubPresentation(ambient, members_set, include)
 
@@ -125,13 +123,13 @@ def hom_over_generic(m: SetComodule, n: SetComodule) -> SubPresentation:
         raise BaseMismatch("hom_over needs a shared base")
     x, y, c = m.carrier, n.carrier, m.base
     charge((len(y) * len(c)) ** len(x), "hom_over_generic")
-    hom_xy = finset.function_space(x, y)
+    maps = finset.function_table(x, y)
+    hom_xy = FinSet(maps)
     yc, _, _ = finset.product(y, c)
     hom_xyc = finset.function_space(x, yc)
     phi_table = {}
     psi_table = {}
-    for label in hom_xy:
-        f = finset.decode_map(label, x, y)
+    for label, f in maps.items():
         phi_t = FinMap(
             x, yc, {v: finset.pair_label(f(v), n.phi(f(v))) for v in x}
         )

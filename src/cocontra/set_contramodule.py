@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 from operator import getitem
 from typing import NamedTuple
@@ -30,6 +29,7 @@ from .errors import (
     EmptyFiber,
     charge,
     charge_power,
+    job_table,
 )
 from .finset import FinMap, FinSet, SubPresentation
 
@@ -80,10 +80,7 @@ def product_contra(base: FinSet, fibers: dict[str, FinSet]) -> ContraTable:
     for a, fs in fibers.items():
         if len(fs) == 0:
             raise EmptyFiber(f"fiber over {a!r} is empty")
-    carrier = FinSet(
-        finset.encode_table(base, ch)
-        for ch in finset.choices(base, [fibers[a] for a in base])
-    )
+    carrier = FinSet(finset.choice_labels(base, [fibers[a] for a in base]))
     return ContraTable(carrier, base, fibers=dict(fibers))
 
 
@@ -102,11 +99,11 @@ def to_extensional(t: ContraTable) -> ContraTable:
     if t.theta is not None:
         return t
     charge(len(t.carrier) ** len(t.base), "extensional table")
-    ambient = finset.function_space(t.base, t.carrier)
+    betas = finset.function_table(t.base, t.carrier)
+    ambient = FinSet(betas)
     decode = finset.choice_table(t.base, t.fibers)
     table = {}
-    for label in ambient:
-        beta = finset.decode_map(label, t.base, t.carrier)
+    for label, beta in betas.items():
         choices = {a: decode[beta(a)].table[a] for a in t.base}
         table[label] = finset.encode_table(t.base, choices)
     theta = FinMap(ambient, t.carrier, table)
@@ -133,22 +130,21 @@ def validate(t: ContraTable) -> dict:
     charge(n_matrices, "row-diagonal check")
     theta_idx = _packed_theta(t)
     ok_unit, unit_witness = _check_contraunit(theta_idx, nx, nc)
-    ok_row, row_witness = (True, None)
+    ok_row, gamma = (True, None)
     if ok_unit:
-        ok_row, row_witness = _check_row_diagonal(
+        ok_row, gamma = _check_row_diagonal(
             theta_idx, nx, _row_diagonal_plan(nx, nc))
     witness = None
     if not ok_unit:
         witness = {"law": "contraunitality",
                    "element": t.carrier.elements[unit_witness]}
     elif not ok_row:
+        rows = _slot_maps(nc, nx)
         witness = {
             "law": "row-diagonal",
             "matrix": {
                 a: {
-                    b: t.carrier.elements[
-                        row_witness[i][j]
-                    ]
+                    b: t.carrier.elements[rows[gamma[i]][j]]
                     for j, b in enumerate(t.base)
                 }
                 for i, a in enumerate(t.base)
@@ -166,12 +162,9 @@ def validate(t: ContraTable) -> dict:
 def _packed_theta(t: ContraTable) -> tuple[int, ...]:
     """The theta table as carrier positions, indexed by the odometer
     position of each function's value tuple."""
-    keys, points = t.base.elements, t.carrier.elements
     table, index = t.theta.table, t.carrier.index
-    return tuple(
-        index(table[finset.encode_table(keys, dict(zip(keys, values)))])
-        for values in iproduct(points, repeat=len(keys))
-    )
+    labels = finset.choice_labels(t.base, [t.carrier] * len(t.base))
+    return tuple(index(table[label]) for label in labels)
 
 
 def _beta_index(values, nx: int) -> int:
@@ -205,8 +198,7 @@ def _check_row_diagonal(theta_idx, nx, plan):
         # row products against theta of the diagonal
         if theta_idx[_beta_index([theta_idx[r] for r in gamma], nx)] != (
                 theta_idx[diagonal]):
-            rows = _slot_maps(len(gamma), nx)
-            return False, tuple(rows[g] for g in gamma)
+            return False, gamma
     return True, None
 
 
@@ -382,12 +374,9 @@ def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
         ok, _ = _check_row_diagonal(theta_vals, nx, plan)
         if ok:
             survivors.append(theta_vals)
-    keys, points = base.elements, carrier.elements
-    ambient = finset.function_space(base, carrier)
-    labels = [
-        finset.encode_table(keys, dict(zip(keys, values)))
-        for values in iproduct(points, repeat=nc)
-    ]
+    points = carrier.elements
+    labels = finset.choice_labels(base, [points] * nc)
+    ambient = FinSet(labels)
     return [
         ContraTable(carrier, base, theta=FinMap(
             ambient, carrier,
@@ -466,19 +455,17 @@ def restrict_contra(f: FinMap, t: ContraTable) -> ContraTable:
     chat = f.cod
     if t.theta is not None:
         charge(len(t.carrier) ** len(chat), "restricted theta table")
-        ambient = finset.function_space(chat, t.carrier)
+        maps = finset.function_table(chat, t.carrier)
+        ambient = FinSet(maps)
         table = {}
-        for label in ambient:
-            g = finset.decode_map(label, chat, t.carrier)
+        for label, g in maps.items():
             table[label] = t.theta_value(finset.compose(g, f))
         return ContraTable(t.carrier, chat, theta=FinMap(ambient, t.carrier, table))
     new_fibers = {}
     for z in chat:
         pre = FinSet([y for y in t.base if f(y) == z])
         new_fibers[z] = FinSet(
-            finset.encode_table(pre, ch)
-            for ch in finset.choices(pre, [t.fibers[y] for y in pre])
-        )
+            finset.choice_labels(pre, [t.fibers[y] for y in pre]))
     return product_contra(chat, new_fibers)
 
 
@@ -623,15 +610,11 @@ def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict):
 # _component_families.  A family of slot maps is the tuple of its slot codes
 # in the sorted order of the base.  Labels are rebuilt only for witnesses.
 
-# one key per (source size, target size) of a fiber or a regrouped fiber
-_SLOT_MAP_TABLES_CACHED = 64
-
-
-@lru_cache(maxsize=_SLOT_MAP_TABLES_CACHED)
 def _slot_maps(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The value tuple of every slot map from m points to n points, indexed
-    by its code."""
-    return tuple(iproduct(range(n), repeat=m))
+    by its code; one table per job and (m, n) (:func:`errors.job_table`)."""
+    return job_table(("slots", m, n),
+                     lambda: tuple(iproduct(range(n), repeat=m)))
 
 
 def _after(g: tuple[int, ...], p: int, m: int) -> tuple[int, ...]:
@@ -659,11 +642,16 @@ def _slot_families(src: tuple[int, ...], tgt: tuple[int, ...]):
 
 
 def _decode_family(keys, src_fibers, tgt_fibers, codes) -> dict:
-    """A family of slot codes as the label dicts of the witnesses."""
-    return {
-        k: dict(zip(src, [tgt[x] for x in _slot_maps(len(src), len(tgt))[c]]))
-        for k, src, tgt, c in zip(keys, src_fibers, tgt_fibers, codes)
-    }
+    """A family of slot codes as the label dicts of the witnesses: a code
+    is the base-|tgt| numeral of the slot map's values, last point last."""
+    out = {}
+    for k, src, tgt, code in zip(keys, src_fibers, tgt_fibers, codes):
+        labels = []
+        for _ in src:
+            code, v = divmod(code, len(tgt))
+            labels.append(tgt[v])
+        out[k] = dict(zip(src, reversed(labels)))
+    return out
 
 
 class _Regrouped(NamedTuple):
@@ -894,9 +882,9 @@ class _InductionCheck:
             n = [self.s_sizes[j][z] for z in r.zs]
             n2 = [self.s_sizes[j2][z] for z in r.zs]
             vs, lhs = self.slot_table(i, j, y), self.slot_table(i, j2, y)
-            for b in iproduct(*[range(p**q) for q, p in zip(n, n2)]):
-                b_rows = [_slot_maps(q, p)[code]
-                          for q, p, code in zip(n, n2, b)]
+            tables = [_slot_maps(q, p) for q, p in zip(n, n2)]
+            for b in iproduct(*map(range, map(len, tables))):
+                b_rows = list(map(getitem, tables, b))
                 res_b = tuple(
                     r2.pos[tuple([row[x] for row, x in zip(b_rows, ch)])]
                     for ch in r.order)

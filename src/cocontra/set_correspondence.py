@@ -103,13 +103,13 @@ def l_set_with_projection(t: ContraTable):
         )
         return SetComodule(carrier, c, phi), project
     charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
-    hom_cy = finset.function_space(c, t.carrier)
+    betas = finset.function_table(c, t.carrier)
+    hom_cy = FinSet(betas)
     dom, _, _ = finset.product(hom_cy, c)
     cod, _, _ = finset.product(t.carrier, c)
     eta_table = {}
     nu_table = {}
-    for label in hom_cy:
-        beta = finset.decode_map(label, c, t.carrier)
+    for label, beta in betas.items():
         tv = t.theta_value(beta)
         for a in c:
             key = finset.pair_label(label, a)
@@ -453,8 +453,9 @@ def _counit_naturality(base_size: int, max_carrier: int, report,
         for b in instances:
             m, n = a.m, b.m
             hom = set_comodule.hom_over(m, n)
+            maps = finset.function_table(m.carrier, n.carrier)
             for label in hom.members:
-                f = finset.decode_map(label, m.carrier, n.carrier)
+                f = maps[label]
                 rf = _push_sections(f, m, a.sections, b.sections)
                 lrf = _quotient_map(rf, a.extensional, a.quotient, a.project,
                                     b.quotient, b.project)

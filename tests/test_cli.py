@@ -136,7 +136,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 # Recorded before the finite-set side moved to the one enumerator, label
-# codec and decode cache of ``finset``; a change of odometer order or label
+# codec and decode tables of ``finset``; a change of odometer order or label
 # strings anywhere on the set side changes these bytes.
 SET_SIDE_GOLDEN_SHA256 = (
     "4a6276925a6f56cf0de3053c6ecf60ecac006f81ce74d5031bf2e0e80d256c20"
@@ -476,6 +476,19 @@ def test_reference_of_the_wrong_kind_is_a_parse_error(tmp_path, capsys,
     path.write_text(json.dumps({"declarations": decls, "jobs": []}))
     assert cli.main(["run", str(path)]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("decl", [
+    {"kind": "finset", "name": ["C"], "elements": ["1"]},
+    {"kind": ["finset"], "name": "C", "elements": ["1"]},
+])
+def test_declaration_kind_and_name_must_be_strings(tmp_path, capsys, decl):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"declarations": [decl], "jobs": []}))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error at {decl}: declaration needs 'kind' and 'name' "
+        "strings\n")
 
 
 def test_canonical_round_trip_is_byte_identical(tmp_path):
@@ -942,7 +955,7 @@ def test_job_budget_lives_only_while_a_job_runs(monkeypatch):
 
 
 def test_no_function_takes_a_budget_parameter():
-    """The budget is the job's (errors.job_budget), never a parameter: a
+    """The budget is the job's (errors.job), never a parameter: a
     parameter with a default lets a caller that leaves it out replace the
     job's budget by the default."""
     import importlib
@@ -1224,7 +1237,9 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    assert counts == {"spaces": 162, "from_images": 7}
+    # 141 tensor and hom spaces; the job builds one unit space, and the
+    # declarations, parsed outside the job, build four more
+    assert counts == {"spaces": 157, "from_images": 7}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):
@@ -1232,13 +1247,14 @@ def test_space_table_lives_only_while_a_job_runs(monkeypatch):
     built for the same arguments; the table goes with the job whether it
     passes, raises or exceeds its budget, and outside a job the two
     functions keep nothing."""
+    from cocontra import errors
     from cocontra.errors import BudgetExceeded
-    from cocontra.exactlin import GF, GradedVect, graded, hom_space, tensor
+    from cocontra.exactlin import GF, GradedVect, hom_space, tensor
 
     v = GradedVect(GF(2), {0: 1, 1: 2})
     assert tensor(v, v) is not tensor(v, v)
     assert hom_space(v, v) is not hom_space(v, v)
-    assert graded._spaces is None
+    assert errors._job is None
 
     adjoint = cli.COMMANDS["adjoint"]
     sizes = []
@@ -1248,7 +1264,7 @@ def test_space_table_lives_only_while_a_job_runs(monkeypatch):
         assert hom_space(v, v) is hom_space(v, v)
         assert tensor(v, v) is not hom_space(v, v)
         entry = adjoint.run(env, args, jctx)
-        sizes.append(len(graded._spaces))
+        sizes.append(len(errors._job.tables))
         if raised is not None:
             raise raised
         return entry
@@ -1268,8 +1284,64 @@ def test_space_table_lives_only_while_a_job_runs(monkeypatch):
         if error is not None:
             assert entry["witnesses"][0]["error"] == error
         assert sizes[-1] > 2
-        assert graded._spaces is None
+        assert errors._job is None
     assert len(sizes) == 3
+
+
+def test_hom_oracle_job_releases_its_tables(monkeypatch):
+    """A ``hom --oracle`` job of a 4-point comodule into a 5-point one over
+    a 2-point base builds its decode tables in the job context; traced
+    memory after the job is back near its level before it, whether the
+    job passes, raises or exceeds its budget."""
+    import tracemalloc
+
+    from cocontra import errors
+
+    hom = cli.COMMANDS["hom"]
+    held = []
+
+    def run(env, args, jctx):
+        try:
+            entry = hom.run(env, args, jctx)
+        finally:
+            held.append((tracemalloc.get_traced_memory()[0],
+                         len(errors._job.tables)))
+        if raised is not None:
+            raise raised
+        return entry
+
+    monkeypatch.setitem(cli.COMMANDS, "hom", hom._replace(run=run))
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+        {"kind": "finset", "name": "X", "elements": list("abcd")},
+        {"kind": "finset", "name": "Y", "elements": list("pqrst")},
+        {"kind": "set_comodule", "name": "M", "carrier": "X", "base": "C",
+         "phi": {"a": "1", "b": "1", "c": "2", "d": "2"}},
+        {"kind": "set_comodule", "name": "N", "carrier": "Y", "base": "C",
+         "phi": {"p": "1", "q": "1", "r": "2", "s": "2", "t": "2"}},
+    ]})
+    ctx = {"budget": 10 ** 6, "oracle": True, "seed": 1, "timing": False}
+    job = {"command": "hom", "args": {"source": "M", "target": "N"}}
+    tracemalloc.start()
+    try:
+        # hom_over charges 5^4 = 625 and the generic oracle 10^4 = 10,000
+        for budget, raised, error in (
+                (None, None, None),
+                (None, RuntimeError("boom"), "RuntimeError"),
+                (5_000, None, "budget-exceeded")):
+            before = tracemalloc.get_traced_memory()[0]
+            entry = cli.run_job(
+                env, {**job, "budget": budget} if budget else job, ctx)
+            after = tracemalloc.get_traced_memory()[0]
+            assert (entry["witnesses"][0]["error"] if error else
+                    entry["status"]) == (error or "pass")
+            during, tables = held[-1]
+            # the job holds its tables (about 240 kB) until it ends
+            assert tables > 0 and during - before > 150_000
+            assert after - before < 50_000
+    finally:
+        tracemalloc.stop()
+    assert errors._job is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -1297,6 +1369,47 @@ def _golden_manifests():
         "linear-side": _linear_side_manifest(),
         "surface": SURFACE_MANIFEST,
     }
+
+
+def test_jobs_leave_no_state_in_the_package():
+    """A job's tables live in its job context and go with it: after the
+    set-side and linear-side golden manifests, every module-level dict,
+    list and set of the package has its size from before, and nothing in
+    the package keeps a process-lifetime cache (has ``cache_info``)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import cocontra
+    from cocontra import errors
+
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.walk_packages(cocontra.__path__, "cocontra.")]
+
+    def sizes():
+        return {f"{mod.__name__}.{name}": len(value)
+                for mod in modules for name, value in vars(mod).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")}
+
+    before = sizes()
+    assert before
+    for name in ("set-side", "linear-side"):
+        cli.run_manifest(_golden_manifests()[name], GOLDEN_CTX)
+    assert sizes() == before
+    assert errors._job is None
+    cached = []
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            members = [(name, obj)]
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                members += [(f"{name}.{attr}", value)
+                            for attr, value in vars(obj).items()]
+            cached += [f"{mod.__name__}.{qualname}"
+                       for qualname, value in members
+                       if hasattr(getattr(value, "__func__", value),
+                                  "cache_info")]
+    assert cached == []
 
 
 @pytest.mark.parametrize("name", ["examples", "set-side", "linear-side",

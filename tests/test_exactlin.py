@@ -1,6 +1,7 @@
 import random
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -11,6 +12,7 @@ from cocontra.coalg.bridge import dual_tensor_into_hom
 from cocontra.coalg.core import unit_hom_iso
 from cocontra.coalg.homobjects import composition_on_ambient
 from cocontra.coalg.instances import grading_comodule, group_like_coalgebra
+from cocontra.errors import DEFAULT_BUDGET, job
 from cocontra.exactlin import (
     GF,
     QQ,
@@ -36,7 +38,6 @@ from cocontra.exactlin import (
     linmap_to_vec,
     pairing,
     relabel,
-    space_memo,
     sub_maps,
     tensor,
     tensor_map,
@@ -717,7 +718,7 @@ def test_tensor_and_hom_maps_match_the_label_reference(field):
         want_h = _reference_hom_map(f0, g0)
         odd_signs += g.degree % 2 == 1 and not g.is_zero() and any(
             k % 2 and not f.block(k).is_zero() for k in f.dom.degrees())
-        for scope in (nullcontext, space_memo):
+        for scope in (nullcontext, partial(job, DEFAULT_BUDGET)):
             with scope():
                 got_t, got_h = tensor_map(f, g), hom_map(f0, g0)
             assert got_t == want_t
@@ -970,7 +971,7 @@ def test_relabelling_maps_match_the_label_reference(field, monkeypatch):
     monkeypatch.setattr(LinMap, "from_images", classmethod(refused))
     minus = field.from_int(-1)
     for name, build, want in cases:
-        for scope in (nullcontext, space_memo):
+        for scope in (nullcontext, partial(job, DEFAULT_BUDGET)):
             with scope():
                 got = build()
             assert got == want, name

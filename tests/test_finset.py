@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cocontra import finset
+from cocontra import errors, finset
 from cocontra.errors import MismatchedSignature
 from cocontra.finset import FinMap, FinSet
 from cocontra.set_contramodule import product_contra
@@ -72,12 +72,11 @@ def test_equal_label_sets_are_one_cache_key():
     assert repr(s1) == "{p,q}"
     assert [f.name for f in dataclasses.fields(FinSet)] == ["elements"]
     pools = (FinSet(["1", "2"]),) * 2
-    t1 = finset._decode_table(s1, pools)
-    before = finset._decode_table.cache_info()
-    t2 = finset._decode_table(s2, pools)
-    after = finset._decode_table.cache_info()
-    assert t2 is t1
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    with errors.job(errors.DEFAULT_BUDGET):
+        t1 = finset._decode_table(s1, pools)
+        t2 = finset._decode_table(s2, pools)
+        assert t2 is t1
+        assert len(errors._job.tables) == 1
 
 
 def test_product_examples():
@@ -165,10 +164,11 @@ def test_function_space_round_trip():
             b = FinSet(["x", "y", "z"][:nb])
             maps = list(finset._all_maps(a, b))
             assert len(maps) == nb ** na
+            table = finset.function_table(a, b)
             for f in maps:
-                assert finset.decode_map(finset.encode_map(f), a, b) == f
+                assert table[finset.encode_map(f)] == f
             for label in finset.function_space(a, b):
-                f = finset.decode_map(label, a, b)
+                f = table[label]
                 assert (f.dom, f.cod) == (a, b)
                 assert finset.encode_map(f) == label
 

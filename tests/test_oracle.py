@@ -1,7 +1,7 @@
 import pytest
 
 from cocontra import finset, oracle
-from cocontra.errors import BudgetExceeded, job_budget
+from cocontra.errors import BudgetExceeded, job
 from cocontra.exactlin import (
     GF,
     GradedVect,
@@ -29,7 +29,7 @@ def test_all_maps_counts_and_uniqueness():
 def test_all_maps_budget():
     a = FinSet([f"a{i}" for i in range(4)])
     b = FinSet([f"b{i}" for i in range(4)])
-    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+    with job(10), pytest.raises(BudgetExceeded) as exc:
         list(oracle.all_maps(a, b))
     assert exc.value.projected == 256
 

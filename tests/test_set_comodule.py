@@ -198,9 +198,10 @@ def test_restrict_induce_explicit_natural_bijection():
             ind = scm.induce_along(f, p)
             lhs = scm.hom_over(scm.restrict_along(f, m), p)
             rhs = scm.hom_over(m, ind)
+            maps = finset.function_table(xset, yset)
             image = set()
             for label in lhs.members:
-                g = finset.decode_map(label, xset, yset)
+                g = maps[label]
                 t = transpose(g, m, p, ind)
                 assert finset.encode_map(t) in rhs.members
                 image.add(finset.encode_map(t))
@@ -210,9 +211,9 @@ def test_restrict_induce_explicit_natural_bijection():
             for phim2 in list(finset._all_maps(xset, c))[:2]:
                 m2 = scm.SetComodule(xset, c, phim2)
                 for hlabel in scm.hom_over(m2, m).members.elements[:2]:
-                    h = finset.decode_map(hlabel, xset, xset)
+                    h = finset.function_table(xset, xset)[hlabel]
                     for label in lhs.members:
-                        g = finset.decode_map(label, xset, yset)
+                        g = maps[label]
                         t1 = transpose(
                             finset.compose(g, h), m2, p,
                             scm.induce_along(f, p),

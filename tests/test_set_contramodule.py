@@ -13,7 +13,7 @@ from cocontra.errors import (
     charge,
     charge_power,
     count_text,
-    job_budget,
+    job,
 )
 from cocontra.finset import FinMap, FinSet
 
@@ -64,9 +64,8 @@ def test_validate_projection_is_valid():
     x = FinSet(["a", "b", "c"])
     ambient = finset.function_space(C2, x)
     # first-argument projection: theta(beta) = beta(1)
-    table = {
-        lab: finset.decode_map(lab, C2, x)("1") for lab in ambient
-    }
+    maps = finset.function_table(C2, x)
+    table = {lab: maps[lab]("1") for lab in ambient}
     t = sct.ContraTable(x, C2, theta=FinMap(ambient, x, table))
     assert sct.validate(t)["ok"]
 
@@ -79,9 +78,10 @@ def test_validate_catches_broken_binary_operation():
         # not a projection: "and"-like table, fails the row-diagonal law
         return "a" if (u, v) == ("a", "a") else "b"
 
+    maps = finset.function_table(C2, x)
     table = {}
     for lab in ambient:
-        beta = finset.decode_map(lab, C2, x)
+        beta = maps[lab]
         table[lab] = op(beta("1"), beta("2"))
     # contraunitality fails here already (op(b,b)=b holds, op(a,a)=a holds),
     # so craft the violation in the row-diagonal instead
@@ -99,7 +99,7 @@ def test_validate_budget_exceeded_reports_projected_count():
         ),
     )
     # carrier size 2: 2^(2*2) = 16 matrices; force a tiny budget
-    with job_budget(3), pytest.raises(BudgetExceeded) as exc:
+    with job(3), pytest.raises(BudgetExceeded) as exc:
         sct.validate(t)
     assert exc.value.projected == 16
 
@@ -124,14 +124,14 @@ def test_enumerate_two_gives_the_two_projections():
 
 def test_enumerate_budget():
     x = FinSet(["a", "b", "c"])
-    with job_budget(100), pytest.raises(BudgetExceeded) as exc:
+    with job(100), pytest.raises(BudgetExceeded) as exc:
         sct.enumerate_all(x, C2)
     # the odometer visits the tables that fix the 3 constant functions
     assert exc.value.projected == 3 ** 6
-    with job_budget(1000):
+    with job(1000):
         assert len(sct.enumerate_all(x, C2)) == 2
     # over an empty base the odometer visits one table
-    with job_budget(1):
+    with job(1):
         assert len(sct.enumerate_all(x, FinSet([]))) == 1
 
 
@@ -141,22 +141,22 @@ def test_budget_counts_too_long_to_print():
     computed, and any other count by the power of two it reaches."""
     x = FinSet(["a", "b", "c"])
     base9 = FinSet([f"c{i}" for i in range(9)])
-    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+    with job(10), pytest.raises(BudgetExceeded) as exc:
         sct.enumerate_all(x, base9)
     assert exc.value.projected == "3^19680"
     assert str(exc.value) == (
         "theta-table enumeration would enumerate 3^19680 items (budget 10)")
-    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+    with job(10), pytest.raises(BudgetExceeded) as exc:
         charge(3 ** 19680, "tables")
     assert exc.value.projected == "at least 2^31192"
     assert 2 ** 31192 <= 3 ** 19680 < 2 ** 31193
     assert count_text(2 ** 1999) == str(2 ** 1999)
     assert count_text(2 ** 2000) == "at least 2^2000"
     # a power that fits is computed and charged as before
-    with job_budget(10), pytest.raises(BudgetExceeded) as exc:
+    with job(10), pytest.raises(BudgetExceeded) as exc:
         charge_power(3, 6, "tables")
     assert exc.value.projected == 729
-    with job_budget(10 ** 700):
+    with job(10 ** 700):
         charge_power(3, 1400, "tables")
 
 
@@ -732,7 +732,7 @@ def test_induction_adjunction_budget_cut_matches_golden(charges, max_count,
                                                         message, charged):
     f = _base_maps(2, 3)[1]
     assert f.table == {"z0": "w0", "z1": "w1"}
-    with job_budget(max_count), pytest.raises(BudgetExceeded) as err:
+    with job(max_count), pytest.raises(BudgetExceeded) as err:
         sct.induction_adjunction_certificate(f, 2)
     assert str(err.value) == message
     assert len(charges) == charged
@@ -789,34 +789,38 @@ def test_validate_reports_match_golden():
 
 
 def test_set_side_tables_are_bounded_and_built_on_demand():
+    """The slot-map and decode tables live in the job context: within a
+    job each is built once, and outside a job each call builds its own
+    and nothing is kept.  Composition rows, transpose plans, slot
+    transposes, slot checks and row-diagonal plans live in one call."""
     import subprocess
     import sys
     from pathlib import Path
 
-    from cocontra import set_correspondence as sco
+    from cocontra import errors
 
-    # slot-map tables are the one table kept across calls, behind a bound;
-    # composition rows, transpose plans, slot transposes, slot checks and
-    # row-diagonal plans live in one call, so neither module keeps a
-    # container of its own
-    assert sct._SLOT_MAP_TABLES_CACHED == 64
-    assert sct._slot_maps.cache_info().maxsize == 64
-    for module in (sct, sco):
-        kept = [name for name, value in vars(module).items()
-                if isinstance(value, (dict, list, set))
-                and not name.startswith("__")]
-        assert kept == [], module.__name__
+    fibers = {"1": FinSet(["p", "q"]), "2": FinSet(["r"])}
+    assert sct._slot_maps(2, 2) is not sct._slot_maps(2, 2)
+    assert (finset.choice_table(C2, fibers)
+            is not finset.choice_table(C2, fibers))
+    assert errors._job is None
     f = finset.constant(C2, FinSet(["x"]), "x")
-    assert sct.induction_adjunction_certificate(f, 2)["ok"]
-    assert sct._slot_maps.cache_info().currsize <= 64
+    with errors.job(errors.DEFAULT_BUDGET):
+        assert sct.induction_adjunction_certificate(f, 2)["ok"]
+        assert sct._slot_maps(2, 2) is sct._slot_maps(2, 2)
+        assert (finset.choice_table(C2, fibers)
+                is finset.choice_table(C2, fibers))
+        kinds = {key[0] for key in errors._job.tables}
+        assert kinds == {"slots", "decode"}
+    assert errors._job is None
     # nothing is built at import
     src = Path(sct.__file__).parents[1]
     out = subprocess.run(
         [sys.executable, "-c",
          "import cocontra.cli\n"
-         "from cocontra import set_contramodule as s\n"
-         "print(s._slot_maps.cache_info().currsize)"],
+         "from cocontra import errors\n"
+         "print(errors._job)"],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "None"
