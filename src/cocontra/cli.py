@@ -143,17 +143,10 @@ def _job_l(env, args, ctx):
 def _job_lr(env, args, ctx):
     target = args["target"]
     if isinstance(target, SetComodule):
-        rt = set_corr._round_trip(target)
-        q = rt.explicit
-        agree = set_corr._routes_agree(q, rt.project)
-        payload = {
-            "classes": {k: list(v) for k, v in sorted(q.classes.items())},
-            "counit_bijective": rt.counit.is_bijective(),
-            "routes_agree": agree,
-        }
-        if not agree:
+        payload = set_corr.lr_report(target)
+        if not payload["routes_agree"]:
             return _fail([payload], payload)
-        return _pass(payload, {"classes": len(q.classes)})
+        return _pass(payload, {"classes": len(payload["classes"])})
     lr, rep = coalg.round_trip_report(target)
     payload = {"dim": lr.space.total_dim, **rep}
     if rep["counit_iso"] and rep["counit_is_comodule_map"]:

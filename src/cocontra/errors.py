@@ -91,14 +91,14 @@ def job(count):
         _job = outer
 
 
-def job_table(key, build):
-    """``build()``, once per key within a job, and on every call outside
-    one."""
+def job_table(key, build, *args):
+    """``build(*args)``, once per key within a job, and on every call
+    outside one; a hit builds nothing."""
     if _job is None:
-        return build()
+        return build(*args)
     got = _job.tables.get(key)
     if got is None:
-        got = _job.tables[key] = build()
+        got = _job.tables[key] = build(*args)
     return got
 
 

@@ -297,24 +297,25 @@ def _pair_space(tag: str, v: GradedVect, w: GradedVect) -> GradedVect:
     ``offsets[i, j]`` is where the pair's block starts in n.  The job
     table holds (v, w, space) under (tag, id(v), id(w)), so no id is
     reused while the entry lives."""
-    def build():
-        assert v.field == w.field
-        sign = 1 if tag == "t" else -1
-        labels = {}
-        offsets = {}
-        for i in v.degrees():
-            for j in w.degrees():
-                labs = labels.setdefault(j + sign * i, [])
-                offsets[i, j] = len(labs)
-                labs.extend((tag, a, b)
-                            for a in v.labels[i] for b in w.labels[j])
-        space = GradedVect(
-            v.field, {n: len(labs) for n, labs in labels.items()}, labels
-        )
-        space.offsets = offsets
-        return v, w, space
+    return job_table((tag, id(v), id(w)), _build_pair_space, tag, v, w)[2]
 
-    return job_table((tag, id(v), id(w)), build)[2]
+
+def _build_pair_space(tag: str, v: GradedVect, w: GradedVect):
+    assert v.field == w.field
+    sign = 1 if tag == "t" else -1
+    labels = {}
+    offsets = {}
+    for i in v.degrees():
+        for j in w.degrees():
+            labs = labels.setdefault(j + sign * i, [])
+            offsets[i, j] = len(labs)
+            labs.extend((tag, a, b)
+                        for a in v.labels[i] for b in w.labels[j])
+    space = GradedVect(
+        v.field, {n: len(labs) for n, labs in labels.items()}, labels
+    )
+    space.offsets = offsets
+    return v, w, space
 
 
 def tensor(v: GradedVect, w: GradedVect) -> GradedVect:

@@ -17,6 +17,7 @@ the table would blow up).  Converters connect them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import getitem
@@ -553,40 +554,6 @@ def contra_components(
     return comps
 
 
-def _product_map(s: ContraTable, t: ContraTable, comps) -> FinMap:
-    """Assemble a slotwise family back into a carrier map."""
-    table = {}
-    for ch in finset.choices(s.base, [s.fibers[a] for a in s.base]):
-        image = {a: comps[a](ch[a]) for a in s.base}
-        table[finset.encode_table(s.base, ch)] = finset.encode_table(
-            t.base, image
-        )
-    return FinMap(s.carrier, t.carrier, table)
-
-
-def transpose_hom(
-    f: FinMap, t: ContraTable, s: ContraTable, u: FinMap
-) -> FinMap:
-    """The adjunction bijection: a map out of the induced contramodule
-    corresponds to the map into the restriction that collects, over each
-    target point, the components indexed by its preimage."""
-    ind_t = induce_contra(f, t)
-    res_s = restrict_contra(f, s)
-    comps = contra_components(u, ind_t, s)
-    table = {}
-    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
-        grouped = {}
-        for y in f.cod:
-            pre = FinSet([z for z in f.dom if f(z) == y])
-            grouped[y] = finset.encode_table(
-                pre, {z: comps[z](ch[y]) for z in pre}
-            )
-        table[finset.encode_table(t.base, ch)] = finset.encode_table(
-            f.cod, grouped
-        )
-    return FinMap(t.carrier, res_s.carrier, table)
-
-
 def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict):
     """All slotwise families between two fiber families over one base (=
     all contramodule maps between their products, via
@@ -705,6 +672,11 @@ def _transpose_codes(plan, u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v)
 
 
+# the witnesses a certificate reports of each failure kind; the rest are
+# counted in its "failure_totals"
+WITNESSES = 16
+
+
 def _failing_squares(families, pairs, slots, failing):
     """The naturality squares (x, u) that fail, in the order of families x
     pairs.  ``slots[y]`` holds the positions that the slot over y reads in
@@ -722,8 +694,8 @@ def _failing_squares(families, pairs, slots, failing):
 class _InductionCheck:
     """The per-call state of :func:`induction_adjunction_certificate`: the
     shapes on codes and the memoised families, transpose plans, slot
-    tables, slot checks and composition rows.  Every table lives as long
-    as the call."""
+    tables, slot checks and composition rows, and the count of failures
+    of each kind.  Every table lives as long as the call."""
 
     def __init__(self, f: FinMap, fiber_bound: int):
         self.table = dict(f.table)
@@ -739,14 +711,27 @@ class _InductionCheck:
         self.s_sizes = [tuple(map(len, fib)) for fib in self.s_fibers]
         self.res = [_regrouping(f, s) for s in ss]
         self.res_sizes = [tuple(r.size for r in res) for res in self.res]
-        # per s_j and y, the labels of the fibers of s_j over the preimage
-        self.res_labels = [[tuple([fib[z] for z in r.zs]) for r in res]
-                           for fib, res in zip(self.s_fibers, self.res)]
+        # the slot memos are keyed on a small int per fiber-label tuple:
+        # per t_i and y, the fiber of t_i over y, and per s_j and y, the
+        # fibers of s_j over the preimage of y
+        ids = {}
+        self.t_ids = [[ids.setdefault(fib, len(ids)) for fib in fibs]
+                      for fibs in self.t_fibers]
+        self.res_ids = [[ids.setdefault(tuple([fib[z] for z in r.zs]),
+                                        len(ids)) for r in res]
+                        for fib, res in zip(self.s_fibers, self.res)]
         self.families = {}
         self.plans = {}
         self.slot_tables = {}
         self.slots = {}
         self.compositions = {}
+        self.totals = Counter()
+
+    def keep(self, kind: str) -> bool:
+        """Count a failure of this kind; whether its witness is reported
+        (the first :data:`WITNESSES` of each kind are)."""
+        self.totals[kind] += 1
+        return self.totals[kind] <= WITNESSES
 
     def family_list(self, key, src, tgt):
         """The naturality families between two shapes do not depend on the
@@ -774,9 +759,9 @@ class _InductionCheck:
         """The slot over y of the transpose of the pair (t_i, s_j), by the
         restriction of u to the preimage zs of y, for every restriction:
         the transpose on the one-slot plan, with u 0 off zs.  The slot
-        reads only those fibers, so the table is memoised by their labels
-        and shared by every pair that has them."""
-        key = (y, self.t_fibers[i][y], self.res_labels[j][y])
+        reads only those fibers, so the table is memoised by (the ids of)
+        their labels and shared by every pair that has them."""
+        key = (y, self.t_ids[i][y], self.res_ids[j][y])
         got = self.slot_tables.get(key)
         if got is None:
             tables, slots = self.plan(i, j)
@@ -829,12 +814,13 @@ class _InductionCheck:
             image.add(v)
             if all(0 <= code < b for code, b in zip(v, bounds)):
                 pairs.append((u, v))
-            else:
+            elif self.keep("transpose-not-a-hom"):
                 report["failures"].append(
                     {"kind": "transpose-not-a-hom",
                      "u": self.decode_u(i, j, u)}
                 )
-        if len(image) != len(hom1) or len(hom1) != math.prod(bounds):
+        if ((len(image) != len(hom1) or len(hom1) != math.prod(bounds))
+                and self.keep("not-a-bijection")):
             report["failures"].append(
                 {"kind": "not-a-bijection",
                  "sizes": (len(hom1), math.prod(bounds))}
@@ -846,8 +832,8 @@ class _InductionCheck:
         v o a" for a: t_i2 -> t_i and u: Ind t_i -> s_j.  Both sides read
         only a_y and u on the preimage zs of y: (u o Ind(a))_z = u_z o a_y
         and (v o a)_y = v_y o a_y.  Returns the failing (a_y, u|zs)."""
-        key = ("source", y, self.t_fibers[i2][y], self.t_fibers[i][y],
-               self.res_labels[j][y])
+        key = ("source", y, self.t_ids[i2][y], self.t_ids[i][y],
+               self.res_ids[j][y])
         got = self.slots.get(key)
         if got is None:
             got = self.slots[key] = set()
@@ -872,8 +858,8 @@ class _InductionCheck:
         read only b and u on the preimage zs of y: (b o u)_z = b_z o u_z,
         and Res(b) acts inside the fiber over y by b|zs.  Returns the
         failing (b|zs, u|zs)."""
-        key = ("target", y, self.t_fibers[i][y], self.res_labels[j][y],
-               self.res_labels[j2][y])
+        key = ("target", y, self.t_ids[i][y], self.res_ids[j][y],
+               self.res_ids[j2][y])
         got = self.slots.get(key)
         if got is None:
             got = self.slots[key] = set()
@@ -911,12 +897,13 @@ class _InductionCheck:
                 slots = [((y,), zs) for y, zs in enumerate(zss)]
                 for a, u in _failing_squares(families, pairs, slots,
                                              failing):
-                    failures.append(
-                        {"kind": "not-natural-in-source",
-                         "a": _decode_family(self.ykeys, self.t_fibers[i2],
-                                             self.t_fibers[i], a),
-                         "u": self.decode_u(i, j, u)}
-                    )
+                    if self.keep("not-natural-in-source"):
+                        failures.append(
+                            {"kind": "not-natural-in-source",
+                             "a": _decode_family(self.ykeys, self.t_fibers[i2],
+                                                 self.t_fibers[i], a),
+                             "u": self.decode_u(i, j, u)}
+                        )
         for j2, n2 in enumerate(self.s_sizes):
             families = self.family_list(("target", j, j2), n, n2)
             squares += len(families) * len(pairs)
@@ -925,12 +912,13 @@ class _InductionCheck:
                 slots = [(zs, zs) for zs in zss]
                 for b, u in _failing_squares(families, pairs, slots,
                                              failing):
-                    failures.append(
-                        {"kind": "not-natural-in-target",
-                         "b": _decode_family(self.ckeys, self.s_fibers[j],
-                                             self.s_fibers[j2], b),
-                         "u": self.decode_u(i, j, u)}
-                    )
+                    if self.keep("not-natural-in-target"):
+                        failures.append(
+                            {"kind": "not-natural-in-target",
+                             "b": _decode_family(self.ckeys, self.s_fibers[j],
+                                                 self.s_fibers[j2], b),
+                             "u": self.decode_u(i, j, u)}
+                        )
         return squares
 
     def certificate(self) -> dict:
@@ -948,6 +936,8 @@ class _InductionCheck:
                 squares += self.naturality(i, j, pairs, report["failures"])
         report["naturality_squares"] = squares
         report["ok"] = not report["failures"]
+        if self.totals:
+            report["failure_totals"] = dict(self.totals)
         return report
 
 

@@ -6,32 +6,20 @@ contramodule, empty exactly when some fiber is empty).  The quotient functor
 goes the other way as a coequaliser of evaluation against the structure map.
 At desk scale both are computed on the nose and the unit/counit, triangle
 identities, and the explicit description of the round trip are certified by
-exhaustive enumeration.
+exhaustive enumeration, on integer codes (see below).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from . import finset, set_comodule, set_contramodule
+import math
+from itertools import product as iproduct
+from typing import NamedTuple
+
+from . import finset
 from .errors import charge
 from .finset import FinMap, FinSet, QuotPresentation
-from .set_comodule import SetComodule, fibers, is_degenerate
-from .set_contramodule import (
-    ContraTable,
-    all_product_shapes,
-    empty_contramodule,
-    product_contra,
-    to_extensional,
-)
-
-
-@dataclass(eq=True)
-class SectionSet:
-    """The sections of a set over C, with the induced contramodule."""
-
-    of: SetComodule
-    sections: FinSet
-    theta: ContraTable
+from .set_comodule import SetComodule, fibers
+from .set_contramodule import ContraTable, empty_contramodule, product_contra
 
 
 def R_set(m: SetComodule) -> ContraTable:
@@ -42,33 +30,6 @@ def R_set(m: SetComodule) -> ContraTable:
     return product_contra(m.base, fam)
 
 
-def section_set(m: SetComodule) -> SectionSet:
-    t = R_set(m)
-    decode = finset.choice_table(m.base, fibers(m))
-    for label in t.carrier:
-        beta = FinMap(m.base, m.carrier, decode[label].table)
-        assert all(m.phi(beta(a)) == a for a in m.base)
-    return SectionSet(m, t.carrier, t)
-
-
-def R_mor(v: FinMap, m: SetComodule, n: SetComodule) -> FinMap:
-    """Push sections forward along a comodule map."""
-    return _push_sections(v, m, R_set(m), R_set(n))
-
-
-def _push_sections(v: FinMap, m: SetComodule, rm: ContraTable,
-                   rn: ContraTable) -> FinMap:
-    """:func:`R_mor` given the sections of both comodules."""
-    decode = finset.choice_table(m.base, fibers(m))
-    table = {}
-    for label in rm.carrier:
-        ch = decode[label].table
-        table[label] = finset.encode_table(
-            m.base, {a: v(ch[a]) for a in m.base}
-        )
-    return FinMap(rm.carrier, rn.carrier, table)
-
-
 def l_set_with_projection(t: ContraTable):
     """The quotient comodule together with the projection from carrier x base.
 
@@ -77,36 +38,19 @@ def l_set_with_projection(t: ContraTable):
     """
     c = t.base
     if t.fibers is not None:
-        labels = []
-        proj_table = {}
-        for a in c:
-            for v in t.fibers[a]:
-                labels.append(finset.pair_label(v, a))
-        carrier = FinSet(labels)
         ambient, _, _ = finset.product(t.carrier, c)
         decode = finset.choice_table(c, t.fibers)
-        for y in t.carrier:
-            ch = decode[y].table
-            for a in c:
-                proj_table[finset.pair_label(y, a)] = finset.pair_label(
-                    ch[a], a
-                )
-        project = FinMap(ambient, carrier, proj_table)
-        phi = FinMap(
-            carrier,
-            c,
-            {
-                finset.pair_label(v, a): a
-                for a in c
-                for v in t.fibers[a]
-            },
-        )
-        return SetComodule(carrier, c, phi), project
+        phi_table = {finset.pair_label(v, a): a
+                     for a in c for v in t.fibers[a]}
+        carrier = FinSet(phi_table)
+        project = FinMap(ambient, carrier, {
+            finset.pair_label(y, a): finset.pair_label(decode[y].table[a], a)
+            for y in t.carrier for a in c})
+        return SetComodule(carrier, c, FinMap(carrier, c, phi_table)), project
     charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
     betas = finset.function_table(c, t.carrier)
-    hom_cy = FinSet(betas)
-    dom, _, _ = finset.product(hom_cy, c)
-    cod, _, _ = finset.product(t.carrier, c)
+    dom, _, _ = finset.product(FinSet(betas), c)
+    cod, _, proj2 = finset.product(t.carrier, c)
     eta_table = {}
     nu_table = {}
     for label, beta in betas.items():
@@ -115,19 +59,15 @@ def l_set_with_projection(t: ContraTable):
             key = finset.pair_label(label, a)
             eta_table[key] = finset.pair_label(beta(a), a)
             nu_table[key] = finset.pair_label(tv, a)
-    eta = FinMap(dom, cod, eta_table)
-    nu = FinMap(dom, cod, nu_table)
-    q = finset.coequalizer(eta, nu)
-    carrier = q.project.cod
-    _, _, proj2 = finset.product(t.carrier, c)
+    q = finset.coequalizer(FinMap(dom, cod, eta_table),
+                           FinMap(dom, cod, nu_table))
     phi_table = {}
-    for k in carrier:
-        members = q.classes[k]
+    for k, members in q.classes.items():
         bases = {proj2(y) for y in members}
         assert len(bases) == 1, "quotient classes must respect the base"
         phi_table[k] = bases.pop()
-    phi = FinMap(carrier, c, phi_table)
-    return SetComodule(carrier, c, phi), q.project
+    carrier = q.project.cod
+    return SetComodule(carrier, c, FinMap(carrier, c, phi_table)), q.project
 
 
 def L_set(t: ContraTable) -> SetComodule:
@@ -135,214 +75,292 @@ def L_set(t: ContraTable) -> SetComodule:
     return m
 
 
-def L_mor(u: FinMap, s: ContraTable, t: ContraTable) -> FinMap:
-    """The induced map on quotient comodules: [(y,a)] -> [(u(y),a)]."""
-    ls, proj_s = l_set_with_projection(s)
-    lt, proj_t = l_set_with_projection(t)
-    return _quotient_map(u, s, ls, proj_s, lt, proj_t)
-
-
-def _quotient_map(u: FinMap, s: ContraTable, ls: SetComodule, proj_s: FinMap,
-                  lt: SetComodule, proj_t: FinMap) -> FinMap:
-    """:func:`L_mor` given both quotients with their projections."""
-    table = {}
-    for y in s.carrier:
-        for a in s.base:
-            src = proj_s(finset.pair_label(y, a))
-            dst = proj_t(finset.pair_label(u(y), a))
-            if src in table:
-                assert table[src] == dst, "map does not respect classes"
-            table[src] = dst
-    return FinMap(ls.carrier, lt.carrier, table)
+def unit(t: ContraTable) -> FinMap:
+    """The carrier map into the sections of the quotient comodule."""
+    l, project = l_set_with_projection(t)
+    table = {
+        y: finset.encode_table(
+            t.base, {a: project(finset.pair_label(y, a)) for a in t.base})
+        for y in t.carrier
+    }
+    return FinMap(t.carrier, R_set(l).carrier, table)
 
 
 def lr_explicit(m: SetComodule) -> QuotPresentation:
     """The round trip as an explicit quotient of sections x base.
 
     Two pairs are identified exactly when they share the base point and
-    their sections agree there.
+    their sections agree there, grouped in one pass on codes.
     """
-    return _lr_explicit(m, R_set(m))
-
-
-def _lr_explicit(m: SetComodule, r: ContraTable) -> QuotPresentation:
-    """:func:`lr_explicit` given the sections ``r`` of m."""
-    ambient, proj1, proj2 = finset.product(r.carrier, m.base)
-    decode = finset.choice_table(m.base, fibers(m))
-    pairs = []
-    labels = list(ambient.elements)
-    for i, lab1 in enumerate(labels):
-        b1, a1 = proj1(lab1), proj2(lab1)
-        v1 = decode[b1].table[a1] if len(r.carrier) else None
-        for lab2 in labels[i + 1 :]:
-            b2, a2 = proj1(lab2), proj2(lab2)
-            if a1 != a2:
-                continue
-            v2 = decode[b2].table[a2]
-            if v1 == v2:
-                pairs.append((lab1, lab2))
-    return finset.quotient_by_pairs(ambient, pairs)
-
-
-@dataclass
-class _RoundTrip:
-    """Everything the equivalence checks and the ``lr`` job read of one
-    comodule, built once: its sections, their extensional form, the
-    explicit round-trip quotient with its counit, and the generic quotient
-    of the extensional sections with its projection.  A degenerate
-    comodule has no sections, so both quotients are empty."""
-
-    m: SetComodule
-    sections: ContraTable
-    extensional: ContraTable
-    explicit: QuotPresentation
-    counit: FinMap
-    quotient: SetComodule
-    project: FinMap
-
-
-def _round_trip(m: SetComodule) -> _RoundTrip:
-    r = R_set(m)
-    q = _lr_explicit(m, r)
-    re = to_extensional(r)
-    return _RoundTrip(m, r, re, q, _counit(m, r, q),
-                      *l_set_with_projection(re))
-
-
-def _routes_agree(explicit: QuotPresentation, project: FinMap) -> bool:
-    """:func:`lr_routes_agree` given both quotients."""
-    generic: dict[str, set] = {}
-    for y in explicit.ambient:
-        generic.setdefault(project(y), set()).add(y)
-    explicit_classes = {frozenset(v) for v in explicit.classes.values()}
-    generic_classes = {frozenset(v) for v in generic.values()}
-    return explicit_classes == generic_classes
-
-
-def lr_routes_agree(m: SetComodule) -> bool:
-    """The explicit relation and the generic coequaliser produce the same
-    partition of sections x base."""
-    _, project = l_set_with_projection(to_extensional(R_set(m)))
-    return _routes_agree(lr_explicit(m), project)
+    sec = _sections(_phi(m), len(m.base))
+    classes = _class_labels(m, sec, _explicit(sec)).values()
+    ambient = FinSet([y for _, ys in classes for y in ys])
+    return finset.quotient_by_pairs(ambient,
+                                    [(k, y) for k, ys in classes for y in ys])
 
 
 def counit(m: SetComodule) -> FinMap:
     """Evaluation on the explicit round-trip quotient: [(beta,a)] -> beta(a)."""
-    r = R_set(m)
-    return _counit(m, r, _lr_explicit(m, r))
+    sec = _sections(_phi(m), len(m.base))
+    explicit = _explicit(sec)
+    classes = _class_labels(m, sec, explicit)
+    return FinMap(
+        FinSet([k for k, _ in classes.values()]), m.carrier,
+        {classes[r][0]: m.carrier.elements[x]
+         for r, x in _counit(sec, explicit).items()})
 
 
-def _counit(m: SetComodule, r: ContraTable, q: QuotPresentation) -> FinMap:
-    """:func:`counit` given the sections and the explicit quotient."""
-    _, proj1, proj2 = finset.product(r.carrier, m.base)
-    decode = finset.choice_table(m.base, fibers(m))
+def lr_report(m: SetComodule) -> dict:
+    """The payload of the ``lr`` job: the classes of the explicit round
+    trip (each under its least label, members sorted), whether its counit
+    is bijective and whether the explicit and generic routes agree."""
+    rt = _round_trip(_phi(m), len(m.base))
+    return {
+        "classes": dict(sorted(_class_labels(m, rt.sec,
+                                             rt.explicit).values())),
+        "counit_bijective": _counit_bijective(rt),
+        "routes_agree": _routes_agree(rt),
+    }
+
+
+# --- the correspondence on integer codes --------------------------------------
+#
+# A comodule over nc base points is its phi tuple: the base position of each
+# carrier point, both in sorted label order, so the comodules of one size
+# come in the order of the maps carrier -> base.  A section is the tuple of
+# its values (carrier points) over the base; its code is its position in the
+# odometer over the fibers, the order of its label in finset.choice_labels.
+# A point (s, a) of sections x base is s * nc + a, and a partition of those
+# points is the root (least code) of each point.  Labels are built only for
+# failure witnesses and for the lr job.
+
+
+class _Sections(NamedTuple):
+    """The sections of a comodule: its fibers (carrier points, ascending),
+    the value tuple of each section by code, and the code of each value
+    tuple."""
+
+    nc: int
+    fibers: list
+    values: list
+    code: dict
+
+
+def _sections(phi: tuple, nc: int) -> _Sections:
+    fibers = [[x for x, b in enumerate(phi) if b == a] for a in range(nc)]
+    values = list(iproduct(*fibers))
+    return _Sections(nc, fibers, values, {v: s for s, v in enumerate(values)})
+
+
+def _phi(m: SetComodule) -> tuple:
+    return tuple(map(m.base.index, map(m.phi, m.carrier)))
+
+
+def _class_labels(m: SetComodule, sec: _Sections, roots: list) -> dict:
+    """Each class of a partition of sections x base, by root, as its least
+    label with its sorted member labels."""
+    carrier, base = m.carrier.elements, m.base.elements
+    sections = finset.choice_labels(
+        base, [[carrier[x] for x in fib] for fib in sec.fibers])
+    members = {}
+    for p, root in enumerate(roots):
+        s, a = divmod(p, sec.nc)
+        members.setdefault(root, []).append(
+            finset.pair_label(sections[s], base[a]))
+    return {root: (min(ys), sorted(ys)) for root, ys in members.items()}
+
+
+def _theta(sec: _Sections, beta) -> int:
+    """The structure map of the sections: the section whose value at each
+    base point a is the value there of the section beta[a]."""
+    return sec.code[tuple(sec.values[b][a] for a, b in enumerate(beta))]
+
+
+def _nu(sec: _Sections) -> list[int]:
+    """nu(beta, a) = (theta(beta), a) at every point of hom(C, S) x C, beta
+    in odometer order and a fastest: the extensional table, read as a map
+    into sections x base."""
+    nc = sec.nc
+    thetas = (_theta(sec, beta)
+              for beta in iproduct(range(len(sec.values)), repeat=nc))
+    return [t * nc + a for t in thetas for a in range(nc)]
+
+
+def _generic(sec: _Sections) -> list[int]:
+    """The quotient of the extensional sections: the coequaliser of
+    eta(beta, a) = (beta(a), a) and nu over hom(C, S) x C, charged for its
+    ambient, by union-find on codes.  The root of each point of sections
+    x base."""
+    nc, count = sec.nc, len(sec.values)
+    charge(count ** nc * nc, "coequaliser ambient")
+    eta = (b * nc + a for beta in iproduct(range(count), repeat=nc)
+           for a, b in enumerate(beta))
+    uf = finset._UnionFind(range(count * nc))
+    for x, y in zip(eta, _nu(sec)):
+        uf.union(x, y)
+    roots = [uf.find(p) for p in range(count * nc)]
+    assert all(r % nc == p % nc for p, r in enumerate(roots)), (
+        "quotient classes must respect the base")
+    return roots
+
+
+def _explicit(sec: _Sections) -> list[int]:
+    """The explicit round trip: (s, a) and (s', a) are identified exactly
+    when s(a) = s'(a), grouped by (a, s(a)) in one pass.  The root of each
+    point."""
+    nc, first = sec.nc, {}
+    return [first.setdefault((a, x), s * nc + a)
+            for s, xs in enumerate(sec.values) for a, x in enumerate(xs)]
+
+
+def _counit(sec: _Sections, explicit: list) -> dict:
+    """Evaluation [(s, a)] -> s(a) on the explicit classes, by root."""
+    eps = {}
+    for p, root in enumerate(explicit):
+        s, a = divmod(p, sec.nc)
+        x = sec.values[s][a]
+        assert eps.setdefault(root, x) == x, (
+            "counit must be constant on classes")
+    return eps
+
+
+def _quotient(roots: list, nc: int):
+    """The quotient comodule of a partition of sections x base: its phi
+    tuple, its carrier (the roots, ascending) and the projection of each
+    point onto a carrier position."""
+    carrier = sorted(set(roots))
+    pos = {r: z for z, r in enumerate(carrier)}
+    return tuple(r % nc for r in carrier), carrier, [pos[r] for r in roots]
+
+
+def _unit(count: int, nc: int, project: list, target: _Sections) -> list:
+    """The unit of a contramodule on ``count`` codes into the sections
+    ``target`` of its quotient: y goes to the section a -> [(y, a)],
+    ``project`` giving the quotient point of each (y, a)."""
+    return [target.code[tuple(project[y * nc:(y + 1) * nc])]
+            for y in range(count)]
+
+
+def _push(f: tuple, m: _Sections, n: _Sections) -> list[int]:
+    """The sections of m pushed along a comodule map f: m -> n."""
+    return [n.code[tuple(map(f.__getitem__, xs))] for xs in m.values]
+
+
+def _quotient_map(u: list, nc: int, src: list, dst: list) -> dict:
+    """The map of quotients [(y, a)] -> [(u(y), a)] induced by a carrier
+    map u; ``src`` and ``dst`` give the quotient point of each pair."""
     table = {}
-    for k, members in q.classes.items():
-        values = set()
-        for lab in members:
-            beta_label, a = proj1(lab), proj2(lab)
-            values.add(decode[beta_label].table[a])
-        assert len(values) == 1, "counit must be constant on classes"
-        table[k] = values.pop()
-    return FinMap(q.project.cod, m.carrier, table)
+    for p, k in enumerate(src):
+        y, a = divmod(p, nc)
+        image = dst[u[y] * nc + a]
+        assert table.setdefault(k, image) == image, (
+            "map does not respect classes")
+    return table
 
 
-def counit_is_comodule_map(m: SetComodule) -> bool:
-    r = R_set(m)
-    q = _lr_explicit(m, r)
-    return _counit_is_comodule_map(m, r, q, _counit(m, r, q))
+def _is_contramodule_map(f: list, s: _Sections, t: _Sections) -> bool:
+    """f(theta_s(beta)) == theta_t(f o beta) for every beta: C -> S."""
+    charge(len(s.values) ** s.nc, "contramodule-map check")
+    return all(f[_theta(s, beta)] == _theta(t, [f[b] for b in beta])
+               for beta in iproduct(range(len(s.values)), repeat=s.nc))
 
 
-def _counit_is_comodule_map(m: SetComodule, r: ContraTable,
-                            q: QuotPresentation, eps: FinMap) -> bool:
-    """:func:`counit_is_comodule_map` given the sections, the explicit
-    quotient and the counit."""
-    _, _, proj2 = finset.product(r.carrier, m.base)
-    for k, members in q.classes.items():
-        for lab in members:
-            if m.phi(eps(k)) != proj2(lab):
-                return False
-    return True
+class _RoundTrip(NamedTuple):
+    """What the equivalence checks and the ``lr`` job read of one comodule,
+    built once: its sections, the explicit round-trip quotient with its
+    counit (by root), and the generic quotient of its extensional
+    sections."""
+
+    phi: tuple
+    sec: _Sections
+    explicit: list
+    counit: dict
+    generic: list
 
 
-def unit(t: ContraTable) -> FinMap:
-    """The carrier map into the sections of the quotient comodule."""
-    l, project = l_set_with_projection(t)
-    return _unit(t, project, R_set(l))
+def _round_trip(phi: tuple, nc: int) -> _RoundTrip:
+    """Charged for the extensional table, from the fiber sizes, before
+    anything is built; the empty sections of a degenerate comodule are
+    extensional already."""
+    count = math.prod(map(phi.count, range(nc)))
+    if count:
+        charge(count ** nc, "extensional table")
+    sec = _sections(phi, nc)
+    explicit = _explicit(sec)
+    return _RoundTrip(phi, sec, explicit, _counit(sec, explicit),
+                      _generic(sec))
 
 
-def _unit(t: ContraTable, project: FinMap, rl: ContraTable) -> FinMap:
-    """:func:`unit` given the quotient's projection and its sections."""
-    table = {}
-    for y in t.carrier:
-        choice = {
-            a: project(finset.pair_label(y, a)) for a in t.base
-        }
-        table[y] = finset.encode_table(t.base, choice)
-    return FinMap(t.carrier, rl.carrier, table)
+def _counit_bijective(rt: _RoundTrip) -> bool:
+    return sorted(rt.counit.values()) == list(range(len(rt.phi)))
 
 
-def unit_is_contramodule_map(t: ContraTable) -> bool:
-    l, project = l_set_with_projection(t)
-    rl = R_set(l)
-    return set_contramodule.is_contramodule_map(_unit(t, project, rl), t, rl)
+def _counit_is_comodule_map(rt: _RoundTrip) -> bool:
+    nc = rt.sec.nc
+    return all(rt.phi[rt.counit[root]] == p % nc
+               for p, root in enumerate(rt.explicit))
 
 
-# --- batch certificate --------------------------------------------------------
-
-
-def all_comodules(carrier_size: int, base_size: int):
-    """Every set comodule on canonical labels of the given sizes."""
-    charge(base_size ** carrier_size, "comodule enumeration")
-    carrier = FinSet([f"x{i}" for i in range(1, carrier_size + 1)])
-    base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
-    for phi in finset._all_maps(carrier, base):
-        yield SetComodule(carrier, base, phi)
-
-
-def triangle_identities_hold(m: SetComodule) -> bool:
-    """Sections-side triangle: pushing sections through the counit after the
-    unit of the sections contramodule is the identity."""
-    if is_degenerate(m):
-        return True
-    return _triangle_r(_round_trip(m))
+def _routes_agree(rt: _RoundTrip) -> bool:
+    """The explicit and generic partitions of sections x base are equal:
+    their classes pair off one to one."""
+    pairs = set(zip(rt.explicit, rt.generic))
+    return len(pairs) == len(set(rt.explicit)) == len(set(rt.generic))
 
 
 def _triangle_r(rt: _RoundTrip) -> bool:
-    """:func:`triangle_identities_hold` given the comodule's round trip."""
-    l, eps = rt.quotient, rt.counit
-    assert l.carrier == rt.explicit.project.cod, (
+    """Sections-side triangle: the unit of the extensional sections, into
+    the sections of their generic quotient, pushed through the counit is
+    the identity."""
+    nc = rt.sec.nc
+    phi_l, carrier, project = _quotient(rt.generic, nc)
+    assert carrier == sorted(rt.counit), "quotient carriers must coincide"
+    l_sec = _sections(phi_l, nc)
+    eta = _unit(len(rt.sec.values), nc, project, l_sec)
+    return all(tuple(rt.counit[carrier[z]] for z in l_sec.values[e]) == xs
+               for e, xs in zip(eta, rt.sec.values))
+
+
+def _triangle_l(t: _Sections) -> bool:
+    """Quotient-side triangle on a product contramodule t: its generic
+    quotient lt, mapped by L of the unit into the generic quotient of the
+    extensional R(lt) and evaluated by the counit of lt, comes back."""
+    nc, count = t.nc, len(t.values)
+    charge(count ** nc, "extensional table")
+    phi_lt, _, project = _quotient(_generic(t), nc)
+    r_lt = _sections(phi_lt, nc)
+    charge(len(r_lt.values) ** nc, "extensional table")
+    generic = _generic(r_lt)
+    l_eta = _quotient_map(_unit(count, nc, project, r_lt), nc, project,
+                          generic)
+    explicit = _explicit(r_lt)
+    eps = _counit(r_lt, explicit)
+    assert sorted(set(explicit)) == sorted(set(generic)), (
         "quotient carriers must coincide")
-    eta = _unit(rt.extensional, rt.project, R_set(l))
-    decode = finset.choice_table(l.base, fibers(l))
-    for y in rt.sections.carrier:
-        ch = decode[eta(y)].table
-        pushed = finset.encode_table(l.base, {a: eps(ch[a]) for a in l.base})
-        if pushed != y:
-            return False
-    return True
+    return all(eps[l_eta[z]] == z for z in range(len(phi_lt)))
 
 
-def triangle_identities_hold_l(t: ContraTable) -> bool:
-    """Quotient-side triangle: mapping the quotient through the unit and then
-    evaluating is the identity.  Each quotient and section set is built
-    once."""
-    te = to_extensional(t)
-    lt, project_t = l_set_with_projection(te)
-    if len(lt.carrier) == 0:
-        return True
-    r_lt = R_set(lt)
-    rlt = to_extensional(r_lt)
-    eta = _unit(te, project_t, r_lt)
-    l_rlt, project_rlt = l_set_with_projection(rlt)
-    l_eta = _quotient_map(eta, te, lt, project_t, l_rlt, project_rlt)
-    q = _lr_explicit(lt, r_lt)
-    eps = _counit(lt, r_lt, q)
-    assert q.project.cod == l_rlt.carrier
-    for z in lt.carrier:
-        if eps(l_eta(z)) != z:
-            return False
-    return True
+_ROUND_TRIP_CHECKS = (
+    ("counit-not-bijective", _counit_bijective),
+    ("counit-not-comodule-map", _counit_is_comodule_map),
+    ("lr-routes-disagree", _routes_agree),
+    ("triangle-R", _triangle_r),
+)
+
+
+def _comodules(n: int, nc: int):
+    """Every comodule on n points over nc, as phi tuples, charged."""
+    charge(nc ** n, "comodule enumeration")
+    return iproduct(range(nc), repeat=n)
+
+
+def _labels(prefix: str, n: int) -> tuple[str, ...]:
+    """The canonical labels of the certificate's carriers and bases."""
+    return FinSet([f"{prefix}{i}" for i in range(1, n + 1)]).elements
+
+
+def _phi_table(phi: tuple, base: tuple) -> dict:
+    return dict(zip(_labels("x", len(phi)), [base[b] for b in phi]))
 
 
 def equivalence_certificate(
@@ -357,13 +375,13 @@ def equivalence_certificate(
     map, the explicit quotient agrees with the generic coequaliser, and the
     sections-side triangle holds.  For every product contramodule: the unit
     is a bijective contramodule map and the quotient-side triangle holds.
-    Naturality of both is checked on all structure maps between instances
-    with carriers up to ``naturality_carrier``.  Degenerate comodules are
-    reported and excluded, never errors.  Every enumeration, the
-    comodules, homs, extensional tables, coequaliser ambients and
+    Naturality of the counit is checked on all structure maps between
+    instances with carriers up to ``naturality_carrier``.  Degenerate
+    comodules are reported and excluded, never errors.  Every enumeration,
+    the comodules, homs, extensional tables, coequaliser ambients and
     contramodule-map checks, is charged against the job's budget.  Each
-    comodule's sections, quotients and counit are built once and shared
-    by its checks.
+    comodule's round trip is built once, on codes, and shared by its
+    checks and the naturality squares; labels are built for witnesses.
     """
     report = {
         "comodules": 0,
@@ -373,100 +391,76 @@ def equivalence_certificate(
         "failures": [],
         "naturality_squares": 0,
     }
-    for base_size in range(1, max_base + 1):
-        # the round trips the naturality check reuses, by structure map
+    fail = report["failures"].append
+    for nc in range(1, max_base + 1):
+        base = _labels("c", nc)
+        # the round trips the naturality check reuses, by phi
         round_trips = {}
-        for carrier_size in range(0, max_carrier + 1):
-            for m in all_comodules(carrier_size, base_size):
+        for n in range(0, max_carrier + 1):
+            for phi in _comodules(n, nc):
                 report["comodules"] += 1
-                if is_degenerate(m):
+                if len(set(phi)) < nc:
                     report["degenerate"] += 1
-                    if not R_set(m).is_empty():
-                        report["failures"].append(
-                            {"kind": "degenerate-with-sections",
-                             "phi": m.phi.table}
-                        )
+                    if _sections(phi, nc).values:
+                        fail({"kind": "degenerate-with-sections",
+                              "phi": _phi_table(phi, base)})
                     continue
                 report["nondegenerate"] += 1
-                rt = _round_trip(m)
-                if carrier_size <= naturality_carrier:
-                    round_trips[finset.encode_map(m.phi)] = rt
-                if not rt.counit.is_bijective():
-                    report["failures"].append(
-                        {"kind": "counit-not-bijective", "phi": m.phi.table}
-                    )
-                if not _counit_is_comodule_map(m, rt.sections, rt.explicit,
-                                               rt.counit):
-                    report["failures"].append(
-                        {"kind": "counit-not-comodule-map",
-                         "phi": m.phi.table}
-                    )
-                if not _routes_agree(rt.explicit, rt.project):
-                    report["failures"].append(
-                        {"kind": "lr-routes-disagree", "phi": m.phi.table}
-                    )
-                if not _triangle_r(rt):
-                    report["failures"].append(
-                        {"kind": "triangle-R", "phi": m.phi.table}
-                    )
-        base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
-        for t in all_product_shapes(base, max_fiber):
+                rt = _round_trip(phi, nc)
+                if n <= naturality_carrier:
+                    round_trips[phi] = rt
+                for kind, holds in _ROUND_TRIP_CHECKS:
+                    if not holds(rt):
+                        fail({"kind": kind, "phi": _phi_table(phi, base)})
+        for sizes in iproduct(range(1, max_fiber + 1), repeat=nc):
             report["contramodules"] += 1
-            l, project = l_set_with_projection(t)
-            rl = R_set(l)
-            eta = _unit(t, project, rl)
-            if not eta.is_bijective():
-                report["failures"].append(
-                    {"kind": "unit-not-bijective",
-                     "shape": {a: len(v) for a, v in t.fibers.items()}}
-                )
-            if not set_contramodule.is_contramodule_map(eta, t, rl):
-                report["failures"].append(
-                    {"kind": "unit-not-contramodule-map",
-                     "shape": {a: len(v) for a, v in t.fibers.items()}}
-                )
-            if not triangle_identities_hold_l(t):
-                report["failures"].append(
-                    {"kind": "triangle-L",
-                     "shape": {a: len(v) for a, v in t.fibers.items()}}
-                )
+            shape = dict(zip(base, sizes))
+            # the product contramodule on these fibers is the sections of
+            # the comodule t below; its closed-form quotient is that
+            # comodule, (y, a) going to y(a), whose sections are t again
+            t = _sections(tuple(a for a, k in enumerate(sizes)
+                                for _ in range(k)), nc)
+            eta = _unit(len(t.values), nc,
+                        [x for xs in t.values for x in xs], t)
+            if sorted(eta) != list(range(len(t.values))):
+                fail({"kind": "unit-not-bijective", "shape": shape})
+            if not _is_contramodule_map(eta, t, t):
+                fail({"kind": "unit-not-contramodule-map", "shape": shape})
+            if not _triangle_l(t):
+                fail({"kind": "triangle-L", "shape": shape})
         report["naturality_squares"] += _counit_naturality(
-            base_size, naturality_carrier, report, round_trips
+            nc, naturality_carrier, report, round_trips
         )
     report["ok"] = not report["failures"]
     return report
 
 
-def _counit_naturality(base_size: int, max_carrier: int, report,
+def _counit_naturality(nc: int, max_carrier: int, report,
                        round_trips: dict) -> int:
     """counit o L(R(f)) == f o counit for every comodule map f, on the
     round trips of the instances (built here when the main loop did not)."""
+    phis = [phi for n in range(0, max_carrier + 1)
+            for phi in _comodules(n, nc)]
+    instances = [round_trips.get(phi) or _round_trip(phi, nc)
+                 for phi in phis if len(set(phi)) == nc]
+    base = _labels("c", nc)
     squares = 0
-    comodules = []
-    for carrier_size in range(0, max_carrier + 1):
-        comodules.extend(all_comodules(carrier_size, base_size))
-    instances = [
-        round_trips.get(finset.encode_map(m.phi)) or _round_trip(m)
-        for m in comodules if not is_degenerate(m)
-    ]
     for a in instances:
+        points = sorted(set(a.generic))
+        xs = _labels("x", len(a.phi))
         for b in instances:
-            m, n = a.m, b.m
-            hom = set_comodule.hom_over(m, n)
-            maps = finset.function_table(m.carrier, n.carrier)
-            for label in hom.members:
-                f = maps[label]
-                rf = _push_sections(f, m, a.sections, b.sections)
-                lrf = _quotient_map(rf, a.extensional, a.quotient, a.project,
-                                    b.quotient, b.project)
-                for k in a.quotient.carrier:
-                    if b.counit(lrf(k)) != f(a.counit(k)):
-                        report["failures"].append(
-                            {"kind": "counit-not-natural",
-                             "f": f.table,
-                             "phi_m": m.phi.table,
-                             "phi_n": n.phi.table}
-                        )
-                        break
+            charge(len(b.phi) ** len(a.phi), "hom_over")
+            ys = _labels("x", len(b.phi))
+            # the maps over the base, by the fiber each point lands in
+            for f in iproduct(*[b.sec.fibers[c] for c in a.phi]):
+                lrf = _quotient_map(_push(f, a.sec, b.sec), nc, a.generic,
+                                    b.generic)
+                if any(b.counit[lrf[k]] != f[a.counit[k]] for k in points):
+                    report["failures"].append(
+                        {"kind": "counit-not-natural",
+                         "f": dict(zip(xs, [ys[y] for y in f])),
+                         "phi_m": _phi_table(a.phi, base),
+                         "phi_n": _phi_table(b.phi, base)}
+                    )
                 squares += 1
     return squares

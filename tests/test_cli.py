@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -875,6 +876,35 @@ def test_job_budget_reaches_the_certificates(tmp_path):
     job = {"id": "lr", "command": "lr", "args": {"target": "M4"},
            "budget": 2}
     assert budget_error(tmp_path, decls, job, ()) == 16
+
+
+def test_over_budget_lr_is_refused_before_its_work():
+    # three 10-point fibers over three points: 1000 sections, whose
+    # extensional table is charged from the fiber sizes before the
+    # sections or either quotient are built
+    points = [f"p{i:02}" for i in range(30)]
+    doc = {"declarations": [
+        {"kind": "finset", "name": "C3", "elements": ["1", "2", "3"]},
+        {"kind": "finset", "name": "X30", "elements": points},
+        {"kind": "set_comodule", "name": "M", "carrier": "X30", "base": "C3",
+         "phi": {p: str(1 + i // 10) for i, p in enumerate(points)}},
+    ]}
+    env = serialize.parse_bundle(doc)
+    job = {"id": "lr", "command": "lr", "args": {"target": "M"},
+           "budget": 1000}
+    ctx = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
+    start = time.process_time()
+    entry = cli.run_job(env, job, ctx)
+    elapsed = time.process_time() - start
+    assert serialize.canonical_bytes(entry) == serialize.canonical_bytes({
+        "status": "error",
+        "witnesses": [{"error": "budget-exceeded", "projected": 10 ** 9}],
+        "counts": {},
+        "result": "extensional table would enumerate 1000000000 items "
+                  "(budget 1000)",
+        "id": "lr", "command": "lr", "timing": None,
+    })
+    assert elapsed < 0.05, elapsed
 
 
 def test_restricting_a_theta_table_is_charged(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from itertools import product as iproduct
 
 import pytest
@@ -362,6 +363,42 @@ def test_induction_adjunction_small():
     assert rep["pairs"] > 0 and rep["naturality_squares"] > 0
 
 
+# The carrier-level transpose and the assembly of a slotwise family into a
+# carrier map: the references of the slot-code calculus.
+
+
+def _product_map(s, t, comps) -> FinMap:
+    """Assemble a slotwise family back into a carrier map."""
+    table = {}
+    for ch in finset.choices(s.base, [s.fibers[a] for a in s.base]):
+        image = {a: comps[a](ch[a]) for a in s.base}
+        table[finset.encode_table(s.base, ch)] = finset.encode_table(
+            t.base, image
+        )
+    return FinMap(s.carrier, t.carrier, table)
+
+
+def transpose_hom(f: FinMap, t, s, u: FinMap) -> FinMap:
+    """The adjunction bijection: a map out of the induced contramodule
+    corresponds to the map into the restriction that collects, over each
+    target point, the components indexed by its preimage."""
+    ind_t = sct.induce_contra(f, t)
+    res_s = sct.restrict_contra(f, s)
+    comps = sct.contra_components(u, ind_t, s)
+    table = {}
+    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
+        grouped = {}
+        for y in f.cod:
+            pre = FinSet([z for z in f.dom if f(z) == y])
+            grouped[y] = finset.encode_table(
+                pre, {z: comps[z](ch[y]) for z in pre}
+            )
+        table[finset.encode_table(t.base, ch)] = finset.encode_table(
+            f.cod, grouped
+        )
+    return FinMap(t.carrier, res_s.carrier, table)
+
+
 def _slot_code(m: FinMap) -> int:
     """The code of a slot map: its value positions read as base-|cod|
     digits, the first source point most significant."""
@@ -384,7 +421,7 @@ def test_component_calculus_matches_carrier_maps():
                 plan = check.plan(i, j)
                 res_s = sct.restrict_contra(f, s)
                 for u in sct.contra_hom_members(ind_t, s):
-                    v = sct.transpose_hom(f, t, s, u)
+                    v = transpose_hom(f, t, s, u)
                     comps_u = sct.contra_components(u, ind_t, s)
                     codes = tuple(_slot_code(comps_u[z]) for z in c)
                     comp_v = sct._decode_family(
@@ -393,7 +430,7 @@ def test_component_calculus_matches_carrier_maps():
                         [res_s.fibers[y].elements for y in chat],
                         sct._transpose_codes(plan, codes),
                     )
-                    rebuilt = sct._product_map(
+                    rebuilt = _product_map(
                         t,
                         res_s,
                         {
@@ -478,6 +515,13 @@ def test_faulty_transpose_is_reported_with_label_witnesses(monkeypatch):
     # an ill-typed transpose is left out of the squares
     assert rep["pairs"] == honest_rep["pairs"]
     assert rep["naturality_squares"] < honest_rep["naturality_squares"]
+    # the first sct.WITNESSES failures of each kind are reported, and the
+    # totals count them all
+    totals = rep["failure_totals"]
+    assert set(totals) == set(kinds)
+    for kind in totals:
+        assert kinds.count(kind) == min(totals[kind], sct.WITNESSES)
+    assert "failure_totals" not in honest_rep
 
 
 # --- the slot check against the whole-square check ---------------------------
@@ -589,6 +633,20 @@ def _fault_in_first_slot(when, change):
     return faulty
 
 
+def _capped(rep) -> dict:
+    """The reported form of a report with every failure: the first
+    sct.WITNESSES failures of each kind, in order, and, when any failed,
+    the total of each kind."""
+    kept, totals = [], {}
+    for fail in rep["failures"]:
+        totals[fail["kind"]] = totals.get(fail["kind"], 0) + 1
+        if totals[fail["kind"]] <= sct.WITNESSES:
+            kept.append(fail)
+    if not totals:
+        return rep
+    return {**rep, "failures": kept, "failure_totals": totals}
+
+
 def _tokens(rep) -> str:
     """The report's JSON tokens as canonical_bytes writes them, without
     its indentation: equal exactly when the canonical bytes are, and
@@ -597,25 +655,34 @@ def _tokens(rep) -> str:
     return json.dumps(rep, sort_keys=True, ensure_ascii=False)
 
 
-@pytest.mark.parametrize("fault", [
-    None,
+@pytest.mark.parametrize("fault, total", [
+    (None, 0),
     # a slot map, but the wrong one
-    _fault_in_first_slot((1, 0), lambda code, bound: (code + 1) % bound),
+    (_fault_in_first_slot((1, 0), lambda code, bound: (code + 1) % bound),
+     42401),
     # off by one, past the last slot map at times
-    _fault_in_first_slot((0, 1), lambda code, bound: code + 1),
+    (_fault_in_first_slot((0, 1), lambda code, bound: code + 1), 49306),
     # the first code past the slot maps
-    _fault_in_first_slot((1,), lambda code, bound: bound),
+    (_fault_in_first_slot((1,), lambda code, bound: bound), 31707),
 ], ids=["honest", "wrong-code", "off-by-one", "out-of-range"])
-def test_slot_check_matches_whole_square_reference(monkeypatch, fault):
+def test_slot_check_matches_whole_square_reference(monkeypatch, fault,
+                                                   total):
     if fault is not None:
         monkeypatch.setattr(sct, "_transpose_codes", fault)
-    failing = 0
+    failing = failures = 0
     for nc, nch in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
         for f in _base_maps(nc, nch):
             rep = sct.induction_adjunction_certificate(f, 2)
-            assert _tokens(rep) == _tokens(_reference_certificate(f, 2))
+            with monkeypatch.context() as every_failure:
+                every_failure.setattr(sct, "WITNESSES", math.inf)
+                reference = _reference_certificate(f, 2)
+            assert _tokens(rep) == _tokens(_capped(reference))
             failing += not rep["ok"]
+            failures += len(reference["failures"])
+            assert sum(rep.get("failure_totals", {}).values()) == len(
+                reference["failures"])
     assert failing == (0 if fault is None else 25)
+    assert failures == total
 
 
 def test_slot_checks_are_shared_across_pairs_of_shapes():
