@@ -34,6 +34,7 @@ from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
+    require_valid,
     validate_contramodule,
 )
 
@@ -79,8 +80,8 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
     }
     unit = LinMap.from_images(unit_space(fld), a, 0, unit_images)
     alg = DualAlgebra(c, a, mult, unit)
-    rep = validate_algebra(alg)
-    assert rep["ok"], rep
+    require_valid(validate_algebra(alg), "the dual of C is not an algebra, "
+                  "so C is not a coalgebra")
     return alg
 
 
@@ -169,8 +170,8 @@ def comodule_to_module(m: VComodule, alg: DualAlgebra) -> DualModule:
         ),
     )
     mod = DualModule(alg, x, act, "right")
-    rep = validate_module(mod)
-    assert rep["ok"], rep
+    require_valid(validate_module(mod), "the module picture of m is not a "
+                  "module, so m is not a comodule")
     return mod
 
 
@@ -187,8 +188,8 @@ def contramodule_to_module(p: VContramodule, alg: DualAlgebra) -> DualModule:
     c = p.coalgebra
     act = compose(p.theta, dual_tensor_into_hom(c, p.space))
     mod = DualModule(alg, p.space, act, "left")
-    rep = validate_module(mod)
-    assert rep["ok"], rep
+    require_valid(validate_module(mod), "the module picture of p is not a "
+                  "module, so p is not a contramodule")
     return mod
 
 
@@ -267,12 +268,12 @@ def sections_bridge_iso(m: VComodule):
     dimension the map is an isomorphism of contramodules, which callers
     should assert."""
     from ..exactlin import braiding
-    from .functors import functor_R_data
+    from .functors import valid_R_data
     from .instances import inverse_map
 
     alg = dual_algebra(m.coalgebra)
     right = comodule_to_module(m, alg)
-    rdata = functor_R_data(m)
+    rdata = valid_R_data(m)
     dt = dual_tensor_into_hom(m.coalgebra, m.space)
     phi = compose(
         right.action,
@@ -290,10 +291,10 @@ def quotient_bridge_iso(p: VContramodule):
     project.
 
     Returns (iso, quotient_comodule, bridged_comodule)."""
-    from .functors import functor_L_data
+    from .functors import valid_L_data
 
     bridged = contramodule_to_comodule(p, dual_algebra(p.coalgebra))
-    ldata = functor_L_data(p)
+    ldata = valid_L_data(p)
     psi = compose(ldata.quot.project, bridged.rho)
     return psi, ldata.comodule, bridged
 

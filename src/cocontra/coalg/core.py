@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CoalgebraMismatch, NotCoalgebraMorphism
+from ..errors import CoalgebraMismatch, InvalidImage, NotCoalgebraMorphism
 from ..exactlin import (
     GradedVect,
     LinMap,
@@ -206,6 +206,15 @@ def validate_contramodule(p: VContramodule) -> dict:
     via_theta, via_delta = contra_assoc_maps(p)
     _identity_check("contraassociativity", via_theta, via_delta, failures)
     return {"ok": not failures, "failures": failures}
+
+
+def require_valid(rep: dict, what: str):
+    """Raise :class:`InvalidImage` when the validation report ``rep`` of
+    an image fails; ``what`` says what the failure shows."""
+    if not rep["ok"]:
+        laws = ", ".join(f if isinstance(f, str) else f["law"]
+                         for f in rep["failures"])
+        raise InvalidImage(f"{what} ({laws} fails)", rep["failures"])
 
 
 def validate(obj) -> dict:

@@ -3,7 +3,18 @@ counit, the adjunction certificate, and the cofree/free comparison.
 
 The contramodule of a comodule is the hom object out of the coalgebra
 itself; the comodule of a contramodule is a quotient of its free cover.
-Everything returns honest matrices and is validated on construction.
+Everything returns honest matrices.
+
+R and L send valid structures to valid ones, so ``functor_R_data`` and
+``functor_L_data`` build without validating.  A function validates, once,
+each image it builds of one of its own arguments (``valid_R_data``,
+``valid_L_data``): declared structures are not checked when parsed, and
+that check refuses, with :class:`InvalidImage` and under ``python -O``
+too, an input over an invalid coalgebra.  (Over a valid coalgebra R(m)
+is a sub-contramodule of the free [C, M] whatever m's coaction, so the
+check does not see an invalid m; ``check`` does.)  Images of images,
+such as L(R(m)) in the round trip, hold by construction and are not
+validated again.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .core import (
     is_comodule_map,
     is_contramodule_map,
     require_same_coalgebra,
+    require_valid,
     validate_comodule,
     validate_contramodule,
 )
@@ -71,14 +83,21 @@ def functor_R_data(m: VComodule) -> RData:
         ),
     )
     theta = factor_through_include(hobj.include, g)
-    p = VContramodule(c, hobj.space, theta)
-    rep = validate_contramodule(p)
-    assert rep["ok"], rep
-    return RData(p, hobj)
+    return RData(VContramodule(c, hobj.space, theta), hobj)
+
+
+def valid_R_data(m: VComodule) -> RData:
+    """R(m), validated: raises :class:`InvalidImage` when it is not a
+    contramodule, which shows that m or its coalgebra is not valid."""
+    rdata = functor_R_data(m)
+    require_valid(validate_contramodule(rdata.contramodule),
+                  "R(m) is not a contramodule, so m or its coalgebra "
+                  "is not valid")
+    return rdata
 
 
 def functor_R(m: VComodule) -> VContramodule:
-    return functor_R_data(m).contramodule
+    return valid_R_data(m).contramodule
 
 
 def R_mor(v: LinMap, rm: RData, rn: RData) -> LinMap:
@@ -118,14 +137,21 @@ def functor_L_data(p: VContramodule) -> LData:
         "coaction does not descend to the quotient"
     )
     rho = compose(w, quot.section)
-    m = VComodule(c, quot.space, rho)
-    rep = validate_comodule(m)
-    assert rep["ok"], rep
-    return LData(m, quot, (delta_map, beta_map))
+    return LData(VComodule(c, quot.space, rho), quot, (delta_map, beta_map))
+
+
+def valid_L_data(p: VContramodule) -> LData:
+    """L(p), validated: raises :class:`InvalidImage` when it is not a
+    comodule, which shows that p or its coalgebra is not valid."""
+    ldata = functor_L_data(p)
+    require_valid(validate_comodule(ldata.comodule),
+                  "L(p) is not a comodule, so p or its coalgebra is not "
+                  "valid")
+    return ldata
 
 
 def functor_L(p: VContramodule) -> VComodule:
-    return functor_L_data(p).comodule
+    return valid_L_data(p).comodule
 
 
 def unit_map(p: VContramodule, ldata: LData, rdata: RData) -> LinMap:
@@ -155,13 +181,14 @@ def counit_map(m: VComodule, rdata: RData, ldata: LData) -> LinMap:
 def triangle_identities(p: VContramodule, m: VComodule) -> dict:
     """Both triangle identities at the given objects, exactly."""
     require_same_coalgebra(p, m)
-    return _triangles(p, m, functor_L_data(p), functor_R_data(m))
+    return _triangles(p, m, valid_L_data(p), valid_R_data(m))
 
 
 def _triangles(p: VContramodule, m: VComodule, ldata: LData,
                rdata: RData) -> dict:
-    """:func:`triangle_identities` given L(p) and R(m); builds L(R(m)),
-    R(L(R(m))), R(L(p)) and L(R(L(p))) once each."""
+    """:func:`triangle_identities` given L(p) and R(m), validated; builds
+    L(R(m)), R(L(R(m))), R(L(p)) and L(R(L(p))) once each, images of
+    valid images, so valid by construction."""
     # contramodule side: R(counit) after unit at the sections of m
     ldata_rm = functor_L_data(rdata.contramodule)
     r_lrm = functor_R_data(ldata_rm.comodule)
@@ -194,14 +221,14 @@ def _l_mor(u: LinMap, p: VContramodule, lp: LData, lq: LData) -> LinMap:
 
 
 def l_morphism(u: LinMap, p: VContramodule, q: VContramodule) -> LinMap:
-    return _l_mor(u, p, functor_L_data(p), functor_L_data(q))
+    return _l_mor(u, p, valid_L_data(p), valid_L_data(q))
 
 
 def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
     """Are the unit and counit isomorphisms at these finite instances?"""
     require_same_coalgebra(p, m)
-    ldata = functor_L_data(p)
-    rdata = functor_R_data(m)
+    ldata = valid_L_data(p)
+    rdata = valid_R_data(m)
     return _unit_counit_report(
         p, m, ldata, functor_R_data(ldata.comodule),
         rdata, functor_L_data(rdata.contramodule),
@@ -210,8 +237,9 @@ def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
 
 def round_trip_report(m: VComodule):
     """The comodule L(R(m)) and the unit and counit report at R(m) and m,
-    building R(m), L(R(m)) and R(L(R(m))) once each."""
-    rdata = functor_R_data(m)
+    building R(m), L(R(m)) and R(L(R(m))) once each; R(m) is validated,
+    the other two are images of it."""
+    rdata = valid_R_data(m)
     ldata = functor_L_data(rdata.contramodule)
     rep = _unit_counit_report(
         rdata.contramodule, m, ldata, functor_R_data(ldata.comodule),
@@ -268,12 +296,13 @@ def adjunction_certificate(
     when morphism squares are supplied, that the identification is natural
     in both arguments.  Its ``"ok"`` covers those checks; the triangle
     identities, from the same L(p) and R(m), are reported under
-    ``"triangles"``.
+    ``"triangles"``.  L(p) and R(m), and those of the squares' objects,
+    are validated once each.
     """
     require_same_coalgebra(p, m)
     c = p.coalgebra
-    ldata = functor_L_data(p)
-    rdata = functor_R_data(m)
+    ldata = valid_L_data(p)
+    rdata = valid_R_data(m)
     homT, a_incl, homF, b_incl = _embeddings(p, m, ldata, rdata)
 
     report = {
@@ -302,8 +331,8 @@ def adjunction_certificate(
     report["naturality_squares"] = 0
     for u, p2, v, m2 in squares or []:
         # u : P2 -> P a contramodule map, v : M -> M2 a comodule map
-        ldata2 = functor_L_data(p2)
-        rdata2 = functor_R_data(m2)
+        ldata2 = valid_L_data(p2)
+        rdata2 = valid_R_data(m2)
         homT2, a_incl2, homF2, b_incl2 = _embeddings(p2, m2, ldata2, rdata2)
         fv = hom_map(identity_map(c.space), v)
         transport = hom_map(u, fv)  # [P,FM] -> [P2,FM2]
@@ -334,7 +363,7 @@ def kleisli_certificate(x, c: Coalgebra) -> dict:
 
     tx = cofree(x, c)
     fx = free(x, c)
-    rdata = functor_R_data(tx)
+    rdata = valid_R_data(tx)
     # h goes to (h (x) id) o delta
     push = compose(
         hom_map(c.delta, identity_map(tx.space)),

@@ -32,6 +32,18 @@ class NotCoalgebraMorphism(CocontraError):
     """A map fails the comultiplication/counit compatibility squares."""
 
 
+class InvalidImage(CocontraError):
+    """A functor image fails its axioms, so the structure it was built
+    from, or that structure's coalgebra, is not valid.
+
+    ``failures`` holds the failing laws with their witnesses.
+    """
+
+    def __init__(self, message, failures=()):
+        super().__init__(message)
+        self.failures = list(failures)
+
+
 class RelationFailure(CocontraError):
     """A structure family violates its composition relations.
 
@@ -100,6 +112,13 @@ def job_table(key, build, *args):
     if got is None:
         got = _job.tables[key] = build(*args)
     return got
+
+
+def job_tables():
+    """The running job's tables, None outside a job: for a caller that
+    keys its own entries and must not pay a call per lookup.  The keys
+    of :func:`job_table` entries are tuples."""
+    return None if _job is None else _job.tables
 
 
 def _budget() -> int:

@@ -16,14 +16,19 @@ tensor-hom isomorphism, the duality maps) send each basis label to at most
 one label, up to sign, and each is one ``relabel`` call;
 ``from_images`` builds the maps with arbitrary coefficients.
 
-Tensor and hom spaces, and the unit space, are built once per job:
-within ``errors.job`` (``cli.run_job`` holds one per job), ``tensor``
-and ``hom_space`` return the space they already built for the same two
-argument objects; outside a job they build a fresh space.  Each such
-space records, per pair of factor degrees, the offset of that pair's
-block in the degree it lands in, so ``tensor_map`` and ``hom_map`` write
-their block entries by index arithmetic, as a Kronecker product is laid
-out, without going through labels.
+Tensor and hom spaces, and the unit space, are built once per job and
+structure: within ``errors.job`` (``cli.run_job`` holds one per job),
+``tensor`` and ``hom_space`` return the space they already built for
+equal factors, equal meaning the same field and the same labels per
+degree, whether or not the factors are the same objects; outside a job
+they build a fresh space.  The job's table gives each structure it meets
+one code (hash-consing): a pair space is coded by its tag and its
+factors' codes, any other space by its field and labels, once per object
+and job.  Each pair space records its tag and factors, and, per pair of
+factor degrees, the offset of that pair's block in the degree it lands
+in, so ``tensor_map`` and ``hom_map`` write their block entries by index
+arithmetic, as a Kronecker product is laid out, without going through
+labels.
 
 The only sign convention in the package lives here: applying a tensor
 product of maps to a tensor of elements costs (-1)^(|g||x|) when g slides
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MismatchedSignature, job_table
+from ..errors import MismatchedSignature, job_table, job_tables
 from .matrix import Matrix
 
 
@@ -46,6 +51,8 @@ class GradedVect:
     labels: dict[int, tuple]
     # tensor and hom spaces: {(i, j): offset of that pair's block}
     offsets: dict | None = None
+    # tensor and hom spaces: (tag, first factor, second factor)
+    pair: tuple | None = None
 
     def __init__(self, field, dims, labels=None, prefix="e"):
         self.field = field
@@ -106,9 +113,11 @@ class GradedVect:
 
 
 def unit_space(field) -> GradedVect:
-    """The ground field in degree 0, one object per field and job."""
-    return job_table(("unit", field),
-                     lambda: GradedVect(field, {0: 1}, {0: ("1",)}))
+    """The ground field in degree 0, one object per field and job: the
+    space the job's table holds for its structure."""
+    labels = {0: ("1",)}
+    return job_table(_leaf_key(field, labels), GradedVect, field, {0: 1},
+                     labels)
 
 
 def zero_space(field) -> GradedVect:
@@ -287,17 +296,50 @@ def relabel(dom: GradedVect, cod: GradedVect, image, sign=None) -> LinMap:
     return LinMap(dom, cod, 0, blocks)
 
 
-# --- tensor and hom spaces, built once per job -------------------------
+# --- tensor and hom spaces, built once per job and structure -----------
 
 
 def _pair_space(tag: str, v: GradedVect, w: GradedVect) -> GradedVect:
     """The space of (tag, a, b) labels: degree n stacks one block per pair
     (i, j) of degrees of v and w that lands in n (i + j for the tensor tag
     "t", j - i for the hom tag "h"), i ascending, then a's index, then b's;
-    ``offsets[i, j]`` is where the pair's block starts in n.  The job
-    table holds (v, w, space) under (tag, id(v), id(w)), so no id is
-    reused while the entry lives."""
-    return job_table((tag, id(v), id(w)), _build_pair_space, tag, v, w)[2]
+    ``offsets[i, j]`` is where the pair's block starts in n.  Within a job
+    the table holds it under (tag, code of v, code of w)."""
+    table = job_tables()
+    if table is None:
+        return _build_pair_space(tag, v, w)
+    key = (tag, _code(table, v), _code(table, w))
+    got = table.get(key)
+    if got is None:
+        got = table[key] = _build_pair_space(tag, v, w)
+        table[id(got)] = (id(got), got)
+    return got
+
+
+def _code(table: dict, v: GradedVect) -> int:
+    """v's code in the job's table: the id of the first space of v's
+    structure that the job met, which the table holds, so equal spaces
+    share a code and no id is reused while the job runs.  The table keeps
+    (code, v) under the int id(v) (its other keys are tuples), so each
+    object is keyed once per job: a pair space by its tag and its
+    factors' codes, any other by its field and labels."""
+    got = table.get(id(v))
+    if got is not None:
+        return got[0]
+    if v.pair is None:
+        key = _leaf_key(v.field, v.labels)
+    else:
+        tag, a, b = v.pair
+        key = (tag, _code(table, a), _code(table, b))
+    code = id(table.setdefault(key, v))
+    table[id(v)] = (code, v)
+    return code
+
+
+def _leaf_key(field, labels: dict) -> tuple:
+    """The table key of a space that is not a pair space: its field and
+    its labels per degree, degrees ascending."""
+    return field, tuple((k, labels[k]) for k in sorted(labels))
 
 
 def _build_pair_space(tag: str, v: GradedVect, w: GradedVect):
@@ -315,7 +357,8 @@ def _build_pair_space(tag: str, v: GradedVect, w: GradedVect):
         v.field, {n: len(labs) for n, labs in labels.items()}, labels
     )
     space.offsets = offsets
-    return v, w, space
+    space.pair = (tag, v, w)
+    return space
 
 
 def tensor(v: GradedVect, w: GradedVect) -> GradedVect:

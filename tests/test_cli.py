@@ -457,6 +457,44 @@ def test_rejected_declaration_exits_2_without_asserts(tmp_path):
             case, proc.stderr)
 
 
+def test_adjoint_on_an_invalid_comodule_is_an_error_without_asserts(
+        tmp_path):
+    """Under -O an assert checks nothing: the adjoint job still refuses a
+    comodule and contramodule over a coalgebra whose comultiplication and
+    counit are zero, through the raised check of the functor images."""
+    import subprocess
+    import sys
+
+    zero = {"0": [[0, 0]] * 4}
+    doc = {"declarations": [
+        {"kind": "graded_space", "name": "CS", "field": "F2",
+         "dims": {"0": 2}, "prefix": "c"},
+        {"kind": "coalgebra", "name": "C", "space": "CS",
+         "delta_blocks": zero, "eps_blocks": {"0": [[0, 0]]}},
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"},
+        {"kind": "cofree_comodule", "name": "TV", "coalgebra": "C",
+         "on": "V"},
+        {"kind": "free_contramodule", "name": "FV", "coalgebra": "C",
+         "on": "V"},
+    ], "jobs": [{"id": "adj", "command": "adjoint",
+                 "args": {"contramodule": "FV", "comodule": "TV"}}]}
+    path, out = tmp_path / "manifest.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cocontra.cli", "run", str(path),
+         "--out", str(out)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert out.exists(), proc.stderr
+    (entry,) = json.loads(out.read_text())["jobs"]
+    assert entry["status"] == "error", entry
+    assert entry["witnesses"][0]["error"] == "InvalidImage"
+    assert entry["witnesses"][0]["message"].startswith(
+        "L(p) is not a comodule")
+
+
 @pytest.mark.parametrize("carrier, message", [
     # a contra_table whose carrier names a finmap, not a finset
     ("f", "parse error at T: contra_table 'T' rejected: 'f' is a finmap "
@@ -1243,10 +1281,10 @@ def test_bridge_job_builds_the_dual_algebra_once(monkeypatch, tmp_path,
 
 def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     """An F2 adjoint over a 2-dimensional coalgebra, as in the lin-f2
-    workload: the job builds each tensor and hom space once, and
-    ``tensor_map`` and ``hom_map`` write their blocks without
-    ``from_images``.  The counts cover the whole command, declaration
-    parsing included."""
+    workload: the job builds each tensor and hom space once per
+    structure, and ``tensor_map`` and ``hom_map`` write their blocks
+    without ``from_images``.  The counts cover the whole command,
+    declaration parsing included."""
     from collections import Counter
 
     from cocontra.exactlin import graded
@@ -1267,9 +1305,9 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    # 141 tensor and hom spaces; the job builds one unit space, and the
-    # declarations, parsed outside the job, build four more
-    assert counts == {"spaces": 157, "from_images": 7}
+    # the job builds 51 spaces, 42 of them tensor and hom spaces, one per
+    # structure; parsing the declarations, outside any job, builds 41
+    assert counts == {"spaces": 92, "from_images": 7}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):
@@ -1316,6 +1354,43 @@ def test_space_table_lives_only_while_a_job_runs(monkeypatch):
         assert sizes[-1] > 2
         assert errors._job is None
     assert len(sizes) == 3
+
+
+def test_equal_factors_give_one_space_per_job():
+    """Within a job, ``tensor`` and ``hom_space`` of equal but distinct
+    factors return one object, and a pair space built before the job
+    serves for its structure; outside a job every call builds a fresh
+    space, and the job leaves nothing behind."""
+    from cocontra import errors
+    from cocontra.exactlin import (GF, GradedVect, hom_space, tensor,
+                                   unit_space)
+
+    def space():
+        return GradedVect(GF(2), {0: 1, 1: 2}, prefix="v")
+
+    v, w = space(), space()
+    assert v == w and v is not w
+    before = tensor(v, v)
+    assert tensor(v, v) is not tensor(w, w)
+    assert hom_space(v, v) is not hom_space(w, w)
+    with errors.job(10):
+        assert tensor(v, v) is tensor(w, w) is tensor(v, w)
+        assert hom_space(v, w) is hom_space(w, v)
+        assert hom_space(v, v) is not tensor(v, v)
+        assert tensor(tensor(w, w), v) is tensor(before, w)
+        assert unit_space(GF(2)) is unit_space(GF(2))
+        assert tensor(v, unit_space(GF(2))) is tensor(
+            w, GradedVect(GF(2), {0: 1}, {0: ("1",)}))
+        # a different field or other labels make another structure
+        v3 = GradedVect(GF(3), {0: 1, 1: 2}, prefix="v")
+        assert tensor(v3, v3) is not tensor(v, v)
+        assert tensor(v, v) is not tensor(
+            GradedVect(GF(2), {0: 1, 1: 2}, prefix="u"), v)
+        with errors.job(10):
+            inner = tensor(v, w)
+        assert inner is not tensor(v, w)
+    assert errors._job is None
+    assert tensor(v, v) is not tensor(v, v)
 
 
 def test_hom_oracle_job_releases_its_tables(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from cocontra import coalg
 from cocontra.coalg import instances as inst
-from cocontra.exactlin import GF, QQ, GradedVect, compose, sub_maps, unit_space
+from cocontra.exactlin import (GF, QQ, GradedVect, compose, scale_map, sub_maps,
+                              unit_space)
 
 
 F2 = GF(2)
@@ -213,3 +214,115 @@ def test_certificate_reports_the_triangle_identities(field):
         rep = coalg.adjunction_certificate(p, m)
         assert rep["triangles"] == coalg.triangle_identities(p, m)
         assert rep["triangles"]["ok"]
+
+
+# --- images of images: checked here, not at run time ------------------------
+
+JOB_CTX = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
+
+
+def _linear_env(c, m, p):
+    from cocontra import serialize
+
+    env = serialize.Environment()
+    env.add("C", "coalgebra", c)
+    env.add("M", "vcomodule", m)
+    env.add("P", "vcontramodule", p)
+    return env
+
+
+def _linear_jobs():
+    return [
+        ("adjoint", {"contramodule": "P", "comodule": "M"}),
+        ("lr", {"target": "M"}),
+        ("kleisli", {"coalgebra": "C", "dim": 2}),
+    ]
+
+
+def _random_instances(field, seed, count=3):
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = inst.random_coalgebra(field, rng, max_dim=2)
+        yield (c, inst.random_comodule(c, rng, max_dim=2),
+               inst.random_contramodule(c, rng, max_dim=2))
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=lambda f: f.name)
+def test_images_of_images_validate(monkeypatch, field):
+    """The adjoint, lr and kleisli jobs validate the images of their own
+    arguments only; every other image they build, L(R(m)), R(L(R(m))),
+    R(L(p)) and L(R(L(p))) among them, satisfies its axioms."""
+    from cocontra import cli
+    from cocontra.coalg import functors
+
+    built = []
+    for name, part in (("functor_L_data", "comodule"),
+                       ("functor_R_data", "contramodule")):
+        def recorded(obj, _build=getattr(functors, name), _part=part):
+            data = _build(obj)
+            built.append(getattr(data, _part))
+            return data
+        monkeypatch.setattr(functors, name, recorded)
+    for c, m, p in _random_instances(field, 10):
+        env = _linear_env(c, m, p)
+        for command, args in _linear_jobs():
+            built.clear()
+            entry = cli.run_job(env, {"command": command, "args": args},
+                                JOB_CTX)
+            assert entry["status"] == "pass", entry
+            # adjoint: L(p), R(m) and the four of the triangles; lr: R(m),
+            # L(R(m)), R(L(R(m))); kleisli: R of the cofree comodule
+            assert len(built) == {"adjoint": 6, "lr": 3, "kleisli": 1}[
+                command]
+            for image in built:
+                assert coalg.validate(image)["ok"], (command, image)
+
+
+def _corrupt_theta(rdata):
+    """R(m) with theta doubled (zero over F2): contraunitality breaks."""
+    p = rdata.contramodule
+    theta = scale_map(p.space.field.from_int(2), p.theta)
+    return coalg.RData(coalg.VContramodule(p.coalgebra, p.space, theta),
+                       rdata.hom)
+
+
+def _corrupt_quotient(ldata):
+    """L(p) whose quotient presentation projects and lifts by zero."""
+    from cocontra.exactlin import QuotPresentation, zero_map
+
+    q = ldata.quot
+    quot = QuotPresentation(q.ambient, q.space,
+                            zero_map(q.ambient, q.space),
+                            zero_map(q.space, q.ambient))
+    return coalg.LData(ldata.comodule, quot, ldata.pair)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=lambda f: f.name)
+@pytest.mark.parametrize("name, corrupt, commands", [
+    ("functor_R_data", _corrupt_theta, ("adjoint", "lr", "kleisli")),
+    # the Kleisli comparison builds no L
+    ("functor_L_data", _corrupt_quotient, ("adjoint", "lr")),
+], ids=["R-theta", "L-quotient"])
+def test_corrupted_functor_never_passes(monkeypatch, field, name, corrupt,
+                                        commands):
+    """With the intermediate images no longer validated, a functor that
+    builds a wrong image still ends every job that uses it as ``fail`` or
+    ``error``, never ``pass``."""
+    from cocontra import cli
+    from cocontra.coalg import functors
+
+    build = getattr(functors, name)
+    monkeypatch.setattr(functors, name, lambda obj: corrupt(build(obj)))
+    checked = 0
+    for c, m, p in _random_instances(field, 11, count=4):
+        if not (m.space.total_dim and p.space.total_dim):
+            continue
+        env = _linear_env(c, m, p)
+        for command, args in _linear_jobs():
+            if command not in commands:
+                continue
+            entry = cli.run_job(env, {"command": command, "args": args},
+                                JOB_CTX)
+            assert entry["status"] in ("fail", "error"), (command, entry)
+            checked += 1
+    assert checked >= 2 * len(commands)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -712,14 +713,27 @@ def test_generic_nu_mutant_fails(monkeypatch):
     assert {"kind": "lr-routes-disagree",
             "phi": {"x1": "c1", "x2": "c1", "x3": "c2", "x4": "c2"}
             } in rep["failures"]
-    # a nu that merges classes changes the generic carrier, and one that
-    # mixes base points breaks the quotient comodule: the certificate
-    # raises, as the label path does
+    # a nu that merges classes changes the generic carrier: the routes
+    # disagree and the sections-side triangle fails, reported, not
+    # raised; one that mixes base points breaks the quotient comodule,
+    # and the certificate raises, as the label path does
     monkeypatch.setattr(sco, "_nu", lambda sec: [0] * len(honest(sec)))
     with pytest.raises(AssertionError, match="must respect the base"):
         sco.equivalence_certificate(1, 2, 1, 1)
-    with pytest.raises(AssertionError, match="carriers must coincide"):
-        sco.equivalence_certificate(2, 1, 1, 1)
+    rep = _failing_kinds((2, 1, 1, 1), {"lr-routes-disagree", "triangle-R"})
+    assert {"kind": "lr-routes-disagree", "phi": {"x1": "c1", "x2": "c1"}
+            } in rep["failures"]
+
+    def split(sec):
+        # nu = eta: nothing is identified, so every class splits
+        count = len(sec.values)
+        return [b * sec.nc + a
+                for beta in itertools.product(range(count), repeat=sec.nc)
+                for a, b in enumerate(beta)]
+
+    monkeypatch.setattr(sco, "_nu", split)
+    _failing_kinds((3, 2, 2, 2),
+                   {"lr-routes-disagree", "triangle-R", "triangle-L"})
 
 
 def test_unit_mutant_fails(monkeypatch):
