@@ -59,6 +59,14 @@ class EmptyCarrier(CocontraError):
     """An operation that needs a base point got the empty carrier."""
 
 
+class InvalidConstruction(CocontraError):
+    """A set-side construction fails a property that holds on valid
+    input: a quotient class mixes base points, a map is not constant on
+    classes, or a decomposition's two maps are not mutually inverse.  Its
+    input is not a valid structure, or the step that built it is wrong.
+    """
+
+
 class BudgetExceeded(CocontraError):
     """An enumeration would exceed its budget.
 

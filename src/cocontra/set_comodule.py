@@ -161,29 +161,28 @@ def induce_along(f: FinMap, p: SetComodule) -> SetComodule:
 
 
 def unique_comonoid_certificate(c: FinSet) -> dict:
-    """Enumerate all candidate comultiplications on c and count the counital
-    ones; exactly the diagonal should survive.
+    """Count the counital comultiplications among all candidate maps
+    c -> c x c; exactly the diagonal should survive.
+
+    psi is counital exactly when both projections of each psi(x) are x, so
+    the counital maps are the odometer over the per-coordinate pools of
+    counital values, in the order of the odometer over all candidates; the
+    candidates are counted, not visited, and charged as before.
 
     Returns a report dict with candidate/valid counts and the witness.
     """
     charge((len(c) ** 2) ** len(c), "comultiplication enumeration")
     prod, proj1, proj2 = finset.product(c, c)
     diagonal = SetComonoid(c).diagonal()
-    # psi is counital exactly when both projections of each psi(x) are x,
-    # so a candidate is checked one coordinate at a time
     counital = [
-        frozenset(p for p in prod if proj1(p) == x and proj2(p) == x)
+        [p for p in prod.elements if proj1(p) == x and proj2(p) == x]
         for x in c
     ]
-    candidates = 0
-    valid = []
-    for values in finset.odometer([prod.elements] * len(c)):
-        candidates += 1
-        if all(map(frozenset.__contains__, counital, values)):
-            valid.append(FinMap(c, prod, dict(zip(c.elements, values))))
+    valid = [FinMap(c, prod, dict(zip(c.elements, values)))
+             for values in finset.odometer(counital)]
     report = {
         "base": list(c.elements),
-        "candidates": candidates,
+        "candidates": len(prod) ** len(c),
         "valid": len(valid),
         "valid_is_diagonal": len(valid) == 1 and valid[0] == diagonal,
     }

@@ -28,6 +28,7 @@ from .errors import (
     BaseMismatch,
     EmptyCarrier,
     EmptyFiber,
+    InvalidConstruction,
     charge,
     charge_power,
     job_table,
@@ -225,8 +226,10 @@ def decompose(t: ContraTable, u: str):
     Returns ``(family, pi, sigma)`` where family maps each base point to its
     fiber (a subset of the carrier), pi is the carrier-to-product map with
     the fiber projections as components, and sigma is the restriction of
-    theta to the product.  The two maps are checked to be mutually inverse;
-    pi being a contramodule map is exercised by the test-suite oracles.
+    theta to the product.  The two maps are checked to be mutually inverse
+    (:class:`InvalidConstruction` when they are not, as on a table that is
+    no contramodule); pi being a contramodule map is checked by the
+    ``decompose`` job and the test-suite oracles.
     """
     if t.is_empty():
         raise EmptyCarrier("the empty contramodule has no base point; "
@@ -255,8 +258,12 @@ def decompose(t: ContraTable, u: str):
         beta = FinMap(t.base, t.carrier, ch)
         sigma_table[finset.encode_table(t.base, ch)] = t.theta_value(beta)
     sigma = FinMap(prod.carrier, t.carrier, sigma_table)
-    assert finset.compose(sigma, pi) == finset.identity(t.carrier)
-    assert finset.compose(pi, sigma) == finset.identity(prod.carrier)
+    if finset.compose(sigma, pi) != finset.identity(t.carrier):
+        raise InvalidConstruction("sigma o pi is not the identity of the "
+                                  "carrier")
+    if finset.compose(pi, sigma) != finset.identity(prod.carrier):
+        raise InvalidConstruction("pi o sigma is not the identity of the "
+                                  "fiber product")
     return family, pi, sigma
 
 
@@ -350,31 +357,22 @@ def contra_hom_by_definition(s: ContraTable, t: ContraTable) -> list[FinMap]:
 
 def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
     """Every valid extensional theta table on the given carrier and base,
-    in canonical (odometer) order."""
+    in canonical (odometer) order.
+
+    Contraunitality fixes the constant functions; the other slots are
+    filled by a forward-checked depth-first search (Haralick and Elliott,
+    "Increasing tree search efficiency for constraint satisfaction
+    problems", 1980), values ascending at each depth, so the survivors
+    come out in the order of the odometer over those slots.  The charge is
+    that odometer's size, an upper bound on the tables the search visits.
+    """
     nx, nc = len(carrier), len(base)
     if nx == 0:
         return []
     nb = nx**nc
-    # contraunitality fixes the constant functions (nx slots, or the one
-    # slot over an empty base): the odometer runs over the other slots
-    # only, which keeps the order of the survivors, and is charged for
-    # those, before any slot list is built
+    # charged for the free slots (the one slot over an empty base is
+    # fixed), before any slot list is built
     charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
-    const_idx = [_beta_index((x,) * nc, nx) for x in range(nx)]
-    free = [i for i in range(nb) if i not in const_idx]
-    gather = [0] * nb
-    for k, i in enumerate(free):
-        gather[i] = k
-    for x, i in enumerate(const_idx):
-        gather[i] = len(free) + x
-    consts = tuple(range(nx))
-    plan = list(_row_diagonal_plan(nx, nc))
-    survivors = []
-    for values in iproduct(range(nx), repeat=len(free)):
-        theta_vals = tuple(map((values + consts).__getitem__, gather))
-        ok, _ = _check_row_diagonal(theta_vals, nx, plan)
-        if ok:
-            survivors.append(theta_vals)
     points = carrier.elements
     labels = finset.choice_labels(base, [points] * nc)
     ambient = FinSet(labels)
@@ -383,8 +381,75 @@ def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
             ambient, carrier,
             {label: points[v] for label, v in zip(labels, theta_vals)},
         ))
-        for theta_vals in survivors
+        for theta_vals in _theta_tables(nx, nc)
     ]
+
+
+def _theta_tables(nx: int, nc: int) -> list[tuple[int, ...]]:
+    """The valid theta tables on carrier positions, in odometer order of
+    the free (non-constant) slots.
+
+    A row-diagonal equation theta[beta(theta o gamma)] = theta[diag gamma]
+    is taken up at the depth where the last of its static slots (gamma's
+    rows and the diagonal) is assigned.  Its dynamic slot beta(theta o
+    gamma) is then either assigned, and the equation is checked, or
+    assigned later, and the equation forces that slot's value: a second,
+    different forced value prunes the branch, and the slot takes only its
+    forced value when its depth comes.  So every equation holds on every
+    table returned.
+    """
+    nb = nx**nc
+    theta = [None] * nb
+    # over an empty base every constant is the one slot: the last one wins
+    for x in range(nx):
+        theta[_beta_index((x,) * nc, nx)] = x
+    free = [i for i in range(nb) if theta[i] is None]
+    # the depth at which each slot is assigned: 0 for the constants, k + 1
+    # for the k-th free slot
+    depth = [0] * nb
+    for k, i in enumerate(free, 1):
+        depth[i] = k
+    ready = [[] for _ in range(len(free) + 1)]
+    for gamma, diagonal in _row_diagonal_plan(nx, nc):
+        ready[max([depth[diagonal], *map(depth.__getitem__, gamma)])].append(
+            (gamma, diagonal))
+    forced = [None] * nb
+    survivors = []
+
+    def consistent(k, newly):
+        """Check the equations taken up at depth k, forcing the dynamic
+        slots not yet assigned (each recorded in ``newly``); False on a
+        conflict."""
+        for gamma, diagonal in ready[k]:
+            want = theta[diagonal]
+            slot = _beta_index([theta[r] for r in gamma], nx)
+            got = theta[slot]
+            if got is None:
+                got = forced[slot]
+                if got is None:
+                    forced[slot] = want
+                    newly.append(slot)
+                    continue
+            if got != want:
+                return False
+        return True
+
+    def visit(k):
+        newly = []
+        if consistent(k, newly):
+            if k == len(free):
+                survivors.append(tuple(theta))
+            else:
+                slot, value = free[k], forced[free[k]]
+                for v in range(nx) if value is None else (value,):
+                    theta[slot] = v
+                    visit(k + 1)
+                theta[slot] = None
+        for slot in newly:
+            forced[slot] = None
+
+    visit(0)
+    return survivors
 
 
 def count_product_structures(carrier: FinSet, base: FinSet) -> int:
@@ -468,40 +533,6 @@ def restrict_contra(f: FinMap, t: ContraTable) -> ContraTable:
         new_fibers[z] = FinSet(
             finset.choice_labels(pre, [t.fibers[y] for y in pre]))
     return product_contra(chat, new_fibers)
-
-
-def restrict_regroup_iso(f: FinMap, t: ContraTable) -> FinMap:
-    """The canonical carrier bijection between a product contramodule and
-    its regrouped restriction."""
-    assert t.fibers is not None
-    r = restrict_contra(f, t)
-    table = {}
-    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
-        grouped = {}
-        for z in f.cod:
-            pre = FinSet([y for y in t.base if f(y) == z])
-            grouped[z] = finset.encode_table(pre, ch)
-        table[finset.encode_table(t.base, ch)] = finset.encode_table(
-            f.cod, grouped
-        )
-    return FinMap(t.carrier, r.carrier, table)
-
-
-def restrict_forms_agree(f: FinMap, t: ContraTable) -> bool:
-    """Elementwise agreement of the theta-composition and fiber-formula
-    forms of restriction, through the canonical regrouping."""
-    assert t.fibers is not None
-    ext = restrict_contra(f, to_extensional(t))
-    grouped = restrict_contra(f, t)
-    iso = restrict_regroup_iso(f, t)
-    for g in finset._all_maps(f.cod, ext.carrier):
-        lhs = iso(ext.theta_value(g))
-        g_iso = FinMap(
-            f.cod, grouped.carrier, {z: iso(g(z)) for z in f.cod}
-        )
-        if lhs != grouped.theta_value(g_iso):
-            return False
-    return True
 
 
 def induce_contra(f: FinMap, t: ContraTable) -> ContraTable:

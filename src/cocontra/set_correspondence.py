@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from typing import NamedTuple
 
 from . import finset
-from .errors import charge
+from .errors import InvalidConstruction, charge
 from .finset import FinMap, FinSet, QuotPresentation
 from .set_comodule import SetComodule, fibers
 from .set_contramodule import ContraTable, empty_contramodule, product_contra
@@ -199,8 +199,8 @@ def _generic(sec: _Sections) -> list[int]:
     for x, y in zip(eta, _nu(sec)):
         uf.union(x, y)
     roots = [uf.find(p) for p in range(count * nc)]
-    assert all(r % nc == p % nc for p, r in enumerate(roots)), (
-        "quotient classes must respect the base")
+    if any(r % nc != p % nc for p, r in enumerate(roots)):
+        raise InvalidConstruction("quotient classes must respect the base")
     return roots
 
 
@@ -219,8 +219,8 @@ def _counit(sec: _Sections, explicit: list) -> dict:
     for p, root in enumerate(explicit):
         s, a = divmod(p, sec.nc)
         x = sec.values[s][a]
-        assert eps.setdefault(root, x) == x, (
-            "counit must be constant on classes")
+        if eps.setdefault(root, x) != x:
+            raise InvalidConstruction("counit must be constant on classes")
     return eps
 
 
@@ -253,8 +253,8 @@ def _quotient_map(u: list, nc: int, src: list, dst: list) -> dict:
     for p, k in enumerate(src):
         y, a = divmod(p, nc)
         image = dst[u[y] * nc + a]
-        assert table.setdefault(k, image) == image, (
-            "map does not respect classes")
+        if table.setdefault(k, image) != image:
+            raise InvalidConstruction("map does not respect classes")
     return table
 
 

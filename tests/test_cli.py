@@ -495,6 +495,56 @@ def test_adjoint_on_an_invalid_comodule_is_an_error_without_asserts(
         "L(p) is not a comodule")
 
 
+def test_set_side_reports_are_the_same_under_python_O(tmp_path):
+    """The set-side checks raise rather than assert: a manifest of
+    enumerate, unique-comonoid, decompose and equivalence jobs writes the
+    same report bytes with and without -O, including the error entry of a
+    decompose on a table that is no contramodule."""
+    import subprocess
+    import sys
+
+    doc = {"declarations": [
+        {"kind": "finset", "name": "C", "elements": ["1", "2"]},
+        {"kind": "finset", "name": "X", "elements": ["a", "b"]},
+        {"kind": "contra_product", "name": "t", "base": "C",
+         "fibers": {"1": ["p", "q"], "2": ["r", "s"]}},
+        {"kind": "contra_table", "name": "bad", "carrier": "X", "base": "C",
+         "theta": {"{1:a,2:a}": "a", "{1:a,2:b}": "a",
+                   "{1:b,2:a}": "a", "{1:b,2:b}": "b"}},
+    ], "jobs": [
+        {"id": "enumerate", "command": "enumerate",
+         "args": {"carrier": 3, "base": 2}},
+        {"id": "unique", "command": "unique-comonoid", "args": {"size": 3}},
+        {"id": "decompose", "command": "decompose",
+         "args": {"target": "t", "basepoint": "{1:p,2:r}"}},
+        {"id": "decompose-bad", "command": "decompose",
+         "args": {"target": "bad", "basepoint": "a"}},
+        {"id": "equivalence", "command": "equivalence",
+         "args": {"max_carrier": 3, "max_base": 2, "max_fiber": 2}},
+    ]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    src = Path(cli.__file__).parents[1]
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cocontra.cli", "run",
+             str(path), "--oracle", "--out", str(out)],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        # one job ends as an error entry
+        assert proc.returncode == 2, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    entries = {j["id"]: j for j in json.loads(reports[0])["jobs"]}
+    assert {k: j["status"] for k, j in entries.items()} == {
+        "enumerate": "pass", "unique": "pass", "decompose": "pass",
+        "decompose-bad": "error", "equivalence": "pass"}
+    assert entries["decompose-bad"]["witnesses"][0]["error"] == (
+        "InvalidConstruction")
+
+
 @pytest.mark.parametrize("carrier, message", [
     # a contra_table whose carrier names a finmap, not a finset
     ("f", "parse error at T: contra_table 'T' rejected: 'f' is a finmap "
@@ -874,6 +924,20 @@ def test_contra_hom_oracle_is_charged(tmp_path):
 def test_unique_comonoid_size_five_exceeds_default_budget(tmp_path):
     job = {"id": "u", "command": "unique-comonoid", "args": {"size": 5}}
     assert budget_error(tmp_path, [], job, ()) == 25 ** 5
+
+
+def test_enumerate_four_over_two_exceeds_default_budget(tmp_path):
+    """The search visits far fewer tables than the odometer over the free
+    slots, but the charge is that odometer's size: 4^(4^2 - 4)."""
+    job = {"id": "e", "command": "enumerate",
+           "args": {"carrier": 4, "base": 2}}
+    code, report = run_cli(tmp_path, {"declarations": [], "jobs": [job]})
+    assert code == 2
+    (entry,) = report["jobs"]
+    assert entry["witnesses"] == [{"error": "budget-exceeded",
+                                   "projected": 16_777_216}]
+    assert entry["result"] == ("theta-table enumeration would enumerate "
+                               "16777216 items (budget 1000000)")
 
 
 def test_induction_adjunction_is_charged(tmp_path):

@@ -258,6 +258,7 @@ def _reference_comonoid_report(c):
 
 @pytest.mark.parametrize("labels", [
     [], ["c0"], ["c0", "c1"], ["c0", "c1", "c2"], ["z", "a1", "b"],
+    ["c0", "c1", "c2", "c3"],
 ])
 def test_unique_comonoid_matches_reference_loop(labels):
     c = FinSet(labels)

@@ -11,6 +11,7 @@ from cocontra.errors import (
     BudgetExceeded,
     EmptyCarrier,
     EmptyFiber,
+    InvalidConstruction,
     charge,
     charge_power,
     count_text,
@@ -113,6 +114,94 @@ def test_enumerate_counts():
         assert expected == sct.count_product_structures(x, C2)
 
 
+def _reference_enumerate(carrier: FinSet, base: FinSet):
+    """Generate-and-test reference for ``enumerate_all``: the odometer over
+    the slots that the constant functions leave free, every table checked
+    by the row-diagonal plan, the survivors in odometer order."""
+    nx, nc = len(carrier), len(base)
+    if nx == 0:
+        return []
+    nb = nx**nc
+    charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
+    const_idx = [sct._beta_index((x,) * nc, nx) for x in range(nx)]
+    free = [i for i in range(nb) if i not in const_idx]
+    gather = [0] * nb
+    for k, i in enumerate(free):
+        gather[i] = k
+    for x, i in enumerate(const_idx):
+        gather[i] = len(free) + x
+    consts = tuple(range(nx))
+    plan = list(sct._row_diagonal_plan(nx, nc))
+    survivors = []
+    for values in iproduct(range(nx), repeat=len(free)):
+        theta_vals = tuple(map((values + consts).__getitem__, gather))
+        ok, _ = sct._check_row_diagonal(theta_vals, nx, plan)
+        if ok:
+            survivors.append(theta_vals)
+    points = carrier.elements
+    labels = finset.choice_labels(base, [points] * nc)
+    ambient = FinSet(labels)
+    return [
+        sct.ContraTable(carrier, base, theta=FinMap(
+            ambient, carrier,
+            {label: points[v] for label, v in zip(labels, theta_vals)},
+        ))
+        for theta_vals in survivors
+    ]
+
+
+# every (carrier, base) up to 5 points each whose odometer over the free
+# slots, nx^(nx^nc - nx), has at most 10^5 tables
+REFERENCE_SIZES = [
+    (nx, nc) for nx in range(6) for nc in range(6)
+    if nx ** (nx**nc - nx if nc else 0) <= 10**5
+]
+
+
+@pytest.mark.parametrize("nx, nc", REFERENCE_SIZES)
+def test_enumerate_matches_generate_and_test(nx, nc):
+    """The forward-checked search returns the reference's survivors, in
+    its order."""
+    carrier = FinSet([f"x{i}" for i in range(nx)])
+    base = FinSet([f"c{i}" for i in range(nc)])
+    assert (sct.enumerate_all(carrier, base)
+            == _reference_enumerate(carrier, base))
+
+
+@pytest.mark.parametrize("nx, nc", [(2, 2), (3, 2), (2, 3)])
+def test_enumerate_matches_generate_and_test_on_part_of_the_plan(
+        monkeypatch, nx, nc):
+    """On the full plan most equations are implied by the ones whose
+    dynamic slot is already assigned when they are taken up, so a search
+    that skips the forced slots still finds the right tables.  On every
+    second or third equation of the plan that redundancy is gone: the
+    search must still return exactly the reference's survivors."""
+    carrier = FinSet([f"x{i}" for i in range(nx)])
+    base = FinSet([f"c{i}" for i in range(nc)])
+    full = sct._row_diagonal_plan
+    for step in (2, 3):
+        for start in range(step):
+            monkeypatch.setattr(
+                sct, "_row_diagonal_plan",
+                lambda nx, nc: list(full(nx, nc))[start::step])
+            assert (sct.enumerate_all(carrier, base)
+                    == _reference_enumerate(carrier, base)), (step, start)
+
+
+def test_enumerate_beyond_the_reference_matches_the_oracle():
+    """Carrier 4 over base 2 (4^12 free-slot tables) is past the
+    generate-and-test reference and carrier 2 over base 4 (2^14) slow in
+    it: their counts match the partition-family oracle."""
+    for nx, nc, expected in ((4, 2, 8), (2, 4, 4)):
+        carrier = FinSet([f"x{i}" for i in range(nx)])
+        base = FinSet([f"c{i}" for i in range(nc)])
+        with job(4**12):
+            tables = sct.enumerate_all(carrier, base)
+            assert len(tables) == expected
+            assert sct.count_product_structures(carrier, base) == expected
+        assert all(sct.validate(t)["ok"] for t in tables)
+
+
 def test_enumerate_two_gives_the_two_projections():
     x = FinSet(["a", "b"])
     tables = sct.enumerate_all(x, C2)
@@ -170,6 +259,21 @@ def test_decompose_round_trips_product():
         # projection is a contramodule map onto the fiber product
         prod = sct.product_contra(t.base, family)
         assert sct.is_contramodule_map(pi, t, prod)
+
+
+def test_decompose_refuses_a_table_that_is_no_contramodule():
+    """A contraunital table that breaks the row-diagonal identity has fiber
+    maps that are not inverse to the carrier: decompose raises, by a check
+    that holds under python -O too."""
+    x = FinSet(["a", "b"])
+    ambient = finset.function_space(C2, x)
+    theta = FinMap(ambient, x, {
+        "{1:a,2:a}": "a", "{1:a,2:b}": "a",
+        "{1:b,2:a}": "a", "{1:b,2:b}": "b"})
+    t = sct.ContraTable(x, C2, theta=theta)
+    assert not sct.validate(t)["row_diagonal"]
+    with pytest.raises(InvalidConstruction, match="sigma o pi"):
+        sct.decompose(t, "a")
 
 
 def test_decompose_singleton_base():
@@ -293,11 +397,43 @@ def test_restrict_injective_nonsurjective_gives_singletons():
     assert len(r.fibers["2"]) == 1  # empty preimage gives a singleton
 
 
+def _restrict_regroup_iso(f: FinMap, t: sct.ContraTable) -> FinMap:
+    """The canonical carrier bijection between a product contramodule and
+    its regrouped restriction."""
+    r = sct.restrict_contra(f, t)
+    table = {}
+    for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
+        grouped = {}
+        for z in f.cod:
+            pre = FinSet([y for y in t.base if f(y) == z])
+            grouped[z] = finset.encode_table(pre, ch)
+        table[finset.encode_table(t.base, ch)] = finset.encode_table(
+            f.cod, grouped
+        )
+    return FinMap(t.carrier, r.carrier, table)
+
+
+def _restrict_forms_agree(f: FinMap, t: sct.ContraTable) -> bool:
+    """Elementwise agreement of the theta-composition and fiber-formula
+    forms of restriction, through the canonical regrouping."""
+    ext = sct.restrict_contra(f, sct.to_extensional(t))
+    grouped = sct.restrict_contra(f, t)
+    iso = _restrict_regroup_iso(f, t)
+    for g in finset._all_maps(f.cod, ext.carrier):
+        lhs = iso(ext.theta_value(g))
+        g_iso = FinMap(
+            f.cod, grouped.carrier, {z: iso(g(z)) for z in f.cod}
+        )
+        if lhs != grouped.theta_value(g_iso):
+            return False
+    return True
+
+
 def test_restrict_forms_agree_elementwise():
     t = two_by_two()
     for f in finset._all_maps(C2, FinSet(["x", "y"])):
-        assert sct.restrict_forms_agree(f, t)
-    assert sct.restrict_forms_agree(
+        assert _restrict_forms_agree(f, t)
+    assert _restrict_forms_agree(
         finset.constant(C2, finset.POINT, "*"), t
     )
 

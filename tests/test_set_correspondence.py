@@ -685,7 +685,8 @@ def test_section_push_mutant_fails(monkeypatch):
     # raises, as the label path does
     monkeypatch.setattr(sco, "_push", lambda f, m, n: [
         (s + 1) % len(n.values) for s in honest(f, m, n)])
-    with pytest.raises(AssertionError, match="does not respect classes"):
+    with pytest.raises(errors.InvalidConstruction,
+                       match="does not respect classes"):
         sco.equivalence_certificate(4, 2, 1, 4)
 
 
@@ -718,7 +719,8 @@ def test_generic_nu_mutant_fails(monkeypatch):
     # raised; one that mixes base points breaks the quotient comodule,
     # and the certificate raises, as the label path does
     monkeypatch.setattr(sco, "_nu", lambda sec: [0] * len(honest(sec)))
-    with pytest.raises(AssertionError, match="must respect the base"):
+    with pytest.raises(errors.InvalidConstruction,
+                       match="must respect the base"):
         sco.equivalence_certificate(1, 2, 1, 1)
     rep = _failing_kinds((2, 1, 1, 1), {"lr-routes-disagree", "triangle-R"})
     assert {"kind": "lr-routes-disagree", "phi": {"x1": "c1", "x2": "c1"}
@@ -734,6 +736,17 @@ def test_generic_nu_mutant_fails(monkeypatch):
     monkeypatch.setattr(sco, "_nu", split)
     _failing_kinds((3, 2, 2, 2),
                    {"lr-routes-disagree", "triangle-R", "triangle-L"})
+
+
+def test_explicit_mutant_breaks_the_counit(monkeypatch):
+    # an explicit quotient that merges every (s, a) over one base point
+    # leaves the counit no map on classes once a fiber has two points: the
+    # certificate raises, under python -O too
+    monkeypatch.setattr(sco, "_explicit", lambda sec: [
+        p % sec.nc for p in range(len(sec.values) * sec.nc)])
+    with pytest.raises(errors.InvalidConstruction,
+                       match="counit must be constant on classes"):
+        sco.equivalence_certificate(2, 1, 1, 1)
 
 
 def test_unit_mutant_fails(monkeypatch):
