@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import MismatchedSignature
 from ..exactlin import (
     GradedVect,
     LinMap,
@@ -243,20 +244,23 @@ def contramodule_to_comodule(p: VContramodule, alg: DualAlgebra) -> VComodule:
 
 
 def module_maps_degree_zero(m1: DualModule, m2: DualModule):
-    """Solve the equivariance system for maps between modules."""
-    from .homobjects import _degree_zero_kernel
+    """Solve the equivariance system for maps between modules: the legs
+    have the contramodule oracle's shape, the action in place of theta,
+    with the dual basis vector on the action's side of the tensor."""
+    from .homobjects import _action_legs, _degree_zero_kernel
 
     assert m1.side == m2.side
-    a = m1.algebra.space
+    if m1.algebra.space != m2.algebra.space:
+        raise MismatchedSignature("modules over different algebras")
+    others = [lab for _, _, lab in m1.algebra.space.basis()]
     if m1.side == "right":
-        def sides(f):
-            return (compose(f, m1.action),
-                    compose(m2.action, tensor_map(f, identity_map(a))))
+        def place(x, u):
+            return ("t", x, u)
     else:
-        def sides(f):
-            return (compose(f, m1.action),
-                    compose(m2.action, tensor_map(identity_map(a), f)))
-    return _degree_zero_kernel(m1.space, m2.space, sides)
+        def place(x, u):
+            return ("t", u, x)
+    return _degree_zero_kernel(m1.space, m2.space, _action_legs(
+        m1.action, m2.action, others, place))
 
 
 def sections_bridge_iso(m: VComodule):

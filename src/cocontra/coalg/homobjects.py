@@ -47,16 +47,6 @@ class HomObject:
             self.include.apply_label(label), self.src.space, self.dst.space
         )
 
-    def degree_zero_members(self):
-        return [
-            self.member_map(lab)
-            for k, _, lab in self.space.basis()
-            if k == 0
-        ]
-
-    def contains(self, f: LinMap) -> bool:
-        return self.coords_of(f) is not None
-
     def coords_of(self, f: LinMap):
         """Coordinates of a member map in the hom-object basis, as
         {label: nonzero}; None when the map is not a member."""
@@ -144,21 +134,50 @@ def contra_hom_object(p: VContramodule, q: VContramodule) -> HomObject:
     return HomObject("F", p, q, sub.ambient, sub.space, sub.include)
 
 
-def _degree_zero_kernel(src: GradedVect, dst: GradedVect, sides):
-    """The degree-zero maps src -> dst on which the two legs returned by
-    ``sides(f)`` agree: one sparse column of differences per matrix unit,
-    one row per hom label the legs reach, then a kernel (row order does
-    not change it).  Solved directly, not through ``equalizer_lin``, so it
-    can cross-check the hom objects.  Returns the units and the kernel
-    vectors over them, each an {index into units: nonzero} dict."""
+def _rows(f: LinMap) -> dict:
+    """A degree-zero map's rows as {codomain label: {domain label:
+    nonzero}}, read off its sparse blocks."""
+    rows = {}
+    for k, blk in f.blocks.items():
+        dlabs = f.dom.labels[k]
+        for clab, row in zip(f.cod.labels[k], blk.srows):
+            if row:
+                rows[clab] = {dlabs[j]: x for j, x in row.items()}
+    return rows
+
+
+def _columns(f: LinMap) -> dict:
+    """A degree-zero map's columns as {domain label: {codomain label:
+    nonzero}}, read off its sparse blocks."""
+    cols = {}
+    for k, blk in f.blocks.items():
+        dlabs = f.dom.labels[k]
+        for clab, row in zip(f.cod.labels[k], blk.srows):
+            for j, x in row.items():
+                cols.setdefault(dlabs[j], {})[clab] = x
+    return cols
+
+
+def _degree_zero_kernel(src: GradedVect, dst: GradedVect, legs):
+    """The degree-zero maps src -> dst on which two legs agree: one sparse
+    column of differences per matrix unit a -> b, one row per hom label
+    the legs reach, then a kernel (row order does not change it).
+
+    ``legs(a, b)`` returns the two legs at the unit a -> b, each a
+    {hom label: nonzero} dict read straight off the structure maps'
+    entries: the unit's column of a Kronecker product is a column of one
+    factor placed beside a basis vector of the other, so no map is built
+    per unit.  Solved without ``compose``, ``hom_map``, ``tensor_map``,
+    ``LinMap.from_images`` or ``equalizer_lin``, so it cross-checks the
+    hom objects independently of the path that builds them.  Returns the
+    units and the kernel vectors over them, each an {index into units:
+    nonzero} dict."""
     fld = src.field
-    one = fld.one()
     units = [lab for k, _, lab in hom_space(src, dst).basis() if k == 0]
     rows = {}
     for t, (_, a, b) in enumerate(units):
-        lhs, rhs = sides(LinMap.from_images(src, dst, 0, {a: {b: one}}))
-        col = linmap_to_vec(lhs)
-        for lab, y in linmap_to_vec(rhs).items():
+        col, rhs = legs(a, b)
+        for lab, y in rhs.items():
             col[lab] = fld.sub(col[lab], y) if lab in col else fld.neg(y)
         for lab, x in col.items():
             if x:
@@ -166,27 +185,54 @@ def _degree_zero_kernel(src: GradedVect, dst: GradedVect, sides):
     return units, Matrix.sparse(fld, rows.values(), len(units)).kernel_basis()
 
 
+def _action_legs(act1: LinMap, act2: LinMap, others, place):
+    """The legs of f act1 = act2 (f on one factor) for structure maps
+    act_i: D_i -> X_i whose domain labels are place(x, u), x a basis label
+    of X_i and u one of ``others``.  At the unit a -> b the left leg is row
+    a of act1, at ("h", y, b); the right leg is, for each u, the column
+    place(b, u) of act2, at ("h", place(a, u), z).  f has degree 0, so no
+    sign arises."""
+    rows1, cols2 = _rows(act1), _columns(act2)
+
+    def legs(a, b):
+        return ({("h", y, b): v for y, v in rows1.get(a, {}).items()},
+                {("h", place(a, u), z): v
+                 for u in others
+                 for z, v in cols2.get(place(b, u), {}).items()})
+
+    return legs
+
+
 def comodule_maps_direct(m: VComodule, n: VComodule):
-    """Brute-force oracle: solve the commuting-square system over the
-    degree-zero matrix units, independently of the equaliser machinery."""
+    """Brute-force oracle: solve the commuting-square system
+    rho_N f = (f (x) id_C) rho_M over the degree-zero matrix units.  At
+    the unit a -> b the left leg is column b of n.rho, at ("h", a, t); the
+    right leg is the rows ("t", a, c) of m.rho, at ("h", x, ("t", b, c)).
+    Each structure map is indexed once per call; no ``exactlin`` map
+    kernel is used."""
     require_same_coalgebra(m, n)
-    c = m.coalgebra.space
-    return _degree_zero_kernel(
-        m.space, n.space,
-        lambda f: (compose(n.rho, f),
-                   compose(tensor_map(f, identity_map(c)), m.rho)),
-    )
+    cl = [lab for _, _, lab in m.coalgebra.space.basis()]
+    rows_m, cols_n = _rows(m.rho), _columns(n.rho)
+
+    def legs(a, b):
+        return ({("h", a, t): v for t, v in cols_n.get(b, {}).items()},
+                {("h", x, ("t", b, c)): v
+                 for c in cl
+                 for x, v in rows_m.get(("t", a, c), {}).items()})
+
+    return _degree_zero_kernel(m.space, n.space, legs)
 
 
 def contra_maps_direct(p: VContramodule, q: VContramodule):
-    """Brute-force oracle for contramodule maps in degree zero."""
+    """Brute-force oracle for contramodule maps in degree zero:
+    f theta_P = theta_Q [C, f].  At the unit a -> b the left leg is row a
+    of p.theta, at ("h", y, b); the right leg is the columns ("h", c, b)
+    of q.theta, at ("h", ("h", c, a), z).  Each structure map is indexed
+    once per call; no ``exactlin`` map kernel is used."""
     require_same_coalgebra(p, q)
-    c = p.coalgebra.space
-    return _degree_zero_kernel(
-        p.space, q.space,
-        lambda f: (compose(f, p.theta),
-                   compose(q.theta, hom_map(identity_map(c), f))),
-    )
+    cl = [lab for _, _, lab in p.coalgebra.space.basis()]
+    return _degree_zero_kernel(p.space, q.space, _action_legs(
+        p.theta, q.theta, cl, lambda x, c: ("h", c, x)))
 
 
 def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:

@@ -22,7 +22,6 @@ from ..exactlin import (
     tensor,
     tensor_map,
     unit_space,
-    vec_to_linmap,
 )
 from .core import (
     Coalgebra,
@@ -34,7 +33,6 @@ from .core import (
     validate_comodule,
     validate_contramodule,
 )
-from .homobjects import comodule_maps_direct, contra_maps_direct
 
 
 def group_like_coalgebra(field, n: int, degrees=None) -> Coalgebra:
@@ -176,35 +174,3 @@ def random_contramodule(c: Coalgebra, rng: random.Random,
     )
     g = random_invertible(p.space, rng)
     return transport_contramodule(p, g)
-
-
-def _random_member(units, kernel, src: GradedVect, dst: GradedVect,
-                   rng: random.Random) -> LinMap:
-    """A random combination of kernel vectors over the matrix units, one
-    scalar drawn per vector, read back as a map src -> dst."""
-    fld = src.field
-    coeffs = {}
-    for vec in kernel:
-        cscale = (
-            rng.randrange(fld.p)
-            if hasattr(fld, "p")
-            else fld.from_int(rng.randint(-2, 2))
-        )
-        for t, coef in vec.items():
-            lab = units[t]
-            coeffs[lab] = fld.add(
-                coeffs.get(lab, fld.zero()), fld.mul(cscale, coef)
-            )
-    return vec_to_linmap(coeffs, src, dst)
-
-
-def random_comodule_map(m: VComodule, n: VComodule,
-                        rng: random.Random) -> LinMap:
-    """A random element of the degree-zero comodule hom space."""
-    return _random_member(*comodule_maps_direct(m, n), m.space, n.space, rng)
-
-
-def random_contramodule_map(p: VContramodule, q: VContramodule,
-                            rng: random.Random) -> LinMap:
-    """A random element of the degree-zero contramodule hom space."""
-    return _random_member(*contra_maps_direct(p, q), p.space, q.space, rng)

@@ -400,9 +400,13 @@ def _theta_tables(nx: int, nc: int) -> list[tuple[int, ...]]:
     """
     nb = nx**nc
     theta = [None] * nb
-    # over an empty base every constant is the one slot: the last one wins
     for x in range(nx):
-        theta[_beta_index((x,) * nc, nx)] = x
+        i = _beta_index((x,) * nc, nx)
+        if theta[i] is not None:
+            # over an empty base every constant is the one slot, which
+            # contraunitality cannot send to two points
+            return []
+        theta[i] = x
     free = [i for i in range(nb) if theta[i] is None]
     # the depth at which each slot is assigned: 0 for the constants, k + 1
     # for the k-th free slot
@@ -494,13 +498,12 @@ def _partitions(items):
 
 def _is_grid(partitions, n) -> bool:
     # every way of picking one class per partition must meet in exactly one
-    # element; the intersection map is then a bijection onto the carrier
+    # element; the intersection map is then a bijection onto the carrier.
+    # An empty family of classes meets in the whole carrier.
     hits = 0
     for classes in iproduct(*partitions):
-        inter = set(classes[0])
-        for cl in classes[1:]:
-            inter &= set(cl)
-        if len(inter) != 1:
+        size = len(set.intersection(*map(set, classes))) if classes else n
+        if size != 1:
             return False
         hits += 1
     return hits == n

@@ -1053,6 +1053,21 @@ def test_partition_family_oracle_is_charged(tmp_path):
                                    "projected": 115975}]
 
 
+@pytest.mark.parametrize("carrier, valid", [(0, 0), (1, 1), (3, 0)])
+def test_enumerate_over_the_empty_base(tmp_path, carrier, valid):
+    """Over the empty base there is one function, which contraunitality
+    sends to every point: only a one-point carrier has a theta table, and
+    the partition-family oracle, whose empty family of classes meets in
+    the whole carrier, agrees."""
+    out = tmp_path / "report.json"
+    argv = ["enumerate", "--carrier", str(carrier), "--base", "0",
+            "--oracle", "--out", str(out)]
+    assert cli.main(argv) == 0
+    entry = json.loads(out.read_text())["jobs"][0]
+    assert entry["status"] == "pass"
+    assert entry["result"] == {"valid": valid, "product_structures": valid}
+
+
 def test_job_budget_lives_only_while_a_job_runs(monkeypatch):
     """Every charge a job makes is checked against the job's own budget,
     and the default comes back when the job ends, whether it passes,

@@ -5,12 +5,43 @@ import pytest
 
 from cocontra import coalg
 from cocontra.coalg import instances as inst
-from cocontra.exactlin import (GF, QQ, GradedVect, compose, scale_map, sub_maps,
-                              unit_space)
+from cocontra.exactlin import (GF, QQ, GradedVect, compose, scale_map,
+                              sub_maps, unit_space, vec_to_linmap)
 
 
 F2 = GF(2)
 Q = QQ()
+
+
+def _random_member(units, kernel, src, dst, rng):
+    """A random combination of kernel vectors over the matrix units, one
+    scalar drawn per vector, read back as a map src -> dst."""
+    fld = src.field
+    coeffs = {}
+    for vec in kernel:
+        cscale = (
+            rng.randrange(fld.p)
+            if hasattr(fld, "p")
+            else fld.from_int(rng.randint(-2, 2))
+        )
+        for t, coef in vec.items():
+            lab = units[t]
+            coeffs[lab] = fld.add(
+                coeffs.get(lab, fld.zero()), fld.mul(cscale, coef)
+            )
+    return vec_to_linmap(coeffs, src, dst)
+
+
+def random_comodule_map(m, n, rng):
+    """A random element of the degree-zero comodule hom space."""
+    return _random_member(*coalg.comodule_maps_direct(m, n), m.space,
+                          n.space, rng)
+
+
+def random_contramodule_map(p, q, rng):
+    """A random element of the degree-zero contramodule hom space."""
+    return _random_member(*coalg.contra_maps_direct(p, q), p.space,
+                          q.space, rng)
 
 
 def test_sections_of_cofree_is_free_shaped():
@@ -93,8 +124,8 @@ def test_adjunction_certificate_with_naturality_squares():
     p2 = inst.random_contramodule(c, rng, max_dim=2)
     squares = []
     for _ in range(3):
-        u = inst.random_contramodule_map(p2, p, rng)
-        v = inst.random_comodule_map(m, m2, rng)
+        u = random_contramodule_map(p2, p, rng)
+        v = random_comodule_map(m, m2, rng)
         squares.append((u, p2, v, m2))
     rep = coalg.adjunction_certificate(p, m, squares=squares)
     assert rep["ok"], rep
@@ -157,7 +188,7 @@ def test_functor_images_are_natural_on_random_maps():
     c = inst.random_coalgebra(F2, rng, max_dim=2)
     m = inst.random_comodule(c, rng, max_dim=2)
     n = inst.random_comodule(c, rng, max_dim=2)
-    v = inst.random_comodule_map(m, n, rng)
+    v = random_comodule_map(m, n, rng)
     rm, rn = coalg.functor_R_data(m), coalg.functor_R_data(n)
     rv = coalg.R_mor(v, rm, rn)
     ldm = coalg.functor_L_data(rm.contramodule)

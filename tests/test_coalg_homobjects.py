@@ -1,8 +1,10 @@
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
-from cocontra import coalg
+from cocontra import cli, coalg, polycoalg, serialize
 from cocontra.coalg import instances as inst
 from cocontra.errors import CoalgebraMismatch, IncompatibleTriple
 from cocontra.exactlin import (
@@ -10,8 +12,16 @@ from cocontra.exactlin import (
     QQ,
     GradedVect,
     LinMap,
+    Matrix,
+    assoc,
     compose,
+    hom_map,
+    hom_space,
+    identity_map,
+    linmap_to_vec,
     sub_maps,
+    tensor,
+    tensor_map,
     vec_to_linmap,
     zero_space,
 )
@@ -132,8 +142,9 @@ def test_degree_zero_members_are_exactly_structure_maps():
     m = inst.random_comodule(c, rng, max_dim=2)
     n = inst.random_comodule(c, rng, max_dim=2)
     h = coalg.comodule_hom_object(m, n)
-    for f in h.degree_zero_members():
-        assert coalg.is_comodule_map(f, m, n)
+    for k, _, lab in h.space.basis():
+        if k == 0:
+            assert coalg.is_comodule_map(h.member_map(lab), m, n)
 
 
 def test_enriched_composition_closed_associative_unital():
@@ -151,7 +162,7 @@ def test_enriched_composition_closed_associative_unital():
             for _, _, lf in hxy.space.basis():
                 g = hyz.member_map(lg)
                 f = hxy.member_map(lf)
-                assert hxz.contains(compose(g, f))
+                assert hxz.coords_of(compose(g, f)) is not None
                 # the factored map computes the same composite
                 via = vec_to_linmap(
                     compose(hxz.include, comp).apply_label(("t", lg, lf)),
@@ -204,7 +215,6 @@ def test_hom_object_members_round_trip(field):
         for k, _, lab in hom.space.basis():
             f = hom.member_map(lab)
             assert hom.coords_of(f) == {lab: one}
-            assert hom.contains(f)
             seen["members"] += 1
             seen["graded"] += k != 0
         for k, _, (_, a, b) in hom.ambient.basis():
@@ -213,7 +223,6 @@ def test_hom_object_members_round_trip(field):
             unit = LinMap.from_images(src.space, dst.space, 0,
                                       {a: {b: one}})
             member = is_map(unit, src, dst)
-            assert hom.contains(unit) is member
             assert (hom.coords_of(unit) is None) is not member
             seen["rejected"] += not member
     assert all(seen.values()), seen
@@ -275,3 +284,243 @@ def test_rational_hom_objects_small():
     h = coalg.comodule_hom_object(m, n)
     units, kernel = coalg.comodule_maps_direct(m, n)
     assert coalg.same_degree_zero_subspace(h, units, kernel)
+
+
+# --- the degree-zero oracles against their compose-per-unit reference ------
+
+
+def _reference_degree_zero_kernel(src, dst, sides):
+    """The oracles' former body: one map per matrix unit, both legs
+    ``sides(f)`` built by the map kernels and flattened, then the same
+    kernel."""
+    fld = src.field
+    one = fld.one()
+    units = [lab for k, _, lab in hom_space(src, dst).basis() if k == 0]
+    rows = {}
+    for t, (_, a, b) in enumerate(units):
+        lhs, rhs = sides(LinMap.from_images(src, dst, 0, {a: {b: one}}))
+        col = linmap_to_vec(lhs)
+        for lab, y in linmap_to_vec(rhs).items():
+            col[lab] = fld.sub(col[lab], y) if lab in col else fld.neg(y)
+        for lab, x in col.items():
+            if x:
+                rows.setdefault(lab, {})[t] = x
+    return units, Matrix.sparse(fld, rows.values(), len(units)).kernel_basis()
+
+
+def _reference_comodule_maps(m, n):
+    c = m.coalgebra.space
+    return _reference_degree_zero_kernel(
+        m.space, n.space,
+        lambda f: (compose(n.rho, f),
+                   compose(tensor_map(f, identity_map(c)), m.rho)))
+
+
+def _reference_contra_maps(p, q):
+    c = p.coalgebra.space
+    return _reference_degree_zero_kernel(
+        p.space, q.space,
+        lambda f: (compose(f, p.theta),
+                   compose(q.theta, hom_map(identity_map(c), f))))
+
+
+def _reference_module_maps(m1, m2):
+    a = m1.algebra.space
+    if m1.side == "right":
+        def sides(f):
+            return (compose(f, m1.action),
+                    compose(m2.action, tensor_map(f, identity_map(a))))
+    else:
+        def sides(f):
+            return (compose(f, m1.action),
+                    compose(m2.action, tensor_map(identity_map(a), f)))
+    return _reference_degree_zero_kernel(m1.space, m2.space, sides)
+
+
+def _corrupted(f, rng):
+    """f with one entry changed to another value: a corrupted structure
+    map, still of degree zero between f's spaces."""
+    fld = f.dom.field
+    k = rng.choice(sorted(f.blocks))
+    rows = [dict(r) for r in f.blocks[k].srows]
+    i, j = rng.randrange(len(rows)), rng.randrange(f.dom.dim(k))
+    x = fld.add(rows[i].get(j, 0), fld.from_int(rng.choice((1, -1))))
+    rows[i].pop(j, None)
+    if x:
+        rows[i][j] = x
+    return LinMap(f.dom, f.cod, 0, {
+        **f.blocks, k: Matrix.sparse(fld, rows, f.dom.dim(k))})
+
+
+def _oracle_cases(field, rng):
+    """(oracle, reference, source, target) for the three degree-zero
+    oracles over a conjugated group-like coalgebra and two binomial
+    coalgebras with z in degrees 1 and -1, on spaces over degrees -1, 0
+    and 1: right and left comodules, contramodules, right and left
+    modules, each pair valid and once more with one entry of each
+    structure map corrupted."""
+    x = GradedVect(field, {-1: 1, 0: 1, 1: 1}, prefix="x")
+    y = GradedVect(field, {0: 1, 1: 1}, prefix="y")
+    coalgebras = [inst.random_coalgebra(field, rng, max_dim=2),
+                  polycoalg.build(2, 1, field).underlying,
+                  polycoalg.build(1, -1, field).underlying]
+    for c in coalgebras:
+        cs = c.space
+        alg = coalg.dual_algebra(c)
+        # the cofree left comodule C (x) X, coacting on the left factor
+        left = coalg.left_comodule_from_coaction(
+            c, tensor(cs, x),
+            compose(assoc(cs, cs, x), tensor_map(c.delta, identity_map(x))))
+        comodules = [
+            (coalg.cofree(x, c), coalg.cofree(y, c)),
+            (coalg.coalgebra_as_comodule(c), coalg.cofree(y, c)),
+            (left, coalg.coalgebra_as_left_comodule(c)),
+        ]
+        contramodules = [(coalg.free(x, c), coalg.free(y, c)),
+                         (coalg.free(y, c), coalg.free(x, c))]
+        modules = [
+            *((coalg.comodule_to_module(m, alg),
+               coalg.comodule_to_module(n, alg)) for m, n in comodules[:2]),
+            *((coalg.contramodule_to_module(p, alg),
+               coalg.contramodule_to_module(q, alg))
+              for p, q in contramodules),
+        ]
+        for oracle, reference, structure, pairs in (
+                (coalg.comodule_maps_direct, _reference_comodule_maps, "rho",
+                 comodules),
+                (coalg.contra_maps_direct, _reference_contra_maps, "theta",
+                 contramodules),
+                (coalg.module_maps_degree_zero, _reference_module_maps,
+                 "action", modules)):
+            for src, dst in pairs:
+                yield oracle, reference, src, dst
+                yield oracle, reference, *(
+                    replace(obj, **{structure: _corrupted(
+                        getattr(obj, structure), rng)})
+                    for obj in (src, dst))
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=["F2", "F3", "Q"])
+def test_oracles_match_the_compose_per_unit_reference(field):
+    """Each oracle reads its legs off the structure maps; it returns the
+    reference's units and kernel on valid and corrupted inputs alike,
+    because it must build the same system for any input."""
+    seen = set()
+    for oracle, reference, src, dst in _oracle_cases(
+            field, random.Random(f"oracle-{field.name}")):
+        units, kernel = oracle(src, dst)
+        assert (units, kernel) == reference(src, dst)
+        side = getattr(src, "side", "contramodule")
+        odd = any(k % 2 for k in src.space.degrees())
+        seen.add((oracle.__name__, side, odd, 0 < len(kernel) < len(units)))
+    assert {(name, side) for name, side, _, _ in seen} == {
+        ("comodule_maps_direct", "right"), ("comodule_maps_direct", "left"),
+        ("contra_maps_direct", "contramodule"),
+        ("module_maps_degree_zero", "right"),
+        ("module_maps_degree_zero", "left")}
+    assert all(any(o and k for n, _, o, k in seen if n == name)
+               for name, _, _, _ in seen)
+
+
+def _refuse_map_kernels(monkeypatch):
+    """Make ``compose``, ``hom_map``, ``tensor_map``, ``equalizer_lin``
+    and ``LinMap.from_images`` raise at every binding in the package."""
+    from cocontra.exactlin import graded
+
+    def refusal(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the oracle reached {name}")
+        return refuse
+
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "cocontra" or name.startswith("cocontra.")]
+    for name in ("compose", "hom_map", "tensor_map", "equalizer_lin"):
+        fn = getattr(graded, name)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, refusal(name))
+    monkeypatch.setattr(LinMap, "from_images",
+                        refusal("LinMap.from_images"))
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=["F2", "F3", "Q"])
+def test_oracles_are_independent_of_the_map_kernels(monkeypatch, field):
+    """The oracles cross-check hom objects built by the map kernels, so
+    they must not call them: with every binding of those kernels raising,
+    they still return the reference's answers, while the reference
+    itself is refused."""
+    cases = list(_oracle_cases(field, random.Random(f"guard-{field.name}")))
+    expected = [reference(src, dst) for _, reference, src, dst in cases]
+    _refuse_map_kernels(monkeypatch)
+    assert [oracle(src, dst) for oracle, _, src, dst in cases] == expected
+    _, reference, src, dst = cases[0]
+    with pytest.raises(AssertionError, match="the oracle reached"):
+        reference(src, dst)
+
+
+# --- the hom oracle refuses a perturbed hom object --------------------------
+
+
+def _perturbed(hobj, how):
+    """hobj with its degree-zero inclusion perturbed: "drop" its last
+    column, "add" the first matrix unit outside its span, or "swap" the
+    last column for that unit (same dimension, different span)."""
+    fld = hobj.ambient.field
+    blk = hobj.include.block(0)
+    height = blk.nrows
+    cols = [{} for _ in range(blk.ncols)]
+    for i, row in enumerate(blk.srows):
+        for j, x in row.items():
+            cols[j][i] = x
+    outside = next(
+        {i: fld.one()} for i in range(height)
+        if blk.solve_matrix(Matrix.from_columns(fld, [{i: fld.one()}],
+                                                height)) is None)
+    cols = {"drop": cols[:-1], "add": [*cols, outside],
+            "swap": [*cols[:-1], outside]}[how]
+    space = GradedVect(fld, {**hobj.space.dims, 0: len(cols)}, {
+        **hobj.space.labels, 0: tuple(("hx", 0, i) for i in range(len(cols)))})
+    include = LinMap(space, hobj.ambient, 0, {
+        **hobj.include.blocks, 0: Matrix.from_columns(fld, cols, height)})
+    return coalg.HomObject(hobj.kind, hobj.src, hobj.dst, hobj.ambient,
+                           space, include)
+
+
+HOM_DECLS = [
+    {"kind": "group_like_coalgebra", "name": "G", "field": "F2", "size": 2},
+    {"kind": "graded_space", "name": "V", "field": "F2", "dims": {"0": 2}},
+    {"kind": "cofree_comodule", "name": "TV", "coalgebra": "G", "on": "V"},
+    {"kind": "free_contramodule", "name": "FV", "coalgebra": "G",
+     "on": "V"},
+]
+
+
+@pytest.mark.parametrize("how", ["drop", "add", "swap"])
+@pytest.mark.parametrize("name, hom_object, oracle", [
+    ("TV", "comodule_hom_object", coalg.comodule_maps_direct),
+    ("FV", "contra_hom_object", coalg.contra_maps_direct),
+])
+def test_hom_oracle_refuses_a_perturbed_hom_object(monkeypatch, name,
+                                                   hom_object, oracle, how):
+    """A hom object whose degree-zero inclusion lost a member, gained a
+    non-member or traded one for the other is not the solved subspace:
+    ``same_degree_zero_subspace`` says so and the ``hom --oracle`` job
+    ends as ``fail``, where the honest object passes."""
+    env = serialize.parse_bundle({"declarations": HOM_DECLS})
+    ctx = {"budget": 10 ** 6, "oracle": True, "seed": 1, "timing": False}
+    job = {"command": "hom", "args": {"source": name, "target": name}}
+    obj = env.get(name, ("cofree_comodule", "free_contramodule"))
+    honest = getattr(coalg, hom_object)
+    hobj = honest(obj, obj)
+    units, kernel = oracle(obj, obj)
+    assert 0 < hobj.space.dim(0) < len(units)
+    assert coalg.same_degree_zero_subspace(hobj, units, kernel)
+    assert cli.run_job(env, job, ctx)["status"] == "pass"
+    mutant = _perturbed(hobj, how)
+    assert not coalg.same_degree_zero_subspace(mutant, units, kernel)
+    monkeypatch.setattr(coalg, hom_object,
+                        lambda a, b: _perturbed(honest(a, b), how))
+    entry = cli.run_job(env, job, ctx)
+    assert entry["status"] == "fail"
+    assert entry["witnesses"] == [{"dims": {"0": mutant.space.dim(0)}}]

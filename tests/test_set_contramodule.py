@@ -117,7 +117,8 @@ def test_enumerate_counts():
 def _reference_enumerate(carrier: FinSet, base: FinSet):
     """Generate-and-test reference for ``enumerate_all``: the odometer over
     the slots that the constant functions leave free, every table checked
-    by the row-diagonal plan, the survivors in odometer order."""
+    for contraunitality (over an empty base the constants share one slot)
+    and by the row-diagonal plan, the survivors in odometer order."""
     nx, nc = len(carrier), len(base)
     if nx == 0:
         return []
@@ -135,8 +136,9 @@ def _reference_enumerate(carrier: FinSet, base: FinSet):
     survivors = []
     for values in iproduct(range(nx), repeat=len(free)):
         theta_vals = tuple(map((values + consts).__getitem__, gather))
+        unital, _ = sct._check_contraunit(theta_vals, nx, nc)
         ok, _ = sct._check_row_diagonal(theta_vals, nx, plan)
-        if ok:
+        if unital and ok:
             survivors.append(theta_vals)
     points = carrier.elements
     labels = finset.choice_labels(base, [points] * nc)
@@ -220,9 +222,10 @@ def test_enumerate_budget():
     assert exc.value.projected == 3 ** 6
     with job(1000):
         assert len(sct.enumerate_all(x, C2)) == 2
-    # over an empty base the odometer visits one table
+    # over an empty base the odometer has one table, charged 1, and
+    # contraunitality refuses it on three points
     with job(1):
-        assert len(sct.enumerate_all(x, FinSet([]))) == 1
+        assert sct.enumerate_all(x, FinSet([])) == []
 
 
 def test_budget_counts_too_long_to_print():
