@@ -178,10 +178,8 @@ def comodule_to_module(m: VComodule, alg: DualAlgebra) -> DualModule:
 
 def dual_tensor_into_hom(c: Coalgebra, x: GradedVect) -> LinMap:
     """C* (x) X -> [C, X]; an isomorphism at finite dimension."""
-    out = relabel(tensor(dual(c.space), x), hom_space(c.space, x),
-                  lambda t: ("h", t[1][1], t[2]))
-    assert out.is_iso()
-    return out
+    return relabel(tensor(dual(c.space), x), hom_space(c.space, x),
+                   lambda t: ("h", t[1][1], t[2]))
 
 
 def contramodule_to_module(p: VContramodule, alg: DualAlgebra) -> DualModule:
@@ -249,7 +247,8 @@ def module_maps_degree_zero(m1: DualModule, m2: DualModule):
     with the dual basis vector on the action's side of the tensor."""
     from .homobjects import _action_legs, _degree_zero_kernel
 
-    assert m1.side == m2.side
+    if m1.side != m2.side:
+        raise MismatchedSignature("modules acting on different sides")
     if m1.algebra.space != m2.algebra.space:
         raise MismatchedSignature("modules over different algebras")
     others = [lab for _, _, lab in m1.algebra.space.basis()]
@@ -269,8 +268,8 @@ def sections_bridge_iso(m: VComodule):
     space, read that as dual-tensor, and act.
 
     Returns (iso, sections_contramodule, bridged_contramodule); at finite
-    dimension the map is an isomorphism of contramodules, which callers
-    should assert."""
+    dimension the map is an isomorphism of contramodules; it is not
+    checked here."""
     from ..exactlin import braiding
     from .functors import valid_R_data
     from .instances import inverse_map

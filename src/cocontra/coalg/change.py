@@ -1,11 +1,19 @@
 """Cotensor and cohom bifunctors, restriction along a coalgebra morphism,
 the induced/co-induced structures, and the empirical cotensor-cohom
 comparison probe.
+
+Each construction here validates what it builds and raises
+:class:`InvalidImage`, under ``python -O`` too, when it fails, which shows
+that an argument or a coalgebra is not valid: the restricted comodule and
+contramodule, the induced comodule, the coinduced contramodule (whose
+structure map must also descend to the cohom), the hom contramodule
+[N, X], and the counit contraction m cotensor C -> m, which must be
+invertible.
 """
 
 from __future__ import annotations
 
-from ..errors import CocontraError, CoalgebraMismatch
+from ..errors import CocontraError, CoalgebraMismatch, InvalidImage
 from ..exactlin import (
     LinMap,
     QuotPresentation,
@@ -31,6 +39,7 @@ from .core import (
     left_coaction,
     left_comodule_from_coaction,
     require_same_coalgebra,
+    require_valid,
     validate_comodule,
     validate_contramodule,
 )
@@ -73,10 +82,11 @@ def counit_contraction_iso(m: VComodule) -> LinMap:
         tensor_map(identity_map(m.space), c.eps),
     )
     iso = compose(collapse, sub.include)
-    assert iso.is_iso(), "counit contraction must be invertible"
     # the coaction itself provides the inverse leg
     back = factor_through_include(sub.include, m.rho)
-    assert compose(iso, back) == identity_map(m.space)
+    if not iso.is_iso() or compose(iso, back) != identity_map(m.space):
+        raise InvalidImage("m cotensor C is not m, so m or its coalgebra "
+                           "is not valid")
     return iso
 
 
@@ -100,8 +110,8 @@ def restrict_comodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     _require_over(m, c, "domain")
     rho = compose(tensor_map(identity_map(m.space), f), m.rho)
     out = VComodule(chat, m.space, rho, side=m.side)
-    rep = validate_comodule(out)
-    assert rep["ok"], rep
+    require_valid(validate_comodule(out), "the restriction of m is not a "
+                  "comodule, so m or a coalgebra is not valid")
     return out
 
 
@@ -112,8 +122,8 @@ def restrict_contramodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     _require_over(p, c, "domain")
     theta = compose(p.theta, hom_map(f, identity_map(p.space)))
     out = VContramodule(chat, p.space, theta)
-    rep = validate_contramodule(out)
-    assert rep["ok"], rep
+    require_valid(validate_contramodule(out), "the restriction of p is not "
+                  "a contramodule, so p or a coalgebra is not valid")
     return out
 
 
@@ -137,8 +147,8 @@ def induce_comodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
         tensor_map(sub.include, identity_map(c.space)), w
     )
     out = VComodule(c, sub.space, rho)
-    rep = validate_comodule(out)
-    assert rep["ok"], rep
+    require_valid(validate_comodule(out), "the induced comodule is not a "
+                  "comodule, so m or a coalgebra is not valid")
     return out
 
 
@@ -163,13 +173,13 @@ def coinduce_contramodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     )
     # independence of the section: composing back with the projection must
     # recover the route on the nose
-    assert (
-        compose(lifted, hom_map(identity_map(c.space), quot.project))
-        == route
-    ), "structure map does not descend"
+    if compose(lifted, hom_map(identity_map(c.space), quot.project)) != route:
+        raise InvalidImage("the structure map of the coinduced "
+                           "contramodule does not descend, so p or a "
+                           "coalgebra is not valid")
     out = VContramodule(c, quot.space, lifted)
-    rep = validate_contramodule(out)
-    assert rep["ok"], rep
+    require_valid(validate_contramodule(out), "the coinduced contramodule "
+                  "is not a contramodule, so p or a coalgebra is not valid")
     return out
 
 
@@ -225,8 +235,8 @@ def hom_of_contramodule(n: VComodule, x) -> VContramodule:
         hom_tensor_iso_inv(c.space, n.space, x),
     )
     out = VContramodule(c, hom_space(n.space, x), theta)
-    rep = validate_contramodule(out)
-    assert rep["ok"], rep
+    require_valid(validate_contramodule(out), "[N, X] is not a "
+                  "contramodule, so n or its coalgebra is not valid")
     return out
 
 

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CoalgebraMismatch, InvalidImage, NotCoalgebraMorphism
+from ..errors import (
+    CoalgebraMismatch,
+    InvalidImage,
+    MismatchedSignature,
+    NotCoalgebraMorphism,
+)
 from ..exactlin import (
     GradedVect,
     LinMap,
@@ -38,11 +43,11 @@ class Coalgebra:
     eps: LinMap  # C -> unit
 
     def __post_init__(self):
-        assert self.delta.dom == self.space
-        assert self.delta.cod == tensor(self.space, self.space)
-        assert self.eps.dom == self.space
-        assert self.eps.cod == unit_space(self.space.field)
-        assert self.delta.degree == 0 and self.eps.degree == 0
+        s, d, e = self.space, self.delta, self.eps
+        if (d.dom != s or d.cod != tensor(s, s) or d.degree
+                or e.dom != s or e.cod != unit_space(s.field) or e.degree):
+            raise MismatchedSignature("a coalgebra needs degree-0 maps "
+                                      "C -> C (x) C and C -> unit")
 
     @property
     def field(self):
@@ -68,9 +73,11 @@ class VComodule:
     side: str = "right"
 
     def __post_init__(self):
-        assert self.rho.dom == self.space
-        assert self.rho.cod == tensor(self.space, self.coalgebra.space)
-        assert self.rho.degree == 0
+        rho = self.rho
+        if (rho.dom != self.space or rho.degree
+                or rho.cod != tensor(self.space, self.coalgebra.space)):
+            raise MismatchedSignature("a comodule needs a degree-0 map "
+                                      "X -> X (x) C")
 
 
 @dataclass(eq=False)
@@ -80,11 +87,11 @@ class VContramodule:
     theta: LinMap  # [C, X] -> X
 
     def __post_init__(self):
-        assert self.theta.dom == hom_space(
-            self.coalgebra.space, self.space
-        )
-        assert self.theta.cod == self.space
-        assert self.theta.degree == 0
+        theta = self.theta
+        if (theta.cod != self.space or theta.degree
+                or theta.dom != hom_space(self.coalgebra.space, self.space)):
+            raise MismatchedSignature("a contramodule needs a degree-0 map "
+                                      "[C, X] -> X")
 
 
 def _first_witness(diff: LinMap):
@@ -129,7 +136,6 @@ def left_comodule_from_coaction(
     c: Coalgebra, space: GradedVect, lam: LinMap
 ) -> VComodule:
     """Wrap a coaction X -> C (x) X as a left comodule."""
-    assert lam.dom == space and lam.cod == tensor(c.space, space)
     rho = compose(braiding(c.space, space), lam)
     return VComodule(c, space, rho, side="left")
 

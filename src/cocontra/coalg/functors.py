@@ -14,13 +14,17 @@ too, an input over an invalid coalgebra.  (Over a valid coalgebra R(m)
 is a sub-contramodule of the free [C, M] whatever m's coaction, so the
 check does not see an invalid m; ``check`` does.)  Images of images,
 such as L(R(m)) in the round trip, hold by construction and are not
-validated again.
+validated again.  Three maps onto a quotient are checked to descend
+wherever they are built, images of images included: L's coaction
+(``functor_L_data``), the counit's evaluation (``counit_map``) and L on a
+map (``_l_mor``); each raises :class:`InvalidImage` when it does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InvalidImage
 from ..exactlin import (
     LinMap,
     QuotPresentation,
@@ -133,9 +137,10 @@ def functor_L_data(p: VContramodule) -> LData:
         ),
     )
     # the candidate coaction must respect the identification
-    assert compose(w, delta_map) == compose(w, beta_map), (
-        "coaction does not descend to the quotient"
-    )
+    if compose(w, delta_map) != compose(w, beta_map):
+        raise InvalidImage("L(p) is not a comodule: the coaction does not "
+                           "descend to the quotient, so p or its "
+                           "coalgebra is not valid")
     rho = compose(w, quot.section)
     return LData(VComodule(c, quot.space, rho), quot, (delta_map, beta_map))
 
@@ -172,9 +177,9 @@ def counit_map(m: VComodule, rdata: RData, ldata: LData) -> LinMap:
         tensor_map(rdata.hom.include, identity_map(c.space)),
     )
     delta_map, beta_map = ldata.pair
-    assert compose(evaluate, delta_map) == compose(evaluate, beta_map), (
-        "evaluation does not descend to the quotient"
-    )
+    if compose(evaluate, delta_map) != compose(evaluate, beta_map):
+        raise InvalidImage("evaluation does not descend to L(R(m)), so m "
+                           "or its coalgebra is not valid")
     return compose(evaluate, ldata.quot.section)
 
 
@@ -214,9 +219,9 @@ def _l_mor(u: LinMap, p: VContramodule, lp: LData, lq: LData) -> LinMap:
     c = p.coalgebra
     w = compose(lq.quot.project, tensor_map(u, identity_map(c.space)))
     delta_map, beta_map = lp.pair
-    assert compose(w, delta_map) == compose(w, beta_map), (
-        "map does not respect the quotient identification"
-    )
+    if compose(w, delta_map) != compose(w, beta_map):
+        raise InvalidImage("L(u) does not descend to L(p), so u is not a "
+                           "contramodule map or p or q is not valid")
     return compose(w, lp.quot.section)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import IncompatibleTriple
+from ..errors import IncompatibleTriple, MismatchedSignature
 from ..exactlin import (
     GradedVect,
     LinMap,
@@ -239,7 +239,9 @@ def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:
     """Compare the hom object's degree-zero part against an independently
     solved subspace over the same matrix-unit basis."""
     amb_labels = [lab for k, _, lab in hobj.ambient.basis() if k == 0]
-    assert amb_labels == list(units)
+    if amb_labels != list(units):
+        raise MismatchedSignature("the units are not the degree-0 basis of "
+                                  "the hom object's ambient")
     if hobj.space.dim(0) != len(kernel):
         return False
     if not units:

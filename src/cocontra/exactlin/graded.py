@@ -145,9 +145,9 @@ class LinMap:
             got = blocks.get(k)
             if got is None:
                 got = Matrix.zeros(dom.field, m, n)
-            assert got.shape == (m, n), (
-                f"block {k}: expected {(m, n)}, got {got.shape}"
-            )
+            if got.shape != (m, n):
+                raise MismatchedSignature(
+                    f"block {k}: expected {(m, n)}, got {got.shape}")
             self.blocks[k] = got
 
     def block(self, k: int) -> Matrix:
@@ -197,10 +197,10 @@ class LinMap:
                     if not c:
                         continue
                     kk, i = cod.position(clab)
-                    assert kk == tgt, (
-                        f"image of {lab} has a nonzero entry in degree {kk}, "
-                        f"not {tgt}"
-                    )
+                    if kk != tgt:
+                        raise MismatchedSignature(
+                            f"image of {lab} has a nonzero entry in degree "
+                            f"{kk}, not {tgt}")
                     rows[i][j] = c
             blocks[k] = Matrix.sparse(fld, rows, dom.dim(k))
         return cls(dom, cod, degree, blocks)
@@ -257,7 +257,8 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
 
 
 def sub_maps(f: LinMap, g: LinMap) -> LinMap:
-    assert f.dom == g.dom and f.cod == g.cod and f.degree == g.degree
+    if f.dom != g.dom or f.cod != g.cod or f.degree != g.degree:
+        raise MismatchedSignature("sub_maps needs a parallel pair")
     return LinMap(
         f.dom,
         f.cod,
@@ -290,7 +291,9 @@ def relabel(dom: GradedVect, cod: GradedVect, image, sign=None) -> LinMap:
             if b is None:
                 continue
             kk, i = pos(b)
-            assert kk == k, f"image of {a} lies in degree {kk}, not {k}"
+            if kk != k:
+                raise MismatchedSignature(
+                    f"image of {a} lies in degree {kk}, not {k}")
             rows[i][j] = sign(a) if sign else one
         blocks[k] = Matrix.sparse(fld, rows, dom.dim(k))
     return LinMap(dom, cod, 0, blocks)
@@ -343,7 +346,8 @@ def _leaf_key(field, labels: dict) -> tuple:
 
 
 def _build_pair_space(tag: str, v: GradedVect, w: GradedVect):
-    assert v.field == w.field
+    if v.field != w.field:
+        raise MismatchedSignature("spaces over different fields")
     sign = 1 if tag == "t" else -1
     labels = {}
     offsets = {}
@@ -472,7 +476,8 @@ def vec_to_linmap(h: dict, v: GradedVect, w: GradedVect) -> LinMap:
         if c:
             degrees.add(w.degree_of(b) - v.degree_of(a))
             images.setdefault(a, {})[b] = c
-    assert len(degrees) <= 1, "hom element must be homogeneous"
+    if len(degrees) > 1:
+        raise ValueError("hom element must be homogeneous")
     return LinMap.from_images(v, w, degrees.pop() if degrees else 0, images)
 
 
@@ -494,7 +499,8 @@ def hom_map(f: LinMap, g: LinMap) -> LinMap:
     the block of a pair (k, m) of degrees of B and X is the Kronecker
     product of f's block k transposed and g's block m, written at the
     pair's offsets in [B,X] and [A,Y]."""
-    assert f.degree == 0 and g.degree == 0, "hom_map wants degree-0 maps"
+    if f.degree or g.degree:
+        raise MismatchedSignature("hom_map wants degree-0 maps")
     dom = hom_space(f.cod, g.dom)
     cod = hom_space(f.dom, g.cod)
     fld = dom.field
@@ -523,7 +529,8 @@ def ev_map(v: GradedVect, w: GradedVect) -> LinMap:
 
 def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """U (x) V -> W into U -> [V,W] (the degree rides along)."""
-    assert f.dom == tensor(u, v) and f.cod == w
+    if f.dom != tensor(u, v) or f.cod != w:
+        raise MismatchedSignature("curry wants a map U (x) V -> W")
     cod = hom_space(v, w)
     images = {
         a: {
@@ -538,7 +545,8 @@ def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
 
 def uncurry(g: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """U -> [V,W] into U (x) V -> W."""
-    assert g.dom == u and g.cod == hom_space(v, w)
+    if g.dom != u or g.cod != hom_space(v, w):
+        raise MismatchedSignature("uncurry wants a map U -> [V,W]")
     dom = tensor(u, v)
     images = {}
     for _, _, a in u.basis():
@@ -569,7 +577,8 @@ def dual(v: GradedVect) -> GradedVect:
 
 def dual_map(f: LinMap) -> LinMap:
     """Transpose of a degree-zero map."""
-    assert f.degree == 0
+    if f.degree:
+        raise MismatchedSignature("dual_map wants a degree-0 map")
     dom = dual(f.cod)
     cod = dual(f.dom)
     images = {}
@@ -659,22 +668,23 @@ def coequalizer_lin(f: LinMap, g: LinMap, prefix: str = "q") -> QuotPresentation
             rows[r] = {t: fld.one()}
         e_cols = Matrix.sparse(fld, rows, len(chosen))
         sect_blocks[m] = e_cols
-        # solve [A | E_S] X = I and keep the E_S part: the coefficients of
-        # the chosen representatives are unique by the greedy construction
+        # solve [A | E_S] X = I, which has a solution as E_S completes A's
+        # columns to a spanning set, and keep the E_S part: the coefficients
+        # of the chosen representatives are unique by the greedy construction
         aug = a.hstack(e_cols)
         sol = aug.solve_matrix(Matrix.identity(fld, cod_dim))
-        assert sol is not None, "complement must span the cokernel"
         proj_blocks[m] = Matrix.sparse(fld, sol.srows[a.ncols:], cod_dim)
     space = GradedVect(fld, dims, labels)
     project = LinMap(f.cod, space, 0, proj_blocks)
     section = LinMap(space, f.cod, 0, sect_blocks)
-    assert compose(project, section) == identity_map(space)
     return QuotPresentation(f.cod, space, project, section)
 
 
 def factor_through_include(include: LinMap, f: LinMap) -> LinMap:
     """Solve include o g = f; raises when f does not land in the sub."""
-    assert include.cod == f.cod and include.degree == 0
+    if include.cod != f.cod or include.degree:
+        raise MismatchedSignature("factor_through_include wants a degree-0 "
+                                  "inclusion into f's codomain")
     blocks = {}
     for k in f.dom.degrees():
         target_deg = k + f.degree

@@ -11,7 +11,8 @@ an ``{index: nonzero}`` dict.  Entries are in their field's canonical
 form (see ``fields``); the constructor brings outside input into it, and
 every other operation keeps it.  Dense rows exist only at the edges: the
 constructor for outside input, and the ``rows`` view that reports are
-written from.
+written from.  The kernels take shapes as given: ``LinMap``, which holds
+every matrix the package multiplies, checks its blocks' shapes.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class Matrix:
         return not any(self.srows)
 
     def hstack(self, other) -> "Matrix":
-        assert self.nrows == other.nrows
         w = self.width
         return Matrix.sparse(self.field, (
             {**r1, **{j + w: x for j, x in r2.items()}}
@@ -231,9 +231,7 @@ class Matrix:
 
     def solve_matrix(self, targets: "Matrix"):
         """One solution X of self @ X = targets, or None."""
-        m, n = self.nrows, self.ncols
-        k = targets.ncols
-        assert targets.nrows == m
+        n, k = self.ncols, targets.ncols
         if n == 0:
             if targets.is_zero():
                 return Matrix.zeros(self.field, 0, k)

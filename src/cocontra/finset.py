@@ -150,14 +150,17 @@ def _decode_table(dom: FinSet, pools: tuple[FinSet, ...],
     as a map into ``cod`` (the union of the pools by default), once per job.
 
     Decoding is by lookup, never by parsing, so arbitrary label vocabularies
-    are safe as long as the encoding stays injective (asserted below).
+    are safe as long as the encoding stays injective.  Declared labels can
+    break that (the values "x,b:y" and "z" at keys a and b write the label
+    of "x" and "y,b:z"), so a collision raises.
     """
     def build():
         into = FinSet(set().union(*pools)) if cod is None else cod
         out = {}
         for table in choices(dom.elements, pools):
             out[encode_table(dom.elements, table)] = FinMap(dom, into, table)
-        assert len(out) == prod(len(p) for p in pools), "label collision"
+        if len(out) != prod(len(p) for p in pools):
+            raise ValueError(f"labels of maps on {dom!r} collide")
         return out
 
     return job_table(("decode", dom, pools, cod), build)
@@ -205,14 +208,6 @@ class SubPresentation:
     members: FinSet
     include: FinMap
 
-    def __post_init__(self):
-        assert self.include.dom == self.members
-        assert self.include.cod == self.ambient
-        assert self.include.is_injective()
-        assert self.include.image() == self.members or set(
-            self.include.table.values()
-        ) == set(self.members.elements)
-
 
 @dataclass(eq=True)
 class QuotPresentation:
@@ -226,11 +221,6 @@ class QuotPresentation:
     classes: dict[str, tuple[str, ...]]
     project: FinMap
     reps: FinMap
-
-    def __post_init__(self):
-        assert self.project.is_surjective()
-        for k in self.project.cod:
-            assert self.project(self.reps(k)) == k
 
 
 def product(a: FinSet, b: FinSet):

@@ -36,7 +36,8 @@ def all_maps(a: FinSet, b: FinSet):
 def all_linmaps(v: GradedVect, w: GradedVect, degree: int = 0):
     """Every degree-homogeneous map exactly once over a prime field."""
     fld = v.field
-    assert hasattr(fld, "p"), "exhaustive map enumeration needs a prime field"
+    if not hasattr(fld, "p"):
+        raise ValueError("exhaustive map enumeration needs a prime field")
     cells = []
     for k in v.degrees():
         m, n = w.dim(k + degree), v.dim(k)

@@ -154,13 +154,31 @@ def _parse_declaration(decl: dict, env: Environment):
         raise ParseError(f"missing field {exc} in {name!r}", where=name)
     except ParseError:
         raise
-    except (ValueError, CocontraError) as exc:
+    except (ValueError, TypeError, AttributeError, CocontraError) as exc:
+        # a field of the wrong JSON type, met inside a builder
         raise ParseError(f"{kind} {name!r} rejected: {exc}", where=name)
     env.add(name, kind, obj)
 
 
+def _integer(value, what, least=None):
+    """``value``, an int (a bool is refused) of at least ``least`` when
+    that is given."""
+    if type(value) is not int or (least is not None and value < least):
+        kind = "an int" if least is None else f"an int of at least {least}"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _labels(raw, what) -> FinSet:
+    """A finset from a list of string labels; a string is refused, not
+    read as its characters."""
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        raise ValueError(f"{what} must be a list of strings, got {raw!r}")
+    return FinSet(raw)
+
+
 def _p_finset(decl, env):
-    return FinSet(decl["elements"])
+    return _labels(decl["elements"], "elements")
 
 
 def _p_finmap(decl, env):
@@ -178,7 +196,8 @@ def _p_set_comodule(decl, env):
 
 def _p_contra_product(decl, env):
     base = env.get(decl["base"], FINSET)
-    fibers = {a: FinSet(v) for a, v in decl["fibers"].items()}
+    fibers = {a: _labels(v, f"fiber {a}")
+              for a, v in decl["fibers"].items()}
     return product_contra(base, fibers)
 
 
@@ -199,7 +218,8 @@ def _p_contra_table(decl, env):
 
 def _p_graded_space(decl, env):
     field = field_from_name(decl["field"])
-    dims = {int(k): d for k, d in decl["dims"].items()}
+    dims = {int(k): _integer(d, f"dims {k}", 0)
+            for k, d in decl["dims"].items()}
     labels = None
     if "labels" in decl:
         labels = {int(k): tuple(v) for k, v in decl["labels"].items()}
@@ -227,13 +247,14 @@ def _p_coalgebra(decl, env):
 
 def _p_group_like(decl, env):
     field = field_from_name(decl["field"])
-    return group_like_coalgebra(field, decl["size"])
+    return group_like_coalgebra(field, _integer(decl["size"], "size", 0))
 
 
 def _p_poly_coalgebra(decl, env):
     # a declaration stands for its coalgebra, all that its consumers read
     field = field_from_name(decl["field"])
-    return polycoalg.build(decl["truncation"], decl.get("z_degree", 0),
+    return polycoalg.build(_integer(decl["truncation"], "truncation", 0),
+                           _integer(decl.get("z_degree", 0), "z_degree"),
                            field).underlying
 
 

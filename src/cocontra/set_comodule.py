@@ -57,7 +57,8 @@ def comodule_of(rho: FinMap, carrier: FinSet, base: FinSet) -> SetComodule:
     """Validate a raw coaction and extract its phi-form.
 
     The first component must be the identity (the counit axiom); the
-    coassociativity axiom then holds automatically and is asserted.
+    coassociativity axiom then holds automatically: both nested coactions
+    send x to (x, phi(x), phi(x)).
     """
     prod, proj1, proj2 = finset.product(carrier, base)
     if rho.dom != carrier or rho.cod != prod:
@@ -66,21 +67,7 @@ def comodule_of(rho: FinMap, carrier: FinSet, base: FinSet) -> SetComodule:
     if first != finset.identity(carrier):
         bad = next(x for x in carrier if first(x) != x)
         raise NotCounital(f"rho({bad}) does not fix {bad}")
-    phi = finset.compose(proj2, rho)
-    m = SetComodule(carrier, base, phi)
-    # coassociativity holds automatically once counitality does; assert the
-    # two nested coactions agree through the canonical re-association
-    for x in carrier:
-        left = finset.pair_label(finset.pair_label(x, phi(x)), phi(x))
-        right = finset.pair_label(x, finset.pair_label(phi(x), phi(x)))
-        assert _reassociate(left, x, phi(x)) == right
-    return m
-
-
-def _reassociate(label: str, x: str, a: str) -> str:
-    # ((x,a),b) -> (x,(a,b)) for the one triple we construct above
-    assert label == finset.pair_label(finset.pair_label(x, a), a)
-    return finset.pair_label(x, finset.pair_label(a, a))
+    return SetComodule(carrier, base, finset.compose(proj2, rho))
 
 
 def fibers(m: SetComodule) -> dict[str, FinSet]:

@@ -368,7 +368,9 @@ def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
     """
     nx, nc = len(carrier), len(base)
     if nx == 0:
-        return []
+        # over a non-empty base the empty table is the one contramodule;
+        # over the empty base there is none
+        return [empty_contramodule(base)] if nc else []
     nb = nx**nc
     # charged for the free slots (the one slot over an empty base is
     # fixed), before any slot list is built
@@ -573,7 +575,8 @@ def contra_components(
     A map between products acts independently in every slot; the component
     over ``a`` is read off by varying only that slot of a fixed choice.
     """
-    assert s.fibers is not None and t.fibers is not None
+    if s.fibers is None or t.fibers is None:
+        raise ValueError("slotwise components need product forms")
     decode_t = finset.choice_table(t.base, t.fibers)
     c0 = finset.choice_table(s.base, s.fibers)[s.carrier.elements[0]].table
     comps = {}

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from cocontra import cli, finset, serialize
-from cocontra.errors import (DEFAULT_BUDGET, BudgetExceeded, ParseError,
-                             charge)
+from cocontra.errors import (DEFAULT_BUDGET, BudgetExceeded, InvalidImage,
+                             ParseError, charge)
 
 
 BASE_DECLS = [
@@ -545,6 +545,201 @@ def test_set_side_reports_are_the_same_under_python_O(tmp_path):
         "InvalidConstruction")
 
 
+def _f2_coalgebra(name, delta, eps):
+    """A 2-dimensional F2 coalgebra declaration with its cofree comodule
+    and free contramodule on V and its identity morphism."""
+    return [
+        {"kind": "graded_space", "name": f"{name}S", "field": "F2",
+         "dims": {"0": 2}, "prefix": "c"},
+        {"kind": "coalgebra", "name": name, "space": f"{name}S",
+         "delta_blocks": {"0": delta}, "eps_blocks": {"0": eps}},
+        {"kind": "cofree_comodule", "name": f"T{name}", "coalgebra": name,
+         "on": "V"},
+        {"kind": "free_contramodule", "name": f"F{name}", "coalgebra": name,
+         "on": "V"},
+        {"kind": "coalgebra_morphism", "name": f"id{name}", "dom": name,
+         "cod": name, "blocks": {"0": [[1, 0], [0, 1]]}},
+    ]
+
+
+# neither is coassociative or counital; on DESCENT's free contramodule the
+# coaction of L does not descend to the quotient, yet the map it would
+# induce there passes the comodule axioms (a seeded search over random
+# 2-dimensional F2 tables found it)
+NONCOASSOCIATIVE = ([[0, 1], [0, 1], [0, 0], [0, 1]], [[0, 0]])
+DESCENT = ([[0, 0], [1, 0], [0, 0], [1, 1]], [[1, 1]])
+
+
+def test_only_the_descent_check_refuses_l_over_descent():
+    """The candidate coaction on the quotient of F(V) (x) C over DESCENT
+    is a comodule; only the check that it descends refuses L."""
+    from cocontra import coalg
+    from cocontra.exactlin import (assoc_inv, coequalizer_lin, compose,
+                                   ev_map, hom_space, identity_map,
+                                   tensor_map)
+
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"}, *_f2_coalgebra("D", *DESCENT)]})
+    p, c = env.objects["FD"], env.objects["D"]
+    with pytest.raises(InvalidImage, match="does not descend"):
+        coalg.functor_L(p)
+    # functor_L_data's construction, without its descent check
+    cs, x = c.space, p.space
+    delta_map = tensor_map(p.theta, identity_map(cs))
+    beta_map = compose(
+        tensor_map(ev_map(cs, x), identity_map(cs)),
+        compose(assoc_inv(hom_space(cs, x), cs, cs),
+                tensor_map(identity_map(hom_space(cs, x)), c.delta)))
+    quot = coequalizer_lin(delta_map, beta_map, prefix="l")
+    w = compose(tensor_map(quot.project, identity_map(cs)),
+                compose(assoc_inv(x, cs, cs),
+                        tensor_map(identity_map(x), c.delta)))
+    assert compose(w, delta_map) != compose(w, beta_map)
+    candidate = coalg.VComodule(c, quot.space, compose(w, quot.section))
+    assert coalg.validate_comodule(candidate)["ok"]
+
+
+def test_linear_reports_are_the_same_under_python_O(tmp_path):
+    """Every linear check raises rather than asserts: over coalgebras that
+    break the axioms, the l, adjoint, lr, kleisli, bridge, hom, restrict
+    and induce jobs write the same report bytes with and without -O, and
+    none ends in an AssertionError."""
+    import subprocess
+    import sys
+
+    along = {"along": "idN", "dom_coalgebra": "N", "cod_coalgebra": "N"}
+    doc = {"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"},
+        *_f2_coalgebra("N", *NONCOASSOCIATIVE),
+        *_f2_coalgebra("D", *DESCENT),
+    ], "jobs": [
+        {"id": "l", "command": "l", "args": {"target": "FN"}},
+        {"id": "l-descent", "command": "l", "args": {"target": "FD"}},
+        {"id": "adjoint", "command": "adjoint",
+         "args": {"contramodule": "FN", "comodule": "TN"}},
+        {"id": "lr", "command": "lr", "args": {"target": "TN"}},
+        {"id": "kleisli", "command": "kleisli",
+         "args": {"coalgebra": "N", "dim": 1}},
+        {"id": "bridge", "command": "bridge",
+         "args": {"coalgebra": "N", "comodule": "TN",
+                  "contramodule": "FN"}},
+        {"id": "hom", "command": "hom",
+         "args": {"source": "TN", "target": "TN"}},
+        {"id": "restrict-m", "command": "restrict",
+         "args": {**along, "target": "TN"}},
+        {"id": "restrict-p", "command": "restrict",
+         "args": {**along, "target": "FN"}},
+        {"id": "induce-m", "command": "induce",
+         "args": {**along, "target": "TN"}},
+        {"id": "induce-p", "command": "induce",
+         "args": {**along, "target": "FN"}},
+    ]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    src = Path(cli.__file__).parents[1]
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cocontra.cli", "run",
+             str(path), "--oracle", "--out", str(out)],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    entries = {j["id"]: j for j in json.loads(reports[0])["jobs"]}
+    failures = {k: j["witnesses"][0]["error"] for k, j in entries.items()
+                if j["status"] == "error"}
+    assert "AssertionError" not in failures.values()
+    assert failures == {
+        "l": "InvalidImage", "l-descent": "InvalidImage",
+        "adjoint": "InvalidImage", "lr": "ValueError",
+        "kleisli": "ValueError", "bridge": "InvalidImage",
+        "restrict-m": "InvalidImage", "restrict-p": "InvalidImage",
+        "induce-m": "InvalidImage", "induce-p": "InvalidImage"}
+    assert entries["hom"]["status"] == "pass"
+    assert "does not descend" in (
+        entries["l-descent"]["witnesses"][0]["message"])
+
+
+# declarations whose fields have the wrong type or sign, each refused with
+# the message that follows it
+WRONG_FIELDS = {
+    "finset-int": ({"kind": "finset", "elements": 5},
+                   "finset 'bad' rejected: elements must be a list of "
+                   "strings, got 5"),
+    "finset-string": ({"kind": "finset", "elements": "ab"},
+                      "finset 'bad' rejected: elements must be a list of "
+                      "strings, got 'ab'"),
+    "dims-string": ({"kind": "graded_space", "field": "F2",
+                     "dims": {"0": "2"}},
+                    "graded_space 'bad' rejected: dims 0 must be an int of "
+                    "at least 0, got '2'"),
+    "dims-negative": ({"kind": "graded_space", "field": "F2",
+                       "dims": {"0": -1}},
+                      "graded_space 'bad' rejected: dims 0 must be an int "
+                      "of at least 0, got -1"),
+    "dims-list": ({"kind": "graded_space", "field": "F2", "dims": [2]},
+                  "graded_space 'bad' rejected: 'list' object has no "
+                  "attribute 'items'"),
+    "size-string": ({"kind": "group_like_coalgebra", "field": "F2",
+                     "size": "2"},
+                    "group_like_coalgebra 'bad' rejected: size must be an "
+                    "int of at least 0, got '2'"),
+    "size-negative": ({"kind": "group_like_coalgebra", "field": "F2",
+                       "size": -1},
+                      "group_like_coalgebra 'bad' rejected: size must be "
+                      "an int of at least 0, got -1"),
+    "truncation-string": ({"kind": "poly_coalgebra", "field": "Q",
+                           "truncation": "2"},
+                          "poly_coalgebra 'bad' rejected: truncation must "
+                          "be an int of at least 0, got '2'"),
+    "truncation-negative": ({"kind": "poly_coalgebra", "field": "Q",
+                             "truncation": -1},
+                            "poly_coalgebra 'bad' rejected: truncation "
+                            "must be an int of at least 0, got -1"),
+    "truncation-bool": ({"kind": "poly_coalgebra", "field": "Q",
+                         "truncation": True},
+                        "poly_coalgebra 'bad' rejected: truncation must be "
+                        "an int of at least 0, got True"),
+    "z_degree-string": ({"kind": "poly_coalgebra", "field": "Q",
+                         "truncation": 2, "z_degree": "1"},
+                        "poly_coalgebra 'bad' rejected: z_degree must be "
+                        "an int, got '1'"),
+    "degree-string": ({"kind": "linmap", "dom": "V", "cod": "V",
+                       "degree": "1", "blocks": {}},
+                      "linmap 'bad' rejected: unsupported operand type(s) "
+                      "for +: 'int' and 'str'"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize("case", sorted(WRONG_FIELDS))
+def test_field_of_the_wrong_type_is_a_parse_error(tmp_path, case, flags):
+    """A declaration field of the wrong type or sign ends the run as a
+    parse error with exit code 2, not a traceback, with and without -O."""
+    import subprocess
+    import sys
+
+    decl, message = WRONG_FIELDS[case]
+    doc = {"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}},
+        {**decl, "name": "bad"}], "jobs": []}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "cocontra.cli", "run", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"parse error at bad: {message}\n"
+
+
 @pytest.mark.parametrize("carrier, message", [
     # a contra_table whose carrier names a finmap, not a finset
     ("f", "parse error at T: contra_table 'T' rejected: 'f' is a finmap "
@@ -1068,6 +1263,21 @@ def test_enumerate_over_the_empty_base(tmp_path, carrier, valid):
     assert entry["result"] == {"valid": valid, "product_structures": valid}
 
 
+@pytest.mark.parametrize("base", [1, 2, 3])
+def test_enumerate_on_the_empty_carrier(tmp_path, base):
+    """Over a non-empty base there is no function into the empty carrier,
+    so its theta table is empty and a contramodule: the empty one, which
+    the partition-family oracle counts too.  The enumeration charges
+    nothing for it and the oracle Bell(0)^|C| = 1."""
+    out = tmp_path / "report.json"
+    argv = ["enumerate", "--carrier", "0", "--base", str(base),
+            "--oracle", "--budget", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    entry = json.loads(out.read_text())["jobs"][0]
+    assert entry["status"] == "pass"
+    assert entry["result"] == {"valid": 1, "product_structures": 1}
+
+
 def test_job_budget_lives_only_while_a_job_runs(monkeypatch):
     """Every charge a job makes is checked against the job's own budget,
     and the default comes back when the job ends, whether it passes,
@@ -1385,8 +1595,8 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
     # the job builds 51 spaces, 42 of them tensor and hom spaces, one per
-    # structure; parsing the declarations, outside any job, builds 41
-    assert counts == {"spaces": 92, "from_images": 7}
+    # structure; parsing the declarations, outside any job, builds 25
+    assert counts == {"spaces": 76, "from_images": 7}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):

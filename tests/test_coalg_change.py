@@ -5,6 +5,7 @@ import pytest
 from cocontra import coalg
 from cocontra.coalg import instances as inst
 from cocontra.errors import (CocontraError, CoalgebraMismatch,
+                             InvalidImage, MismatchedSignature,
                              NotCoalgebraMorphism)
 from cocontra.exactlin import (
     GF,
@@ -375,3 +376,30 @@ def test_bridge_builds_the_comodule_module_once(monkeypatch):
     phi, sections, bridged_p = coalg.sections_bridge_iso(m)
     assert coalg.is_contramodule_map(phi, sections, bridged_p)
     assert len(built) == 2
+
+
+def test_checks_on_linear_arguments_raise():
+    """Structure maps of the wrong signature, modules acting on different
+    sides and a comodule that is no comodule are refused by raised
+    errors, so the checks hold under python -O too."""
+    c = inst.group_like_coalgebra(F2, 2)
+    x = GradedVect(F2, {0: 1}, prefix="x")
+    ix = identity_map(x)
+    for build in (lambda: coalg.Coalgebra(c.space, identity_map(c.space),
+                                          c.eps),
+                  lambda: coalg.VComodule(c, x, ix),
+                  lambda: coalg.VContramodule(c, x, ix),
+                  lambda: coalg.left_comodule_from_coaction(c, x, ix)):
+        with pytest.raises(MismatchedSignature):
+            build()
+    alg = coalg.dual_algebra(c)
+    right = coalg.comodule_to_module(coalg.cofree(x, c), alg)
+    left = coalg.contramodule_to_module(coalg.free(x, c), alg)
+    with pytest.raises(MismatchedSignature, match="different sides"):
+        coalg.module_maps_degree_zero(right, left)
+    # a zero coaction: m cotensor C is not m
+    broken = coalg.VComodule(c, x, LinMap(x, tensor(x, c.space), 0, {}))
+    with pytest.raises(InvalidImage, match="m cotensor C is not m"):
+        coalg.counit_contraction_iso(broken)
+    with pytest.raises(ValueError, match="degree-0 isomorphism"):
+        inst.inverse_map(LinMap(x, x, 0, {}))

@@ -6,7 +6,8 @@ import pytest
 
 from cocontra import cli, coalg, polycoalg, serialize
 from cocontra.coalg import instances as inst
-from cocontra.errors import CoalgebraMismatch, IncompatibleTriple
+from cocontra.errors import (CoalgebraMismatch, IncompatibleTriple,
+                             MismatchedSignature)
 from cocontra.exactlin import (
     GF,
     QQ,
@@ -38,6 +39,35 @@ def test_cofree_free_validate_on_random_instances():
         x = GradedVect(F2, {0: rng.randint(1, 3)}, prefix="x")
         assert coalg.validate(coalg.cofree(x, c))["ok"]
         assert coalg.validate(coalg.free(x, c))["ok"]
+
+
+@pytest.mark.parametrize("field", [Q, F2, GF(3)], ids=["Q", "F2", "F3"])
+def test_seeded_instances_validate(field):
+    """The generators build valid structures by construction and do not
+    validate them: group-like coalgebras, their random conjugates,
+    transported comodules and contramodules, and gradings."""
+    rng = random.Random(7)
+    for n in range(4):
+        assert coalg.validate(inst.group_like_coalgebra(field, n))["ok"]
+    for _ in range(6):
+        c = inst.random_coalgebra(field, rng, max_dim=3)
+        assert coalg.validate(c)["ok"]
+        assert coalg.validate(inst.random_comodule(c, rng, 3))["ok"]
+        assert coalg.validate(inst.random_contramodule(c, rng, 3))["ok"]
+    g = inst.group_like_coalgebra(field, 2)
+    x = GradedVect(field, {0: 3}, prefix="x")
+    grading = inst.grading_comodule(
+        g, {"x0_0": "g1", "x0_1": "g0", "x0_2": "g1"}, x)
+    assert coalg.validate(grading)["ok"]
+
+
+def test_oracle_units_must_be_the_ambient_basis():
+    c = inst.group_like_coalgebra(F2, 2)
+    m = coalg.cofree(GradedVect(F2, {0: 1}, prefix="x"), c)
+    h = coalg.comodule_hom_object(m, m)
+    units, kernel = coalg.comodule_maps_direct(m, m)
+    with pytest.raises(MismatchedSignature):
+        coalg.same_degree_zero_subspace(h, units[::-1], kernel)
 
 
 def test_cofree_of_unit_is_coalgebra_as_comodule():

@@ -12,7 +12,7 @@ from cocontra.coalg.bridge import dual_tensor_into_hom
 from cocontra.coalg.core import unit_hom_iso
 from cocontra.coalg.homobjects import composition_on_ambient
 from cocontra.coalg.instances import grading_comodule, group_like_coalgebra
-from cocontra.errors import DEFAULT_BUDGET, job
+from cocontra.errors import DEFAULT_BUDGET, MismatchedSignature, job
 from cocontra.exactlin import (
     GF,
     QQ,
@@ -30,6 +30,7 @@ from cocontra.exactlin import (
     dual_map,
     equalizer_lin,
     ev_map,
+    factor_through_include,
     hom_map,
     hom_space,
     hom_tensor_iso,
@@ -625,12 +626,12 @@ def test_from_images_rejects_entries_outside_the_target_degree():
     x = GradedVect(Q, {0: 1}, prefix="x")
     y = GradedVect(Q, {0: 1, 1: 1}, prefix="y")
     # an image spread over two degrees is not homogeneous
-    with pytest.raises(AssertionError):
+    with pytest.raises(MismatchedSignature):
         LinMap.from_images(x, y, 0, {"x0_0": {"y0_0": one, "y1_0": one}})
     # a nonzero image into a degree the target lacks
     x01 = GradedVect(Q, {0: 1, 1: 1}, prefix="x")
     y0 = GradedVect(Q, {0: 1}, prefix="y")
-    with pytest.raises(AssertionError):
+    with pytest.raises(MismatchedSignature):
         LinMap.from_images(x01, y0, 0, {"x1_0": {"y0_0": one}})
     # zero coefficients may sit anywhere
     assert LinMap.from_images(
@@ -986,11 +987,63 @@ def test_relabelling_maps_match_the_label_reference(field, monkeypatch):
             assert any(minus in col.values() for col in columns)
 
 
+def test_dual_tensor_into_hom_is_an_iso():
+    """C* (x) X -> [C, X] is invertible whatever the coalgebra's maps: it
+    matches the labels one to one."""
+    for field in (Q, F3):
+        for c_dims, x_dims in (({0: 2, 1: 1}, {0: 1, 1: 2}), ({1: 2}, {0: 3}),
+                               ({0: 1}, {})):
+            u = GradedVect(field, c_dims, prefix="u")
+            c = Coalgebra(u, zero_map(u, tensor(u, u)),
+                          zero_map(u, unit_space(field)))
+            x = GradedVect(field, x_dims, prefix="x")
+            assert dual_tensor_into_hom(c, x).is_iso()
+
+
+def _signature_cases():
+    """(name, call, error) for each public map kernel given arguments of
+    the wrong signature."""
+    u = GradedVect(Q, {0: 1, 1: 1}, prefix="u")
+    v = GradedVect(Q, {0: 2}, prefix="v")
+    f2 = GradedVect(GF(2), {0: 1}, prefix="f")
+    shift = LinMap.from_images(u, u, 1, {"u0_0": {"u1_0": Q.one()}})
+    iv = identity_map(v)
+    return [
+        ("LinMap block shape", lambda: LinMap(
+            v, v, 0, {0: Matrix.identity(Q, 3)}), MismatchedSignature),
+        ("sub_maps", lambda: sub_maps(iv, identity_map(u)),
+         MismatchedSignature),
+        ("tensor across fields", lambda: tensor(v, f2),
+         MismatchedSignature),
+        ("hom_space across fields", lambda: hom_space(f2, v),
+         MismatchedSignature),
+        ("hom_map of degree 1", lambda: hom_map(shift, iv),
+         MismatchedSignature),
+        ("curry", lambda: curry(iv, v, v, v), MismatchedSignature),
+        ("uncurry", lambda: uncurry(iv, v, v, v), MismatchedSignature),
+        ("dual_map of degree 1", lambda: dual_map(shift),
+         MismatchedSignature),
+        ("factor_through_include", lambda: factor_through_include(
+            identity_map(u), iv), MismatchedSignature),
+        ("vec_to_linmap", lambda: vec_to_linmap(
+            {("h", "u0_0", "u0_0"): Q.one(), ("h", "u0_0", "u1_0"): Q.one()},
+            u, u), ValueError),
+    ]
+
+
+@pytest.mark.parametrize("name, call, error", _signature_cases(),
+                         ids=[case[0] for case in _signature_cases()])
+def test_map_kernels_raise_on_the_wrong_signature(name, call, error):
+    """Each check on a kernel's arguments raises, with or without -O."""
+    with pytest.raises(error):
+        call()
+
+
 def test_relabel_keeps_the_degree_check():
     x = GradedVect(Q, {0: 1, 1: 1}, prefix="x")
     y = GradedVect(Q, {0: 2}, prefix="y")
     # x1_0 would land in degree 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(MismatchedSignature):
         relabel(x, y, lambda a: "y0_" + a[-1])
     assert relabel(x, y, lambda a: "y0_1" if a == "x0_0" else None) == \
         LinMap.from_images(x, y, 0, {"x0_0": {"y0_1": Q.one()}})

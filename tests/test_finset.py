@@ -256,3 +256,29 @@ def test_function_space_cardinality_law(la, lb):
         assert len(finset.function_space(a, b)) == 0
     else:
         assert len(finset.function_space(a, b)) == len(b) ** len(a)
+
+
+def test_presentations_hold_their_invariants():
+    """On every pair of maps from two points to three: the equaliser's
+    inclusion is an injection from its members onto themselves, and the
+    coequaliser's projection is onto, with each class label the
+    representative that projects to it."""
+    a, b = FinSet(["p", "q"]), FinSet(["x", "y", "z"])
+    maps = [FinMap(a, b, dict(zip(a.elements, values)))
+            for values in product(b.elements, repeat=2)]
+    for f, g in product(maps, repeat=2):
+        eq = finset.equalizer(f, g)
+        inc = eq.include
+        assert (inc.dom, inc.cod) == (eq.members, a)
+        assert inc.is_injective() and inc.image() == eq.members
+        q = finset.coequalizer(f, g)
+        assert q.project.is_surjective()
+        assert all(q.project(q.reps(k)) == k for k in q.project.cod)
+
+
+def test_colliding_labels_are_refused():
+    """The labels of choice functions decode by lookup, so two choices
+    that write one label would decode wrongly: they raise instead."""
+    keys = FinSet(["a", "b"])
+    with pytest.raises(ValueError, match="collide"):
+        finset.function_table(keys, FinSet(["x", "x,b:y", "z", "y,b:z"]))

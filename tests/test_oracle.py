@@ -204,3 +204,11 @@ def test_linear_up_checks_random():
         g = zero_map(v, w)
         assert oracle.linear_equalizer_up_check(f, g)["ok"]
         assert oracle.linear_coequalizer_up_check(f, g)["ok"]
+
+
+def test_all_linmaps_needs_a_prime_field():
+    from cocontra.exactlin import QQ
+
+    v = GradedVect(QQ(), {0: 1})
+    with pytest.raises(ValueError, match="prime field"):
+        list(oracle.all_linmaps(v, v))

@@ -237,3 +237,14 @@ def test_functors_round_trip_on_poly_structures():
     p = pcg.contramodule_from_family(pc, v, ops)
     rep = coalg.unit_counit_iso_report(p, m)
     assert all(rep.values()), rep
+
+
+def test_checks_on_poly_arguments_raise():
+    """A negative truncation and divided powers over F2 raise ValueError,
+    under python -O too."""
+    with pytest.raises(ValueError, match="truncation must be at least 0"):
+        pcg.build(-1, 0, Q)
+    pc = pcg.build(2, 0, F2)
+    v = GradedVect(F2, {0: 2})
+    with pytest.raises(ValueError, match="rationals"):
+        pcg.family_from_first(pc, v, nilpotent_shift(v, F2))

@@ -22,6 +22,8 @@ def test_comodule_of_reads_off_phi():
     )
     m = scm.comodule_of(rho, X3, C2)
     assert m.phi.table == {"a": "1", "b": "2", "c": "2"}
+    # the phi form gives back the coaction it was read from
+    assert m.rho() == rho
 
 
 def test_comodule_of_constant_second_component():

@@ -120,8 +120,6 @@ def _reference_enumerate(carrier: FinSet, base: FinSet):
     for contraunitality (over an empty base the constants share one slot)
     and by the row-diagonal plan, the survivors in odometer order."""
     nx, nc = len(carrier), len(base)
-    if nx == 0:
-        return []
     nb = nx**nc
     charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
     const_idx = [sct._beta_index((x,) * nc, nx) for x in range(nx)]
@@ -515,6 +513,14 @@ def _product_map(s, t, comps) -> FinMap:
             t.base, image
         )
     return FinMap(s.carrier, t.carrier, table)
+
+
+def test_slotwise_components_need_product_forms():
+    t = sct.product_contra(C2, {"1": FinSet(["p"]), "2": FinSet(["r"])})
+    flat = sct.to_extensional(t)
+    ident = finset.identity(t.carrier)
+    with pytest.raises(ValueError, match="product forms"):
+        sct.contra_components(ident, flat, t)
 
 
 def transpose_hom(f: FinMap, t, s, u: FinMap) -> FinMap:

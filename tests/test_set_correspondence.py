@@ -768,3 +768,15 @@ def test_quotient_map_mutant_fails(monkeypatch):
 
     monkeypatch.setattr(sco, "_quotient_map", collapsed)
     _failing_kinds((3, 2, 2, 2), {"triangle-L", "counit-not-natural"})
+
+
+def test_quotient_classes_lie_over_one_base_point():
+    """Both maps that L_set coequalises keep the base point, so each class
+    lies over one point and the projection commutes with the maps to the
+    base, on every contramodule with up to three points over two."""
+    for nx in (0, 1, 2, 3):
+        carrier = FinSet([f"x{i}" for i in range(nx)])
+        for t in sct.enumerate_all(carrier, C2):
+            l, project = sco.l_set_with_projection(t)
+            _, _, proj2 = finset.product(t.carrier, t.base)
+            assert all(l.phi(project(y)) == proj2(y) for y in project.dom)
