@@ -14,7 +14,8 @@ too, an input over an invalid coalgebra.  (Over a valid coalgebra R(m)
 is a sub-contramodule of the free [C, M] whatever m's coaction, so the
 check does not see an invalid m; ``check`` does.)  Images of images,
 such as L(R(m)) in the round trip, hold by construction and are not
-validated again.  Three maps onto a quotient are checked to descend
+validated again.  R's structure map is checked to factor through the
+sections (``functor_R_data``), and three maps onto a quotient to descend
 wherever they are built, images of images included: L's coaction
 (``functor_L_data``), the counit's evaluation (``counit_map``) and L on a
 map (``_l_mor``); each raises :class:`InvalidImage` when it does not.
@@ -86,7 +87,12 @@ def functor_R_data(m: VComodule) -> RData:
             hom_map(identity_map(c.space), hobj.include),
         ),
     )
-    theta = factor_through_include(hobj.include, g)
+    try:
+        theta = factor_through_include(hobj.include, g)
+    except ValueError:
+        raise InvalidImage("R(m) is not a contramodule: theta does not factor "
+                           "through the sections, so m or its coalgebra is "
+                           "not valid") from None
     return RData(VContramodule(c, hobj.space, theta), hobj)
 
 

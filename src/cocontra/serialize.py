@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from . import polycoalg
+from . import finset, polycoalg
 from .coalg import (
     Coalgebra,
     VComodule,
@@ -30,6 +30,7 @@ from .exactlin import (
     LinMap,
     Matrix,
     field_from_name,
+    hom_space,
     tensor,
     unit_space,
 )
@@ -169,16 +170,16 @@ def _integer(value, what, least=None):
     return value
 
 
-def _labels(raw, what) -> FinSet:
-    """A finset from a list of string labels; a string is refused, not
+def _labels(raw, what) -> tuple[str, ...]:
+    """A list of string labels, in its order; a string is refused, not
     read as its characters."""
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise ValueError(f"{what} must be a list of strings, got {raw!r}")
-    return FinSet(raw)
+    return tuple(raw)
 
 
 def _p_finset(decl, env):
-    return _labels(decl["elements"], "elements")
+    return FinSet(_labels(decl["elements"], "elements"))
 
 
 def _p_finmap(decl, env):
@@ -196,24 +197,34 @@ def _p_set_comodule(decl, env):
 
 def _p_contra_product(decl, env):
     base = env.get(decl["base"], FINSET)
-    fibers = {a: _labels(v, f"fiber {a}")
+    fibers = {a: FinSet(_labels(v, f"fiber {a}"))
               for a, v in decl["fibers"].items()}
     return product_contra(base, fibers)
 
 
-def _p_contra_table(decl, env):
-    from . import finset as fs
+def theta_labels(carrier: FinSet, base: FinSet) -> list[str]:
+    """The label of every function base -> carrier, in the order of a
+    theta table's positions; labels that collide are refused."""
+    labels = finset.choice_labels(base, [carrier] * len(base))
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"labels of maps on {base!r} collide")
+    return labels
 
+
+def _p_contra_table(decl, env):
     carrier = env.get(decl["carrier"], FINSET)
     base = env.get(decl["base"], FINSET)
     table = dict(decl["theta"])
-    # a table of the wrong size is refused before the function space,
-    # which has |X|^|C| labels, is built to compare it with
+    # a table of the wrong size is refused before the |X|^|C| labels of
+    # the function space are built to compare it with
     if len(table) != len(carrier) ** len(base):
         raise ValueError("table is not total on the domain")
-    ambient = fs.function_space(base, carrier)
-    theta = FinMap(ambient, carrier, table)
-    return ContraTable(carrier, base, theta=theta)
+    labels = theta_labels(carrier, base)
+    # refuses, by name, a key that labels no function or a value outside
+    # the carrier
+    FinMap(FinSet(labels), carrier, table)
+    return ContraTable(carrier, base, theta=tuple(
+        [carrier.index(table[label]) for label in labels]))
 
 
 def _p_graded_space(decl, env):
@@ -222,7 +233,8 @@ def _p_graded_space(decl, env):
             for k, d in decl["dims"].items()}
     labels = None
     if "labels" in decl:
-        labels = {int(k): tuple(v) for k, v in decl["labels"].items()}
+        labels = {int(k): _labels(v, f"labels {k}")
+                  for k, v in decl["labels"].items()}
     return GradedVect(field, dims, labels,
                       prefix=decl.get("prefix", "e"))
 
@@ -259,16 +271,17 @@ def _p_poly_coalgebra(decl, env):
 
 
 def _p_vcomodule(decl, env):
+    side = decl.get("side", "right")
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     c = env.get(decl["coalgebra"], COALGEBRA)
     space = env.get(decl["space"], GRADED_SPACE)
     rho = blocks_in(space.field, space, tensor(space, c.space), 0,
                     decl["rho_blocks"])
-    return VComodule(c, space, rho, side=decl.get("side", "right"))
+    return VComodule(c, space, rho, side=side)
 
 
 def _p_vcontramodule(decl, env):
-    from .exactlin import hom_space
-
     c = env.get(decl["coalgebra"], COALGEBRA)
     space = env.get(decl["space"], GRADED_SPACE)
     ambient = hom_space(c.space, space)
@@ -365,11 +378,14 @@ def serialize_result(obj):
                     a: list(v.elements) for a, v in sorted(obj.fibers.items())
                 },
             }
+        points = obj.carrier.elements
+        theta = zip(theta_labels(obj.carrier, obj.base),
+                    [points[v] for v in obj.theta])
         return {
             "kind": "contra_table",
-            "carrier": list(obj.carrier.elements),
+            "carrier": list(points),
             "base": list(obj.base.elements),
-            "theta": dict(sorted(obj.theta.table.items())),
+            "theta": dict(sorted(theta)),
         }
     if isinstance(obj, GradedVect):
         return {"kind": "graded_space", **graded_out(obj)}

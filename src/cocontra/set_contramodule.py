@@ -8,10 +8,11 @@ element of X to every function base -> X, subject to two laws:
   theta-product of the row theta-products equals the theta-product of the
   diagonal.
 
-Two storage forms coexist.  The extensional form keeps the full theta table
-(needed for axiom checking and enumeration); the intensional form keeps a
-family of non-empty fibers whose product is the carrier (needed whenever
-the table would blow up).  Converters connect them.
+One of two storage forms is set.  The extensional form keeps the full
+theta table, on carrier positions (needed for axiom checking and
+enumeration); the intensional form keeps a family of non-empty fibers whose
+product is the carrier (needed whenever the table would blow up).
+``to_extensional`` builds the table of a product; ``serialize`` labels it.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .finset import FinMap, FinSet, SubPresentation
 class ContraTable:
     """A contramodule over a finite base, in one of two storage forms.
 
-    Exactly one of ``theta`` (extensional table on the full function space)
-    and ``fibers`` (intensional product form) is set.
+    Exactly one of ``theta`` (the carrier position of theta(beta) for every
+    beta: base -> carrier, beta in the odometer order of its value
+    positions) and ``fibers`` (intensional product form) is set.
     """
 
     carrier: FinSet
     base: FinSet
-    theta: FinMap | None = None
+    theta: tuple[int, ...] | None = None
     fibers: dict[str, FinSet] | None = None
 
     def __post_init__(self):
@@ -65,7 +67,9 @@ class ContraTable:
         if beta.dom != self.base or beta.cod != self.carrier:
             raise ValueError("beta must map base to carrier")
         if self.theta is not None:
-            return self.theta(finset.encode_map(beta))
+            slot = _beta_index(map(self.carrier.index, map(beta, self.base)),
+                               len(self.carrier))
+            return self.carrier.elements[self.theta[slot]]
         decode = finset.choice_table(self.base, self.fibers)
         choices = {a: decode[beta(a)].table[a] for a in self.base}
         return finset.encode_table(self.base, choices)
@@ -91,24 +95,23 @@ def empty_contramodule(base: FinSet) -> ContraTable:
     if len(base) == 0:
         raise EmptyCarrier("the empty carrier is not a contramodule over "
                            "the empty base")
-    ambient = finset.function_space(base, finset.EMPTY)
-    theta = FinMap(ambient, finset.EMPTY, {})
-    return ContraTable(finset.EMPTY, base, theta=theta)
+    return ContraTable(finset.EMPTY, base, theta=())
 
 
 def to_extensional(t: ContraTable) -> ContraTable:
-    """Materialise the full theta table of a product-form contramodule."""
+    """Materialise the full theta table of a product-form contramodule:
+    theta(beta) takes its value at a from the choice beta(a)."""
     if t.theta is not None:
         return t
-    charge(len(t.carrier) ** len(t.base), "extensional table")
-    betas = finset.function_table(t.base, t.carrier)
-    ambient = FinSet(betas)
-    decode = finset.choice_table(t.base, t.fibers)
-    table = {}
-    for label, beta in betas.items():
-        choices = {a: decode[beta(a)].table[a] for a in t.base}
-        table[label] = finset.encode_table(t.base, choices)
-    theta = FinMap(ambient, t.carrier, table)
+    nx, nc = len(t.carrier), len(t.base)
+    charge(nx ** nc, "extensional table")
+    pools = [t.fibers[a].elements for a in t.base]
+    # the carrier position of each choice tuple, and the tuple at each
+    position = {ch: t.carrier.index(label) for label, ch in zip(
+        finset.choice_labels(t.base, pools), finset.odometer(pools))}
+    choice = sorted(position, key=position.__getitem__)
+    theta = tuple(position[tuple([choice[y][a] for a, y in enumerate(beta)])]
+                  for beta in iproduct(range(nx), repeat=nc))
     return ContraTable(t.carrier, t.base, theta=theta)
 
 
@@ -130,12 +133,11 @@ def validate(t: ContraTable) -> dict:
                 "checked_matrices": 0, "witness": None}
     n_matrices = nx ** (nc * nc)
     charge(n_matrices, "row-diagonal check")
-    theta_idx = _packed_theta(t)
-    ok_unit, unit_witness = _check_contraunit(theta_idx, nx, nc)
+    ok_unit, unit_witness = _check_contraunit(t.theta, nx, nc)
     ok_row, gamma = (True, None)
     if ok_unit:
         ok_row, gamma = _check_row_diagonal(
-            theta_idx, nx, _row_diagonal_plan(nx, nc))
+            t.theta, nx, _row_diagonal_plan(nx, nc))
     witness = None
     if not ok_unit:
         witness = {"law": "contraunitality",
@@ -159,14 +161,6 @@ def validate(t: ContraTable) -> dict:
         "checked_matrices": n_matrices if ok_unit else 0,
         "witness": witness,
     }
-
-
-def _packed_theta(t: ContraTable) -> tuple[int, ...]:
-    """The theta table as carrier positions, indexed by the odometer
-    position of each function's value tuple."""
-    table, index = t.theta.table, t.carrier.index
-    labels = finset.choice_labels(t.base, [t.carrier] * len(t.base))
-    return tuple(index(table[label]) for label in labels)
 
 
 def _beta_index(values, nx: int) -> int:
@@ -317,13 +311,8 @@ def _as_product(t: ContraTable):
     """A product presentation of a valid contramodule: fibers plus the
     mutually inverse carrier/product maps."""
     if t.fibers is not None:
-        fam = dict(t.fibers)
-        pi = FinMap(
-            t.carrier,
-            t.carrier,
-            {x: x for x in t.carrier},
-        )
-        return fam, pi, pi
+        pi = finset.identity(t.carrier)
+        return dict(t.fibers), pi, pi
     u = t.carrier.elements[0]
     return decompose(t, u)
 
@@ -375,16 +364,8 @@ def enumerate_all(carrier: FinSet, base: FinSet) -> list[ContraTable]:
     # charged for the free slots (the one slot over an empty base is
     # fixed), before any slot list is built
     charge_power(nx, nb - nx if nc else 0, "theta-table enumeration")
-    points = carrier.elements
-    labels = finset.choice_labels(base, [points] * nc)
-    ambient = FinSet(labels)
-    return [
-        ContraTable(carrier, base, theta=FinMap(
-            ambient, carrier,
-            {label: points[v] for label, v in zip(labels, theta_vals)},
-        ))
-        for theta_vals in _theta_tables(nx, nc)
-    ]
+    return [ContraTable(carrier, base, theta=theta)
+            for theta in _theta_tables(nx, nc)]
 
 
 def _theta_tables(nx: int, nc: int) -> list[tuple[int, ...]]:
@@ -525,13 +506,13 @@ def restrict_contra(f: FinMap, t: ContraTable) -> ContraTable:
         raise BaseMismatch("restriction needs f.dom == base")
     chat = f.cod
     if t.theta is not None:
-        charge(len(t.carrier) ** len(chat), "restricted theta table")
-        maps = finset.function_table(chat, t.carrier)
-        ambient = FinSet(maps)
-        table = {}
-        for label, g in maps.items():
-            table[label] = t.theta_value(finset.compose(g, f))
-        return ContraTable(t.carrier, chat, theta=FinMap(ambient, t.carrier, table))
+        nx = len(t.carrier)
+        charge(nx ** len(chat), "restricted theta table")
+        fpos = [chat.index(f(b)) for b in t.base]
+        # theta of g o f for every g: chat -> carrier
+        theta = tuple(t.theta[_beta_index(map(g.__getitem__, fpos), nx)]
+                      for g in iproduct(range(nx), repeat=len(chat)))
+        return ContraTable(t.carrier, chat, theta=theta)
     new_fibers = {}
     for z in chat:
         pre = FinSet([y for y in t.base if f(y) == z])
@@ -730,9 +711,9 @@ def _failing_squares(families, pairs, slots, failing):
 
 class _InductionCheck:
     """The per-call state of :func:`induction_adjunction_certificate`: the
-    shapes on codes and the memoised families, transpose plans, slot
-    tables, slot checks and composition rows, and the count of failures
-    of each kind.  Every table lives as long as the call."""
+    shapes on codes and the memoised families, slot tables, slot checks
+    and composition rows, and the count of failures of each kind.  Every
+    table lives as long as the call."""
 
     def __init__(self, f: FinMap, fiber_bound: int):
         self.table = dict(f.table)
@@ -758,7 +739,6 @@ class _InductionCheck:
                                         len(ids)) for r in res]
                         for fib, res in zip(self.s_fibers, self.res)]
         self.families = {}
-        self.plans = {}
         self.slot_tables = {}
         self.slots = {}
         self.compositions = {}
@@ -781,16 +761,10 @@ class _InductionCheck:
         return got
 
     def plan(self, i: int, j: int):
-        """The transpose plan of the pair (t_i, s_j)."""
-        got = self.plans.get((i, j))
-        if got is None:
-            m = self.t_sizes[i]
-            got = self.plans[(i, j)] = (
-                [_slot_maps(m[y], n) for y, n in zip(self.fy,
-                                                      self.s_sizes[j])],
-                [(r.zs, r.pos, r.size) for r in self.res[j]],
-            )
-        return got
+        """The transpose plan of the pair (t_i, s_j), for the slot tables."""
+        m, n = self.t_sizes[i], self.s_sizes[j]
+        return ([_slot_maps(m[y], nz) for y, nz in zip(self.fy, n)],
+                [(r.zs, r.pos, r.size) for r in self.res[j]])
 
     def slot_table(self, i: int, j: int, y: int) -> dict:
         """The slot over y of the transpose of the pair (t_i, s_j), by the
@@ -834,20 +808,23 @@ class _InductionCheck:
     def homs(self, i: int, j: int, report: dict):
         """Hom enumeration and transpose of the pair (t_i, s_j): every u in
         Hom(Ind t, s) with its transpose v in Hom(t, Res s), the transpose
-        checked to be a bijection.  Hom(t, Res s) is charged as before but
-        only counted: its members are the code tuples within the bounds.
-        Returns the (u, v) pairs whose v is a member."""
+        checked to be a bijection, each slot of v read off its slot table.
+        Hom(t, Res s) is charged as before but only counted: its members are
+        the code tuples within the bounds.  Returns the (u, v) pairs whose v
+        is a member."""
         ind_t = tuple(self.t_sizes[i][y] for y in self.fy)
         hom1 = list(_slot_families(ind_t, self.s_sizes[j]))
         bounds = [n**m for m, n in zip(self.t_sizes[i], self.res_sizes[j])]
         charge(math.prod(bounds), "slotwise hom enumeration")
         report["pairs"] += 1
         report["hom_elements"] += len(hom1)
-        plan = self.plan(i, j)
+        slots = [(r.zs, self.slot_table(i, j, y))
+                 for y, r in enumerate(self.res[j])]
         pairs = []
         image = set()
         for u in hom1:
-            v = _transpose_codes(plan, u)
+            v = tuple([table[tuple([u[z] for z in zs])]
+                       for zs, table in slots])
             image.add(v)
             if all(0 <= code < b for code, b in zip(v, bounds)):
                 pairs.append((u, v))

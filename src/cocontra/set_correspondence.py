@@ -34,7 +34,9 @@ def l_set_with_projection(t: ContraTable):
     """The quotient comodule together with the projection from carrier x base.
 
     Product-form input takes the closed-form route (the disjoint union of
-    the fibers); extensional input goes through the generic coequaliser.
+    the fibers); a theta table goes through the generic coequaliser on
+    codes, with nu read off the table, each class labelled by its least
+    pair label.
     """
     c = t.base
     if t.fibers is not None:
@@ -47,26 +49,18 @@ def l_set_with_projection(t: ContraTable):
             finset.pair_label(y, a): finset.pair_label(decode[y].table[a], a)
             for y in t.carrier for a in c})
         return SetComodule(carrier, c, FinMap(carrier, c, phi_table)), project
-    charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
-    betas = finset.function_table(c, t.carrier)
-    dom, _, _ = finset.product(FinSet(betas), c)
-    cod, _, proj2 = finset.product(t.carrier, c)
-    eta_table = {}
-    nu_table = {}
-    for label, beta in betas.items():
-        tv = t.theta_value(beta)
-        for a in c:
-            key = finset.pair_label(label, a)
-            eta_table[key] = finset.pair_label(beta(a), a)
-            nu_table[key] = finset.pair_label(tv, a)
-    q = finset.coequalizer(FinMap(dom, cod, eta_table),
-                           FinMap(dom, cod, nu_table))
-    phi_table = {}
-    # both maps keep the base point, so each class lies over one point
-    for k, members in q.classes.items():
-        phi_table[k] = proj2(members[0])
-    carrier = q.project.cod
-    return SetComodule(carrier, c, FinMap(carrier, c, phi_table)), q.project
+    nx, nc = len(t.carrier), len(c)
+    charge(nx ** nc * nc, "coequaliser ambient")
+    roots = _coequalise([v * nc + a for v in t.theta for a in range(nc)],
+                        nx, nc)
+    labels = [finset.pair_label(y, a) for y in t.carrier for a in c]
+    # descending, so each root keeps its least label
+    least = dict(sorted(zip(roots, labels), reverse=True))
+    carrier = FinSet(least.values())
+    phi = FinMap(carrier, c, {k: c.elements[r % nc] for r, k in least.items()})
+    project = FinMap(FinSet(labels), carrier,
+                     {label: least[r] for label, r in zip(labels, roots)})
+    return SetComodule(carrier, c, phi), project
 
 
 def L_set(t: ContraTable) -> SetComodule:
@@ -131,7 +125,7 @@ def lr_report(m: SetComodule) -> dict:
 # odometer over the fibers, the order of its label in finset.choice_labels.
 # A point (s, a) of sections x base is s * nc + a, and a partition of those
 # points is the root (least code) of each point.  Labels are built only for
-# failure witnesses and for the lr job.
+# failure witnesses, for the lr job and for L of a theta table.
 
 
 class _Sections(NamedTuple):
@@ -186,16 +180,21 @@ def _nu(sec: _Sections) -> list[int]:
 
 
 def _generic(sec: _Sections) -> list[int]:
-    """The quotient of the extensional sections: the coequaliser of
-    eta(beta, a) = (beta(a), a) and nu over hom(C, S) x C, charged for its
-    ambient, by union-find on codes.  The root of each point of sections
-    x base."""
+    """The quotient of the extensional sections, charged for its ambient."""
     nc, count = sec.nc, len(sec.values)
     charge(count ** nc * nc, "coequaliser ambient")
+    return _coequalise(_nu(sec), count, nc)
+
+
+def _coequalise(nu, count: int, nc: int) -> list[int]:
+    """The coequaliser of eta(beta, a) = (beta(a), a) and nu over
+    hom(C, Y) x C, for a carrier Y of ``count`` points and nu given at
+    every point (beta in odometer order, a fastest), by union-find on
+    codes.  The root (least code) of each point of Y x C."""
     eta = (b * nc + a for beta in iproduct(range(count), repeat=nc)
            for a, b in enumerate(beta))
     uf = finset._UnionFind(range(count * nc))
-    for x, y in zip(eta, _nu(sec)):
+    for x, y in zip(eta, nu):
         uf.union(x, y)
     roots = [uf.find(p) for p in range(count * nc)]
     if any(r % nc != p % nc for p, r in enumerate(roots)):

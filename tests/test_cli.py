@@ -656,8 +656,8 @@ def test_linear_reports_are_the_same_under_python_O(tmp_path):
     assert "AssertionError" not in failures.values()
     assert failures == {
         "l": "InvalidImage", "l-descent": "InvalidImage",
-        "adjoint": "InvalidImage", "lr": "ValueError",
-        "kleisli": "ValueError", "bridge": "InvalidImage",
+        "adjoint": "InvalidImage", "lr": "InvalidImage",
+        "kleisli": "InvalidImage", "bridge": "InvalidImage",
         "restrict-m": "InvalidImage", "restrict-p": "InvalidImage",
         "induce-m": "InvalidImage", "induce-p": "InvalidImage"}
     assert entries["hom"]["status"] == "pass"
@@ -709,6 +709,14 @@ WRONG_FIELDS = {
                          "truncation": 2, "z_degree": "1"},
                         "poly_coalgebra 'bad' rejected: z_degree must be "
                         "an int, got '1'"),
+    "labels-string": ({"kind": "graded_space", "field": "F2",
+                       "dims": {"0": 2}, "labels": {"0": "ab"}},
+                      "graded_space 'bad' rejected: labels 0 must be a "
+                      "list of strings, got 'ab'"),
+    "side-unknown": ({"kind": "vcomodule", "coalgebra": "G", "space": "V",
+                      "side": "up", "rho_blocks": {"0": [["1"]]}},
+                     "vcomodule 'bad' rejected: side must be 'right' or "
+                     "'left', got 'up'"),
     "degree-string": ({"kind": "linmap", "dom": "V", "cod": "V",
                        "degree": "1", "blocks": {}},
                       "linmap 'bad' rejected: unsupported operand type(s) "
@@ -728,6 +736,8 @@ def test_field_of_the_wrong_type_is_a_parse_error(tmp_path, case, flags):
     doc = {"declarations": [
         {"kind": "graded_space", "name": "V", "field": "F2",
          "dims": {"0": 1}},
+        {"kind": "group_like_coalgebra", "name": "G", "field": "F2",
+         "size": 1},
         {**decl, "name": "bad"}], "jobs": []}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))

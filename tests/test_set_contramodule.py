@@ -12,6 +12,7 @@ from cocontra.errors import (
     EmptyCarrier,
     EmptyFiber,
     InvalidConstruction,
+    ParseError,
     charge,
     charge_power,
     count_text,
@@ -21,6 +22,14 @@ from cocontra.finset import FinMap, FinSet
 
 
 C2 = FinSet(["1", "2"])
+
+
+def label_table(carrier: FinSet, base: FinSet, table: dict):
+    """The theta table of a label -> label dict, read as the parser reads
+    a contra_table declaration."""
+    return sct.ContraTable(carrier, base, theta=tuple(
+        carrier.index(table[label])
+        for label in serialize.theta_labels(carrier, base)))
 
 
 def two_by_two():
@@ -68,7 +77,7 @@ def test_validate_projection_is_valid():
     # first-argument projection: theta(beta) = beta(1)
     maps = finset.function_table(C2, x)
     table = {lab: maps[lab]("1") for lab in ambient}
-    t = sct.ContraTable(x, C2, theta=FinMap(ambient, x, table))
+    t = label_table(x, C2, table)
     assert sct.validate(t)["ok"]
 
 
@@ -87,7 +96,7 @@ def test_validate_catches_broken_binary_operation():
         table[lab] = op(beta("1"), beta("2"))
     # contraunitality fails here already (op(b,b)=b holds, op(a,a)=a holds),
     # so craft the violation in the row-diagonal instead
-    t = sct.ContraTable(x, C2, theta=FinMap(ambient, x, table))
+    t = label_table(x, C2, table)
     rep = sct.validate(t)
     assert not rep["ok"]
     assert rep["witness"] is not None
@@ -140,12 +149,9 @@ def _reference_enumerate(carrier: FinSet, base: FinSet):
             survivors.append(theta_vals)
     points = carrier.elements
     labels = finset.choice_labels(base, [points] * nc)
-    ambient = FinSet(labels)
     return [
-        sct.ContraTable(carrier, base, theta=FinMap(
-            ambient, carrier,
-            {label: points[v] for label, v in zip(labels, theta_vals)},
-        ))
+        label_table(carrier, base,
+                    {label: points[v] for label, v in zip(labels, theta_vals)})
         for theta_vals in survivors
     ]
 
@@ -267,11 +273,9 @@ def test_decompose_refuses_a_table_that_is_no_contramodule():
     maps that are not inverse to the carrier: decompose raises, by a check
     that holds under python -O too."""
     x = FinSet(["a", "b"])
-    ambient = finset.function_space(C2, x)
-    theta = FinMap(ambient, x, {
+    t = label_table(x, C2, {
         "{1:a,2:a}": "a", "{1:a,2:b}": "a",
         "{1:b,2:a}": "a", "{1:b,2:b}": "b"})
-    t = sct.ContraTable(x, C2, theta=theta)
     assert not sct.validate(t)["row_diagonal"]
     with pytest.raises(InvalidConstruction, match="sigma o pi"):
         sct.decompose(t, "a")
@@ -437,6 +441,112 @@ def test_restrict_forms_agree_elementwise():
     assert _restrict_forms_agree(
         finset.constant(C2, finset.POINT, "*"), t
     )
+
+
+# --- theta tables on positions, labels at the edges -------------------------
+
+C2_DECL = {"kind": "finset", "name": "C", "elements": ["1", "2"]}
+
+
+def _parse_table(carrier, theta):
+    """The contra_table T on the carrier X over C, parsed."""
+    env = serialize.parse_bundle({"declarations": [
+        C2_DECL, {"kind": "finset", "name": "X", "elements": carrier},
+        {"kind": "contra_table", "name": "T", "carrier": "X", "base": "C",
+         "theta": theta}]})
+    return env.objects["T"]
+
+
+def test_contra_table_declaration_reserialises_byte_identically():
+    theta = {"{1:a,2:a}": "a", "{1:a,2:b}": "a", "{1:a,2:c}": "a",
+             "{1:b,2:a}": "b", "{1:b,2:b}": "b", "{1:b,2:c}": "b",
+             "{1:c,2:a}": "c", "{1:c,2:b}": "c", "{1:c,2:c}": "c"}
+    t = _parse_table(["c", "a", "b"], theta)
+    assert t.theta == (0, 0, 0, 1, 1, 1, 2, 2, 2)
+    out = serialize.serialize_result(t)
+    assert serialize.canonical_bytes(out) == serialize.canonical_bytes(
+        {"kind": "contra_table", "carrier": ["a", "b", "c"],
+         "base": ["1", "2"], "theta": theta})
+    assert _parse_table(out["carrier"], out["theta"]) == t
+
+
+@pytest.mark.parametrize("theta, message", [
+    ({"{1:a,2:a}": "a"}, "table is not total on the domain"),
+    ({"{1:a,2:a}": "a", "{1:a,2:b}": "a", "{1:b,2:a}": "b",
+      "{1:b,2:c}": "b"}, "table is not total on the domain"),
+    ({"{1:a,2:a}": "a", "{1:a,2:b}": "a", "{1:b,2:a}": "b",
+      "{1:b,2:b}": "z"}, "value 'z' is not in the codomain"),
+])
+def test_contra_table_parse_messages(theta, message):
+    with pytest.raises(ParseError) as exc:
+        _parse_table(["a", "b"], theta)
+    assert str(exc.value) == f"contra_table 'T' rejected: {message}"
+    assert exc.value.where == "T"
+
+
+# the labels {1:x,2:y,2:z} of (x,2:y ; z) and of (x ; y,2:z) collide
+COLLIDING = FinSet(["x,2:y", "z", "x", "y,2:z"])
+
+
+def test_colliding_function_labels_are_refused_where_labels_are_built():
+    with pytest.raises(ParseError,
+                       match=r"labels of maps on \{1,2\} collide"):
+        _parse_table(list(COLLIDING), {str(i): "x" for i in range(16)})
+    # the first projection, a valid table on positions: it is checked and
+    # quotiented, but refused where it is written, not merged into fewer
+    # keys
+    t = sct.ContraTable(COLLIDING, C2,
+                        theta=tuple(i // 4 for i in range(16)))
+    assert sct.validate(t)["ok"]
+    with pytest.raises(ValueError,
+                       match=r"labels of maps on \{1,2\} collide"):
+        serialize.serialize_result(t)
+
+
+def test_jobs_on_colliding_function_labels_pass():
+    """A product whose function labels collide: check, l, decompose and
+    hom under the oracle pass, as they build no theta labels (each ended
+    in ValueError while the extensional table was keyed by labels)."""
+    from cocontra import cli
+
+    env = serialize.parse_bundle({"declarations": [
+        C2_DECL,
+        {"kind": "contra_product", "name": "T", "base": "C",
+         "fibers": {"1": ["a", "c}"],
+                    "2": ["b", "b},2:{1:c", "{1:a,2:b"]}},
+        {"kind": "contra_product", "name": "S", "base": "C",
+         "fibers": {"1": ["a"], "2": ["b"]}}]})
+    with pytest.raises(ValueError, match="collide"):
+        finset.function_table(C2, env.objects["T"].carrier)
+    ctx = {"budget": 10**6, "oracle": True, "seed": None, "timing": False}
+    for command, args in (
+            ("check", {"target": "T"}), ("l", {"target": "T"}),
+            ("decompose", {"target": "T", "basepoint": "{1:a,2:b}"}),
+            ("hom", {"source": "S", "target": "T"}),
+            ("hom", {"source": "T", "target": "S"})):
+        entry = cli.run_job(env, {"command": command, "args": args}, ctx)
+        assert entry["status"] == "pass", (command, entry["witnesses"])
+
+
+def test_every_theta_table_holds_a_position_per_function():
+    x = FinSet(["a", "b"])
+    tables = [
+        _parse_table(["a", "b"], {"{1:a,2:a}": "a", "{1:a,2:b}": "a",
+                                  "{1:b,2:a}": "b", "{1:b,2:b}": "b"}),
+        sct.to_extensional(two_by_two()),
+        *sct.enumerate_all(FinSet(["a", "b", "c"]), C2),
+        sct.restrict_contra(finset.constant(C2, finset.POINT, "*"),
+                            sct.enumerate_all(x, C2)[0]),
+        sct.restrict_contra(FinMap(C2, FinSet(["u", "v", "w"]),
+                                   {"1": "u", "2": "w"}),
+                            sct.to_extensional(two_by_two())),
+        sct.empty_contramodule(C2),
+        *sct.enumerate_all(x, finset.EMPTY),
+    ]
+    for t in tables:
+        nx = len(t.carrier)
+        assert type(t.theta) is tuple and len(t.theta) == nx ** len(t.base)
+        assert all(type(v) is int and 0 <= v < nx for v in t.theta)
 
 
 def test_induce_examples():
@@ -980,8 +1090,7 @@ def _theta_candidates(n, k, unital_only=False):
     for vals in iproduct(carrier.elements, repeat=len(free)):
         table = dict(consts)
         table.update(zip(free, vals))
-        yield sct.ContraTable(carrier, base,
-                              theta=FinMap(ambient, carrier, table))
+        yield label_table(carrier, base, table)
 
 
 # Recorded with the row-diagonal check built per call: the reports of

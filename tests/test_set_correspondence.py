@@ -19,10 +19,43 @@ C2 = FinSet(["1", "2"])
 
 # --- the label path of the correspondence -------------------------------------
 #
-# The equivalence certificate and the lr job run on integer codes.  Below is
-# the label path they replaced, kept as their reference: every map a FinMap
-# between labelled sets, the explicit quotient by a scan over all pairs, the
-# generic one by finset.coequalizer.
+# The equivalence certificate, the lr job and L of a theta table run on
+# integer codes.  Below is the label path they replaced, kept as their
+# reference: every map a FinMap between labelled sets, the explicit quotient
+# by a scan over all pairs, the generic one by finset.coequalizer.
+
+
+def l_by_labels(t: ContraTable):
+    """L of a theta table with its projection, on labels: eta(beta, a) =
+    (beta(a), a) and nu(beta, a) = (theta(beta), a) as maps from the
+    pair-labelled hom(C, X) x C, coequalised by finset.coequalizer."""
+    c = t.base
+    charge((len(t.carrier) ** len(c)) * len(c), "coequaliser ambient")
+    betas = finset.function_table(c, t.carrier)
+    dom, _, _ = finset.product(FinSet(betas), c)
+    cod, _, proj2 = finset.product(t.carrier, c)
+    eta_table = {}
+    nu_table = {}
+    for label, beta in betas.items():
+        tv = t.theta_value(beta)
+        for a in c:
+            key = finset.pair_label(label, a)
+            eta_table[key] = finset.pair_label(beta(a), a)
+            nu_table[key] = finset.pair_label(tv, a)
+    q = finset.coequalizer(FinMap(dom, cod, eta_table),
+                           FinMap(dom, cod, nu_table))
+    # both maps keep the base point, so each class lies over one point
+    phi_table = {k: proj2(members[0]) for k, members in q.classes.items()}
+    carrier = q.project.cod
+    return SetComodule(carrier, c, FinMap(carrier, c, phi_table)), q.project
+
+
+def l_with_projection(t: ContraTable):
+    """L on labels: the closed form of a product, the label coequaliser of
+    a theta table."""
+    if t.fibers is not None:
+        return sco.l_set_with_projection(t)
+    return l_by_labels(t)
 
 
 @dataclass(eq=True)
@@ -62,8 +95,8 @@ def _push_sections(v: FinMap, m: SetComodule, rm: ContraTable,
 
 def L_mor(u: FinMap, s: ContraTable, t: ContraTable) -> FinMap:
     """The induced map on quotient comodules: [(y,a)] -> [(u(y),a)]."""
-    ls, proj_s = sco.l_set_with_projection(s)
-    lt, proj_t = sco.l_set_with_projection(t)
+    ls, proj_s = l_with_projection(s)
+    lt, proj_t = l_with_projection(t)
     return _quotient_map(u, s, ls, proj_s, lt, proj_t)
 
 
@@ -115,8 +148,7 @@ def _round_trip(m: SetComodule) -> _RoundTrip:
     r = sco.R_set(m)
     q = _lr_explicit(m, r)
     re = sct.to_extensional(r)
-    return _RoundTrip(m, r, re, q, _counit(m, r, q),
-                      *sco.l_set_with_projection(re))
+    return _RoundTrip(m, r, re, q, _counit(m, r, q), *l_by_labels(re))
 
 
 def _routes_agree(explicit: QuotPresentation, project: FinMap) -> bool:
@@ -129,7 +161,7 @@ def _routes_agree(explicit: QuotPresentation, project: FinMap) -> bool:
 
 
 def lr_routes_agree(m: SetComodule) -> bool:
-    _, project = sco.l_set_with_projection(sct.to_extensional(sco.R_set(m)))
+    _, project = l_by_labels(sct.to_extensional(sco.R_set(m)))
     return _routes_agree(_lr_explicit(m, sco.R_set(m)), project)
 
 
@@ -172,7 +204,7 @@ def _unit(t: ContraTable, project: FinMap, rl: ContraTable) -> FinMap:
 
 
 def unit_is_contramodule_map(t: ContraTable) -> bool:
-    l, project = sco.l_set_with_projection(t)
+    l, project = l_with_projection(t)
     rl = sco.R_set(l)
     return sct.is_contramodule_map(_unit(t, project, rl), t, rl)
 
@@ -207,13 +239,13 @@ def _triangle_r(rt: _RoundTrip) -> bool:
 
 def triangle_identities_hold_l(t: ContraTable) -> bool:
     te = sct.to_extensional(t)
-    lt, project_t = sco.l_set_with_projection(te)
+    lt, project_t = l_by_labels(te)
     if len(lt.carrier) == 0:
         return True
     r_lt = sco.R_set(lt)
     rlt = sct.to_extensional(r_lt)
     eta = _unit(te, project_t, r_lt)
-    l_rlt, project_rlt = sco.l_set_with_projection(rlt)
+    l_rlt, project_rlt = l_by_labels(rlt)
     l_eta = _quotient_map(eta, te, lt, project_t, l_rlt, project_rlt)
     q = _lr_explicit(lt, r_lt)
     eps = _counit(lt, r_lt, q)
@@ -273,7 +305,7 @@ def _reference_equivalence(max_carrier, max_base, max_fiber,
         base = FinSet([f"c{i}" for i in range(1, base_size + 1)])
         for t in sct.all_product_shapes(base, max_fiber):
             report["contramodules"] += 1
-            l, project = sco.l_set_with_projection(t)
+            l, project = l_with_projection(t)
             rl = sco.R_set(l)
             eta = _unit(t, project, rl)
             if not eta.is_bijective():
@@ -617,6 +649,38 @@ def test_lr_charges_match_label_reference(charges):
         code_charges = list(charges)
         charges.clear()
         _lr_payload(m)
+        assert code_charges == charges
+
+
+def _theta_tables():
+    """Theta tables to quotient: every contramodule on up to three points
+    over two, and on labels whose pair labels sort unlike their positions
+    ("(a+,1)" before "(a,1)"); every table on two points over two, most of
+    them no contramodule; the extensional form of products; and tables
+    over one, three and no base points."""
+    c1, c3 = FinSet(["1"]), FinSet(["1", "2", "3"])
+    for nx in range(4):
+        yield from sct.enumerate_all(FinSet([f"x{i}" for i in range(nx)]),
+                                     C2)
+    odd = FinSet(["a", "a+", "b"])
+    yield from sct.enumerate_all(odd, C2)
+    yield from sct.enumerate_all(odd, c1)
+    yield from sct.enumerate_all(FinSet(["x0", "x1"]), c3)
+    yield from sct.enumerate_all(FinSet(["a"]), finset.EMPTY)
+    for theta in itertools.product(range(2), repeat=4):
+        yield ContraTable(FinSet(["a", "a+"]), C2, theta=theta)
+    for fam in ({"1": FinSet(["p", "q"]), "2": FinSet(["r", "s", "t"])},
+                {"1": FinSet(["a", "a+"]), "2": FinSet(["b,", "b"])}):
+        yield sct.to_extensional(sct.product_contra(C2, fam))
+
+
+def test_l_of_a_theta_table_matches_the_label_route(charges):
+    for t in _theta_tables():
+        charges.clear()
+        got = sco.l_set_with_projection(t)
+        code_charges = list(charges)
+        charges.clear()
+        assert got == l_by_labels(t)
         assert code_charges == charges
 
 
