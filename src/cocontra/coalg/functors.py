@@ -3,7 +3,11 @@ counit, the adjunction certificate, and the cofree/free comparison.
 
 The contramodule of a comodule is the hom object out of the coalgebra
 itself; the comodule of a contramodule is a quotient of its free cover.
-Everything returns honest matrices.
+Everything returns honest matrices.  L's beta and coaction, the map R's
+structure map factors, the counit's evaluation and the Kleisli push are
+built in one pass off the entries of Delta, the sections or the quotient
+(``_beta_map`` and the like); ``core``'s validators multiply out the
+composites, so they check these builders independently.
 
 R and L send valid structures to valid ones, so ``functor_R_data`` and
 ``functor_L_data`` build without validating.  A function validates, once,
@@ -27,20 +31,19 @@ from dataclasses import dataclass
 
 from ..errors import InvalidImage
 from ..exactlin import (
+    GradedVect,
     LinMap,
     QuotPresentation,
     compose,
     curry,
-    ev_map,
     factor_through_include,
     hom_map,
     hom_space,
     hom_tensor_iso,
-    hom_tensor_iso_inv,
     identity_map,
     coequalizer_lin,
+    tensor,
     tensor_map,
-    assoc_inv,
 )
 from .core import (
     Coalgebra,
@@ -58,7 +61,8 @@ from .homobjects import (
     HomObject,
     comodule_hom_object,
     contra_hom_object,
-    tensor_id_on_hom,
+    _entries,
+    _from_terms,
 )
 
 
@@ -80,20 +84,26 @@ def functor_R_data(m: VComodule) -> RData:
     with the structure map factored through the equaliser."""
     c = m.coalgebra
     hobj = comodule_hom_object(coalgebra_as_comodule(c), m)
-    g = compose(
-        hom_map(c.delta, identity_map(m.space)),
-        compose(
-            hom_tensor_iso_inv(c.space, c.space, m.space),
-            hom_map(identity_map(c.space), hobj.include),
-        ),
-    )
     try:
-        theta = factor_through_include(hobj.include, g)
+        theta = factor_through_include(hobj.include,
+                                       _sections_action(c.delta, hobj.include))
     except ValueError:
         raise InvalidImage("R(m) is not a contramodule: theta does not factor "
                            "through the sections, so m or its coalgebra is "
                            "not valid") from None
     return RData(VContramodule(c, hobj.space, theta), hobj)
+
+
+def _sections_action(delta: LinMap, include: LinMap) -> LinMap:
+    """[C, S] -> [C, M] for include: S -> [C, M]; its entry at (c' -> x,
+    c -> s) is the sum over c1 of Delta[c (x) c1, c'] include[c1 -> x, s]."""
+    legs = {}
+    for (_, c, c1), c2, x in _entries(delta):
+        legs.setdefault(c1, []).append((c, c2, x))
+    return _from_terms(hom_space(delta.dom, include.dom), include.cod, (
+        (("h", c, s), ("h", c2, a), delta.dom.field.mul(x, y))
+        for (_, c1, a), s, y in _entries(include)
+        for c, c2, x in legs.get(c1, ())))
 
 
 def valid_R_data(m: VComodule) -> RData:
@@ -124,24 +134,10 @@ def functor_L_data(p: VContramodule) -> LData:
     from the comultiplication on the free cover."""
     c = p.coalgebra
     # the parallel pair on [C,P] (x) C whose coequaliser carries L
-    fp = hom_space(c.space, p.space)
     delta_map = tensor_map(p.theta, identity_map(c.space))
-    beta_map = compose(
-        tensor_map(ev_map(c.space, p.space), identity_map(c.space)),
-        compose(
-            assoc_inv(fp, c.space, c.space),
-            tensor_map(identity_map(fp), c.delta),
-        ),
-    )
+    beta_map = _beta_map(c.delta, p.space)
     quot = coequalizer_lin(delta_map, beta_map, prefix="l")
-    x = p.space
-    w = compose(
-        tensor_map(quot.project, identity_map(c.space)),
-        compose(
-            assoc_inv(x, c.space, c.space),
-            tensor_map(identity_map(x), c.delta),
-        ),
-    )
+    w = _cofree_coaction(c.delta, quot.project)
     # the candidate coaction must respect the identification
     if compose(w, delta_map) != compose(w, beta_map):
         raise InvalidImage("L(p) is not a comodule: the coaction does not "
@@ -149,6 +145,28 @@ def functor_L_data(p: VContramodule) -> LData:
                            "coalgebra is not valid")
     rho = compose(w, quot.section)
     return LData(VComodule(c, quot.space, rho), quot, (delta_map, beta_map))
+
+
+def _beta_map(delta: LinMap, x: GradedVect) -> LinMap:
+    """[C, X] (x) C -> X (x) C, evaluation on the first leg of Delta: its
+    entry at (x (x) c2, (c -> x) (x) c') is Delta[c (x) c2, c']."""
+    cs = delta.dom
+    xl = [a for _, _, a in x.basis()]
+    return _from_terms(tensor(hom_space(cs, x), cs), tensor(x, cs), (
+        (("t", ("h", c, a), c1), ("t", a, c2), v)
+        for (_, c, c2), c1, v in _entries(delta) for a in xl))
+
+
+def _cofree_coaction(delta: LinMap, project: LinMap) -> LinMap:
+    """X (x) C -> L (x) C for project: X (x) C -> L; its entry at (l (x) c2,
+    x (x) c') is the sum over c of Delta[c (x) c2, c'] project[l, x (x) c]."""
+    legs = {}
+    for (_, c, c2), c1, v in _entries(delta):
+        legs.setdefault(c, []).append((c2, c1, v))
+    return _from_terms(project.dom, tensor(project.cod, delta.dom), (
+        (("t", a, c1), ("t", lab, c2), delta.dom.field.mul(v, y))
+        for lab, (_, a, c), y in _entries(project)
+        for c2, c1, v in legs.get(c, ())))
 
 
 def valid_L_data(p: VContramodule) -> LData:
@@ -177,16 +195,19 @@ def unit_map(p: VContramodule, ldata: LData, rdata: RData) -> LinMap:
 def counit_map(m: VComodule, rdata: RData, ldata: LData) -> LinMap:
     """Quotient of the sections back onto m, by evaluation, given R(m)
     and L(R(m))."""
-    c = m.coalgebra
-    evaluate = compose(
-        ev_map(c.space, m.space),
-        tensor_map(rdata.hom.include, identity_map(c.space)),
-    )
+    evaluate = _evaluation(rdata.hom.include, m.coalgebra.space, m.space)
     delta_map, beta_map = ldata.pair
     if compose(evaluate, delta_map) != compose(evaluate, beta_map):
         raise InvalidImage("evaluation does not descend to L(R(m)), so m "
                            "or its coalgebra is not valid")
     return compose(evaluate, ldata.quot.section)
+
+
+def _evaluation(include: LinMap, cs: GradedVect, x: GradedVect) -> LinMap:
+    """S (x) C -> X for include: S -> [C, X], evaluation after include (x)
+    id: its entry at (x, s (x) c) is include[c -> x, s]."""
+    return _from_terms(tensor(include.dom, cs), x, (
+        (("t", s, c), a, v) for (_, c, a), s, v in _entries(include)))
 
 
 def triangle_identities(p: VContramodule, m: VComodule) -> dict:
@@ -367,6 +388,16 @@ def adjunction_certificate(
     return report
 
 
+def _kleisli_push(delta: LinMap, x: GradedVect) -> LinMap:
+    """[C, X] -> [C, X (x) C], h to (h (x) id) Delta: its entry at
+    (c' -> x (x) c2, c -> x) is Delta[c (x) c2, c']."""
+    cs = delta.dom
+    xl = [a for _, _, a in x.basis()]
+    return _from_terms(hom_space(cs, x), hom_space(cs, tensor(x, cs)), (
+        (("h", c, a), ("h", c1, ("t", a, c2)), v)
+        for (_, c, c2), c1, v in _entries(delta) for a in xl))
+
+
 def kleisli_certificate(x, c: Coalgebra) -> dict:
     """The free contramodule on x maps isomorphically onto the sections of
     the cofree comodule on x, compatibly with the structure maps."""
@@ -376,10 +407,7 @@ def kleisli_certificate(x, c: Coalgebra) -> dict:
     fx = free(x, c)
     rdata = valid_R_data(tx)
     # h goes to (h (x) id) o delta
-    push = compose(
-        hom_map(c.delta, identity_map(tx.space)),
-        tensor_id_on_hom(c.space, x, c.space),
-    )
+    push = _kleisli_push(c.delta, x)
     kappa = factor_through_include(rdata.hom.include, push)
     ok_iso = kappa.is_iso()
     lhs = compose(kappa, fx.theta)

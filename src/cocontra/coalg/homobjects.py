@@ -1,5 +1,7 @@
 """Enriched hom objects: equalisers of the two structure-compatibility maps
 inside the internal hom, plus the internal composition restricted to them.
+One map of each pair is built in one pass off a structure map's entries
+(``_from_terms``), not as a composite; the oracles do not use it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from ..exactlin import (
     relabel,
     tensor,
     tensor_map,
-    vec_to_linmap,
 )
 from .core import (
     VComodule,
@@ -41,12 +42,6 @@ class HomObject:
     space: GradedVect
     include: LinMap
 
-    def member_map(self, label) -> LinMap:
-        """The honest linear map behind a basis label of the hom object."""
-        return vec_to_linmap(
-            self.include.apply_label(label), self.src.space, self.dst.space
-        )
-
     def coords_of(self, f: LinMap):
         """Coordinates of a member map in the hom-object basis, as
         {label: nonzero}; None when the map is not a member."""
@@ -62,49 +57,35 @@ class HomObject:
         return {labels[i]: r[0] for i, r in enumerate(sol.srows) if r}
 
 
-def tensor_id_on_hom(
-    m: GradedVect, n: GradedVect, c: GradedVect
-) -> LinMap:
-    """[M,N] -> [M (x) C, N (x) C] sending f to f (x) id (no signs: the
-    identity has even degree)."""
-    dom = hom_space(m, n)
-    cod = hom_space(tensor(m, c), tensor(n, c))
-    one = m.field.one()
-    images = {}
-    for _, _, lab in dom.basis():
-        _, a, b = lab
-        images[lab] = {
-            ("h", ("t", a, cl), ("t", b, cl)): one for _, _, cl in c.basis()
-        }
-    return LinMap.from_images(dom, cod, 0, images)
+def _entries(f: LinMap):
+    """A degree-zero map's nonzero entries as (codomain label, domain
+    label, value) triples, read off its sparse blocks."""
+    for k, blk in f.blocks.items():
+        dlabs = f.dom.labels[k]
+        for clab, row in zip(f.cod.labels[k], blk.srows):
+            yield from ((clab, dlabs[j], x) for j, x in row.items())
 
 
-def hom_functor_push(
-    c: GradedVect, p: GradedVect, q: GradedVect
-) -> LinMap:
-    """[P,Q] -> [[C,P], [C,Q]] sending f to postcomposition by f."""
-    dom = hom_space(p, q)
-    cod = hom_space(hom_space(c, p), hom_space(c, q))
-    one = p.field.one()
+def _from_terms(dom: GradedVect, cod: GradedVect, terms) -> LinMap:
+    """The degree-zero map dom -> cod whose entry at (codomain label b,
+    domain label a) sums the x of the (a, b, x) terms."""
+    fld = dom.field
     images = {}
-    for _, _, lab in dom.basis():
-        _, a, b = lab
-        images[lab] = {
-            ("h", ("h", cl, a), ("h", cl, b)): one
-            for _, _, cl in c.basis()
-        }
+    for a, b, x in terms:
+        col = images.setdefault(a, {})
+        col[b] = fld.add(col[b], x) if b in col else x
     return LinMap.from_images(dom, cod, 0, images)
 
 
 def comodule_structure_pair(m: VComodule, n: VComodule):
-    """The parallel pair on [M,N] whose equaliser is the hom object."""
+    """The parallel pair on [M,N] whose equaliser is the hom object: rho_N f
+    and (f (x) id) rho_M, at (a0 -> b (x) c, a -> b) rho_M[a (x) c, a0]."""
     require_same_coalgebra(m, n)
-    c = m.coalgebra.space
     phi = hom_map(identity_map(m.space), n.rho)
-    psi = compose(
-        hom_map(m.rho, identity_map(tensor(n.space, c))),
-        tensor_id_on_hom(m.space, n.space, c),
-    )
+    nl = [b for _, _, b in n.space.basis()]
+    psi = _from_terms(phi.dom, phi.cod, (
+        (("h", a, b), ("h", a0, ("t", b, c)), x)
+        for (_, a, c), a0, x in _entries(m.rho) for b in nl))
     return phi, psi
 
 
@@ -115,16 +96,14 @@ def comodule_hom_object(m: VComodule, n: VComodule) -> HomObject:
 
 
 def contra_structure_pair(p: VContramodule, q: VContramodule):
+    """The pair on [P,Q] whose equaliser is the hom object: theta_Q [C, f],
+    at ((c -> a) -> y, a -> b) theta_Q[y, c -> b], and f theta_P."""
     require_same_coalgebra(p, q)
-    c = p.coalgebra.space
-    phi = compose(
-        hom_map(
-            identity_map(hom_space(c, p.space)),
-            q.theta,
-        ),
-        hom_functor_push(c, p.space, q.space),
-    )
     psi = hom_map(p.theta, identity_map(q.space))
+    pl = [a for _, _, a in p.space.basis()]
+    phi = _from_terms(psi.dom, psi.cod, (
+        (("h", a, b), ("h", ("h", c, a), y), x)
+        for y, (_, c, b), x in _entries(q.theta) for a in pl))
     return phi, psi
 
 

@@ -64,15 +64,24 @@ class ContraTable:
 
     def theta_value(self, beta: FinMap) -> str:
         """Apply the structure map to a function base -> carrier."""
-        if beta.dom != self.base or beta.cod != self.carrier:
-            raise ValueError("beta must map base to carrier")
-        if self.theta is not None:
-            slot = _beta_index(map(self.carrier.index, map(beta, self.base)),
-                               len(self.carrier))
-            return self.carrier.elements[self.theta[slot]]
-        decode = finset.choice_table(self.base, self.fibers)
-        choices = {a: decode[beta(a)].table[a] for a in self.base}
-        return finset.encode_table(self.base, choices)
+        return self.theta_fn()(beta)
+
+    def theta_fn(self):
+        """The structure map as a function of beta: base -> carrier; a
+        product form fetches its decode table once, here."""
+        base, carrier = self.base, self.carrier
+        decode = self.fibers and finset.choice_table(base, self.fibers)
+
+        def apply(beta: FinMap) -> str:
+            if beta.dom != base or beta.cod != carrier:
+                raise ValueError("beta must map base to carrier")
+            if decode is None:
+                return carrier.elements[self.theta[_beta_index(
+                    map(carrier.index, map(beta, base)), len(carrier))]]
+            return finset.encode_table(
+                base, {a: decode[beta(a)].table[a] for a in base})
+
+        return apply
 
 
 def product_contra(base: FinSet, fibers: dict[str, FinSet]) -> ContraTable:
@@ -206,11 +215,12 @@ def pi_map(t: ContraTable, u: str, a: str) -> FinMap:
     the base point ``u``: x goes to theta of the function that is x at a
     and u elsewhere."""
     table = {}
+    theta = t.theta_fn()
     for x in t.carrier:
         delta = FinMap(
             t.base, t.carrier, {b: x if b == a else u for b in t.base}
         )
-        table[x] = t.theta_value(delta)
+        table[x] = theta(delta)
     return FinMap(t.carrier, t.carrier, table)
 
 
@@ -248,9 +258,10 @@ def decompose(t: ContraTable, u: str):
         },
     )
     sigma_table = {}
+    theta = t.theta_fn()
     for ch in finset.choices(t.base, [family[a] for a in t.base]):
         beta = FinMap(t.base, t.carrier, ch)
-        sigma_table[finset.encode_table(t.base, ch)] = t.theta_value(beta)
+        sigma_table[finset.encode_table(t.base, ch)] = theta(beta)
     sigma = FinMap(prod.carrier, t.carrier, sigma_table)
     if finset.compose(sigma, pi) != finset.identity(t.carrier):
         raise InvalidConstruction("sigma o pi is not the identity of the "
@@ -266,11 +277,12 @@ def is_contramodule_map(f: FinMap, s: ContraTable, t: ContraTable) -> bool:
     if s.base != t.base:
         raise BaseMismatch("contramodule maps need a shared base")
     charge(len(s.carrier) ** len(s.base), "contramodule-map check")
+    s_theta, t_theta = s.theta_fn(), t.theta_fn()
     for beta in finset._all_maps(s.base, s.carrier):
         f_beta = FinMap(
             t.base, t.carrier, {a: f(beta(a)) for a in t.base}
         )
-        if f(s.theta_value(beta)) != t.theta_value(f_beta):
+        if f(s_theta(beta)) != t_theta(f_beta):
             return False
     return True
 

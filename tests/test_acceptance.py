@@ -25,6 +25,7 @@ from cocontra.exactlin import (
     scale_map,
     sub_maps,
     tensor,
+    vec_to_linmap,
     zero_map,
 )
 from cocontra.finset import FinMap, FinSet
@@ -32,6 +33,12 @@ from cocontra.finset import FinMap, FinSet
 
 F2 = GF(2)
 Q = QQ()
+
+
+def member_map(hobj, label):
+    """The honest linear map behind a basis label of a hom object."""
+    return vec_to_linmap(hobj.include.apply_label(label), hobj.src.space,
+                         hobj.dst.space)
 
 
 class Timer:
@@ -171,7 +178,7 @@ def test_criterion_06_linear_hom_objects(linear_family):
             hmm = coalg.comodule_hom_object(m, m)
             h2, comp = coalg.enriched_composition(hmm, hmm)
             members = [
-                hmm.member_map(lab) for _, _, lab in hmm.space.basis()
+                member_map(hmm, lab) for _, _, lab in hmm.space.basis()
             ]
             for g in members:
                 for f in members:

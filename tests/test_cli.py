@@ -1604,9 +1604,11 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    # the job builds 51 spaces, 42 of them tensor and hom spaces, one per
-    # structure; parsing the declarations, outside any job, builds 25
-    assert counts == {"spaces": 76, "from_images": 7}
+    # the job builds 32 spaces, 23 of them tensor and hom spaces, one per
+    # structure; parsing the declarations, outside any job, builds 25; the
+    # 11 more from_images are the maps built straight off the structure
+    # maps' entries (L's and R's structure maps and the hom objects' pairs)
+    assert counts == {"spaces": 57, "from_images": 18}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):

@@ -32,6 +32,12 @@ F2 = GF(2)
 Q = QQ()
 
 
+def member_map(hobj, label):
+    """The honest linear map behind a basis label of a hom object."""
+    return vec_to_linmap(hobj.include.apply_label(label), hobj.src.space,
+                         hobj.dst.space)
+
+
 def test_cofree_free_validate_on_random_instances():
     rng = random.Random(0)
     for _ in range(8):
@@ -174,7 +180,7 @@ def test_degree_zero_members_are_exactly_structure_maps():
     h = coalg.comodule_hom_object(m, n)
     for k, _, lab in h.space.basis():
         if k == 0:
-            assert coalg.is_comodule_map(h.member_map(lab), m, n)
+            assert coalg.is_comodule_map(member_map(h, lab), m, n)
 
 
 def test_enriched_composition_closed_associative_unital():
@@ -190,8 +196,8 @@ def test_enriched_composition_closed_associative_unital():
         # closure: every product of members is a member
         for _, _, lg in hyz.space.basis():
             for _, _, lf in hxy.space.basis():
-                g = hyz.member_map(lg)
-                f = hxy.member_map(lf)
+                g = member_map(hyz, lg)
+                f = member_map(hxy, lf)
                 assert hxz.coords_of(compose(g, f)) is not None
                 # the factored map computes the same composite
                 via = vec_to_linmap(
@@ -209,7 +215,7 @@ def test_enriched_composition_closed_associative_unital():
     c = inst.random_coalgebra(F2, rng, max_dim=2)
     x = inst.random_comodule(c, rng, max_dim=2)
     hxx = coalg.comodule_hom_object(x, x)
-    members = [hxx.member_map(lab) for _, _, lab in hxx.space.basis()]
+    members = [member_map(hxx, lab) for _, _, lab in hxx.space.basis()]
     for f in members[:3]:
         for g in members[:3]:
             for h in members[:3]:
@@ -243,7 +249,7 @@ def test_hom_object_members_round_trip(field):
     for (hom_object, is_map), src, dst in cases:
         hom = hom_object(src, dst)
         for k, _, lab in hom.space.basis():
-            f = hom.member_map(lab)
+            f = member_map(hom, lab)
             assert hom.coords_of(f) == {lab: one}
             seen["members"] += 1
             seen["graded"] += k != 0
@@ -452,26 +458,39 @@ def test_oracles_match_the_compose_per_unit_reference(field):
                for name, _, _, _ in seen)
 
 
-def _refuse_map_kernels(monkeypatch):
-    """Make ``compose``, ``hom_map``, ``tensor_map``, ``equalizer_lin``
-    and ``LinMap.from_images`` raise at every binding in the package."""
-    from cocontra.exactlin import graded
-
-    def refusal(name):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"the oracle reached {name}")
-        return refuse
-
+def _refuse(monkeypatch, functions, who):
+    """Make each of ``functions`` raise at every binding in the package."""
     modules = [mod for name, mod in sys.modules.items()
                if name == "cocontra" or name.startswith("cocontra.")]
-    for name in ("compose", "hom_map", "tensor_map", "equalizer_lin"):
-        fn = getattr(graded, name)
+    for fn in functions:
+        def refuse(*args, name=fn.__name__, **kwargs):
+            raise AssertionError(f"{who} reached {name}")
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
-                    monkeypatch.setattr(mod, attr, refusal(name))
-    monkeypatch.setattr(LinMap, "from_images",
-                        refusal("LinMap.from_images"))
+                    monkeypatch.setattr(mod, attr, refuse)
+
+
+def _refuse_map_kernels(monkeypatch):
+    """Make ``compose``, ``hom_map``, ``tensor_map``, ``equalizer_lin``,
+    ``LinMap.from_images`` and the maps built straight off the structure
+    maps' entries, with their two helpers, raise at every binding in the
+    package."""
+    from cocontra.coalg import functors, homobjects
+    from cocontra.exactlin import graded
+
+    _refuse(monkeypatch, [
+        graded.compose, graded.hom_map, graded.tensor_map,
+        graded.equalizer_lin, homobjects.comodule_structure_pair,
+        homobjects.contra_structure_pair, homobjects._entries,
+        homobjects._from_terms, functors._beta_map,
+        functors._cofree_coaction, functors._sections_action,
+        functors._evaluation, functors._kleisli_push], "the oracle")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached LinMap.from_images")
+
+    monkeypatch.setattr(LinMap, "from_images", refuse)
 
 
 @pytest.mark.parametrize("field", [F2, GF(3), Q], ids=["F2", "F3", "Q"])
@@ -487,6 +506,42 @@ def test_oracles_are_independent_of_the_map_kernels(monkeypatch, field):
     _, reference, src, dst = cases[0]
     with pytest.raises(AssertionError, match="the oracle reached"):
         reference(src, dst)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=["F2", "F3", "Q"])
+def test_entry_builders_are_independent_of_the_oracles(monkeypatch, field):
+    """The other direction: the hom objects, L, R and the Kleisli push
+    are built the same with the oracles' legs and row and column readers
+    raising, so they share no code with what cross-checks them."""
+    from cocontra.coalg import homobjects
+
+    g = inst.group_like_coalgebra(field, 2)
+    rng = random.Random(f"builders-{field.name}")
+    x = GradedVect(field, {-1: 1, 0: 1, 1: 1}, prefix="x")
+    coalgebras = [
+        inst.conjugate_coalgebra(g, inst.random_invertible(g.space, rng)),
+        polycoalg.build(2, 1, field).underlying]
+
+    def build():
+        out = []
+        for c in coalgebras:
+            m, p = coalg.cofree(x, c), coalg.free(x, c)
+            lp, rm = coalg.functor_L_data(p), coalg.functor_R_data(m)
+            out.append((
+                coalg.comodule_hom_object(m, m).include,
+                coalg.contra_hom_object(p, p).include,
+                lp.comodule.rho, lp.quot.project,
+                rm.contramodule.theta, rm.hom.include,
+                coalg.kleisli_certificate(x, c)))
+        return out
+
+    expected = build()
+    _refuse(monkeypatch, [homobjects._degree_zero_kernel,
+                          homobjects._action_legs, homobjects._rows,
+                          homobjects._columns], "a builder")
+    assert build() == expected
+    with pytest.raises(AssertionError, match="a builder reached"):
+        coalg.comodule_maps_direct(coalg.cofree(x, g), coalg.cofree(x, g))
 
 
 # --- the hom oracle refuses a perturbed hom object --------------------------

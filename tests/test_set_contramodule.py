@@ -50,6 +50,32 @@ def test_product_contra_carrier_and_theta():
     assert t.theta_value(beta) == "{1:p,2:s}"
 
 
+def test_theta_loops_fetch_the_decode_table_once_per_call(monkeypatch):
+    """Outside a job every ``choice_table`` call builds its table, so a
+    loop over betas on a product form fetches it once per call: pi_map
+    and is_contramodule_map once per product form, decompose once per
+    base point (its pi_maps) and once for sigma."""
+    from cocontra import errors
+
+    t = two_by_two()
+    calls = []
+    table = finset.choice_table
+
+    def counted(keys, fibers):
+        calls.append(errors._job)
+        return table(keys, fibers)
+
+    monkeypatch.setattr(finset, "choice_table", counted)
+    u = t.carrier.elements[0]
+    sct.pi_map(t, u, "1")
+    assert len(calls) == 1
+    sct.decompose(t, u)
+    assert len(calls) == 1 + len(t.base) + 1
+    assert sct.is_contramodule_map(finset.identity(t.carrier), t, t)
+    assert len(calls) == 1 + len(t.base) + 1 + 2
+    assert set(calls) == {None}
+
+
 def test_product_contra_rejects_empty_fiber():
     with pytest.raises(EmptyFiber):
         sct.product_contra(
