@@ -35,6 +35,8 @@ from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
+    require_coalgebra,
+    require_same_coalgebra,
     require_valid,
     validate_contramodule,
 )
@@ -60,7 +62,9 @@ class DualModule:
 
 def dual_algebra(c: Coalgebra) -> DualAlgebra:
     """Multiplication transposes the comultiplication; the counit is the
-    unit element."""
+    unit element.  The dual is an algebra exactly when C is a coalgebra,
+    so C is checked, before anything is built, in place of the algebra."""
+    require_coalgebra(c)
     a = dual(c.space)
     fld = c.field
     z = fld.zero()
@@ -80,10 +84,7 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
         }
     }
     unit = LinMap.from_images(unit_space(fld), a, 0, unit_images)
-    alg = DualAlgebra(c, a, mult, unit)
-    require_valid(validate_algebra(alg), "the dual of C is not an algebra, "
-                  "so C is not a coalgebra")
-    return alg
+    return DualAlgebra(c, a, mult, unit)
 
 
 def validate_algebra(alg: DualAlgebra) -> dict:
@@ -269,14 +270,15 @@ def sections_bridge_iso(m: VComodule):
 
     Returns (iso, sections_contramodule, bridged_contramodule); at finite
     dimension the map is an isomorphism of contramodules; it is not
-    checked here."""
+    checked here.  C is checked once, by :func:`dual_algebra`, before
+    anything else is built."""
     from ..exactlin import braiding
-    from .functors import valid_R_data
+    from .functors import functor_R_data
     from .instances import inverse_map
 
     alg = dual_algebra(m.coalgebra)
     right = comodule_to_module(m, alg)
-    rdata = valid_R_data(m)
+    rdata = functor_R_data(m)
     dt = dual_tensor_into_hom(m.coalgebra, m.space)
     phi = compose(
         right.action,
@@ -293,17 +295,20 @@ def quotient_bridge_iso(p: VContramodule):
     contramodule and its bridge image: coact through the bridge and
     project.
 
-    Returns (iso, quotient_comodule, bridged_comodule)."""
-    from .functors import valid_L_data
+    Returns (iso, quotient_comodule, bridged_comodule).  C is checked
+    once, by :func:`dual_algebra`, before anything else is built."""
+    from .functors import functor_L_data
 
     bridged = contramodule_to_comodule(p, dual_algebra(p.coalgebra))
-    ldata = valid_L_data(p)
+    ldata = functor_L_data(p)
     psi = compose(ldata.quot.project, bridged.rho)
     return psi, ldata.comodule, bridged
 
 
 def bridge_certificate(m: VComodule, p: VContramodule) -> dict:
-    """Round trips are identities and the module pictures validate."""
+    """Round trips are identities and the module pictures validate; m and
+    p must live over the one coalgebra, which is checked once."""
+    require_same_coalgebra(m, p)
     alg = dual_algebra(m.coalgebra)
     right = comodule_to_module(m, alg)
     back_m = module_to_comodule(right)

@@ -216,11 +216,18 @@ def validate_contramodule(p: VContramodule) -> dict:
 
 def require_valid(rep: dict, what: str):
     """Raise :class:`InvalidImage` when the validation report ``rep`` of
-    an image fails; ``what`` says what the failure shows."""
+    a structure fails; ``what`` says what the failure shows."""
     if not rep["ok"]:
         laws = ", ".join(f if isinstance(f, str) else f["law"]
                          for f in rep["failures"])
         raise InvalidImage(f"{what} ({laws} fails)", rep["failures"])
+
+
+def require_coalgebra(c: Coalgebra):
+    """Raise :class:`InvalidImage` when C is not a coalgebra: the one check
+    a certificate makes, before it builds anything, in place of checking
+    the images of C that it builds."""
+    require_valid(validate_coalgebra(c), "C is not a coalgebra")
 
 
 def validate(obj) -> dict:

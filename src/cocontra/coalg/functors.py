@@ -9,20 +9,21 @@ built in one pass off the entries of Delta, the sections or the quotient
 (``_beta_map`` and the like); ``core``'s validators multiply out the
 composites, so they check these builders independently.
 
-R and L send valid structures to valid ones, so ``functor_R_data`` and
-``functor_L_data`` build without validating.  A function validates, once,
-each image it builds of one of its own arguments (``valid_R_data``,
-``valid_L_data``): declared structures are not checked when parsed, and
-that check refuses, with :class:`InvalidImage` and under ``python -O``
-too, an input over an invalid coalgebra.  (Over a valid coalgebra R(m)
-is a sub-contramodule of the free [C, M] whatever m's coaction, so the
-check does not see an invalid m; ``check`` does.)  Images of images,
-such as L(R(m)) in the round trip, hold by construction and are not
-validated again.  R's structure map is checked to factor through the
-sections (``functor_R_data``), and three maps onto a quotient to descend
-wherever they are built, images of images included: L's coaction
-(``functor_L_data``), the counit's evaluation (``counit_map``) and L on a
-map (``_l_mor``); each raises :class:`InvalidImage` when it does not.
+``functor_R``, ``functor_L`` and each certificate here check the
+coalgebra C once, before they build anything (``require_coalgebra``);
+the ``*_data`` builders and the maps between images do not, and no
+image is validated in its place: over a valid C, R(m) and L(p) satisfy
+their axioms whatever m and p are, so R(m), L(p) and images of images
+such as L(R(m)) hold by construction.
+Declared structures are not checked when parsed, so that one check
+refuses, with :class:`InvalidImage` and under ``python -O`` too, every
+input over an invalid coalgebra; an invalid m or p over a valid C is
+seen by ``check``.  Descent is still checked wherever a map onto a
+quotient is built, images of images included: R's structure map must
+factor through the sections (``functor_R_data``), and L's coaction
+(``functor_L_data``), the counit's evaluation (``counit_map``) and L on
+a map (``_l_mor``) must descend; each raises :class:`InvalidImage` when
+it does not.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ from .core import (
     coalgebra_as_comodule,
     is_comodule_map,
     is_contramodule_map,
+    require_coalgebra,
     require_same_coalgebra,
-    require_valid,
-    validate_comodule,
-    validate_contramodule,
 )
 from .homobjects import (
     HomObject,
@@ -106,18 +105,9 @@ def _sections_action(delta: LinMap, include: LinMap) -> LinMap:
         for c, c2, x in legs.get(c1, ())))
 
 
-def valid_R_data(m: VComodule) -> RData:
-    """R(m), validated: raises :class:`InvalidImage` when it is not a
-    contramodule, which shows that m or its coalgebra is not valid."""
-    rdata = functor_R_data(m)
-    require_valid(validate_contramodule(rdata.contramodule),
-                  "R(m) is not a contramodule, so m or its coalgebra "
-                  "is not valid")
-    return rdata
-
-
 def functor_R(m: VComodule) -> VContramodule:
-    return valid_R_data(m).contramodule
+    require_coalgebra(m.coalgebra)
+    return functor_R_data(m).contramodule
 
 
 def R_mor(v: LinMap, rm: RData, rn: RData) -> LinMap:
@@ -169,18 +159,9 @@ def _cofree_coaction(delta: LinMap, project: LinMap) -> LinMap:
         for c2, c1, v in legs.get(c, ())))
 
 
-def valid_L_data(p: VContramodule) -> LData:
-    """L(p), validated: raises :class:`InvalidImage` when it is not a
-    comodule, which shows that p or its coalgebra is not valid."""
-    ldata = functor_L_data(p)
-    require_valid(validate_comodule(ldata.comodule),
-                  "L(p) is not a comodule, so p or its coalgebra is not "
-                  "valid")
-    return ldata
-
-
 def functor_L(p: VContramodule) -> VComodule:
-    return valid_L_data(p).comodule
+    require_coalgebra(p.coalgebra)
+    return functor_L_data(p).comodule
 
 
 def unit_map(p: VContramodule, ldata: LData, rdata: RData) -> LinMap:
@@ -213,14 +194,15 @@ def _evaluation(include: LinMap, cs: GradedVect, x: GradedVect) -> LinMap:
 def triangle_identities(p: VContramodule, m: VComodule) -> dict:
     """Both triangle identities at the given objects, exactly."""
     require_same_coalgebra(p, m)
-    return _triangles(p, m, valid_L_data(p), valid_R_data(m))
+    require_coalgebra(p.coalgebra)
+    return _triangles(p, m, functor_L_data(p), functor_R_data(m))
 
 
 def _triangles(p: VContramodule, m: VComodule, ldata: LData,
                rdata: RData) -> dict:
-    """:func:`triangle_identities` given L(p) and R(m), validated; builds
-    L(R(m)), R(L(R(m))), R(L(p)) and L(R(L(p))) once each, images of
-    valid images, so valid by construction."""
+    """:func:`triangle_identities` given L(p) and R(m), over a checked
+    coalgebra; builds L(R(m)), R(L(R(m))), R(L(p)) and L(R(L(p))) once
+    each."""
     # contramodule side: R(counit) after unit at the sections of m
     ldata_rm = functor_L_data(rdata.contramodule)
     r_lrm = functor_R_data(ldata_rm.comodule)
@@ -253,14 +235,17 @@ def _l_mor(u: LinMap, p: VContramodule, lp: LData, lq: LData) -> LinMap:
 
 
 def l_morphism(u: LinMap, p: VContramodule, q: VContramodule) -> LinMap:
-    return _l_mor(u, p, valid_L_data(p), valid_L_data(q))
+    require_same_coalgebra(p, q)
+    require_coalgebra(p.coalgebra)
+    return _l_mor(u, p, functor_L_data(p), functor_L_data(q))
 
 
 def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
     """Are the unit and counit isomorphisms at these finite instances?"""
     require_same_coalgebra(p, m)
-    ldata = valid_L_data(p)
-    rdata = valid_R_data(m)
+    require_coalgebra(p.coalgebra)
+    ldata = functor_L_data(p)
+    rdata = functor_R_data(m)
     return _unit_counit_report(
         p, m, ldata, functor_R_data(ldata.comodule),
         rdata, functor_L_data(rdata.contramodule),
@@ -269,9 +254,9 @@ def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
 
 def round_trip_report(m: VComodule):
     """The comodule L(R(m)) and the unit and counit report at R(m) and m,
-    building R(m), L(R(m)) and R(L(R(m))) once each; R(m) is validated,
-    the other two are images of it."""
-    rdata = valid_R_data(m)
+    building R(m), L(R(m)) and R(L(R(m))) once each after checking C."""
+    require_coalgebra(m.coalgebra)
+    rdata = functor_R_data(m)
     ldata = functor_L_data(rdata.contramodule)
     rep = _unit_counit_report(
         rdata.contramodule, m, ldata, functor_R_data(ldata.comodule),
@@ -328,13 +313,16 @@ def adjunction_certificate(
     when morphism squares are supplied, that the identification is natural
     in both arguments.  Its ``"ok"`` covers those checks; the triangle
     identities, from the same L(p) and R(m), are reported under
-    ``"triangles"``.  L(p) and R(m), and those of the squares' objects,
-    are validated once each.
+    ``"triangles"``.  Every object, the squares' included, must live over
+    the one coalgebra, which is checked once.
     """
-    require_same_coalgebra(p, m)
+    squares = list(squares or ())
+    require_same_coalgebra(p, m, *(obj for _, p2, _, m2 in squares
+                                   for obj in (p2, m2)))
     c = p.coalgebra
-    ldata = valid_L_data(p)
-    rdata = valid_R_data(m)
+    require_coalgebra(c)
+    ldata = functor_L_data(p)
+    rdata = functor_R_data(m)
     homT, a_incl, homF, b_incl = _embeddings(p, m, ldata, rdata)
 
     report = {
@@ -361,10 +349,10 @@ def adjunction_certificate(
             "comodule side not contained in contramodule side"
         )
     report["naturality_squares"] = 0
-    for u, p2, v, m2 in squares or []:
+    for u, p2, v, m2 in squares:
         # u : P2 -> P a contramodule map, v : M -> M2 a comodule map
-        ldata2 = valid_L_data(p2)
-        rdata2 = valid_R_data(m2)
+        ldata2 = functor_L_data(p2)
+        rdata2 = functor_R_data(m2)
         homT2, a_incl2, homF2, b_incl2 = _embeddings(p2, m2, ldata2, rdata2)
         fv = hom_map(identity_map(c.space), v)
         transport = hom_map(u, fv)  # [P,FM] -> [P2,FM2]
@@ -403,9 +391,10 @@ def kleisli_certificate(x, c: Coalgebra) -> dict:
     the cofree comodule on x, compatibly with the structure maps."""
     from .core import cofree, free
 
+    require_coalgebra(c)
     tx = cofree(x, c)
     fx = free(x, c)
-    rdata = valid_R_data(tx)
+    rdata = functor_R_data(tx)
     # h goes to (h (x) id) o delta
     push = _kleisli_push(c.delta, x)
     kappa = factor_through_include(rdata.hom.include, push)

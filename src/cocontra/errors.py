@@ -33,8 +33,10 @@ class NotCoalgebraMorphism(CocontraError):
 
 
 class InvalidImage(CocontraError):
-    """A functor image fails its axioms, so the structure it was built
-    from, or that structure's coalgebra, is not valid.
+    """A structure a certificate relies on is not valid: its coalgebra,
+    checked once before anything is built and never through the images
+    built from it; a map onto a quotient that does not descend; or a
+    bridge or change-of-coalgebra image, whose laws depend on the module.
 
     ``failures`` holds the failing laws with their witnesses.
     """

@@ -66,12 +66,6 @@ class Matrix:
         return cls.sparse(field, rows, len(columns))
 
     @classmethod
-    def from_rows(cls, field, rows, width=None):
-        """The constructor, by name: dense rows of ints or field
-        elements."""
-        return cls(field, rows, width)
-
-    @classmethod
     def zeros(cls, field, m, n):
         return cls.sparse(field, ({} for _ in range(m)), n)
 

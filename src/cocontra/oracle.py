@@ -1,12 +1,13 @@
 """Independent brute-force reference routines.
 
-These never share code with the production paths they certify: maps are
-enumerated by odometer, universal properties by checking every competing
-cone from small canonical test objects, and linear (co)equalisers by
-solving the defining systems from scratch.  Each enumeration is charged
-against the budget of the job that runs it (:func:`errors.job`), the
-default outside any job: an over-budget one is a hard error with its
-exact projected count, never silent truncation.
+These share no code with the production paths they certify but the
+engine's one map enumerator (``finset._all_maps``, an odometer):
+universal properties are checked against every competing cone from small
+canonical test objects, and linear (co)equalisers by solving the defining
+systems from scratch.  Each enumeration is charged against the budget of
+the job that runs it (:func:`errors.job`), the default outside any job:
+an over-budget one is a hard error with its exact projected count, never
+silent truncation.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from .exactlin import (
     compose as lcompose,
     sub_maps,
 )
-from .finset import FinMap, FinSet
+from .finset import FinSet
 
 
 def all_maps(a: FinSet, b: FinSet):
-    """Every total map exactly once, canonical odometer order."""
+    """Every total map exactly once, canonical odometer order: the one
+    enumerator, ``finset._all_maps``, charged against the budget."""
     if len(a) > 0:
         charge(len(b) ** len(a), "map enumeration")
-    for values in iproduct(b.elements, repeat=len(a)):
-        yield FinMap(a, b, dict(zip(a.elements, values)))
+    yield from finset._all_maps(a, b)
 
 
 def all_linmaps(v: GradedVect, w: GradedVect, degree: int = 0):

@@ -276,7 +276,7 @@ def test_criterion_10_polynomial_coalgebra():
         pc = pcg.build(2, 0, Q)
         v = GradedVect(Q, {0: 3})
         shift_rows = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-        shift = LinMap(v, v, 0, {0: Matrix.from_rows(Q, shift_rows)})
+        shift = LinMap(v, v, 0, {0: Matrix(Q, shift_rows)})
         good = pcg.family_from_first(pc, v, shift)
         with pytest.raises(Exception):
             pcg.comodule_from_family(
@@ -308,7 +308,7 @@ def test_criterion_11_change_of_coalgebra(linear_family):
             chat = inst.group_like_coalgebra(F2, 3)
             f = LinMap(
                 c.space, chat.space, 0,
-                {0: Matrix.from_rows(F2, [[1, 0], [0, 1], [0, 0]])},
+                {0: Matrix(F2, [[1, 0], [0, 1], [0, 0]])},
             )
             assert coalg.is_coalgebra_morphism(f, c, chat)
             n = inst.random_comodule(c, rng, max_dim=2)

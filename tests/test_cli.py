@@ -461,7 +461,7 @@ def test_adjoint_on_an_invalid_comodule_is_an_error_without_asserts(
         tmp_path):
     """Under -O an assert checks nothing: the adjoint job still refuses a
     comodule and contramodule over a coalgebra whose comultiplication and
-    counit are zero, through the raised check of the functor images."""
+    counit are zero, through the raised check of the coalgebra."""
     import subprocess
     import sys
 
@@ -492,7 +492,7 @@ def test_adjoint_on_an_invalid_comodule_is_an_error_without_asserts(
     assert entry["status"] == "error", entry
     assert entry["witnesses"][0]["error"] == "InvalidImage"
     assert entry["witnesses"][0]["message"].startswith(
-        "L(p) is not a comodule")
+        "C is not a coalgebra")
 
 
 def test_set_side_reports_are_the_same_under_python_O(tmp_path):
@@ -572,7 +572,8 @@ DESCENT = ([[0, 0], [1, 0], [0, 0], [1, 1]], [[1, 1]])
 
 def test_only_the_descent_check_refuses_l_over_descent():
     """The candidate coaction on the quotient of F(V) (x) C over DESCENT
-    is a comodule; only the check that it descends refuses L."""
+    is a comodule; only the check that it descends refuses L's data.
+    (``functor_L`` refuses DESCENT first, as not a coalgebra.)"""
     from cocontra import coalg
     from cocontra.exactlin import (assoc_inv, coequalizer_lin, compose,
                                    ev_map, hom_space, identity_map,
@@ -582,8 +583,10 @@ def test_only_the_descent_check_refuses_l_over_descent():
         {"kind": "graded_space", "name": "V", "field": "F2",
          "dims": {"0": 1}, "prefix": "v"}, *_f2_coalgebra("D", *DESCENT)]})
     p, c = env.objects["FD"], env.objects["D"]
-    with pytest.raises(InvalidImage, match="does not descend"):
+    with pytest.raises(InvalidImage, match="C is not a coalgebra"):
         coalg.functor_L(p)
+    with pytest.raises(InvalidImage, match="does not descend"):
+        coalg.functor_L_data(p)
     # functor_L_data's construction, without its descent check
     cs, x = c.space, p.space
     delta_map = tensor_map(p.theta, identity_map(cs))
@@ -661,8 +664,77 @@ def test_linear_reports_are_the_same_under_python_O(tmp_path):
         "restrict-m": "InvalidImage", "restrict-p": "InvalidImage",
         "induce-m": "InvalidImage", "induce-p": "InvalidImage"}
     assert entries["hom"]["status"] == "pass"
-    assert "does not descend" in (
-        entries["l-descent"]["witnesses"][0]["message"])
+    assert entries["l-descent"]["witnesses"][0]["message"].startswith(
+        "C is not a coalgebra")
+
+
+# coassociative 2-dimensional F2 coalgebras that break one counit law,
+# each as (Delta's rows, eps's row, the law that fails): checks of R(m)
+# and L(p) on the cofree and free objects over V did not see them, so r
+# and lr passed and kleisli failed on the first six, and l passed on the
+# last six
+COUNIT_BREAKERS = [
+    (delta, eps, law)
+    for delta, epss, law in (
+        ([[0, 0], [0, 0], [1, 0], [0, 1]], ([0, 1], [1, 1]), "right"),
+        ([[1, 0], [0, 1], [0, 0], [0, 0]], ([1, 0], [1, 1]), "right"),
+        ([[1, 0], [0, 1], [1, 0], [0, 1]], ([0, 1], [1, 0]), "right"),
+        ([[0, 0], [1, 0], [0, 0], [0, 1]], ([0, 1], [1, 1]), "left"),
+        ([[1, 0], [0, 0], [0, 1], [0, 0]], ([1, 0], [1, 1]), "left"),
+        ([[1, 0], [1, 0], [0, 1], [0, 1]], ([0, 1], [1, 0]), "left"),
+    )
+    for eps in epss
+]
+
+
+@pytest.mark.parametrize("delta, eps, law", COUNIT_BREAKERS)
+def test_every_linear_job_refuses_a_coalgebra_that_breaks_a_counit_law(
+        delta, eps, law):
+    """The r, l, lr, kleisli, adjoint and bridge jobs check the coalgebra
+    itself, so each refuses one that is coassociative but not counital,
+    whatever the images of its free and cofree objects look like."""
+    from cocontra import coalg
+
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"},
+        *_f2_coalgebra("C", delta, [eps])]})
+    failures = coalg.validate_coalgebra(env.objects["C"])["failures"]
+    assert [f["law"] for f in failures] == [f"{law} counit"]
+    ctx = {"budget": 10**6, "oracle": False, "seed": 1, "timing": False}
+    for command, args in (
+            ("r", {"target": "TC"}), ("l", {"target": "FC"}),
+            ("lr", {"target": "TC"}),
+            ("kleisli", {"coalgebra": "C", "dim": 1}),
+            ("adjoint", {"contramodule": "FC", "comodule": "TC"}),
+            ("bridge", {"coalgebra": "C", "comodule": "TC",
+                        "contramodule": "FC"})):
+        entry = cli.run_job(env, {"command": command, "args": args}, ctx)
+        assert entry["status"] == "error", (command, entry)
+        (witness,) = entry["witnesses"]
+        assert witness == {
+            "error": "InvalidImage",
+            "message": f"C is not a coalgebra ({law} counit fails)"}, command
+
+
+def test_bridge_refuses_a_contramodule_over_another_coalgebra():
+    """The bridge certificate checks one coalgebra, the comodule's, so the
+    contramodule must live over it too; before, one over a coalgebra that
+    breaks a counit law passed."""
+    delta, eps, _ = COUNIT_BREAKERS[0]
+    grouplike = ([[1, 0], [0, 0], [0, 0], [0, 1]], [[1, 1]])
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"},
+        *_f2_coalgebra("G", *grouplike), *_f2_coalgebra("B", delta, [eps])]})
+    ctx = {"budget": 10**6, "oracle": False, "seed": 1, "timing": False}
+    args = {"coalgebra": "G", "comodule": "TG", "contramodule": "FG"}
+    entry = cli.run_job(env, {"command": "bridge", "args": args}, ctx)
+    assert entry["status"] == "pass", entry
+    args["contramodule"] = "FB"
+    entry = cli.run_job(env, {"command": "bridge", "args": args}, ctx)
+    assert entry["status"] == "error"
+    assert entry["witnesses"][0]["error"] == "CoalgebraMismatch"
 
 
 # declarations whose fields have the wrong type or sign, each refused with
@@ -1604,11 +1676,11 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    # the job builds 32 spaces, 23 of them tensor and hom spaces, one per
+    # the job builds 30 spaces, 21 of them tensor and hom spaces, one per
     # structure; parsing the declarations, outside any job, builds 25; the
     # 11 more from_images are the maps built straight off the structure
     # maps' entries (L's and R's structure maps and the hom objects' pairs)
-    assert counts == {"spaces": 57, "from_images": 18}
+    assert counts == {"spaces": 55, "from_images": 18}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):

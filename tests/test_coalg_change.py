@@ -122,7 +122,7 @@ def test_restrict_along_counit_gives_plain_space():
     trivial = inst.group_like_coalgebra(F2, 1)
     # the counit as a morphism to the one-point coalgebra
     f = LinMap(c.space, trivial.space, 0,
-               {0: Matrix.from_rows(F2, [[1, 1]])})
+               {0: Matrix(F2, [[1, 1]])})
     assert coalg.is_coalgebra_morphism(f, c, trivial)
     out = coalg.restrict_comodule(f, c, trivial, m)
     assert coalg.validate(out)["ok"]
@@ -133,7 +133,7 @@ def test_not_coalgebra_morphism_rejected():
     chat = inst.group_like_coalgebra(F2, 2)
     bad = LinMap(
         c.space, chat.space, 0,
-        {0: Matrix.from_rows(F2, [[1, 1], [0, 1]])},
+        {0: Matrix(F2, [[1, 1], [0, 1]])},
     )
     with pytest.raises(NotCoalgebraMorphism):
         coalg.restrict_comodule(bad, c, chat,
@@ -202,7 +202,7 @@ def test_induce_along_counit_to_trivial_is_cofree():
     c = inst.group_like_coalgebra(F2, 2)
     eps_mor = LinMap(
         c.space, trivial.space, 0,
-        {0: Matrix.from_rows(F2, [[1, 1]])},
+        {0: Matrix(F2, [[1, 1]])},
     )
     assert coalg.is_coalgebra_morphism(eps_mor, c, trivial)
     x = GradedVect(F2, {0: 2}, prefix="x")

@@ -132,6 +132,34 @@ def test_adjunction_certificate_with_naturality_squares():
     assert rep["naturality_squares"] == 6
 
 
+def test_naturality_square_over_another_coalgebra_is_refused(monkeypatch):
+    """The certificate checks its coalgebra once, so every square's
+    objects must live over it: one that does not is refused before the
+    coalgebra is checked or any functor image is built."""
+    from cocontra.coalg import core, functors
+    from cocontra.errors import CoalgebraMismatch
+    from cocontra.exactlin import zero_map
+
+    rng = random.Random(5)
+    c = inst.random_coalgebra(F2, rng, max_dim=2)
+    m = inst.random_comodule(c, rng, max_dim=2)
+    p = inst.random_contramodule(c, rng, max_dim=2)
+    other = inst.group_like_coalgebra(F2, 3)
+    assert other != c
+    x = GradedVect(F2, {0: 1}, prefix="x")
+    p2, m2 = coalg.free(x, other), coalg.cofree(x, other)
+    for module, name in ((core, "validate_coalgebra"),
+                         (functors, "functor_L_data"),
+                         (functors, "functor_R_data")):
+        monkeypatch.setattr(module, name, None)
+    for square in ((zero_map(p2.space, p.space), p2,
+                    zero_map(m.space, m.space), m),
+                   (zero_map(p.space, p.space), p,
+                    zero_map(m.space, m2.space), m2)):
+        with pytest.raises(CoalgebraMismatch):
+            coalg.adjunction_certificate(p, m, squares=[square])
+
+
 def test_adjunction_dims_on_free_and_cofree():
     # free against cofree: both sides have dim X * dim C * dim Y
     for nc in (1, 2, 3):
@@ -247,7 +275,7 @@ def test_certificate_reports_the_triangle_identities(field):
         assert rep["triangles"]["ok"]
 
 
-# --- images of images: checked here, not at run time ------------------------
+# --- images: checked here, not at run time ----------------------------------
 
 JOB_CTX = {"budget": 10 ** 6, "oracle": False, "seed": 1, "timing": False}
 
@@ -280,9 +308,11 @@ def _random_instances(field, seed, count=3):
 
 @pytest.mark.parametrize("field", [F2, GF(3), Q], ids=lambda f: f.name)
 def test_images_of_images_validate(monkeypatch, field):
-    """The adjoint, lr and kleisli jobs validate the images of their own
-    arguments only; every other image they build, L(R(m)), R(L(R(m))),
-    R(L(p)) and L(R(L(p))) among them, satisfies its axioms."""
+    """The adjoint, lr and kleisli jobs check their coalgebra once and
+    validate no image in its place; every image they build, L(p), R(m),
+    L(R(m)), R(L(R(m))), R(L(p)) and L(R(L(p))) among them, satisfies its
+    axioms.  Descent is still checked wherever a map onto a quotient is
+    built."""
     from cocontra import cli
     from cocontra.coalg import functors
 
@@ -307,6 +337,45 @@ def test_images_of_images_validate(monkeypatch, field):
                 command]
             for image in built:
                 assert coalg.validate(image)["ok"], (command, image)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), Q], ids=lambda f: f.name)
+def test_each_job_checks_its_coalgebra_once(monkeypatch, field):
+    """Over a valid coalgebra the r, l, lr, kleisli, adjoint and bridge
+    jobs validate the coalgebra exactly once and no comodule,
+    contramodule or algebra, but for the bridge's reported check that
+    its collapse is a contramodule."""
+    from cocontra import cli
+    from cocontra.coalg import bridge, change, core, functors
+
+    calls = Counter()
+    names = ("validate_coalgebra", "validate_comodule",
+             "validate_contramodule", "validate_algebra")
+    for name in names:
+        home = bridge if name == "validate_algebra" else core
+
+        def counted(obj, _name=name, _check=getattr(home, name)):
+            calls[_name] += 1
+            return _check(obj)
+
+        for module in (core, functors, bridge, change, coalg):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    jobs = [("r", {"target": "M"}), ("l", {"target": "P"}),
+            *_linear_jobs(),
+            ("bridge", {"coalgebra": "C", "comodule": "M",
+                        "contramodule": "P"})]
+    for c, m, p in _random_instances(field, 12):
+        env = _linear_env(c, m, p)
+        for command, args in jobs:
+            calls.clear()
+            entry = cli.run_job(env, {"command": command, "args": args},
+                                JOB_CTX)
+            assert entry["status"] == "pass", entry
+            expected = {"validate_coalgebra": 1}
+            if command == "bridge":
+                expected["validate_contramodule"] = 1
+            assert calls == expected, command
 
 
 def _corrupt_theta(rdata):

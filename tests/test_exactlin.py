@@ -122,7 +122,7 @@ def test_equal_rationals_have_one_type():
     assert Q.format(Q.parse("4/2")) == "2"
     m = Matrix(Q, [[Fraction(2)]])
     assert type(m.srows[0][0]) is int and m.srows[0][0] == 2
-    assert m == Matrix.from_rows(Q, [[2]])
+    assert m == Matrix(Q, [[2]])
     assert Matrix(Q, [[Fraction(0), half]]).srows == ({1: half},)
     # outside F_p input is reduced where it enters, and a zero is dropped
     assert Matrix(GF(2), [[3, 2]]).srows == ({0: 1},)
@@ -132,7 +132,7 @@ def test_equal_rationals_have_one_type():
 
 
 def test_kernel_example():
-    m = Matrix.from_rows(Q, [[1, 1], [0, 0]])
+    m = Matrix(Q, [[1, 1], [0, 0]])
     basis = m.kernel_basis()
     assert len(basis) == 1
     v = basis[0]
@@ -156,13 +156,13 @@ def test_rank_nullity_random():
 
 
 def test_solve_and_complement():
-    m = Matrix.from_rows(Q, [[1, 0], [1, 0]])
-    assert m.solve_matrix(Matrix.from_rows(Q, [[2], [2]])) is not None
-    assert m.solve_matrix(Matrix.from_rows(Q, [[1], [2]])) is None
+    m = Matrix(Q, [[1, 0], [1, 0]])
+    assert m.solve_matrix(Matrix(Q, [[2], [2]])) is not None
+    assert m.solve_matrix(Matrix(Q, [[1], [2]])) is None
     # greedy complement takes the lowest basis index that extends the
     # column space: e_0 is independent of (1,1)
     assert m.column_space_complement() == [0]
-    assert Matrix.from_rows(Q, [[1, 0], [0, 0]]).column_space_complement() \
+    assert Matrix(Q, [[1, 0], [0, 0]]).column_space_complement() \
         == [1]
 
 
@@ -190,7 +190,7 @@ def test_column_space_complement_matches_greedy_rank_test():
                           (GF(3), range(3))):
         for _ in range(300):
             rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-            m = Matrix.from_rows(
+            m = Matrix(
                 field,
                 [[rng.choice(values) for _ in range(cols)]
                  for _ in range(rows)],
@@ -287,7 +287,7 @@ def test_koszul_sign_in_tensor_map():
     # g of odd degree sliding past an odd-degree basis vector flips sign
     v = GradedVect(Q, {1: 1}, prefix="v")
     w = GradedVect(Q, {0: 1, 1: 1}, prefix="w")
-    g = LinMap(w, w, 1, {0: Matrix.from_rows(Q, [[1]])})
+    g = LinMap(w, w, 1, {0: Matrix(Q, [[1]])})
     f = identity_map(v)
     fg = tensor_map(f, g)
     lab = ("t", v.labels[1][0], w.labels[0][0])
@@ -415,7 +415,7 @@ def _rand_over(rng, field, v, w):
 
 def test_equalizer_examples():
     x = GradedVect(Q, {0: 2})
-    f = LinMap(x, x, 0, {0: Matrix.from_rows(Q, [[1, 1], [0, 0]])})
+    f = LinMap(x, x, 0, {0: Matrix(Q, [[1, 1], [0, 0]])})
     z = zero_map(x, x)
     eq = equalizer_lin(f, z)
     assert eq.space.total_dim == 1
@@ -426,7 +426,7 @@ def test_equalizer_examples():
 
 def test_coequalizer_examples():
     x = GradedVect(Q, {0: 2})
-    f = LinMap(x, x, 0, {0: Matrix.from_rows(Q, [[1, 0], [1, 0]])})
+    f = LinMap(x, x, 0, {0: Matrix(Q, [[1, 0], [1, 0]])})
     z = zero_map(x, x)
     cq = coequalizer_lin(f, z)
     assert cq.space.total_dim == 1
@@ -1236,9 +1236,9 @@ def _dense_row_sites(allowed, is_site):
 def test_only_the_report_writer_reads_dense_rows():
     """Dense rows exist only at the edges.  ``Matrix.rows`` builds them;
     outside matrix.py only serialize.py, which writes reports, may read
-    it.  ``Matrix(...)`` and ``Matrix.from_rows`` take them; outside
-    exactlin only outside input (serialize.py), the reference checks
-    (oracle.py) and random generation (coalg/instances.py) may call them,
+    it.  ``Matrix(...)`` takes them; outside exactlin only outside input
+    (serialize.py), the reference checks (oracle.py) and random
+    generation (coalg/instances.py) may call it,
     so that every vector elsewhere stays a ``{label: nonzero}`` dict and
     every block a sparse matrix."""
     import ast
@@ -1252,11 +1252,7 @@ def test_only_the_report_writer_reads_dense_rows():
     def builds_from_dense_rows(node):
         if not isinstance(node, ast.Call):
             return False
-        func = node.func
-        return (isinstance(func, ast.Name) and func.id == "Matrix") or (
-            isinstance(func, ast.Attribute) and func.attr == "from_rows"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "Matrix")
+        return isinstance(node.func, ast.Name) and node.func.id == "Matrix"
 
     builders = _dense_row_sites(
         ("exactlin/", "serialize.py", "oracle.py", "coalg/instances.py"),

@@ -172,8 +172,8 @@ def test_linear_up_checks():
     v = GradedVect(F2, {0: 2, 1: 1})
     f = LinMap(
         v, v, 0,
-        {0: Matrix.from_rows(F2, [[1, 1], [0, 0]]),
-         1: Matrix.from_rows(F2, [[1]])},
+        {0: Matrix(F2, [[1, 1], [0, 0]]),
+         1: Matrix(F2, [[1]])},
     )
     z = zero_map(v, v)
     assert oracle.linear_equalizer_up_check(f, z)["ok"]

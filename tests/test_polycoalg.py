@@ -59,7 +59,7 @@ def test_comultiplication_binomials():
 def test_comodule_from_divided_power_family():
     pc = pcg.build(2, 0, Q)
     v = GradedVect(Q, {0: 2})
-    r1 = LinMap(v, v, 0, {0: Matrix.from_rows(Q, [[0, 1], [0, 0]])})
+    r1 = LinMap(v, v, 0, {0: Matrix(Q, [[0, 1], [0, 0]])})
     ops = [identity_map(v), r1, zero_map(v, v, 0)]
     m = pcg.comodule_from_family(pc, v, ops)
     assert coalg.validate(m)["ok"]
@@ -86,7 +86,7 @@ def test_relation_failure_witness():
     pc = pcg.build(2, 0, Q)
     v = GradedVect(Q, {0: 2})
     involution = LinMap(v, v, 0,
-                        {0: Matrix.from_rows(Q, [[0, 1], [1, 0]])})
+                        {0: Matrix(Q, [[0, 1], [1, 0]])})
     with pytest.raises(RelationFailure) as exc:
         pcg.comodule_from_family(
             pc, v, [identity_map(v), involution, zero_map(v, v, 0)]
@@ -175,7 +175,7 @@ def test_divided_power_rejects_prime_fields():
 def test_graded_mode_families():
     pc = pcg.build(2, 1, Q)
     w = GradedVect(Q, {0: 1, 1: 1, 2: 1})
-    blocks = {1: Matrix.from_rows(Q, [[1]]), 2: Matrix.from_rows(Q, [[1]])}
+    blocks = {1: Matrix(Q, [[1]]), 2: Matrix(Q, [[1]])}
     r1 = LinMap(w, w, -1, blocks)
     ops = pcg.family_from_first(pc, w, r1)
     m = pcg.comodule_from_family(pc, w, ops)
@@ -203,7 +203,7 @@ def test_full_stack_on_graded_instances():
     # degrees; the whole correspondence must hold there too
     pc = pcg.build(2, 1, Q)
     w = GradedVect(Q, {0: 1, 1: 1, 2: 1})
-    blocks = {1: Matrix.from_rows(Q, [[1]]), 2: Matrix.from_rows(Q, [[1]])}
+    blocks = {1: Matrix(Q, [[1]]), 2: Matrix(Q, [[1]])}
     r1 = LinMap(w, w, -1, blocks)
     ops = pcg.family_from_first(pc, w, r1)
     m = pcg.comodule_from_family(pc, w, ops)
