@@ -30,8 +30,9 @@ from . import oracle, serialize, set_comodule, set_contramodule
 from . import set_correspondence as set_corr
 from . import coalg, errors
 from .coalg import instances as coalg_instances
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, CocontraError,
-                     ParseError)
+from .coalg.core import require_coalgebra
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, CoalgebraMismatch,
+                     CocontraError, ParseError)
 from .exactlin import GradedVect, dual, field_from_name
 from .finset import FinMap, FinSet
 from .serialize import (COALGEBRA, COMODULE, CONTRAMODULE, FINSET,
@@ -372,6 +373,12 @@ def _job_bridge(env, args, ctx):
                           ("contramodule", "comodule")):
         if args[name] is None and args[partner] is not None:
             raise _missing("bridge", name, f"to go with {partner!r}")
+    # with a comodule, bridge_certificate checks C (its dual_algebra)
+    if m is None:
+        require_coalgebra(c)
+    elif m.coalgebra != c or p.coalgebra != c:
+        raise CoalgebraMismatch("bridge: the comodule and contramodule "
+                                "must live over 'coalgebra'")
     # the dual algebra's space is dual(C); bridge_certificate builds the
     # algebra itself
     payload = {"dual_algebra_dims": _dims(dual(c.space))}

@@ -6,8 +6,11 @@ itself; the comodule of a contramodule is a quotient of its free cover.
 Everything returns honest matrices.  L's beta and coaction, the map R's
 structure map factors, the counit's evaluation and the Kleisli push are
 built in one pass off the entries of Delta, the sections or the quotient
-(``_beta_map`` and the like); ``core``'s validators multiply out the
-composites, so they check these builders independently.
+(``_beta_map`` and the like); ``core``'s comodule and contramodule
+validators multiply out the composites, so they check these builders
+independently.  The coalgebra check reads the laws off Delta's entries,
+as the builders read the maps, and is checked against the composites in
+the tests.
 
 ``functor_R``, ``functor_L`` and each certificate here check the
 coalgebra C once, before they build anything (``require_coalgebra``);
@@ -50,6 +53,7 @@ from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
+    _entries,
     coalgebra_as_comodule,
     is_comodule_map,
     is_contramodule_map,
@@ -60,7 +64,6 @@ from .homobjects import (
     HomObject,
     comodule_hom_object,
     contra_hom_object,
-    _entries,
     _from_terms,
 )
 

@@ -27,6 +27,7 @@ from ..exactlin import (
 from .core import (
     VComodule,
     VContramodule,
+    _entries,
     require_same_coalgebra,
 )
 
@@ -55,15 +56,6 @@ class HomObject:
             return None
         labels = self.space.labels.get(k, ())
         return {labels[i]: r[0] for i, r in enumerate(sol.srows) if r}
-
-
-def _entries(f: LinMap):
-    """A degree-zero map's nonzero entries as (codomain label, domain
-    label, value) triples, read off its sparse blocks."""
-    for k, blk in f.blocks.items():
-        dlabs = f.dom.labels[k]
-        for clab, row in zip(f.cod.labels[k], blk.srows):
-            yield from ((clab, dlabs[j], x) for j, x in row.items())
 
 
 def _from_terms(dom: GradedVect, cod: GradedVect, terms) -> LinMap:

@@ -6,9 +6,12 @@ integral and a ``fractions.Fraction`` otherwise; a prime-field element is
 a plain int in ``range(p)``.  Field operations return canonical results
 from canonical arguments, so internal code never normalises; outside
 scalars are brought into this form by ``canonical``, ``from_int`` and
-``parse`` where they enter, and a sum that a kernel keeps as an integer
-numerator over a common denominator becomes a field element through
-``from_ratio``.  No floating point anywhere.
+``parse`` where they enter.  The matrix kernels call no field method per
+entry: a product keeps each entry as an integer numerator over its row's
+common denominator, and elimination over Q keeps integer rows, so each
+result becomes a field element once, through ``from_ratio``; over F_p
+every denominator is 1, and elimination reduces mod p inline.  No
+floating point anywhere.
 """
 
 from __future__ import annotations

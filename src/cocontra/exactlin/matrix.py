@@ -13,12 +13,23 @@ every other operation keeps it.  Dense rows exist only at the edges: the
 constructor for outside input, and the ``rows`` view that reports are
 written from.  The kernels take shapes as given: ``LinMap``, which holds
 every matrix the package multiplies, checks its blocks' shapes.
+
+The two kernels that carry the work, the product and elimination, call
+no field method in their inner loops.  Elimination (``rref``) over Q
+works on integer rows: each row is scaled by the lcm of its
+denominators, a column is cleared from a row by cross-multiplying it
+with the pivot row (fraction-free, as in Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp.
+1968), each new row is divided by its content, the gcd of its entries,
+and each pivot row is divided by its pivot once, at the end.  Over F_p
+the entries are ints already: each pivot row is normalised by its
+inverse once and rows are cleared mod p inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(eq=True)
@@ -167,37 +178,21 @@ class Matrix:
 
         Pivots are taken column by column, each from the first remaining
         row that holds the column; the form is unique, so the choice does
-        not show in the result."""
-        f = self.field
-        rows = [dict(r) for r in self.srows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r >= m:
-                break
-            pivot_row = next((i for i in range(r, m) if c in rows[i]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = f.inv(rows[r][c])
-            prow = rows[r] = {j: f.mul(inv, a) for j, a in rows[r].items()}
-            for i in range(m):
-                row = rows[i]
-                if i == r or c not in row:
-                    continue
-                factor = f.neg(row[c])
-                for j, b in prow.items():
-                    x = f.mul(factor, b)
-                    if j in row:
-                        x = f.add(row[j], x)
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            pivots.append(c)
-            r += 1
-        return Matrix.sparse(f, rows, n), pivots
+        not show in the result.  Over Q the rows are integer rows: row i
+        holding a in the pivot column of a pivot row holding p becomes
+        (p/g) row_i - (a/g) pivot_row, g = gcd(p, a), divided by its
+        content, and each pivot row is divided by its pivot, made
+        positive, at the end (``from_ratio``).  Every row so stays a
+        nonzero multiple of the row that normalising each pivot row at
+        once would hold, with the same zeros.  Over F_p each pivot row is
+        normalised by its inverse once and rows are cleared mod p."""
+        p = getattr(self.field, "p", None)
+        if p is None:
+            rows, pivots = _rref_int(self.srows, self.width,
+                                     self.field.from_ratio)
+        else:
+            rows, pivots = _rref_mod(self.srows, self.width, p)
+        return Matrix.sparse(self.field, rows, self.width), pivots
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -250,3 +245,97 @@ class Matrix:
         n = self.ncols
         _, pivots = self.hstack(Matrix.identity(self.field, self.nrows)).rref()
         return [p - n for p in pivots if p >= n]
+
+
+def _rref_int(srows, n, ratio):
+    """``rref`` over Q on integer rows; ``ratio`` is ``QQ.from_ratio``."""
+    rows = []
+    for row in srows:
+        den = 1
+        for x in row.values():
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+        rows.append(dict(row) if den == 1 else {
+            j: x * den if type(x) is int
+            else x.numerator * (den // x.denominator)
+            for j, x in row.items()})
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        for i in range(r, m):
+            if c in rows[i]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            a = row[c]
+            g = gcd(pv, a)
+            mp, ma = pv // g, a // g
+            if mp != 1:
+                row = {j: mp * x for j, x in row.items()}
+            for j, b in prow.items():
+                x = row[j] - ma * b if j in row else -ma * b
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: x // g for j, x in row.items()}
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+    for i, c in enumerate(pivots):
+        row = rows[i]
+        pv = row[c]
+        if pv < 0:
+            pv = -pv
+            row = {j: -x for j, x in row.items()}
+        if pv != 1:
+            row = {j: ratio(x, pv) for j, x in row.items()}
+        rows[i] = row
+    return rows, pivots
+
+
+def _rref_mod(srows, n, p):
+    """``rref`` over F_p, entries ints in range(p)."""
+    rows = [dict(r) for r in srows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        for i in range(r, m):
+            if c in rows[i]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = rows[r] = {j: x * inv % p for j, x in prow.items()}
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            a = row[c]
+            for j, b in prow.items():
+                x = (row[j] - a * b) % p if j in row else -a * b % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        pivots.append(c)
+        r += 1
+    return rows, pivots

@@ -1,13 +1,16 @@
 """Independent brute-force reference routines.
 
 These share no code with the production paths they certify but the
-engine's one map enumerator (``finset._all_maps``, an odometer):
-universal properties are checked against every competing cone from small
-canonical test objects, and linear (co)equalisers by solving the defining
-systems from scratch.  Each enumeration is charged against the budget of
-the job that runs it (:func:`errors.job`), the default outside any job:
-an over-budget one is a hard error with its exact projected count, never
-silent truncation.
+engine's one map enumerator (``finset._all_maps``, an odometer) and, for
+the linear ones, elimination: universal properties are checked against
+every competing cone from small canonical test objects, and linear
+(co)equalisers by solving the defining systems from scratch, through the
+same ``Matrix.rref`` (``kernel_basis``) that the paths they certify use.
+Only the tests' check of ``rref`` against the field-method elimination
+it replaced (``tests/test_exactlin.py``) guards that shared kernel.  Each
+enumeration is charged against the budget of the job that runs it
+(:func:`errors.job`), the default outside any job: an over-budget one is
+a hard error with its exact projected count, never silent truncation.
 """
 
 from __future__ import annotations

@@ -737,6 +737,37 @@ def test_bridge_refuses_a_contramodule_over_another_coalgebra():
     assert entry["witnesses"][0]["error"] == "CoalgebraMismatch"
 
 
+def test_bridge_checks_and_ties_its_coalgebra_argument():
+    """``coalgebra`` is checked even without a comodule, and a comodule or
+    contramodule must live over it; before, a coalgebra that breaks a
+    counit law passed on its own and beside objects over a valid one,
+    reporting its own ``dual_algebra_dims``."""
+    delta, eps, law = COUNIT_BREAKERS[0]
+    grouplike = ([[1, 0], [0, 0], [0, 0], [0, 1]], [[1, 1]])
+    env = serialize.parse_bundle({"declarations": [
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}, "prefix": "v"},
+        *_f2_coalgebra("G", *grouplike), *_f2_coalgebra("B", delta, [eps])]})
+    ctx = {"budget": 10**6, "oracle": False, "seed": 1, "timing": False}
+
+    def witness(**args):
+        entry = cli.run_job(env, {"command": "bridge", "args": args}, ctx)
+        assert entry["status"] == "error", entry
+        (got,) = entry["witnesses"]
+        return got
+
+    assert witness(coalgebra="B") == {
+        "error": "InvalidImage",
+        "message": f"C is not a coalgebra ({law} counit fails)"}
+    for args in ({"coalgebra": "B", "comodule": "TG", "contramodule": "FG"},
+                 {"coalgebra": "G", "comodule": "TB", "contramodule": "FG"},
+                 {"coalgebra": "G", "comodule": "TG", "contramodule": "FB"}):
+        assert witness(**args)["error"] == "CoalgebraMismatch", args
+    entry = cli.run_job(env, {"command": "bridge",
+                              "args": {"coalgebra": "G"}}, ctx)
+    assert entry["status"] == "pass", entry
+
+
 # declarations whose fields have the wrong type or sign, each refused with
 # the message that follows it
 WRONG_FIELDS = {
@@ -1676,11 +1707,12 @@ def test_adjoint_job_builds_each_space_once(monkeypatch, tmp_path):
     monkeypatch.setattr(graded.LinMap, "from_images",
                         classmethod(counted_from_images))
     _check_surface_case(tmp_path, "adjoint")
-    # the job builds 30 spaces, 21 of them tensor and hom spaces, one per
-    # structure; parsing the declarations, outside any job, builds 25; the
+    # the job builds 25 spaces, 17 of them tensor and hom spaces, one per
+    # structure (the coalgebra check, read off Delta's entries, builds
+    # none); parsing the declarations, outside any job, builds 25; the
     # 11 more from_images are the maps built straight off the structure
     # maps' entries (L's and R's structure maps and the hom objects' pairs)
-    assert counts == {"spaces": 55, "from_images": 18}
+    assert counts == {"spaces": 50, "from_images": 18}
 
 
 def test_space_table_lives_only_while_a_job_runs(monkeypatch):

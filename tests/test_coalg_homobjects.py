@@ -476,13 +476,13 @@ def _refuse_map_kernels(monkeypatch):
     ``LinMap.from_images`` and the maps built straight off the structure
     maps' entries, with their two helpers, raise at every binding in the
     package."""
-    from cocontra.coalg import functors, homobjects
+    from cocontra.coalg import core, functors, homobjects
     from cocontra.exactlin import graded
 
     _refuse(monkeypatch, [
         graded.compose, graded.hom_map, graded.tensor_map,
         graded.equalizer_lin, homobjects.comodule_structure_pair,
-        homobjects.contra_structure_pair, homobjects._entries,
+        homobjects.contra_structure_pair, core._entries,
         homobjects._from_terms, functors._beta_map,
         functors._cofree_coaction, functors._sections_action,
         functors._evaluation, functors._kleisli_push], "the oracle")
