@@ -653,14 +653,20 @@ def run_job(env: Environment, job: dict, ctx: dict) -> dict:
 
 def run_manifest(doc: dict, ctx: dict) -> dict:
     env = serialize.parse_bundle(doc)
-    jobs = doc.get("jobs", [])
-    ids = [job.get("id", job.get("command")) for job in jobs]
+    jobs = serialize.objects_of(doc, "jobs")
+    ids = []
+    for job in jobs:
+        command = job.get("command")
+        job_id = job.get("id", command)
+        for field, value in (("command", command), ("id", job_id)):
+            if not isinstance(value, str):
+                raise ParseError(f"a job's {field!r} must be a string, got "
+                                 f"{value!r:.80}")
+        if command not in COMMANDS:
+            raise ParseError(f"unknown command {command!r}", where=job_id)
+        ids.append(job_id)
     if len(set(ids)) != len(ids):
         raise ParseError("job ids must be unique")
-    for job_id, job in zip(ids, jobs):
-        if job.get("command") not in COMMANDS:
-            raise ParseError(f"unknown command {job.get('command')!r}",
-                             where=job_id)
     entries = [run_job(env, job, ctx) for job in jobs]
     entries.sort(key=lambda entry: entry["id"])
     return {
@@ -676,7 +682,10 @@ def write_report(report: dict, out_path):
         with open(out_path, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode())
+        # the canonical UTF-8 bytes, whatever the locale's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def exit_code_for(report: dict) -> int:
@@ -693,14 +702,15 @@ def _load_env_files(paths):
     mains = []
     for path in paths:
         sub = serialize.load_document(path)
-        doc["declarations"].extend(sub.get("declarations", []))
+        decls = serialize.objects_of(sub, "declarations", where=path)
+        doc["declarations"].extend(decls)
         if "kind" in sub:
             doc["declarations"].append(sub)
-            mains.append(sub["name"])
+            mains.append(sub.get("name"))
         elif "main" in sub:
             mains.append(sub["main"])
-        elif sub.get("declarations"):
-            mains.append(sub["declarations"][-1]["name"])
+        elif decls:
+            mains.append(decls[-1].get("name"))
     return doc, mains
 
 

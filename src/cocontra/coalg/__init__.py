@@ -6,25 +6,18 @@ from .bridge import (
     DualAlgebra,
     DualModule,
     bridge_certificate,
-    comodule_to_contramodule,
     comodule_to_module,
     contramodule_to_comodule,
     contramodule_to_module,
     dual_algebra,
-    module_maps_degree_zero,
-    quotient_bridge_iso,
-    sections_bridge_iso,
     module_to_comodule,
     module_to_contramodule,
-    validate_algebra,
     validate_module,
 )
 from .change import (
-    change_adjunction_certificate,
     cohom,
     coinduce_contramodule,
     cotensor,
-    counit_contraction_iso,
     hom_of_contramodule,
     induce_comodule,
     restrict_along,
@@ -38,7 +31,6 @@ from .core import (
     VContramodule,
     check_coalgebra_morphism,
     coalgebra_as_comodule,
-    coalgebra_as_left_comodule,
     cofree,
     free,
     is_coalgebra_morphism,
@@ -62,10 +54,8 @@ from .functors import (
     functor_R,
     functor_R_data,
     kleisli_certificate,
-    l_morphism,
     round_trip_report,
     triangle_identities,
-    unit_counit_iso_report,
     unit_map,
 )
 from .homobjects import (
@@ -74,8 +64,6 @@ from .homobjects import (
     comodule_maps_direct,
     contra_hom_object,
     contra_maps_direct,
-    enriched_composition,
-    identity_element,
     same_degree_zero_subspace,
 )
 from . import instances

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MismatchedSignature
 from ..exactlin import (
     GradedVect,
     LinMap,
@@ -85,31 +84,6 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
     }
     unit = LinMap.from_images(unit_space(fld), a, 0, unit_images)
     return DualAlgebra(c, a, mult, unit)
-
-
-def validate_algebra(alg: DualAlgebra) -> dict:
-    a = alg.space
-    failures = []
-    lhs = compose(alg.mult, tensor_map(alg.mult, identity_map(a)))
-    rhs = compose(
-        alg.mult,
-        compose(tensor_map(identity_map(a), alg.mult), assoc(a, a, a)),
-    )
-    if lhs != rhs:
-        failures.append("associativity")
-    left = compose(
-        alg.mult,
-        compose(tensor_map(alg.unit, identity_map(a)), unit_left_inv(a)),
-    )
-    if left != identity_map(a):
-        failures.append("left unit")
-    right = compose(
-        alg.mult,
-        compose(tensor_map(identity_map(a), alg.unit), unit_right_inv(a)),
-    )
-    if right != identity_map(a):
-        failures.append("right unit")
-    return {"ok": not failures, "failures": failures}
 
 
 def validate_module(mod: DualModule) -> dict:
@@ -231,78 +205,9 @@ def module_to_contramodule(mod: DualModule) -> VContramodule:
     return VContramodule(c, x, theta)
 
 
-def comodule_to_contramodule(m: VComodule, alg: DualAlgebra) -> VContramodule:
-    """The finite-dimensional collapse, comodule to contramodule: act with
-    the dual basis through the right action."""
-    return module_to_contramodule(comodule_to_module(m, alg))
-
-
 def contramodule_to_comodule(p: VContramodule, alg: DualAlgebra) -> VComodule:
     """The collapse back: coact through the left action."""
     return module_to_comodule(contramodule_to_module(p, alg))
-
-
-def module_maps_degree_zero(m1: DualModule, m2: DualModule):
-    """Solve the equivariance system for maps between modules: the legs
-    have the contramodule oracle's shape, the action in place of theta,
-    with the dual basis vector on the action's side of the tensor."""
-    from .homobjects import _action_legs, _degree_zero_kernel
-
-    if m1.side != m2.side:
-        raise MismatchedSignature("modules acting on different sides")
-    if m1.algebra.space != m2.algebra.space:
-        raise MismatchedSignature("modules over different algebras")
-    others = [lab for _, _, lab in m1.algebra.space.basis()]
-    if m1.side == "right":
-        def place(x, u):
-            return ("t", x, u)
-    else:
-        def place(x, u):
-            return ("t", u, x)
-    return _degree_zero_kernel(m1.space, m2.space, _action_legs(
-        m1.action, m2.action, others, place))
-
-
-def sections_bridge_iso(m: VComodule):
-    """The canonical comparison between the sections contramodule of a
-    comodule and its bridge image: include the sections into the function
-    space, read that as dual-tensor, and act.
-
-    Returns (iso, sections_contramodule, bridged_contramodule); at finite
-    dimension the map is an isomorphism of contramodules; it is not
-    checked here.  C is checked once, by :func:`dual_algebra`, before
-    anything else is built."""
-    from ..exactlin import braiding
-    from .functors import functor_R_data
-    from .instances import inverse_map
-
-    alg = dual_algebra(m.coalgebra)
-    right = comodule_to_module(m, alg)
-    rdata = functor_R_data(m)
-    dt = dual_tensor_into_hom(m.coalgebra, m.space)
-    phi = compose(
-        right.action,
-        compose(
-            braiding(alg.space, m.space),
-            compose(inverse_map(dt), rdata.hom.include),
-        ),
-    )
-    return phi, rdata.contramodule, module_to_contramodule(right)
-
-
-def quotient_bridge_iso(p: VContramodule):
-    """The canonical comparison between the quotient comodule of a
-    contramodule and its bridge image: coact through the bridge and
-    project.
-
-    Returns (iso, quotient_comodule, bridged_comodule).  C is checked
-    once, by :func:`dual_algebra`, before anything else is built."""
-    from .functors import functor_L_data
-
-    bridged = contramodule_to_comodule(p, dual_algebra(p.coalgebra))
-    ldata = functor_L_data(p)
-    psi = compose(ldata.quot.project, bridged.rho)
-    return psi, ldata.comodule, bridged
 
 
 def bridge_certificate(m: VComodule, p: VContramodule) -> dict:

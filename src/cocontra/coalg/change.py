@@ -6,9 +6,8 @@ Each construction here validates what it builds and raises
 :class:`InvalidImage`, under ``python -O`` too, when it fails, which shows
 that an argument or a coalgebra is not valid: the restricted comodule and
 contramodule, the induced comodule, the coinduced contramodule (whose
-structure map must also descend to the cohom), the hom contramodule
-[N, X], and the counit contraction m cotensor C -> m, which must be
-invertible.
+structure map must also descend to the cohom) and the hom contramodule
+[N, X].
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ from ..exactlin import (
     hom_tensor_iso_inv,
     identity_map,
     tensor_map,
-    unit_right,
 )
 from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
     check_coalgebra_morphism,
-    coalgebra_as_left_comodule,
     left_coaction,
     left_comodule_from_coaction,
     require_same_coalgebra,
@@ -71,23 +68,6 @@ def cotensor(m: VComodule, n: VComodule) -> SubPresentation:
         tensor_map(identity_map(m.space), left_coaction(n)),
     )
     return equalizer_lin(first, second, prefix="ct")
-
-
-def counit_contraction_iso(m: VComodule) -> LinMap:
-    """The canonical identification of m cotensor the coalgebra with m."""
-    c = m.coalgebra
-    sub = cotensor(m, coalgebra_as_left_comodule(c))
-    collapse = compose(
-        unit_right(m.space),
-        tensor_map(identity_map(m.space), c.eps),
-    )
-    iso = compose(collapse, sub.include)
-    # the coaction itself provides the inverse leg
-    back = factor_through_include(sub.include, m.rho)
-    if not iso.is_iso() or compose(iso, back) != identity_map(m.space):
-        raise InvalidImage("m cotensor C is not m, so m or its coalgebra "
-                           "is not valid")
-    return iso
 
 
 def cohom(m: VComodule, p: VContramodule) -> QuotPresentation:
@@ -190,39 +170,6 @@ def restrict_along(f: LinMap, c: Coalgebra, chat: Coalgebra, obj):
     if isinstance(obj, VContramodule):
         return restrict_contramodule(f, c, chat, obj)
     raise TypeError(f"cannot restrict {type(obj).__name__}")
-
-
-def change_adjunction_certificate(f: LinMap, c: Coalgebra, chat: Coalgebra,
-                                  n: VComodule, m: VComodule,
-                                  p: VContramodule,
-                                  q: VContramodule) -> dict:
-    """Graded dimensions of the four adjunction hom objects.
-
-    n is a comodule over the source, m over the target; q a contramodule
-    over the source, p over the target.  Restriction against induction and
-    coinduction must produce hom objects of equal graded dimension.
-    """
-    from .homobjects import comodule_hom_object, contra_hom_object
-
-    res_n = restrict_comodule(f, c, chat, n)
-    ind_m = induce_comodule(f, c, chat, m)
-    lhs_t = comodule_hom_object(res_n, m)
-    rhs_t = comodule_hom_object(n, ind_m)
-
-    res_q = restrict_contramodule(f, c, chat, q)
-    coind_p = coinduce_contramodule(f, c, chat, p)
-    lhs_f = contra_hom_object(coind_p, q)
-    rhs_f = contra_hom_object(p, res_q)
-    return {
-        "comodule_side": (
-            dict(lhs_t.space.dims), dict(rhs_t.space.dims)
-        ),
-        "contramodule_side": (
-            dict(lhs_f.space.dims), dict(rhs_f.space.dims)
-        ),
-        "ok": lhs_t.space.dims == rhs_t.space.dims
-        and lhs_f.space.dims == rhs_f.space.dims,
-    }
 
 
 def hom_of_contramodule(n: VComodule, x) -> VContramodule:

@@ -302,10 +302,6 @@ def coalgebra_as_comodule(c: Coalgebra) -> VComodule:
     return VComodule(c, c.space, c.delta)
 
 
-def coalgebra_as_left_comodule(c: Coalgebra) -> VComodule:
-    return left_comodule_from_coaction(c, c.space, c.delta)
-
-
 def require_same_coalgebra(*objs):
     first = objs[0].coalgebra
     for o in objs[1:]:

@@ -237,24 +237,6 @@ def _l_mor(u: LinMap, p: VContramodule, lp: LData, lq: LData) -> LinMap:
     return compose(w, lp.quot.section)
 
 
-def l_morphism(u: LinMap, p: VContramodule, q: VContramodule) -> LinMap:
-    require_same_coalgebra(p, q)
-    require_coalgebra(p.coalgebra)
-    return _l_mor(u, p, functor_L_data(p), functor_L_data(q))
-
-
-def unit_counit_iso_report(p: VContramodule, m: VComodule) -> dict:
-    """Are the unit and counit isomorphisms at these finite instances?"""
-    require_same_coalgebra(p, m)
-    require_coalgebra(p.coalgebra)
-    ldata = functor_L_data(p)
-    rdata = functor_R_data(m)
-    return _unit_counit_report(
-        p, m, ldata, functor_R_data(ldata.comodule),
-        rdata, functor_L_data(rdata.contramodule),
-    )
-
-
 def round_trip_report(m: VComodule):
     """The comodule L(R(m)) and the unit and counit report at R(m) and m,
     building R(m), L(R(m)) and R(L(R(m))) once each after checking C."""
@@ -270,8 +252,8 @@ def round_trip_report(m: VComodule):
 
 def _unit_counit_report(p, m, ldata: LData, rdata_lp: RData,
                         rdata: RData, ldata_rm: LData) -> dict:
-    """:func:`unit_counit_iso_report` given L(p), R(L(p)), R(m) and
-    L(R(m))."""
+    """Are the unit at p and the counit at m isomorphisms and maps of
+    their kind?  Given L(p), R(L(p)), R(m) and L(R(m))."""
     eta = unit_map(p, ldata, rdata_lp)
     eps = counit_map(m, rdata, ldata_rm)
     return {

@@ -1,5 +1,5 @@
 """Enriched hom objects: equalisers of the two structure-compatibility maps
-inside the internal hom, plus the internal composition restricted to them.
+inside the internal hom.
 One map of each pair is built in one pass off a structure map's entries
 (``_from_terms``), not as a composite; the oracles do not use it.
 """
@@ -8,21 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import IncompatibleTriple, MismatchedSignature
+from ..errors import MismatchedSignature
 from ..exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    compose,
     equalizer_lin,
-    factor_through_include,
     hom_map,
     hom_space,
     identity_map,
-    linmap_to_vec,
-    relabel,
-    tensor,
-    tensor_map,
 )
 from .core import (
     VComodule,
@@ -42,20 +36,6 @@ class HomObject:
     ambient: GradedVect
     space: GradedVect
     include: LinMap
-
-    def coords_of(self, f: LinMap):
-        """Coordinates of a member map in the hom-object basis, as
-        {label: nonzero}; None when the map is not a member."""
-        k = f.degree
-        amb = self.ambient
-        col = {amb.position(lab)[1]: c for lab, c in linmap_to_vec(f).items()}
-        sol = self.include.block(k).solve_matrix(
-            Matrix.from_columns(amb.field, [col], amb.dim(k))
-        )
-        if sol is None:
-            return None
-        labels = self.space.labels.get(k, ())
-        return {labels[i]: r[0] for i, r in enumerate(sol.srows) if r}
 
 
 def _from_terms(dom: GradedVect, cod: GradedVect, terms) -> LinMap:
@@ -223,48 +203,3 @@ def same_degree_zero_subspace(hobj: HomObject, units, kernel) -> bool:
         direct.solve_matrix(inc) is not None
         and inc.solve_matrix(direct) is not None
     )
-
-
-def composition_on_ambient(
-    x: GradedVect, y: GradedVect, z: GradedVect
-) -> LinMap:
-    """[Y,Z] (x) [X,Y] -> [X,Z], matching matrix units through the middle:
-    (b' -> c) (x) (a -> b) goes to a -> c when b = b', to zero otherwise."""
-    return relabel(tensor(hom_space(y, z), hom_space(x, y)), hom_space(x, z),
-                   lambda t: ("h", t[2][1], t[1][2])
-                   if t[2][2] == t[1][1] else None)
-
-
-def identity_element(hobj: HomObject):
-    """Coordinates of the identity map inside an endo hom object."""
-    if hobj.src is not hobj.dst and hobj.src.space != hobj.dst.space:
-        raise IncompatibleTriple("identity needs an endo hom object")
-    ident = identity_map(hobj.src.space)
-    coords = hobj.coords_of(ident)
-    if coords is None:
-        raise IncompatibleTriple("identity is not a member; invalid input")
-    return coords
-
-
-def enriched_composition(h1: HomObject, h2: HomObject):
-    """The internal composition restricted to hom objects.
-
-    ``h1`` is the inner hom (X to Y), ``h2`` the outer (Y to Z); returns
-    the target hom object together with the factored composition map
-    h2 (x) h1 -> h3.  Raises when the restriction fails to land in the
-    target, which would mean the inputs were not genuine hom objects.
-    """
-    if h1.kind != h2.kind:
-        raise IncompatibleTriple("mixed comodule/contramodule composition")
-    if h1.dst is not h2.src and h1.dst.space != h2.src.space:
-        raise IncompatibleTriple("hom objects do not share the middle object")
-    if h1.kind == "T":
-        h3 = comodule_hom_object(h1.src, h2.dst)
-    else:
-        h3 = contra_hom_object(h1.src, h2.dst)
-    comp = composition_on_ambient(
-        h1.src.space, h1.dst.space, h2.dst.space
-    )
-    restricted = compose(comp, tensor_map(h2.include, h1.include))
-    factored = factor_through_include(h3.include, restricted)
-    return h3, factored

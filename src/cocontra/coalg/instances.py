@@ -113,14 +113,6 @@ def transport_contramodule(p: VContramodule, g: LinMap) -> VContramodule:
     return VContramodule(p.coalgebra, p.space, theta)
 
 
-def grading_comodule(c: Coalgebra, assignment, space) -> VComodule:
-    """Over a group-like coalgebra, a choice of group-like per basis vector
-    is exactly a comodule."""
-    rho = relabel(space, tensor(space, c.space),
-                  lambda a: ("t", a, assignment[a]))
-    return VComodule(c, space, rho)
-
-
 def random_coalgebra(field, rng: random.Random, max_dim: int = 3) -> Coalgebra:
     n = rng.randint(1, max_dim)
     c = group_like_coalgebra(field, n)

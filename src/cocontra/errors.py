@@ -24,10 +24,6 @@ class CoalgebraMismatch(CocontraError):
     """Structures over different coalgebras were combined."""
 
 
-class NotCounital(CocontraError):
-    """A candidate structure map violates the counit axiom."""
-
-
 class NotCoalgebraMorphism(CocontraError):
     """A map fails the comultiplication/counit compatibility squares."""
 
@@ -44,13 +40,6 @@ class InvalidImage(CocontraError):
     def __init__(self, message, failures=()):
         super().__init__(message)
         self.failures = list(failures)
-
-
-class RelationFailure(CocontraError):
-    """A structure family violates its composition relations.
-
-    Carries the witnessing index pair in ``args[1]`` when available.
-    """
 
 
 class EmptyFiber(CocontraError):
@@ -174,10 +163,6 @@ def count_text(n: int) -> str:
     if n.bit_length() <= PRINTED_BITS:
         return str(n)
     return f"at least 2^{count_text(n.bit_length() - 1)}"
-
-
-class IncompatibleTriple(CocontraError):
-    """Hom objects passed to composition do not share endpoints."""
 
 
 class ParseError(CocontraError):

@@ -7,12 +7,11 @@ ascending, then the construction order below), so every matrix in sight is
 reproducible bit for bit.
 
 A vector is a ``{label: nonzero}`` dict, the form ``LinMap.from_images``
-takes and ``LinMap.apply_label`` returns; a hom-space element in that form
-is read back as a map by ``vec_to_linmap``.  Dense tuples appear only in
+takes and ``LinMap.apply_label`` returns.  Dense tuples appear only in
 reports and outside input.
 
-The structural maps (associator, unitors, braiding, evaluation, the
-tensor-hom isomorphism, the duality maps) send each basis label to at most
+The structural maps (associator, unitors, braiding, the tensor-hom
+isomorphism, the duality pairing) send each basis label to at most
 one label, up to sign, and each is one ``relabel`` call;
 ``from_images`` builds the maps with arbitrary coefficients.
 
@@ -118,10 +117,6 @@ def unit_space(field) -> GradedVect:
     labels = {0: ("1",)}
     return job_table(_leaf_key(field, labels), GradedVect, field, {0: 1},
                      labels)
-
-
-def zero_space(field) -> GradedVect:
-    return GradedVect(field, {})
 
 
 @dataclass(eq=False)
@@ -240,10 +235,6 @@ def identity_map(v: GradedVect) -> LinMap:
     )
 
 
-def zero_map(dom: GradedVect, cod: GradedVect, degree: int = 0) -> LinMap:
-    return LinMap(dom, cod, degree, {})
-
-
 def compose(g: LinMap, f: LinMap) -> LinMap:
     """g after f; degrees add."""
     if f.cod != g.dom:
@@ -264,15 +255,6 @@ def sub_maps(f: LinMap, g: LinMap) -> LinMap:
         f.cod,
         f.degree,
         {k: f.block(k) - g.block(k) for k in f.dom.degrees()},
-    )
-
-
-def scale_map(c, f: LinMap) -> LinMap:
-    return LinMap(
-        f.dom,
-        f.cod,
-        f.degree,
-        {k: f.block(k).scale(c) for k in f.dom.degrees()},
     )
 
 
@@ -467,30 +449,6 @@ def hom_space(v: GradedVect, w: GradedVect) -> GradedVect:
     return _pair_space("h", v, w)
 
 
-def vec_to_linmap(h: dict, v: GradedVect, w: GradedVect) -> LinMap:
-    """Read a homogeneous hom-space element, a {("h", a, b): coefficient}
-    dict, back as an honest map."""
-    degrees = set()
-    images = {}
-    for (_, a, b), c in h.items():
-        if c:
-            degrees.add(w.degree_of(b) - v.degree_of(a))
-            images.setdefault(a, {})[b] = c
-    if len(degrees) > 1:
-        raise ValueError("hom element must be homogeneous")
-    return LinMap.from_images(v, w, degrees.pop() if degrees else 0, images)
-
-
-def linmap_to_vec(f: LinMap) -> dict:
-    """The hom-space element of a map as {("h", a, b): nonzero}, in the
-    basis order of hom(dom, cod)."""
-    return {
-        ("h", a, b): c
-        for _, _, a in f.dom.basis()
-        for b, c in f.apply_label(a).items()
-    }
-
-
 def hom_map(f: LinMap, g: LinMap) -> LinMap:
     """[B,X] -> [A,Y] by h -> g o h o f, for degree-zero f: A -> B and
     g: X -> Y.
@@ -520,13 +478,6 @@ def hom_map(f: LinMap, g: LinMap) -> LinMap:
         n: Matrix.sparse(fld, rs, dom.dims[n]) for n, rs in rows.items()})
 
 
-def ev_map(v: GradedVect, w: GradedVect) -> LinMap:
-    """[V,W] (x) V -> W, pairing a matrix unit a -> b against a basis
-    vector: b when the vector is a, zero otherwise."""
-    return relabel(tensor(hom_space(v, w), v), w,
-                   lambda t: t[1][2] if t[1][1] == t[2] else None)
-
-
 def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     """U (x) V -> W into U -> [V,W] (the degree rides along)."""
     if f.dom != tensor(u, v) or f.cod != w:
@@ -541,18 +492,6 @@ def curry(f: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
         for _, _, a in u.basis()
     }
     return LinMap.from_images(u, cod, f.degree, images)
-
-
-def uncurry(g: LinMap, u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
-    """U -> [V,W] into U (x) V -> W."""
-    if g.dom != u or g.cod != hom_space(v, w):
-        raise MismatchedSignature("uncurry wants a map U -> [V,W]")
-    dom = tensor(u, v)
-    images = {}
-    for _, _, a in u.basis():
-        for (_, b, c), cc in g.apply_label(a).items():
-            images.setdefault(("t", a, b), {})[c] = cc
-    return LinMap.from_images(dom, w, g.degree, images)
 
 
 def hom_tensor_iso(a: GradedVect, b: GradedVect, x: GradedVect) -> LinMap:
@@ -573,26 +512,6 @@ def dual(v: GradedVect) -> GradedVect:
         dims[-k] = v.dim(k)
         labels[-k] = tuple(("d", a) for a in v.labels[k])
     return GradedVect(v.field, dims, labels)
-
-
-def dual_map(f: LinMap) -> LinMap:
-    """Transpose of a degree-zero map."""
-    if f.degree:
-        raise MismatchedSignature("dual_map wants a degree-0 map")
-    dom = dual(f.cod)
-    cod = dual(f.dom)
-    images = {}
-    for _, _, dlab in dom.basis():
-        _, b = dlab
-        kb, ib = f.cod.position(b)
-        frow = f.blocks[kb].srows[ib] if kb in f.blocks else {}
-        alabs = f.dom.labels.get(kb)
-        images[dlab] = {("d", alabs[ia]): c for ia, c in frow.items()}
-    return LinMap.from_images(dom, cod, 0, images)
-
-
-def double_dual_iso(v: GradedVect) -> LinMap:
-    return relabel(v, dual(dual(v)), lambda a: ("d", ("d", a)))
 
 
 def pairing(v: GradedVect) -> LinMap:

@@ -122,12 +122,6 @@ class Matrix:
             out.append(row)
         return Matrix.sparse(f, out, self.width)
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix.sparse(f, (
-            {j: x for j, a in r.items() if (x := f.mul(c, a))}
-            for r in self.srows), self.width)
-
     def __matmul__(self, other) -> "Matrix":
         """The product.  Each entry of a row is summed as an integer over
         the row's common denominator and becomes a field element once

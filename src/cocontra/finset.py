@@ -93,9 +93,6 @@ class FinMap:
     def is_surjective(self) -> bool:
         return set(self.table.values()) == set(self.cod.elements)
 
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
     def image(self) -> FinSet:
         return FinSet(set(self.table.values()))
 

@@ -1,31 +1,18 @@
 """Independent brute-force reference routines.
 
 These share no code with the production paths they certify but the
-engine's one map enumerator (``finset._all_maps``, an odometer) and, for
-the linear ones, elimination: universal properties are checked against
-every competing cone from small canonical test objects, and linear
-(co)equalisers by solving the defining systems from scratch, through the
-same ``Matrix.rref`` (``kernel_basis``) that the paths they certify use.
-Only the tests' check of ``rref`` against the field-method elimination
-it replaced (``tests/test_exactlin.py``) guards that shared kernel.  Each
-enumeration is charged against the budget of the job that runs it
-(:func:`errors.job`), the default outside any job: an over-budget one is
-a hard error with its exact projected count, never silent truncation.
+engine's one map enumerator (``finset._all_maps``, an odometer):
+universal properties are checked against every competing cone from small
+canonical test objects.  Each enumeration is charged against the budget
+of the job that runs it (:func:`errors.job`), the default outside any
+job: an over-budget one is a hard error with its exact projected count,
+never silent truncation.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from . import finset
 from .errors import charge
-from .exactlin import (
-    GradedVect,
-    LinMap,
-    Matrix,
-    compose as lcompose,
-    sub_maps,
-)
 from .finset import FinSet
 
 
@@ -35,33 +22,6 @@ def all_maps(a: FinSet, b: FinSet):
     if len(a) > 0:
         charge(len(b) ** len(a), "map enumeration")
     yield from finset._all_maps(a, b)
-
-
-def all_linmaps(v: GradedVect, w: GradedVect, degree: int = 0):
-    """Every degree-homogeneous map exactly once over a prime field."""
-    fld = v.field
-    if not hasattr(fld, "p"):
-        raise ValueError("exhaustive map enumeration needs a prime field")
-    cells = []
-    for k in v.degrees():
-        m, n = w.dim(k + degree), v.dim(k)
-        cells.extend(((k, i, j) for i in range(m) for j in range(n)))
-    charge(fld.p ** len(cells), "matrix enumeration")
-    for values in iproduct(range(fld.p), repeat=len(cells)):
-        blocks: dict[int, list] = {}
-        for (k, i, j), val in zip(cells, values):
-            if k not in blocks:
-                blocks[k] = [
-                    [fld.zero()] * v.dim(k)
-                    for _ in range(w.dim(k + degree))
-                ]
-            blocks[k][i][j] = val
-        yield LinMap(
-            v,
-            w,
-            degree,
-            {k: Matrix(fld, rows, v.dim(k)) for k, rows in blocks.items()},
-        )
 
 
 def _test_sets(max_size: int = 3):
@@ -200,99 +160,3 @@ def _up_pullback(data):
                             "witness": {"h1": h1.table, "h2": h2.table,
                                         "mediators": n}}
     return {"ok": True, "cones": cones, "witness": None}
-
-
-def linear_equalizer_up_check(f: LinMap, g: LinMap,
-                              test_dims=(1, 2)) -> dict:
-    """Complete universal-property check for the linear equaliser: the
-    space of cones, solved from scratch, must have the dimension of the
-    maps into the sub-object (factorisation is then unique because the
-    inclusion has full column rank)."""
-    from .exactlin import equalizer_lin
-
-    eq = equalizer_lin(f, g)
-    fld = f.dom.field
-    diff = sub_maps(f, g)
-    probe_degrees = f.dom.degrees() or [0]
-    for n in test_dims:
-      for base_deg in probe_degrees:
-        z = GradedVect(fld, {base_deg: n}, prefix="up")
-        cols = []
-        cells = [
-            (k, i, j)
-            for k in z.degrees()
-            if f.dom.dim(k) > 0
-            for i in range(f.dom.dim(k))
-            for j in range(z.dim(k))
-        ]
-        for k, i, j in cells:
-            unit = [{} for _ in range(f.dom.dim(k))]
-            unit[i] = {j: fld.one()}
-            h = LinMap(z, f.dom, 0, {k: Matrix.sparse(fld, unit, z.dim(k))})
-            comp = lcompose(diff, h)
-            col = []
-            for kk in z.degrees():
-                blk = comp.block(kk)
-                col.extend(
-                    blk[i2, j2]
-                    for i2 in range(blk.nrows)
-                    for j2 in range(blk.ncols)
-                )
-            cols.append(tuple(col))
-        if cells and cols[0]:
-            cone_dim = len(Matrix(fld, zip(*cols), len(cols)).kernel_basis())
-        else:
-            cone_dim = len(cells)
-        expected = sum(eq.space.dim(k) * z.dim(k) for k in z.degrees())
-        if cone_dim != expected:
-            return {"ok": False, "test_dim": n, "degree": base_deg,
-                    "cone_dim": cone_dim, "expected": expected}
-    return {"ok": True}
-
-
-def linear_coequalizer_up_check(f: LinMap, g: LinMap,
-                                test_dims=(1, 2)) -> dict:
-    """Dual check: cocones out of the codomain match maps out of the
-    quotient."""
-    from .exactlin import coequalizer_lin
-
-    q = coequalizer_lin(f, g)
-    fld = f.dom.field
-    diff = sub_maps(f, g)
-    probe_degrees = f.cod.degrees() or [0]
-    for n in test_dims:
-      for base_deg in probe_degrees:
-        z = GradedVect(fld, {base_deg: n}, prefix="up")
-        cols = []
-        cells = [
-            (k, i, j)
-            for k in f.cod.degrees()
-            if z.dim(k) > 0
-            for i in range(z.dim(k))
-            for j in range(f.cod.dim(k))
-        ]
-        for k, i, j in cells:
-            unit = [{} for _ in range(z.dim(k))]
-            unit[i] = {j: fld.one()}
-            h = LinMap(f.cod, z, 0,
-                       {k: Matrix.sparse(fld, unit, f.cod.dim(k))})
-            comp = lcompose(h, diff)
-            col = []
-            for kk in f.dom.degrees():
-                blk = comp.block(kk)
-                col.extend(
-                    blk[i2, j2]
-                    for i2 in range(blk.nrows)
-                    for j2 in range(blk.ncols)
-                )
-            cols.append(tuple(col))
-        if cells and cols and cols[0]:
-            cocone_dim = len(
-                Matrix(fld, zip(*cols), len(cols)).kernel_basis())
-        else:
-            cocone_dim = len(cells)
-        expected = sum(q.space.dim(k) * z.dim(k) for k in z.degrees())
-        if cocone_dim != expected:
-            return {"ok": False, "test_dim": n, "degree": base_deg,
-                    "cocone_dim": cocone_dim, "expected": expected}
-    return {"ok": True}

@@ -326,19 +326,38 @@ _PARSERS = {
 }
 
 
+def objects_of(doc, key: str, where=None) -> list:
+    """The list ``doc[key]`` of a manifest or declaration file, empty when
+    absent.  A document that is not an object, or a ``key`` that is not a
+    list of objects, is a parse error."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a document must be an object, got {doc!r:.80}",
+                         where=where)
+    items = doc.get(key, [])
+    if not (isinstance(items, list)
+            and all(isinstance(item, dict) for item in items)):
+        raise ParseError(f"{key!r} must be a list of objects, got "
+                         f"{items!r:.80}", where=where)
+    return items
+
+
 def parse_bundle(doc: dict) -> Environment:
     env = Environment()
-    for decl in doc.get("declarations", []):
+    for decl in objects_of(doc, "declarations"):
         _parse_declaration(decl, env)
     return env
 
 
 def load_document(path: str) -> dict:
+    """A manifest or declaration file, read as UTF-8 whatever the
+    locale."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", where=path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}", where=path)
     except OSError as exc:
         raise ParseError(str(exc), where=path)
 

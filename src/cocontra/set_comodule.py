@@ -2,9 +2,8 @@
 
 A base set carries exactly one comonoid structure (the diagonal), so a
 comodule is the same thing as a set over the base: a carrier together with
-a total structure map ``phi`` down to the base.  The coaction form
-``rho = (id, phi)`` is accepted only through the validating converter
-:func:`comodule_of`; internally everything is stored in phi-form.
+a total structure map ``phi`` down to the base.  Everything is stored in
+phi-form; the coaction ``rho = (id, phi)`` is built on demand.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import finset
-from .errors import BaseMismatch, NotCounital, charge
+from .errors import BaseMismatch, charge
 from .finset import FinMap, FinSet, SubPresentation
 
 
@@ -51,23 +50,6 @@ class SetComodule:
             p,
             {x: finset.pair_label(x, self.phi(x)) for x in self.carrier},
         )
-
-
-def comodule_of(rho: FinMap, carrier: FinSet, base: FinSet) -> SetComodule:
-    """Validate a raw coaction and extract its phi-form.
-
-    The first component must be the identity (the counit axiom); the
-    coassociativity axiom then holds automatically: both nested coactions
-    send x to (x, phi(x), phi(x)).
-    """
-    prod, proj1, proj2 = finset.product(carrier, base)
-    if rho.dom != carrier or rho.cod != prod:
-        raise ValueError("rho must map the carrier into carrier x base")
-    first = finset.compose(proj1, rho)
-    if first != finset.identity(carrier):
-        bad = next(x for x in carrier if first(x) != x)
-        raise NotCounital(f"rho({bad}) does not fix {bad}")
-    return SetComodule(carrier, base, finset.compose(proj2, rho))
 
 
 def fibers(m: SetComodule) -> dict[str, FinSet]:

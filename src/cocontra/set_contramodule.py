@@ -62,10 +62,6 @@ class ContraTable:
     def is_empty(self) -> bool:
         return len(self.carrier) == 0
 
-    def theta_value(self, beta: FinMap) -> str:
-        """Apply the structure map to a function base -> carrier."""
-        return self.theta_fn()(beta)
-
     def theta_fn(self):
         """The structure map as a function of beta: base -> carrier; a
         product form fetches its decode table once, here."""
@@ -560,34 +556,10 @@ def all_product_shapes(base: FinSet, max_fiber: int):
         yield product_contra(base, fam)
 
 
-def contra_components(
-    u: FinMap, s: ContraTable, t: ContraTable
-) -> dict[str, FinMap]:
-    """The slotwise components of a contramodule map between product forms.
-
-    A map between products acts independently in every slot; the component
-    over ``a`` is read off by varying only that slot of a fixed choice.
-    """
-    if s.fibers is None or t.fibers is None:
-        raise ValueError("slotwise components need product forms")
-    decode_t = finset.choice_table(t.base, t.fibers)
-    c0 = finset.choice_table(s.base, s.fibers)[s.carrier.elements[0]].table
-    comps = {}
-    for a in s.base:
-        table = {}
-        for x in s.fibers[a]:
-            ch = dict(c0)
-            ch[a] = x
-            val = decode_t[u(finset.encode_table(s.base, ch))].table[a]
-            table[x] = val
-        comps[a] = FinMap(s.fibers[a], t.fibers[a], table)
-    return comps
-
-
 def _component_families(base: FinSet, s_fibers: dict, t_fibers: dict):
-    """All slotwise families between two fiber families over one base (=
-    all contramodule maps between their products, via
-    :func:`contra_components`), each slot map a dict."""
+    """All slotwise families between two fiber families over one base,
+    each slot map a dict: all contramodule maps between their products,
+    since such a map acts on each slot alone."""
     charge(
         math.prod(len(t_fibers[a]) ** len(s_fibers[a]) for a in base),
         "slotwise hom enumeration",

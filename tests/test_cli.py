@@ -9,6 +9,7 @@ import pytest
 from cocontra import cli, finset, serialize
 from cocontra.errors import (DEFAULT_BUDGET, BudgetExceeded, InvalidImage,
                              ParseError, charge)
+from paper_checks import ev_map
 
 
 BASE_DECLS = [
@@ -576,7 +577,7 @@ def test_only_the_descent_check_refuses_l_over_descent():
     (``functor_L`` refuses DESCENT first, as not a coalgebra.)"""
     from cocontra import coalg
     from cocontra.exactlin import (assoc_inv, coequalizer_lin, compose,
-                                   ev_map, hom_space, identity_map,
+                                   hom_space, identity_map,
                                    tensor_map)
 
     env = serialize.parse_bundle({"declarations": [
@@ -1187,6 +1188,88 @@ def test_unknown_command_exits_two(tmp_path, capsys):
     ))
     assert cli.main(["run", str(path)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+R_JOB = {"command": "r", "args": {"target": "M"}}
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("run", {"jobs": [1]}, "'jobs' must be a list of objects, got [1]"),
+    ("run", {"jobs": {"a": 1}},
+     "'jobs' must be a list of objects, got {'a': 1}"),
+    ("run", {"declarations": BASE_DECLS,
+             "jobs": [{**R_JOB, "id": "j", "command": ["r"]}]},
+     "a job's 'command' must be a string, got ['r']"),
+    ("run", {"declarations": BASE_DECLS, "jobs": [{**R_JOB, "id": ["j"]}]},
+     "a job's 'id' must be a string, got ['j']"),
+    # once these failed sorting the entries, after every job had run
+    ("run", {"declarations": BASE_DECLS,
+             "jobs": [{**R_JOB, "id": 3}, {**R_JOB, "id": "3"}]},
+     "a job's 'id' must be a string, got 3"),
+    ("run", {"declarations": [1]},
+     "'declarations' must be a list of objects, got [1]"),
+    ("run", [], "a document must be an object, got []"),
+    ("r", [], "a document must be an object, got []"),
+    ("r", {"declarations": [1]},
+     "'declarations' must be a list of objects, got [1]"),
+], ids=["jobs-of-ints", "jobs-an-object", "command-a-list", "id-a-list",
+        "int-and-str-ids", "declarations-of-ints", "run-on-a-list",
+        "file-a-list", "file-declarations-of-ints"])
+def test_malformed_document_is_a_parse_error(tmp_path, capsys, subcommand,
+                                             doc, message):
+    """Each of these shapes once ended in a traceback and exit 1, the exit
+    code of a failed job."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([subcommand, str(path)]) == 2
+    where = "" if subcommand == "run" else f" at {path}"
+    assert capsys.readouterr().err == f"parse error{where}: {message}\n"
+
+
+@pytest.mark.parametrize("env", [
+    {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    {"PYTHONIOENCODING": "ascii"},
+], ids=["C-locale", "ascii-stdout"])
+def test_report_bytes_do_not_depend_on_the_locale(tmp_path, env):
+    """Manifests are read, and reports written, as UTF-8: a label with an
+    accent and the tensor labels a restriction writes (``⊗``) come out as
+    the same bytes under a locale that cannot encode them."""
+    import subprocess
+    import sys
+
+    doc = {"declarations": [
+        {"kind": "finset", "name": "C", "elements": ["é", "2"]},
+        {"kind": "group_like_coalgebra", "name": "G", "field": "F2",
+         "size": 2},
+        {"kind": "graded_space", "name": "V", "field": "F2",
+         "dims": {"0": 1}},
+        {"kind": "cofree_comodule", "name": "TV", "coalgebra": "G",
+         "on": "V"},
+        {"kind": "coalgebra_morphism", "name": "id", "dom": "G",
+         "cod": "G", "blocks": {"0": [[1, 0], [0, 1]]}},
+    ], "jobs": [
+        {"id": "j1", "command": "unique-comonoid", "args": {"base": "C"}},
+        {"id": "j2", "command": "restrict",
+         "args": {"along": "id", "target": "TV", "dom_coalgebra": "G",
+                  "cod_coalgebra": "G"}},
+    ]}
+    path = tmp_path / "manifest.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    src = str(Path(cli.__file__).parents[1])
+
+    def run(extra, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cocontra.cli", "run", str(path), *argv],
+            capture_output=True, env={"PYTHONPATH": src, **extra})
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        return proc.stdout
+
+    want = run({"PYTHONUTF8": "1"})
+    assert "é".encode() in want and "⊗".encode() in want
+    assert run(env) == want
+    out = tmp_path / "report.json"
+    run(env, "--out", str(out))
+    assert out.read_bytes() == want
 
 
 def budget_error(tmp_path, decls, job, argv_extra=("--oracle",)):

@@ -19,6 +19,18 @@ from cocontra.exactlin import (
     tensor,
     unit_space,
 )
+from paper_checks import (
+    all_linmaps,
+    change_adjunction_certificate,
+    coalgebra_as_left_comodule,
+    comodule_to_contramodule,
+    counit_contraction_iso,
+    grading_comodule,
+    module_maps_degree_zero,
+    quotient_bridge_iso,
+    sections_bridge_iso,
+    validate_algebra,
+)
 
 
 F2 = GF(2)
@@ -52,14 +64,14 @@ def test_cotensor_against_coalgebra_is_identity():
     for _ in range(5):
         c = inst.random_coalgebra(F2, rng, max_dim=3)
         m = inst.random_comodule(c, rng, max_dim=3)
-        iso = coalg.counit_contraction_iso(m)
+        iso = counit_contraction_iso(m)
         assert iso.is_iso()
 
 
 def test_cotensor_trivial_coalgebra_is_plain_tensor():
     c = inst.group_like_coalgebra(F2, 1)
     m = inst.random_comodule(c, random.Random(1), max_dim=2)
-    n = coalg.coalgebra_as_left_comodule(c)
+    n = coalgebra_as_left_comodule(c)
     sub = coalg.cotensor(m, n)
     assert sub.space.total_dim == m.space.total_dim * 1
 
@@ -68,8 +80,8 @@ def test_cotensor_grouplike_is_matching_blocks():
     c = inst.group_like_coalgebra(F2, 2)
     sm = GradedVect(F2, {0: 2}, prefix="m")
     sn = GradedVect(F2, {0: 2}, prefix="n")
-    m = inst.grading_comodule(c, {"m0_0": "g0", "m0_1": "g1"}, sm)
-    n_right = inst.grading_comodule(c, {"n0_0": "g0", "n0_1": "g1"}, sn)
+    m = grading_comodule(c, {"m0_0": "g0", "m0_1": "g1"}, sm)
+    n_right = grading_comodule(c, {"n0_0": "g0", "n0_1": "g1"}, sn)
     # reuse the grading as a left comodule through the braiding
     from cocontra.coalg.core import left_comodule_from_coaction
     from cocontra.exactlin import braiding
@@ -160,7 +172,7 @@ def test_objects_over_the_wrong_coalgebra_are_rejected():
 def test_cotensor_checks_the_sides():
     c = inst.group_like_coalgebra(F2, 2)
     right = coalg.cofree(unit_space(F2), c)
-    left = coalg.coalgebra_as_left_comodule(c)
+    left = coalgebra_as_left_comodule(c)
     assert coalg.cotensor(right, left).space.total_dim == 2
     with pytest.raises(CocontraError, match="right factor .* left comodule"):
         coalg.cotensor(right, right)
@@ -229,7 +241,7 @@ def test_change_adjunction_certificate():
     m = inst.random_comodule(chat, rng, max_dim=2)
     q = inst.random_contramodule(c, rng, max_dim=2)
     p = inst.random_contramodule(chat, rng, max_dim=2)
-    rep = coalg.change_adjunction_certificate(f, c, chat, n, m, p, q)
+    rep = change_adjunction_certificate(f, c, chat, n, m, p, q)
     assert rep["ok"], rep
 
 
@@ -239,7 +251,7 @@ def test_trifunctor_probe_produces_consistent_report():
     for _ in range(5):
         c = inst.random_coalgebra(F2, rng, max_dim=2)
         m = inst.random_comodule(c, rng, max_dim=2)
-        n = coalg.coalgebra_as_left_comodule(c)
+        n = coalgebra_as_left_comodule(c)
         x = GradedVect(F2, {0: rng.randint(1, 2)}, prefix="w")
         rep = coalg.trifunctor_probe(m, n, x)
         rows.append(rep)
@@ -254,7 +266,7 @@ def test_trifunctor_trivial_coalgebra():
     c = inst.group_like_coalgebra(F2, 1)
     rng = random.Random(11)
     m = inst.random_comodule(c, rng, max_dim=2)
-    n = coalg.coalgebra_as_left_comodule(c)
+    n = coalgebra_as_left_comodule(c)
     x = GradedVect(F2, {0: 2}, prefix="w")
     rep = coalg.trifunctor_probe(m, n, x)
     assert rep["dims_equal"]
@@ -266,7 +278,7 @@ def test_trifunctor_trivial_coalgebra():
 def test_dual_algebra_of_grouplike_is_function_algebra():
     c = inst.group_like_coalgebra(F2, 3)
     alg = coalg.dual_algebra(c)
-    assert coalg.validate_algebra(alg)["ok"]
+    assert validate_algebra(alg)["ok"]
     assert alg.space.total_dim == 3
 
 
@@ -293,7 +305,7 @@ def test_bridge_preserves_morphism_spaces():
     m = inst.random_comodule(c, rng, max_dim=2)
     n = inst.random_comodule(c, rng, max_dim=2)
     units, kernel = coalg.comodule_maps_direct(m, n)
-    mu, mk = coalg.module_maps_degree_zero(
+    mu, mk = module_maps_degree_zero(
         coalg.comodule_to_module(m, alg), coalg.comodule_to_module(n, alg)
     )
     assert units == mu
@@ -314,10 +326,10 @@ def test_functors_commute_with_bridge_up_to_canonical_iso():
         c = inst.random_coalgebra(F2, rng, max_dim=3)
         m = inst.random_comodule(c, rng, max_dim=3)
         p = inst.random_contramodule(c, rng, max_dim=3)
-        phi, sections, bridged_p = coalg.sections_bridge_iso(m)
+        phi, sections, bridged_p = sections_bridge_iso(m)
         assert phi.is_iso()
         assert coalg.is_contramodule_map(phi, sections, bridged_p)
-        psi, quotient, bridged_m = coalg.quotient_bridge_iso(p)
+        psi, quotient, bridged_m = quotient_bridge_iso(p)
         assert psi.is_iso()
         assert coalg.is_comodule_map(psi, bridged_m, quotient)
 
@@ -325,26 +337,25 @@ def test_functors_commute_with_bridge_up_to_canonical_iso():
 def test_bridge_structure_bijective_exhaustively_tiny():
     # enumerate every coaction and every structure map on a 2-space over a
     # 2-dimensional coalgebra over F2 and match them through the bridge
-    from cocontra import oracle
     from cocontra.exactlin import hom_space
 
     c = inst.group_like_coalgebra(F2, 2)
     alg = coalg.dual_algebra(c)
     x = GradedVect(F2, {0: 2}, prefix="x")
     comodules = []
-    for rho in oracle.all_linmaps(x, tensor(x, c.space)):
+    for rho in all_linmaps(x, tensor(x, c.space)):
         m = coalg.VComodule(c, x, rho)
         if coalg.validate_comodule(m)["ok"]:
             comodules.append(m)
     contras = []
-    for theta in oracle.all_linmaps(hom_space(c.space, x), x):
+    for theta in all_linmaps(hom_space(c.space, x), x):
         p = coalg.VContramodule(c, x, theta)
         if coalg.validate_contramodule(p)["ok"]:
             contras.append(p)
     assert len(comodules) == len(contras) > 0
     seen = set()
     for m in comodules:
-        p = coalg.comodule_to_contramodule(m, alg)
+        p = comodule_to_contramodule(m, alg)
         assert coalg.validate_contramodule(p)["ok"]
         key = str(sorted(
             (str(k), str(p.theta.block(k).rows))
@@ -373,7 +384,7 @@ def test_bridge_builds_the_comodule_module_once(monkeypatch):
     p = inst.random_contramodule(c, rng, max_dim=2)
     assert coalg.bridge_certificate(m, p)["ok"]
     assert len(built) == 1
-    phi, sections, bridged_p = coalg.sections_bridge_iso(m)
+    phi, sections, bridged_p = sections_bridge_iso(m)
     assert coalg.is_contramodule_map(phi, sections, bridged_p)
     assert len(built) == 2
 
@@ -396,10 +407,10 @@ def test_checks_on_linear_arguments_raise():
     right = coalg.comodule_to_module(coalg.cofree(x, c), alg)
     left = coalg.contramodule_to_module(coalg.free(x, c), alg)
     with pytest.raises(MismatchedSignature, match="different sides"):
-        coalg.module_maps_degree_zero(right, left)
+        module_maps_degree_zero(right, left)
     # a zero coaction: m cotensor C is not m
     broken = coalg.VComodule(c, x, LinMap(x, tensor(x, c.space), 0, {}))
     with pytest.raises(InvalidImage, match="m cotensor C is not m"):
-        coalg.counit_contraction_iso(broken)
+        counit_contraction_iso(broken)
     with pytest.raises(ValueError, match="degree-0 isomorphism"):
         inst.inverse_map(LinMap(x, x, 0, {}))

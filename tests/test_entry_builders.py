@@ -25,7 +25,6 @@ from cocontra.exactlin import (
     LinMap,
     assoc_inv,
     compose,
-    ev_map,
     hom_map,
     hom_space,
     hom_tensor_iso_inv,
@@ -33,6 +32,7 @@ from cocontra.exactlin import (
     tensor,
     tensor_map,
 )
+from paper_checks import ev_map
 
 
 FIELDS = [GF(2), GF(3), QQ()]

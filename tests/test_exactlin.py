@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from cocontra.coalg import Coalgebra
 from cocontra.coalg.bridge import dual_tensor_into_hom
 from cocontra.coalg.core import unit_hom_iso
-from cocontra.coalg.homobjects import composition_on_ambient
-from cocontra.coalg.instances import grading_comodule, group_like_coalgebra
+from cocontra.coalg.instances import group_like_coalgebra
 from cocontra.errors import DEFAULT_BUDGET, MismatchedSignature, job
 from cocontra.exactlin import (
     GF,
@@ -25,29 +24,33 @@ from cocontra.exactlin import (
     coequalizer_lin,
     compose,
     curry,
-    double_dual_iso,
     dual,
-    dual_map,
     equalizer_lin,
-    ev_map,
     factor_through_include,
     hom_map,
     hom_space,
     hom_tensor_iso,
     hom_tensor_iso_inv,
     identity_map,
-    linmap_to_vec,
     pairing,
     relabel,
     sub_maps,
     tensor,
     tensor_map,
-    uncurry,
     unit_left,
     unit_left_inv,
     unit_right,
     unit_right_inv,
     unit_space,
+)
+from paper_checks import (
+    composition_on_ambient,
+    dual_map,
+    ev_map,
+    grading_comodule,
+    linmap_to_vec,
+    scale,
+    uncurry,
     vec_to_linmap,
     zero_map,
 )
@@ -372,7 +375,7 @@ def test_dual_map_and_double_dual():
     f = rand_linmap(rng, v, w)
     g = rand_linmap(rng, w, v)
     assert dual_map(compose(g, f)) == compose(dual_map(f), dual_map(g))
-    assert double_dual_iso(v).is_iso()
+    assert relabel(v, dual(dual(v)), lambda a: ("d", ("d", a))).is_iso()
 
 
 def test_equalizer_coequalizer_rank_laws():
@@ -943,7 +946,8 @@ def _relabel_cases(field):
          _reference_hom_tensor_iso(u, v, w)),
         ("hom_tensor_iso_inv", lambda: hom_tensor_iso_inv(u, v, w),
          _reference_hom_tensor_iso_inv(u, v, w)),
-        ("double_dual_iso", lambda: double_dual_iso(v),
+        ("double_dual_iso",
+         lambda: relabel(v, dual(dual(v)), lambda a: ("d", ("d", a))),
          _reference_double_dual_iso(v)),
         ("pairing", lambda: pairing(v), _reference_pairing(v)),
         ("unit_hom_iso", lambda: unit_hom_iso(v), _reference_unit_hom_iso(v)),
@@ -1348,7 +1352,7 @@ def test_products_differences_and_scalings_store_no_zero(field):
         # a difference with itself cancels every entry
         assert (a - a).is_zero() and _stores_no_zero(a - a)
         for s in (field.zero(), field.one(), _rand_scalar(rng, field)):
-            scaled = a.scale(s)
+            scaled = scale(a, s)
             assert _stores_no_zero(scaled)
             assert scaled.rows == tuple(
                 tuple(field.mul(s, x) for x in r) for r in a.rows)

@@ -98,7 +98,8 @@ def test_coproduct_examples():
     assert set(c.elements) == {"L:1", "R:1"}
     b = FinSet(["x", "y"])
     c2, _, inj2 = finset.coproduct(finset.EMPTY, b)
-    assert len(c2) == 2 and inj2.is_bijective()
+    assert len(c2) == 2
+    assert inj2.is_injective() and inj2.is_surjective()
     c3, _, _ = finset.coproduct(FinSet(["a", "b"]), FinSet(["c"]))
     assert len(c3) == 3
 
@@ -213,7 +214,8 @@ def test_pullback_examples():
     assert set(p.elements) == {"(a,u)", "(b,v)", "(c,v)"}
 
     p_id, proj1, _ = finset.pullback(f, finset.identity(c))
-    assert len(p_id) == len(a) and proj1.is_bijective()
+    assert len(p_id) == len(a)
+    assert proj1.is_injective() and proj1.is_surjective()
 
     g2 = finset.constant(u, c, "1")
     f2 = finset.constant(a, c, "2")

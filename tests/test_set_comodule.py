@@ -1,8 +1,9 @@
 import pytest
 
 from cocontra import finset, set_comodule as scm
-from cocontra.errors import BaseMismatch, NotCounital
+from cocontra.errors import BaseMismatch
 from cocontra.finset import FinMap, FinSet
+from paper_checks import NotCounital, comodule_of
 
 
 C2 = FinSet(["1", "2"])
@@ -20,7 +21,7 @@ def test_comodule_of_reads_off_phi():
         prod,
         {"a": "(a,1)", "b": "(b,2)", "c": "(c,2)"},
     )
-    m = scm.comodule_of(rho, X3, C2)
+    m = comodule_of(rho, X3, C2)
     assert m.phi.table == {"a": "1", "b": "2", "c": "2"}
     # the phi form gives back the coaction it was read from
     assert m.rho() == rho
@@ -31,7 +32,7 @@ def test_comodule_of_constant_second_component():
     c = FinSet(["0"])
     prod, _, _ = finset.product(x, c)
     rho = FinMap(x, prod, {"p": "(p,0)", "q": "(q,0)"})
-    m = scm.comodule_of(rho, x, c)
+    m = comodule_of(rho, x, c)
     assert set(m.phi.table.values()) == {"0"}
 
 
@@ -41,13 +42,13 @@ def test_comodule_of_rejects_non_counital():
         X3, prod, {"a": "(b,1)", "b": "(b,2)", "c": "(c,2)"}
     )
     with pytest.raises(NotCounital):
-        scm.comodule_of(rho, X3, C2)
+        comodule_of(rho, X3, C2)
 
 
 def test_round_trip_phi_rho_phi():
     for phi in finset._all_maps(X3, C2):
         m = scm.SetComodule(X3, C2, phi)
-        again = scm.comodule_of(m.rho(), X3, C2)
+        again = comodule_of(m.rho(), X3, C2)
         assert again == m
 
 

@@ -19,6 +19,7 @@ from cocontra.errors import (
     job,
 )
 from cocontra.finset import FinMap, FinSet
+from paper_checks import contra_components
 
 
 C2 = FinSet(["1", "2"])
@@ -47,7 +48,7 @@ def test_product_contra_carrier_and_theta():
     y = "{1:p,2:r}"
     z = "{1:q,2:s}"
     beta = FinMap(C2, t.carrier, {"1": y, "2": z})
-    assert t.theta_value(beta) == "{1:p,2:s}"
+    assert t.theta_fn()(beta) == "{1:p,2:s}"
 
 
 def test_theta_loops_fetch_the_decode_table_once_per_call(monkeypatch):
@@ -240,7 +241,7 @@ def test_enumerate_two_gives_the_two_projections():
     projections = set()
     for t in tables:
         beta = FinMap(C2, x, {"1": "a", "2": "b"})
-        projections.add(t.theta_value(beta))
+        projections.add(t.theta_fn()(beta))
     assert projections == {"a", "b"}
 
 
@@ -348,7 +349,7 @@ def test_projection_identities_for_every_enumerated_table():
                         assert finset.compose(pis[a], pis[b]) == \
                             finset.constant(t.carrier, t.carrier, u)
             for beta in finset._all_maps(t.base, t.carrier):
-                tv = t.theta_value(beta)
+                tv = t.theta_fn()(beta)
                 for a in t.base:
                     assert pis[a](tv) == pis[a](beta(a))
 
@@ -451,11 +452,11 @@ def _restrict_forms_agree(f: FinMap, t: sct.ContraTable) -> bool:
     grouped = sct.restrict_contra(f, t)
     iso = _restrict_regroup_iso(f, t)
     for g in finset._all_maps(f.cod, ext.carrier):
-        lhs = iso(ext.theta_value(g))
+        lhs = iso(ext.theta_fn()(g))
         g_iso = FinMap(
             f.cod, grouped.carrier, {z: iso(g(z)) for z in f.cod}
         )
-        if lhs != grouped.theta_value(g_iso):
+        if lhs != grouped.theta_fn()(g_iso):
             return False
     return True
 
@@ -656,7 +657,7 @@ def test_slotwise_components_need_product_forms():
     flat = sct.to_extensional(t)
     ident = finset.identity(t.carrier)
     with pytest.raises(ValueError, match="product forms"):
-        sct.contra_components(ident, flat, t)
+        contra_components(ident, flat, t)
 
 
 def transpose_hom(f: FinMap, t, s, u: FinMap) -> FinMap:
@@ -665,7 +666,7 @@ def transpose_hom(f: FinMap, t, s, u: FinMap) -> FinMap:
     target point, the components indexed by its preimage."""
     ind_t = sct.induce_contra(f, t)
     res_s = sct.restrict_contra(f, s)
-    comps = sct.contra_components(u, ind_t, s)
+    comps = contra_components(u, ind_t, s)
     table = {}
     for ch in finset.choices(t.base, [t.fibers[a] for a in t.base]):
         grouped = {}
@@ -703,7 +704,7 @@ def test_component_calculus_matches_carrier_maps():
                 res_s = sct.restrict_contra(f, s)
                 for u in sct.contra_hom_members(ind_t, s):
                     v = transpose_hom(f, t, s, u)
-                    comps_u = sct.contra_components(u, ind_t, s)
+                    comps_u = contra_components(u, ind_t, s)
                     codes = tuple(_slot_code(comps_u[z]) for z in c)
                     comp_v = sct._decode_family(
                         chat.elements,
