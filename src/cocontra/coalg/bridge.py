@@ -16,7 +16,6 @@ from ..exactlin import (
     GradedVect,
     LinMap,
     assoc,
-    assoc_inv,
     compose,
     dual,
     hom_space,
@@ -25,15 +24,18 @@ from ..exactlin import (
     relabel,
     tensor,
     tensor_map,
-    unit_left_inv,
     unit_right,
-    unit_right_inv,
     unit_space,
 )
 from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
+    _by_source,
+    _entries,
+    _itself,
+    _labels,
+    _law_report,
     require_coalgebra,
     require_same_coalgebra,
     require_valid,
@@ -87,47 +89,40 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
 
 
 def validate_module(mod: DualModule) -> dict:
-    a = mod.algebra.space
-    x = mod.space
-    act = mod.action
-    failures = []
-    if mod.side == "right":
-        lhs = compose(act, tensor_map(act, identity_map(a)))
-        rhs = compose(
-            act,
-            compose(
-                tensor_map(identity_map(x), mod.algebra.mult),
-                assoc(x, a, a),
-            ),
-        )
-        unit_leg = compose(
-            act,
-            compose(
-                tensor_map(identity_map(x), mod.algebra.unit),
-                unit_right_inv(x),
-            ),
-        )
-    else:
-        lhs = compose(act, tensor_map(identity_map(a), act))
-        rhs = compose(
-            act,
-            compose(
-                tensor_map(mod.algebra.mult, identity_map(x)),
-                assoc_inv(a, a, x),
-            ),
-        )
-        unit_leg = compose(
-            act,
-            compose(
-                tensor_map(mod.algebra.unit, identity_map(x)),
-                unit_left_inv(x),
-            ),
-        )
-    if lhs != rhs:
-        failures.append("associativity")
-    if unit_leg != identity_map(x):
-        failures.append("unit")
-    return {"ok": not failures, "failures": failures}
+    """Associativity and unit, in that order, each named when it fails,
+    read off the entries of the action, the multiplication and the unit.
+
+    With a.x the action on mod's side (x (x) a on the right, a (x) x on
+    the left), associativity sums the action applied twice, (x.a).b or
+    a.(b.x), against mult[(a, b) -> e] e.x, keyed by the image's label,
+    at each a, b and x; the unit law sums unit(e) e.x against x."""
+    alg = mod.algebra
+    act, mult = _by_source(mod.action), _by_source(alg.mult)
+    unit = [(e, u) for e, _, u in _entries(alg.unit)]
+    right = mod.side == "right"
+    xs, duals = _labels(mod.space), _labels(alg.space)
+
+    def on(a, x):
+        return ("t", x, a) if right else ("t", a, x)
+
+    def twice(t):
+        a, b, x = t
+        first, then = (a, b) if right else (b, a)
+        return ((z, v * w) for y, v in act.get(on(first, x), ())
+                for z, w in act.get(on(then, y), ()))
+
+    rep = _law_report(mod.space.field.canonical, (
+        ("associativity", [(a, b, x) for a in duals for b in duals
+                           for x in xs],
+         twice,
+         lambda t: ((z, v * w) for e, v in mult.get(("t", *t[:2]), ())
+                    for z, w in act.get(on(e, t[2]), ()))),
+        ("unit", xs,
+         lambda x: ((z, u * w) for e, u in unit
+                    for z, w in act.get(on(e, x), ())),
+         _itself),
+    ))
+    return {"ok": rep["ok"], "failures": [f["law"] for f in rep["failures"]]}
 
 
 def comodule_to_module(m: VComodule, alg: DualAlgebra) -> DualModule:

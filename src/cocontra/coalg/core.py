@@ -1,8 +1,10 @@
 """Coalgebras over exact fields, their comodules and contramodules.
 
-All structure maps are degree-zero; axioms are exact matrix identities.
-Validation returns report dicts with basis-level witnesses rather than
-raising, so batch drivers can collect failures.
+All structure maps are degree-zero.  The validators read each law off
+the nonzero entries of the structure maps, one domain label at a time
+(``_law_report``), building no space and no composite, and return
+report dicts with basis-level witnesses rather than raising, so batch
+drivers can collect failures.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from ..errors import (
 from ..exactlin import (
     GradedVect,
     LinMap,
-    assoc,
     assoc_inv,
     braiding,
     compose,
@@ -26,12 +27,8 @@ from ..exactlin import (
     hom_space,
     hom_tensor_iso_inv,
     identity_map,
-    relabel,
-    sub_maps,
     tensor,
     tensor_map,
-    unit_left,
-    unit_right,
     unit_space,
 )
 
@@ -94,21 +91,6 @@ class VContramodule:
                                       "[C, X] -> X")
 
 
-def _first_witness(diff: LinMap):
-    """The first domain label that the map does not send to zero."""
-    return next(
-        (lab for _, _, lab in diff.dom.basis() if diff.apply_label(lab)),
-        None,
-    )
-
-
-def _identity_check(name, lhs: LinMap, rhs: LinMap, failures):
-    if lhs != rhs:
-        failures.append(
-            {"law": name, "witness": _first_witness(sub_maps(lhs, rhs))}
-        )
-
-
 def _entries(f: LinMap):
     """A degree-zero map's nonzero entries as (codomain label, domain
     label, value) triples, read off its sparse blocks."""
@@ -118,49 +100,79 @@ def _entries(f: LinMap):
             yield from ((clab, dlabs[j], x) for j, x in row.items())
 
 
+def _by_source(f: LinMap) -> dict:
+    """A degree-zero map's nonzero entries grouped by domain label:
+    {a: [(b, f[a -> b]), ...]}."""
+    out = {}
+    for b, a, x in _entries(f):
+        out.setdefault(a, []).append((b, x))
+    return out
+
+
+def _law_report(canon, laws) -> dict:
+    """Check ``laws``, (name, labels, lhs, rhs) in order, off the entries.
+
+    ``lhs(lab)`` and ``rhs(lab)`` yield a side's terms at the domain label
+    ``lab`` as (key, value) pairs, each value a product of structure-map
+    entries.  At each label in turn the sides are summed per key in plain
+    int or Fraction arithmetic, and their difference is brought into the
+    field once per key; a law fails with the first label at which one is
+    nonzero as its witness."""
+    failures = []
+    for law, labels, lhs, rhs in laws:
+        for lab in labels:
+            diff = {}
+            for key, x in lhs(lab):
+                diff[key] = diff.get(key, 0) + x
+            for key, x in rhs(lab):
+                diff[key] = diff.get(key, 0) - x
+            if any(canon(v) for v in diff.values()):
+                failures.append({"law": law, "witness": lab})
+                break
+    return {"ok": not failures, "failures": failures}
+
+
+def _itself(lab):
+    """The identity's side of a unit law."""
+    return ((lab, 1),)
+
+
+def _labels(v: GradedVect) -> list:
+    return [lab for _, _, lab in v.basis()]
+
+
+def _counit(c: Coalgebra) -> dict:
+    return {lab: x for _, lab, x in _entries(c.eps)}
+
+
 def validate_coalgebra(c: Coalgebra) -> dict:
     """Coassociativity and the left and right counit laws, in that order,
     each with the first basis label c at which its two sides differ.
 
-    One pass over the nonzero entries of Delta and eps, building no space
-    and no composite: at c, sum Delta[c -> (k, d)] Delta[k -> (a, b)]
-    against Delta[c -> (a, k)] Delta[k -> (b, d)], both keyed by
-    (a, b, d), and check that eps(a) Delta[c -> (a, b)] sums to delta_bc
-    and Delta[c -> (a, b)] eps(b) to delta_ac.  Delta, eps and the
-    identity have degree 0 and the associator and unitors are unsigned,
-    so no sign arises.  The sums are plain int or Fraction arithmetic,
-    brought into the field once per key."""
-    canon = c.field.canonical
-    delta = {}
-    for (_, a, b), lab, x in _entries(c.delta):
-        delta.setdefault(lab, []).append((a, b, x))
-    eps = {lab: x for _, lab, x in _entries(c.eps)}
-    laws = ("coassociativity", "left counit", "right counit")
-    witness = dict.fromkeys(laws)
-    for _, _, lab in c.space.basis():
-        terms = delta.get(lab, ())
-        if witness["coassociativity"] is None:
-            diff = {}
-            for k, d, x in terms:
-                for a, b, y in delta.get(k, ()):
-                    diff[a, b, d] = diff.get((a, b, d), 0) + x * y
-            for a, k, x in terms:
-                for b, d, y in delta.get(k, ()):
-                    diff[a, b, d] = diff.get((a, b, d), 0) - x * y
-            if any(canon(v) for v in diff.values()):
-                witness["coassociativity"] = lab
-        left, right = {lab: -1}, {lab: -1}
-        for a, b, x in terms:
-            if a in eps:
-                left[b] = left.get(b, 0) + eps[a] * x
-            if b in eps:
-                right[a] = right.get(a, 0) + x * eps[b]
-        for law, diff in (("left counit", left), ("right counit", right)):
-            if witness[law] is None and any(canon(v) for v in diff.values()):
-                witness[law] = lab
-    failures = [{"law": law, "witness": lab}
-                for law, lab in witness.items() if lab is not None]
-    return {"ok": not failures, "failures": failures}
+    Read off the nonzero entries of Delta and eps, building no space and
+    no composite: at c, sum Delta[c -> (k, d)] Delta[k -> (a, b)] against
+    Delta[c -> (a, k)] Delta[k -> (b, d)], both keyed by (a, b, d), and
+    check that eps(a) Delta[c -> (a, b)] sums to delta_bc and
+    Delta[c -> (a, b)] eps(b) to delta_ac."""
+    delta, eps = _by_source(c.delta), _counit(c)
+    labels = _labels(c.space)
+    return _law_report(c.field.canonical, (
+        ("coassociativity", labels,
+         lambda lab: (((a, b, d), x * y)
+                      for (_, k, d), x in delta.get(lab, ())
+                      for (_, a, b), y in delta.get(k, ())),
+         lambda lab: (((a, b, d), x * y)
+                      for (_, a, k), x in delta.get(lab, ())
+                      for (_, b, d), y in delta.get(k, ()))),
+        ("left counit", labels,
+         lambda lab: ((b, eps[a] * x)
+                      for (_, a, b), x in delta.get(lab, ()) if a in eps),
+         _itself),
+        ("right counit", labels,
+         lambda lab: ((a, x * eps[b])
+                      for (_, a, b), x in delta.get(lab, ()) if b in eps),
+         _itself),
+    ))
 
 
 def left_coaction(m: VComodule) -> LinMap:
@@ -179,77 +191,78 @@ def left_comodule_from_coaction(
 
 
 def validate_comodule(m: VComodule) -> dict:
+    """Counitality and coassociativity, in that order, each with the first
+    basis label x of X at which its two sides differ, read off the
+    entries of rho, Delta and eps.
+
+    The coaction sends x to rho[x -> (y, c)] times y (x) c, or, for a left
+    comodule, times the braiding's sign (-1)^(|y||c|) and c (x) y.  Its
+    entries times eps(c) sum, keyed by y, to x itself; applied twice they
+    sum, keyed by (z, b, c) (left: (c, b, z)), to the coaction's entries
+    times Delta[c -> (a, b)], keyed by (y, a, b) (left: (a, b, y))."""
     c = m.coalgebra
-    x = m.space
-    failures = []
-    if m.side == "right":
-        counit = compose(
-            unit_right(x),
-            compose(tensor_map(identity_map(x), c.eps), m.rho),
-        )
-        _identity_check("counitality", counit, identity_map(x), failures)
-        lhs = compose(
-            assoc(x, c.space, c.space),
-            compose(tensor_map(m.rho, identity_map(c.space)), m.rho),
-        )
-        rhs = compose(tensor_map(identity_map(x), c.delta), m.rho)
-        _identity_check("coassociativity", lhs, rhs, failures)
-    else:
-        lam = left_coaction(m)
-        counit = compose(
-            unit_left(x),
-            compose(tensor_map(c.eps, identity_map(x)), lam),
-        )
-        _identity_check("counitality", counit, identity_map(x), failures)
-        lhs = compose(tensor_map(c.delta, identity_map(x)), lam)
-        rhs = compose(
-            assoc_inv(c.space, c.space, x),
-            compose(tensor_map(identity_map(c.space), lam), lam),
-        )
-        _identity_check("coassociativity", lhs, rhs, failures)
-    return {"ok": not failures, "failures": failures}
+    delta, eps = _by_source(c.delta), _counit(c)
+    deg_x, deg_c = m.space.degree_of, c.space.degree_of
+    left = m.side != "right"
+    co = {}  # x: [(y, c, the coaction's entry at y (x) c or c (x) y)]
+    for (_, y, cl), x, v in _entries(m.rho):
+        if left and deg_x(y) % 2 and deg_c(cl) % 2:
+            v = -v
+        co.setdefault(x, []).append((y, cl, v))
 
+    def twice(x):
+        for y, cl, v in co.get(x, ()):
+            for z, b, w in co.get(y, ()):
+                yield ((cl, b, z) if left else (z, b, cl)), v * w
 
-def unit_hom_iso(x: GradedVect) -> LinMap:
-    """X -> [unit, X]."""
-    return relabel(x, hom_space(unit_space(x.field), x),
-                   lambda a: ("h", "1", a))
+    def split(x):
+        for y, cl, v in co.get(x, ()):
+            for (_, a, b), w in delta.get(cl, ()):
+                yield ((a, b, y) if left else (y, a, b)), v * w
 
-
-def eps_star(c: Coalgebra, x: GradedVect) -> LinMap:
-    """X -> [C, X], sending x to (a scalar multiple of) x at every basis
-    direction the counit sees."""
-    return compose(
-        hom_map(c.eps, identity_map(x)), unit_hom_iso(x)
-    )
-
-
-def contra_assoc_maps(p: VContramodule):
-    """The two composites whose equality is contraassociativity."""
-    c = p.coalgebra
-    x = p.space
-    via_theta = compose(
-        p.theta, hom_map(identity_map(c.space), p.theta)
-    )
-    via_delta = compose(
-        p.theta,
-        compose(
-            hom_map(c.delta, identity_map(x)),
-            hom_tensor_iso_inv(c.space, c.space, x),
-        ),
-    )
-    return via_theta, via_delta
+    labels = _labels(m.space)
+    return _law_report(c.field.canonical, (
+        ("counitality", labels,
+         lambda x: ((y, v * eps[cl]) for y, cl, v in co.get(x, ())
+                    if cl in eps),
+         _itself),
+        ("coassociativity", labels, twice, split),
+    ))
 
 
 def validate_contramodule(p: VContramodule) -> dict:
+    """Contraunitality and contraassociativity, in that order, each with
+    the first label of its domain at which its two sides differ, read off
+    the entries of theta, Delta and eps.
+
+    At each x of X, eps(c) theta[(c, x) -> z] sums to x itself.  At each
+    label (c1, (c2, x)) of [C, [C, X]], in that space's basis order,
+    theta[(c2, x) -> y] theta[(c1, y) -> z] sums to
+    Delta[c -> (c1, c2)] theta[(c, x) -> z], keyed by z."""
     c = p.coalgebra
-    x = p.space
-    failures = []
-    contraunit = compose(p.theta, eps_star(c, x))
-    _identity_check("contraunitality", contraunit, identity_map(x), failures)
-    via_theta, via_delta = contra_assoc_maps(p)
-    _identity_check("contraassociativity", via_theta, via_delta, failures)
-    return {"ok": not failures, "failures": failures}
+    cs, amb = c.space, p.theta.dom
+    theta, eps = _by_source(p.theta), _counit(c)
+    into = {}  # (c1, c2): [(c, Delta[c -> (c1, c2)])]
+    for pair, cl, d in _entries(c.delta):
+        into.setdefault(pair[1:], []).append((cl, d))
+    # [C, [C, X]] in the basis order that hom_space lays out
+    outer = [("h", c1, h)
+             for n in sorted({j - i for i in cs.degrees()
+                              for j in amb.degrees()})
+             for i in cs.degrees() if amb.dim(n + i)
+             for c1 in cs.labels[i] for h in amb.labels[n + i]]
+    return _law_report(c.field.canonical, (
+        ("contraunitality", _labels(p.space),
+         lambda x: ((z, e * w) for cl, e in eps.items()
+                    for z, w in theta.get(("h", cl, x), ())),
+         _itself),
+        ("contraassociativity", outer,
+         lambda lab: ((z, v * w) for y, v in theta.get(lab[2], ())
+                      for z, w in theta.get(("h", lab[1], y), ())),
+         lambda lab: ((z, d * w)
+                      for cl, d in into.get((lab[1], lab[2][1]), ())
+                      for z, w in theta.get(("h", cl, lab[2][2]), ()))),
+    ))
 
 
 def require_valid(rep: dict, what: str):

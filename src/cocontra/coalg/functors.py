@@ -6,11 +6,11 @@ itself; the comodule of a contramodule is a quotient of its free cover.
 Everything returns honest matrices.  L's beta and coaction, the map R's
 structure map factors, the counit's evaluation and the Kleisli push are
 built in one pass off the entries of Delta, the sections or the quotient
-(``_beta_map`` and the like); ``core``'s comodule and contramodule
-validators multiply out the composites, so they check these builders
-independently.  The coalgebra check reads the laws off Delta's entries,
-as the builders read the maps, and is checked against the composites in
-the tests.
+(``_beta_map`` and the like).  ``core``'s validators read the laws off
+the entries too; the tests hold them to the composite checks they
+replaced, and check the images these builders make with those
+composites, which read no entries, so the builders stay checked
+independently.
 
 ``functor_R``, ``functor_L`` and each certificate here check the
 coalgebra C once, before they build anything (``require_coalgebra``);

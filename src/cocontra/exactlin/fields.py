@@ -85,7 +85,10 @@ class QQ:
         return _rational(Fraction(a) / Fraction(b))
 
     def parse(self, s: str):
-        return _rational(Fraction(s))
+        try:
+            return _rational(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
 
     def format(self, a) -> str:
         return str(a)
@@ -154,8 +157,10 @@ class GF:
         return self.mul(a, self.inv(b))
 
     def parse(self, s: str):
-        # accepts "2" or "2 mod 5"
-        body = s.split("mod")[0].strip()
+        # accepts "2" or, in F5, "2 mod 5"
+        body, mod, p = s.partition("mod")
+        if mod and int(p) != self.p:
+            raise ValueError(f"{s!r} is not an element of {self.name}")
         return self.from_int(int(body))
 
     def format(self, a) -> str:

@@ -408,24 +408,9 @@ def assoc_inv(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
                    lambda t: ("t", ("t", t[1], t[2][1]), t[2][2]))
 
 
-def unit_left(v: GradedVect) -> LinMap:
-    """k (x) V -> V."""
-    return relabel(tensor(unit_space(v.field), v), v, lambda t: t[2])
-
-
 def unit_right(v: GradedVect) -> LinMap:
     """V (x) k -> V."""
     return relabel(tensor(v, unit_space(v.field)), v, lambda t: t[1])
-
-
-def unit_left_inv(v: GradedVect) -> LinMap:
-    return relabel(v, tensor(unit_space(v.field), v),
-                   lambda a: ("t", "1", a))
-
-
-def unit_right_inv(v: GradedVect) -> LinMap:
-    return relabel(v, tensor(v, unit_space(v.field)),
-                   lambda a: ("t", a, "1"))
 
 
 def braiding(v: GradedVect, w: GradedVect) -> LinMap:

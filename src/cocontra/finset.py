@@ -87,9 +87,6 @@ class FinMap:
         body = ",".join(f"{a}>{self.table[a]}" for a in self.dom)
         return f"FinMap({body})"
 
-    def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.dom)
-
     def is_surjective(self) -> bool:
         return set(self.table.values()) == set(self.cod.elements)
 

@@ -54,9 +54,14 @@ def label_str(label) -> str:
 
 
 def _scalar_in(field, raw):
-    if isinstance(raw, int):
+    """A declared scalar: an int (a bool is refused) or a string that
+    ``field.parse`` reads exactly; a JSON float is refused, since a
+    binary fraction is not the rational its digits show."""
+    if type(raw) is int:
         return field.from_int(raw)
-    return field.parse(raw)
+    if isinstance(raw, str):
+        return field.parse(raw)
+    raise ValueError(f"a scalar must be an int or a string, got {raw!r}")
 
 
 def _scalar_out(field, value) -> str:

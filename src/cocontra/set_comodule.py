@@ -28,9 +28,6 @@ class SetComonoid:
             self.base, p, {c: finset.pair_label(c, c) for c in self.base}
         )
 
-    def counit(self) -> FinMap:
-        return finset.constant(self.base, finset.POINT, "*")
-
 
 @dataclass(eq=True)
 class SetComodule:
@@ -41,15 +38,6 @@ class SetComodule:
     def __post_init__(self):
         if self.phi.dom != self.carrier or self.phi.cod != self.base:
             raise ValueError("phi must map carrier to base")
-
-    def rho(self) -> FinMap:
-        """The coaction x -> (x, phi(x)) into carrier x base."""
-        p, _, _ = finset.product(self.carrier, self.base)
-        return FinMap(
-            self.carrier,
-            p,
-            {x: finset.pair_label(x, self.phi(x)) for x in self.carrier},
-        )
 
 
 def fibers(m: SetComodule) -> dict[str, FinSet]:

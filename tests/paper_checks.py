@@ -2,8 +2,10 @@
 
 The enriched composition of hom objects, the divided-power family of the
 truncated binomial coalgebra, the bridge and change-of-coalgebra
-isomorphisms, the linear universal-property checks and the small
-constructions only they use live here, beside the tier-1 tests that run
+isomorphisms, the linear universal-property checks, the structure laws
+multiplied out as composites (the references that the entry-reading
+validators are held to) and the small constructions only they use live
+here, beside the tier-1 tests that run
 them, so that the package ships only what a command reaches
 (``test_no_unreached.py``).  This module is imported by the tests; pytest
 does not collect it.
@@ -51,21 +53,23 @@ from cocontra.exactlin import (
     LinMap,
     Matrix,
     assoc,
+    assoc_inv,
     braiding,
     coequalizer_lin,
     compose,
     dual,
     equalizer_lin,
     factor_through_include,
+    hom_map,
     hom_space,
+    hom_tensor_iso_inv,
     identity_map,
     relabel,
     sub_maps,
     tensor,
     tensor_map,
-    unit_left_inv,
     unit_right,
-    unit_right_inv,
+    unit_space,
 )
 from cocontra.exactlin.fields import QQ
 from cocontra.finset import FinMap, FinSet
@@ -171,7 +175,167 @@ def dual_map(f: LinMap) -> LinMap:
     return LinMap.from_images(dom, cod, 0, images)
 
 
+# --- the structure laws as composites of maps ------------------------------
+#
+# The validators in ``cocontra.coalg`` read each law off the nonzero entries
+# of the structure maps.  These references multiply the laws out as
+# composites of ``compose``, ``tensor_map``, ``hom_map``, the unitors and the
+# associators instead, so they share no code with the entry checks; each
+# witness is the first basis label of the composite's domain whose column
+# of the difference is nonzero.
+
+
+def unit_left(v: GradedVect) -> LinMap:
+    """k (x) V -> V."""
+    return relabel(tensor(unit_space(v.field), v), v, lambda t: t[2])
+
+
+def unit_left_inv(v: GradedVect) -> LinMap:
+    return relabel(v, tensor(unit_space(v.field), v),
+                   lambda a: ("t", "1", a))
+
+
+def unit_right_inv(v: GradedVect) -> LinMap:
+    return relabel(v, tensor(v, unit_space(v.field)),
+                   lambda a: ("t", a, "1"))
+
+
+def unit_hom_iso(x: GradedVect) -> LinMap:
+    """X -> [unit, X]."""
+    return relabel(x, hom_space(unit_space(x.field), x),
+                   lambda a: ("h", "1", a))
+
+
+def eps_star(c: Coalgebra, x: GradedVect) -> LinMap:
+    """X -> [C, X], sending x to (a scalar multiple of) x at every basis
+    direction the counit sees."""
+    return compose(hom_map(c.eps, identity_map(x)), unit_hom_iso(x))
+
+
+def contra_assoc_maps(p: VContramodule):
+    """The two composites whose equality is contraassociativity."""
+    c = p.coalgebra
+    x = p.space
+    via_theta = compose(p.theta, hom_map(identity_map(c.space), p.theta))
+    via_delta = compose(
+        p.theta,
+        compose(hom_map(c.delta, identity_map(x)),
+                hom_tensor_iso_inv(c.space, c.space, x)),
+    )
+    return via_theta, via_delta
+
+
+def _composite_report(laws) -> dict:
+    """The report of ``laws``, (name, lhs, rhs) in order, with each failing
+    law's witness."""
+    failures = []
+    for law, lhs, rhs in laws:
+        if lhs != rhs:
+            diff = sub_maps(lhs, rhs)
+            witness = next(lab for _, _, lab in diff.dom.basis()
+                           if diff.apply_label(lab))
+            failures.append({"law": law, "witness": witness})
+    return {"ok": not failures, "failures": failures}
+
+
+def _reference_validate_coalgebra(c: Coalgebra) -> dict:
+    cs = c.space
+    one = identity_map(cs)
+    return _composite_report((
+        ("coassociativity",
+         compose(assoc(cs, cs, cs),
+                 compose(tensor_map(c.delta, one), c.delta)),
+         compose(tensor_map(one, c.delta), c.delta)),
+        ("left counit",
+         compose(unit_left(cs), compose(tensor_map(c.eps, one), c.delta)),
+         one),
+        ("right counit",
+         compose(unit_right(cs), compose(tensor_map(one, c.eps), c.delta)),
+         one),
+    ))
+
+
+def _reference_validate_comodule(m: VComodule) -> dict:
+    c = m.coalgebra
+    x = m.space
+    one_x, one_c = identity_map(x), identity_map(c.space)
+    if m.side == "right":
+        return _composite_report((
+            ("counitality",
+             compose(unit_right(x),
+                     compose(tensor_map(one_x, c.eps), m.rho)),
+             one_x),
+            ("coassociativity",
+             compose(assoc(x, c.space, c.space),
+                     compose(tensor_map(m.rho, one_c), m.rho)),
+             compose(tensor_map(one_x, c.delta), m.rho)),
+        ))
+    lam = compose(braiding(x, c.space), m.rho)
+    return _composite_report((
+        ("counitality",
+         compose(unit_left(x), compose(tensor_map(c.eps, one_x), lam)),
+         one_x),
+        ("coassociativity",
+         compose(tensor_map(c.delta, one_x), lam),
+         compose(assoc_inv(c.space, c.space, x),
+                 compose(tensor_map(one_c, lam), lam))),
+    ))
+
+
+def _reference_validate_contramodule(p: VContramodule) -> dict:
+    via_theta, via_delta = contra_assoc_maps(p)
+    return _composite_report((
+        ("contraunitality", compose(p.theta, eps_star(p.coalgebra, p.space)),
+         identity_map(p.space)),
+        ("contraassociativity", via_theta, via_delta),
+    ))
+
+
+def _reference_validate_module(mod: DualModule) -> dict:
+    """Associativity and unit of a module over the dual algebra, failures
+    named without a witness."""
+    a = mod.algebra.space
+    x = mod.space
+    act = mod.action
+    if mod.side == "right":
+        twice = compose(act, tensor_map(act, identity_map(a)))
+        product = compose(act, compose(
+            tensor_map(identity_map(x), mod.algebra.mult), assoc(x, a, a)))
+        unit_leg = compose(act, compose(
+            tensor_map(identity_map(x), mod.algebra.unit), unit_right_inv(x)))
+    else:
+        twice = compose(act, tensor_map(identity_map(a), act))
+        product = compose(act, compose(
+            tensor_map(mod.algebra.mult, identity_map(x)),
+            assoc_inv(a, a, x)))
+        unit_leg = compose(act, compose(
+            tensor_map(mod.algebra.unit, identity_map(x)), unit_left_inv(x)))
+    rep = _composite_report((("associativity", twice, product),
+                             ("unit", unit_leg, identity_map(x))))
+    return {"ok": rep["ok"], "failures": [f["law"] for f in rep["failures"]]}
+
+
+def _reference_validate(obj) -> dict:
+    """The composite check of a coalgebra, comodule or contramodule."""
+    if isinstance(obj, Coalgebra):
+        return _reference_validate_coalgebra(obj)
+    if isinstance(obj, VComodule):
+        return _reference_validate_comodule(obj)
+    return _reference_validate_contramodule(obj)
+
+
 # --- finite sets ----------------------------------------------------------
+
+
+def is_injective(f: FinMap) -> bool:
+    return len(set(f.table.values())) == len(f.dom)
+
+
+def coaction_of(m: SetComodule) -> FinMap:
+    """The coaction x -> (x, phi(x)) into carrier x base."""
+    p, _, _ = finset.product(m.carrier, m.base)
+    return FinMap(m.carrier, p,
+                  {x: finset.pair_label(x, m.phi(x)) for x in m.carrier})
 
 
 def comodule_of(rho: FinMap, carrier: FinSet, base: FinSet) -> SetComodule:

@@ -889,6 +889,30 @@ def test_declaration_kind_and_name_must_be_strings(tmp_path, capsys, decl):
         "strings\n")
 
 
+@pytest.mark.parametrize("field,scalar,why", [
+    ("Q", "1/0", "'1/0' has a zero denominator"),
+    ("Q", 0.1, "a scalar must be an int or a string, got 0.1"),
+    ("Q", True, "a scalar must be an int or a string, got True"),
+    ("F5", "1 mod 7", "'1 mod 7' is not an element of F5"),
+], ids=["zero-denominator", "float", "bool", "other-modulus"])
+def test_scalar_that_is_no_field_element_is_a_parse_error(
+        tmp_path, capsys, field, scalar, why):
+    """Scalars are read exactly or refused: a zero denominator, a JSON
+    float or bool, and an element of another prime field each end the run
+    with exit 2 and a parse error, not a traceback or a rounded value."""
+    decls = [
+        {"kind": "graded_space", "name": "V", "field": field,
+         "dims": {"0": 1}},
+        {"kind": "linmap", "name": "f", "dom": "V", "cod": "V",
+         "blocks": {"0": [[scalar]]}},
+    ]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"declarations": decls, "jobs": []}))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error at f: linmap 'f' rejected: {why}\n")
+
+
 def test_canonical_round_trip_is_byte_identical(tmp_path):
     doc = {
         "declarations": BASE_DECLS,

@@ -1,8 +1,8 @@
-"""``validate_coalgebra`` reads the laws off the entries of Delta and eps in
-one pass; the composite check it replaced, kept here as the reference,
-multiplies out (Delta (x) id) Delta, (id (x) Delta) Delta and the two
-counit composites.  The two must agree on ``ok``, the failing laws, their
-order and each witness."""
+"""``validate_coalgebra`` reads the laws off the entries of Delta and eps;
+the composite check it replaced, kept in ``paper_checks`` as the
+reference, multiplies out (Delta (x) id) Delta, (id (x) Delta) Delta and
+the two counit composites.  The two must agree on ``ok``, the failing
+laws, their order and each witness."""
 
 import itertools
 import random
@@ -19,53 +19,13 @@ from cocontra.coalg.instances import (
     group_like_coalgebra,
     random_invertible,
 )
-from cocontra.exactlin import (
-    GF,
-    QQ,
-    GradedVect,
-    LinMap,
-    Matrix,
-    assoc,
-    compose,
-    identity_map,
-    sub_maps,
-    tensor,
-    tensor_map,
-    unit_left,
-    unit_right,
-    unit_space,
-)
+from cocontra.exactlin import (GF, QQ, GradedVect, LinMap, Matrix, tensor,
+                               unit_space)
+from paper_checks import _reference_validate_coalgebra
 
 Q = QQ()
 F2 = GF(2)
 F3 = GF(3)
-
-
-def _reference_validate_coalgebra(c):
-    """The laws as composites of maps, each witness the first basis label
-    of C whose column of the difference is nonzero."""
-    cs = c.space
-    one = identity_map(cs)
-    laws = (
-        ("coassociativity",
-         compose(assoc(cs, cs, cs),
-                 compose(tensor_map(c.delta, one), c.delta)),
-         compose(tensor_map(one, c.delta), c.delta)),
-        ("left counit",
-         compose(unit_left(cs), compose(tensor_map(c.eps, one), c.delta)),
-         one),
-        ("right counit",
-         compose(unit_right(cs), compose(tensor_map(one, c.eps), c.delta)),
-         one),
-    )
-    failures = []
-    for law, lhs, rhs in laws:
-        if lhs != rhs:
-            diff = sub_maps(lhs, rhs)
-            witness = next(lab for _, _, lab in cs.basis()
-                           if diff.apply_label(lab))
-            failures.append({"law": law, "witness": witness})
-    return {"ok": not failures, "failures": failures}
 
 
 def _assert_matches_reference(c):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from cocontra.coalg import Coalgebra
 from cocontra.coalg.bridge import dual_tensor_into_hom
-from cocontra.coalg.core import unit_hom_iso
 from cocontra.coalg.instances import group_like_coalgebra
 from cocontra.errors import DEFAULT_BUDGET, MismatchedSignature, job
 from cocontra.exactlin import (
@@ -37,10 +36,7 @@ from cocontra.exactlin import (
     sub_maps,
     tensor,
     tensor_map,
-    unit_left,
-    unit_left_inv,
     unit_right,
-    unit_right_inv,
     unit_space,
 )
 from paper_checks import (
@@ -51,6 +47,10 @@ from paper_checks import (
     linmap_to_vec,
     scale,
     uncurry,
+    unit_hom_iso,
+    unit_left,
+    unit_left_inv,
+    unit_right_inv,
     vec_to_linmap,
     zero_map,
 )
@@ -244,15 +244,9 @@ def test_tensor_unit_is_identity_after_unitor():
     f = rand_linmap(rng, v, v)
     via = compose(
         unit_right(v), compose(tensor_map(f, identity_map(k)),
-                               _unit_right_inv(v))
+                               unit_right_inv(v))
     )
     assert via == f
-
-
-def _unit_right_inv(v):
-    from cocontra.exactlin import unit_right_inv
-
-    return unit_right_inv(v)
 
 
 def test_assoc_is_natural_iso():

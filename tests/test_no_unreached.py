@@ -7,7 +7,12 @@ runs live in the tests (``tests/paper_checks.py``), not in ``src/``.
 A use is a name or an attribute in another part of the package; an
 import, and so a package ``__init__`` re-export, is not a use.  Any
 occurrence of the name in ``perfbench/*.py`` counts too, since the
-benchmark's tracer binds functions by their names as strings."""
+benchmark's tracer binds functions by their names as strings.
+
+The check matches names only, so it cannot tell apart definitions that
+share a name: a method that nothing calls passes when another definition
+of its name is used (a ``rho`` method beside ``VComodule.rho``, say).
+Such a definition is found only by reading its callers."""
 
 import ast
 import re

@@ -3,7 +3,7 @@ import pytest
 from cocontra import finset, set_comodule as scm
 from cocontra.errors import BaseMismatch
 from cocontra.finset import FinMap, FinSet
-from paper_checks import NotCounital, comodule_of
+from paper_checks import NotCounital, coaction_of, comodule_of
 
 
 C2 = FinSet(["1", "2"])
@@ -24,7 +24,7 @@ def test_comodule_of_reads_off_phi():
     m = comodule_of(rho, X3, C2)
     assert m.phi.table == {"a": "1", "b": "2", "c": "2"}
     # the phi form gives back the coaction it was read from
-    assert m.rho() == rho
+    assert coaction_of(m) == rho
 
 
 def test_comodule_of_constant_second_component():
@@ -48,7 +48,7 @@ def test_comodule_of_rejects_non_counital():
 def test_round_trip_phi_rho_phi():
     for phi in finset._all_maps(X3, C2):
         m = scm.SetComodule(X3, C2, phi)
-        again = comodule_of(m.rho(), X3, C2)
+        again = comodule_of(coaction_of(m), X3, C2)
         assert again == m
 
 
