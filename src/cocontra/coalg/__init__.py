@@ -20,7 +20,6 @@ from .change import (
     cotensor,
     hom_of_contramodule,
     induce_comodule,
-    restrict_along,
     restrict_comodule,
     restrict_contramodule,
     trifunctor_probe,

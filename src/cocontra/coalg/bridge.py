@@ -2,37 +2,27 @@
 and contramodules.
 
 At finite dimension the function space out of the coalgebra is the dual
-tensored with the target, so a comodule becomes a right module over the
-dual algebra, a contramodule a left module, and both conversions are
-invertible: the collapse that makes the desk-scale regime degenerate but
-exactly checkable.
+tensored with the target, so a right comodule and a contramodule are
+both left modules over the dual algebra, f . x = x0 f(x1) and
+f . y = theta(c -> f(c) y), and both conversions are invertible: the
+collapse that makes the desk-scale regime degenerate but exactly
+checkable.  Every map here (the product, the unit, both actions and the
+structure maps read back off an action) is one ``_from_terms`` call over
+another map's entries, with no sign, since each has degree zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exactlin import (
-    GradedVect,
-    LinMap,
-    assoc,
-    compose,
-    dual,
-    hom_space,
-    identity_map,
-    pairing,
-    relabel,
-    tensor,
-    tensor_map,
-    unit_right,
-    unit_space,
-)
+from ..exactlin import GradedVect, LinMap, dual, hom_space, tensor, unit_space
 from .core import (
     Coalgebra,
     VComodule,
     VContramodule,
     _by_source,
     _entries,
+    _from_terms,
     _itself,
     _labels,
     _law_report,
@@ -53,38 +43,25 @@ class DualAlgebra:
 
 @dataclass(eq=False)
 class DualModule:
-    """A module over the dual algebra; ``side`` records which side acts."""
+    """A left module over the dual algebra."""
 
     algebra: DualAlgebra
     space: GradedVect
-    action: LinMap  # X (x) A -> X (right)  or  A (x) X -> X (left)
-    side: str
+    action: LinMap  # A (x) X -> X
 
 
 def dual_algebra(c: Coalgebra) -> DualAlgebra:
-    """Multiplication transposes the comultiplication; the counit is the
+    """Multiplication transposes the comultiplication,
+    mult[(d(c1), d(c2)) -> d(c)] = Delta[c -> (c1, c2)]; the counit is the
     unit element.  The dual is an algebra exactly when C is a coalgebra,
     so C is checked, before anything is built, in place of the algebra."""
     require_coalgebra(c)
     a = dual(c.space)
-    fld = c.field
-    z = fld.zero()
-    deltas = {ck: c.delta.apply_label(ck) for _, _, ck in c.space.basis()}
-    images = {}
-    for _, _, lab in tensor(a, a).basis():
-        _, (_, c1), (_, c2) = lab
-        images[lab] = {
-            ("d", ck): img.get(("t", c1, c2), z)
-            for ck, img in deltas.items()
-        }
-    mult = LinMap.from_images(tensor(a, a), a, 0, images)
-    unit_images = {
-        "1": {
-            ("d", ck): c.eps.apply_label(ck).get("1", z)
-            for _, _, ck in c.space.basis()
-        }
-    }
-    unit = LinMap.from_images(unit_space(fld), a, 0, unit_images)
+    mult = _from_terms(tensor(a, a), a, (
+        (("t", ("d", c1), ("d", c2)), ("d", ck), x)
+        for (_, c1, c2), ck, x in _entries(c.delta)))
+    unit = _from_terms(unit_space(c.field), a, (
+        ("1", ("d", ck), x) for _, ck, x in _entries(c.eps)))
     return DualAlgebra(c, a, mult, unit)
 
 
@@ -92,116 +69,74 @@ def validate_module(mod: DualModule) -> dict:
     """Associativity and unit, in that order, each named when it fails,
     read off the entries of the action, the multiplication and the unit.
 
-    With a.x the action on mod's side (x (x) a on the right, a (x) x on
-    the left), associativity sums the action applied twice, (x.a).b or
-    a.(b.x), against mult[(a, b) -> e] e.x, keyed by the image's label,
-    at each a, b and x; the unit law sums unit(e) e.x against x."""
+    Associativity sums a.(b.x) against mult[(a, b) -> e] e.x, keyed by the
+    image's label, at each a, b and x; the unit law sums unit(e) e.x
+    against x."""
     alg = mod.algebra
     act, mult = _by_source(mod.action), _by_source(alg.mult)
     unit = [(e, u) for e, _, u in _entries(alg.unit)]
-    right = mod.side == "right"
     xs, duals = _labels(mod.space), _labels(alg.space)
-
-    def on(a, x):
-        return ("t", x, a) if right else ("t", a, x)
-
-    def twice(t):
-        a, b, x = t
-        first, then = (a, b) if right else (b, a)
-        return ((z, v * w) for y, v in act.get(on(first, x), ())
-                for z, w in act.get(on(then, y), ()))
-
     rep = _law_report(mod.space.field.canonical, (
         ("associativity", [(a, b, x) for a in duals for b in duals
                            for x in xs],
-         twice,
+         lambda t: ((z, v * w) for y, v in act.get(("t", t[1], t[2]), ())
+                    for z, w in act.get(("t", t[0], y), ())),
          lambda t: ((z, v * w) for e, v in mult.get(("t", *t[:2]), ())
-                    for z, w in act.get(on(e, t[2]), ()))),
+                    for z, w in act.get(("t", e, t[2]), ()))),
         ("unit", xs,
          lambda x: ((z, u * w) for e, u in unit
-                    for z, w in act.get(on(e, x), ())),
+                    for z, w in act.get(("t", e, x), ())),
          _itself),
     ))
     return {"ok": rep["ok"], "failures": [f["law"] for f in rep["failures"]]}
 
 
 def comodule_to_module(m: VComodule, alg: DualAlgebra) -> DualModule:
-    """x . f = sum of x0 f(x1): coact, then pair the coalgebra leg."""
-    c = m.coalgebra
-    x = m.space
-    a = alg.space
-    act = compose(
-        unit_right(x),
-        compose(
-            tensor_map(identity_map(x), pairing(c.space)),
-            compose(
-                assoc(x, c.space, a),
-                tensor_map(m.rho, identity_map(a)),
-            ),
-        ),
-    )
-    mod = DualModule(alg, x, act, "right")
+    """f . x = sum of x0 f(x1): action[(d(c), x) -> y] = rho[x -> (y, c)]."""
+    act = _from_terms(tensor(alg.space, m.space), m.space, (
+        (("t", ("d", cl), xl), y, v) for (_, y, cl), xl, v in _entries(m.rho)))
+    mod = DualModule(alg, m.space, act)
     require_valid(validate_module(mod), "the module picture of m is not a "
                   "module, so m is not a comodule")
     return mod
 
 
-def dual_tensor_into_hom(c: Coalgebra, x: GradedVect) -> LinMap:
-    """C* (x) X -> [C, X]; an isomorphism at finite dimension."""
-    return relabel(tensor(dual(c.space), x), hom_space(c.space, x),
-                   lambda t: ("h", t[1][1], t[2]))
-
-
 def contramodule_to_module(p: VContramodule, alg: DualAlgebra) -> DualModule:
-    """f . y = theta of the function sending c to f(c) y."""
-    c = p.coalgebra
-    act = compose(p.theta, dual_tensor_into_hom(c, p.space))
-    mod = DualModule(alg, p.space, act, "left")
+    """f . y = theta of the function sending c to f(c) y:
+    action[(d(c), x) -> y] = theta[(c -> x) -> y]."""
+    act = _from_terms(tensor(alg.space, p.space), p.space, (
+        (("t", ("d", cl), xl), y, v)
+        for y, (_, cl, xl), v in _entries(p.theta)))
+    mod = DualModule(alg, p.space, act)
     require_valid(validate_module(mod), "the module picture of p is not a "
                   "module, so p is not a contramodule")
     return mod
 
 
-def _act(mod: DualModule, dual_label, xl) -> dict:
-    """A dual basis vector acting on a basis vector, on mod's side."""
-    if mod.side == "right":
-        return mod.action.apply_label(("t", xl, dual_label))
-    return mod.action.apply_label(("t", dual_label, xl))
-
-
 def module_to_comodule(mod: DualModule) -> VComodule:
-    """Recover the coaction from the action of the dual basis, on either
-    side."""
+    """Recover the coaction from the action of the dual basis:
+    rho[x -> (y, c)] = action[(d(c), x) -> y]."""
     c = mod.algebra.coalgebra
     x = mod.space
-    images = {
-        xl: {
-            ("t", yl, ck): cc
-            for _, _, ck in c.space.basis()
-            for yl, cc in _act(mod, ("d", ck), xl).items()
-        }
-        for _, _, xl in x.basis()
-    }
-    rho = LinMap.from_images(x, tensor(x, c.space), 0, images)
+    rho = _from_terms(x, tensor(x, c.space), (
+        (xl, ("t", y, cl), v)
+        for y, (_, (_, cl), xl), v in _entries(mod.action)))
     return VComodule(c, x, rho)
 
 
 def module_to_contramodule(mod: DualModule) -> VContramodule:
-    """Recover the structure map by letting the dual basis act, on either
-    side."""
+    """Recover the structure map by letting the dual basis act:
+    theta[(c -> x) -> y] = action[(d(c), x) -> y]."""
     c = mod.algebra.coalgebra
     x = mod.space
-    ambient = hom_space(c.space, x)
-    images = {
-        ("h", cl, xl): _act(mod, ("d", cl), xl)
-        for _, _, (_, cl, xl) in ambient.basis()
-    }
-    theta = LinMap.from_images(ambient, x, 0, images)
+    theta = _from_terms(hom_space(c.space, x), x, (
+        (("h", cl, xl), y, v)
+        for y, (_, (_, cl), xl), v in _entries(mod.action)))
     return VContramodule(c, x, theta)
 
 
 def contramodule_to_comodule(p: VContramodule, alg: DualAlgebra) -> VComodule:
-    """The collapse back: coact through the left action."""
+    """The collapse back: coact through the action."""
     return module_to_comodule(contramodule_to_module(p, alg))
 
 
@@ -210,10 +145,10 @@ def bridge_certificate(m: VComodule, p: VContramodule) -> dict:
     p must live over the one coalgebra, which is checked once."""
     require_same_coalgebra(m, p)
     alg = dual_algebra(m.coalgebra)
-    right = comodule_to_module(m, alg)
-    back_m = module_to_comodule(right)
+    picture = comodule_to_module(m, alg)
+    back_m = module_to_comodule(picture)
     back_p = module_to_contramodule(contramodule_to_module(p, alg))
-    collapse = module_to_contramodule(right)
+    collapse = module_to_contramodule(picture)
     collapse_rep = validate_contramodule(collapse)
     back_collapse = contramodule_to_comodule(collapse, alg)
     comodule_back = back_m.rho == m.rho

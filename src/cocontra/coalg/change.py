@@ -163,15 +163,6 @@ def coinduce_contramodule(f: LinMap, c: Coalgebra, chat: Coalgebra,
     return out
 
 
-def restrict_along(f: LinMap, c: Coalgebra, chat: Coalgebra, obj):
-    """Dispatching restriction for comodules and contramodules."""
-    if isinstance(obj, VComodule):
-        return restrict_comodule(f, c, chat, obj)
-    if isinstance(obj, VContramodule):
-        return restrict_contramodule(f, c, chat, obj)
-    raise TypeError(f"cannot restrict {type(obj).__name__}")
-
-
 def hom_of_contramodule(n: VComodule, x) -> VContramodule:
     """[N, X] for a left comodule n is a contramodule: precompose a family
     with the coaction."""

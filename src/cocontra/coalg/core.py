@@ -100,6 +100,17 @@ def _entries(f: LinMap):
             yield from ((clab, dlabs[j], x) for j, x in row.items())
 
 
+def _from_terms(dom: GradedVect, cod: GradedVect, terms) -> LinMap:
+    """The degree-zero map dom -> cod whose entry at (codomain label b,
+    domain label a) sums the x of the (a, b, x) terms."""
+    fld = dom.field
+    images = {}
+    for a, b, x in terms:
+        col = images.setdefault(a, {})
+        col[b] = fld.add(col[b], x) if b in col else x
+    return LinMap.from_images(dom, cod, 0, images)
+
+
 def _by_source(f: LinMap) -> dict:
     """A degree-zero map's nonzero entries grouped by domain label:
     {a: [(b, f[a -> b]), ...]}."""

@@ -54,6 +54,7 @@ from .core import (
     VComodule,
     VContramodule,
     _entries,
+    _from_terms,
     coalgebra_as_comodule,
     is_comodule_map,
     is_contramodule_map,
@@ -64,7 +65,6 @@ from .homobjects import (
     HomObject,
     comodule_hom_object,
     contra_hom_object,
-    _from_terms,
 )
 
 

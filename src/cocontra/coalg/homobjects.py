@@ -22,6 +22,7 @@ from .core import (
     VComodule,
     VContramodule,
     _entries,
+    _from_terms,
     require_same_coalgebra,
 )
 
@@ -36,17 +37,6 @@ class HomObject:
     ambient: GradedVect
     space: GradedVect
     include: LinMap
-
-
-def _from_terms(dom: GradedVect, cod: GradedVect, terms) -> LinMap:
-    """The degree-zero map dom -> cod whose entry at (codomain label b,
-    domain label a) sums the x of the (a, b, x) terms."""
-    fld = dom.field
-    images = {}
-    for a, b, x in terms:
-        col = images.setdefault(a, {})
-        col[b] = fld.add(col[b], x) if b in col else x
-    return LinMap.from_images(dom, cod, 0, images)
 
 
 def comodule_structure_pair(m: VComodule, n: VComodule):

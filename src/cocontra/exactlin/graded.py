@@ -10,9 +10,9 @@ A vector is a ``{label: nonzero}`` dict, the form ``LinMap.from_images``
 takes and ``LinMap.apply_label`` returns.  Dense tuples appear only in
 reports and outside input.
 
-The structural maps (associator, unitors, braiding, the tensor-hom
-isomorphism, the duality pairing) send each basis label to at most
-one label, up to sign, and each is one ``relabel`` call;
+The structural maps (the inverse associator, the braiding, the
+tensor-hom isomorphisms) send each basis label to at most one label, up
+to sign, and each is one ``relabel`` call;
 ``from_images`` builds the maps with arbitrary coefficients.
 
 Tensor and hom spaces, and the unit space, are built once per job and
@@ -397,20 +397,9 @@ def tensor_map(f: LinMap, g: LinMap) -> LinMap:
         n: Matrix.sparse(fld, rs, dom.dims[n]) for n, rs in rows.items()})
 
 
-def assoc(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
-    """((x,y),z) -> (x,(y,z)), a permutation of basis labels."""
-    return relabel(tensor(tensor(u, v), w), tensor(u, tensor(v, w)),
-                   lambda t: ("t", t[1][1], ("t", t[1][2], t[2])))
-
-
 def assoc_inv(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
     return relabel(tensor(u, tensor(v, w)), tensor(tensor(u, v), w),
                    lambda t: ("t", ("t", t[1], t[2][1]), t[2][2]))
-
-
-def unit_right(v: GradedVect) -> LinMap:
-    """V (x) k -> V."""
-    return relabel(tensor(v, unit_space(v.field)), v, lambda t: t[1])
 
 
 def braiding(v: GradedVect, w: GradedVect) -> LinMap:
@@ -497,12 +486,6 @@ def dual(v: GradedVect) -> GradedVect:
         dims[-k] = v.dim(k)
         labels[-k] = tuple(("d", a) for a in v.labels[k])
     return GradedVect(v.field, dims, labels)
-
-
-def pairing(v: GradedVect) -> LinMap:
-    """V (x) V* -> k."""
-    return relabel(tensor(v, dual(v)), unit_space(v.field),
-                   lambda t: "1" if t[2] == ("d", t[1]) else None)
 
 
 # --- (co)equalisers of parallel pairs ------------------------------------

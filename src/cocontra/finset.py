@@ -226,14 +226,6 @@ def product(a: FinSet, b: FinSet):
     return p, proj1, proj2
 
 
-def pairing(f: FinMap, g: FinMap) -> FinMap:
-    """The map <f,g> : Z -> A x B induced by f : Z -> A, g : Z -> B."""
-    if f.dom != g.dom:
-        raise MismatchedSignature("pairing needs a shared domain")
-    p, _, _ = product(f.cod, g.cod)
-    return FinMap(f.dom, p, {z: pair_label(f(z), g(z)) for z in f.dom})
-
-
 def coproduct(a: FinSet, b: FinSet):
     """Tagged disjoint union with both injections."""
     c = FinSet([f"L:{x}" for x in a] + [f"R:{y}" for y in b])

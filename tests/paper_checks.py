@@ -52,7 +52,6 @@ from cocontra.exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    assoc,
     assoc_inv,
     braiding,
     coequalizer_lin,
@@ -68,7 +67,6 @@ from cocontra.exactlin import (
     sub_maps,
     tensor,
     tensor_map,
-    unit_right,
     unit_space,
 )
 from cocontra.exactlin.fields import QQ
@@ -185,6 +183,17 @@ def dual_map(f: LinMap) -> LinMap:
 # of the difference is nonzero.
 
 
+def assoc(u: GradedVect, v: GradedVect, w: GradedVect) -> LinMap:
+    """((x,y),z) -> (x,(y,z)), a permutation of basis labels."""
+    return relabel(tensor(tensor(u, v), w), tensor(u, tensor(v, w)),
+                   lambda t: ("t", t[1][1], ("t", t[1][2], t[2])))
+
+
+def unit_right(v: GradedVect) -> LinMap:
+    """V (x) k -> V."""
+    return relabel(tensor(v, unit_space(v.field)), v, lambda t: t[1])
+
+
 def unit_left(v: GradedVect) -> LinMap:
     """k (x) V -> V."""
     return relabel(tensor(unit_space(v.field), v), v, lambda t: t[2])
@@ -198,6 +207,12 @@ def unit_left_inv(v: GradedVect) -> LinMap:
 def unit_right_inv(v: GradedVect) -> LinMap:
     return relabel(v, tensor(v, unit_space(v.field)),
                    lambda a: ("t", a, "1"))
+
+
+def pairing(v: GradedVect) -> LinMap:
+    """V (x) V* -> k."""
+    return relabel(tensor(v, dual(v)), unit_space(v.field),
+                   lambda t: "1" if t[2] == ("d", t[1]) else None)
 
 
 def unit_hom_iso(x: GradedVect) -> LinMap:
@@ -292,24 +307,16 @@ def _reference_validate_contramodule(p: VContramodule) -> dict:
 
 
 def _reference_validate_module(mod: DualModule) -> dict:
-    """Associativity and unit of a module over the dual algebra, failures
-    named without a witness."""
+    """Associativity and unit of a left module over the dual algebra,
+    failures named without a witness."""
     a = mod.algebra.space
     x = mod.space
     act = mod.action
-    if mod.side == "right":
-        twice = compose(act, tensor_map(act, identity_map(a)))
-        product = compose(act, compose(
-            tensor_map(identity_map(x), mod.algebra.mult), assoc(x, a, a)))
-        unit_leg = compose(act, compose(
-            tensor_map(identity_map(x), mod.algebra.unit), unit_right_inv(x)))
-    else:
-        twice = compose(act, tensor_map(identity_map(a), act))
-        product = compose(act, compose(
-            tensor_map(mod.algebra.mult, identity_map(x)),
-            assoc_inv(a, a, x)))
-        unit_leg = compose(act, compose(
-            tensor_map(mod.algebra.unit, identity_map(x)), unit_left_inv(x)))
+    twice = compose(act, tensor_map(identity_map(a), act))
+    product = compose(act, compose(
+        tensor_map(mod.algebra.mult, identity_map(x)), assoc_inv(a, a, x)))
+    unit_leg = compose(act, compose(
+        tensor_map(mod.algebra.unit, identity_map(x)), unit_left_inv(x)))
     rep = _composite_report((("associativity", twice, product),
                              ("unit", unit_leg, identity_map(x))))
     return {"ok": rep["ok"], "failures": [f["law"] for f in rep["failures"]]}
@@ -546,27 +553,25 @@ def validate_algebra(alg: DualAlgebra) -> dict:
 
 def comodule_to_contramodule(m: VComodule, alg: DualAlgebra) -> VContramodule:
     """The finite-dimensional collapse, comodule to contramodule: act with
-    the dual basis through the right action."""
+    the dual basis through the comodule's module picture."""
     return bridge.module_to_contramodule(bridge.comodule_to_module(m, alg))
 
 
 def module_maps_degree_zero(m1: DualModule, m2: DualModule):
     """Solve the equivariance system for maps between modules: the legs
     have the contramodule oracle's shape, the action in place of theta,
-    with the dual basis vector on the action's side of the tensor."""
-    if m1.side != m2.side:
-        raise MismatchedSignature("modules acting on different sides")
+    with the dual basis vector on the left of the tensor."""
     if m1.algebra.space != m2.algebra.space:
         raise MismatchedSignature("modules over different algebras")
     others = [lab for _, _, lab in m1.algebra.space.basis()]
-    if m1.side == "right":
-        def place(x, u):
-            return ("t", x, u)
-    else:
-        def place(x, u):
-            return ("t", u, x)
     return _degree_zero_kernel(m1.space, m2.space, _action_legs(
-        m1.action, m2.action, others, place))
+        m1.action, m2.action, others, lambda x, u: ("t", u, x)))
+
+
+def dual_tensor_into_hom(c: Coalgebra, x: GradedVect) -> LinMap:
+    """C* (x) X -> [C, X]; an isomorphism at finite dimension."""
+    return relabel(tensor(dual(c.space), x), hom_space(c.space, x),
+                   lambda t: ("h", t[1][1], t[2]))
 
 
 def sections_bridge_iso(m: VComodule):
@@ -579,17 +584,12 @@ def sections_bridge_iso(m: VComodule):
     checked here.  C is checked once, by ``dual_algebra``, before
     anything else is built."""
     alg = bridge.dual_algebra(m.coalgebra)
-    right = bridge.comodule_to_module(m, alg)
+    picture = bridge.comodule_to_module(m, alg)
     rdata = functors.functor_R_data(m)
-    dt = bridge.dual_tensor_into_hom(m.coalgebra, m.space)
-    phi = compose(
-        right.action,
-        compose(
-            braiding(alg.space, m.space),
-            compose(inverse_map(dt), rdata.hom.include),
-        ),
-    )
-    return phi, rdata.contramodule, bridge.module_to_contramodule(right)
+    dt = dual_tensor_into_hom(m.coalgebra, m.space)
+    phi = compose(picture.action,
+                  compose(inverse_map(dt), rdata.hom.include))
+    return phi, rdata.contramodule, bridge.module_to_contramodule(picture)
 
 
 def quotient_bridge_iso(p: VContramodule):

@@ -769,6 +769,56 @@ def test_bridge_checks_and_ties_its_coalgebra_argument():
     assert entry["status"] == "pass", entry
 
 
+def _incidence_manifest(field):
+    """The incidence coalgebra of the chain 1 < 2 (basis e11, e12, e22,
+    Delta(e12) = e11 (x) e12 + e12 (x) e22, eps(e11) = eps(e22) = 1),
+    which is not cocommutative, with its cofree comodule and free
+    contramodule on a 1- and a 2-dimensional space, each checked and
+    bridged."""
+    basis = ("e11", "e12", "e22")
+    delta = {"e11": {("e11", "e11")}, "e12": {("e11", "e12"), ("e12", "e22")},
+             "e22": {("e22", "e22")}}
+    declarations = [
+        {"kind": "graded_space", "name": "CS", "field": field,
+         "dims": {"0": 3}, "labels": {"0": list(basis)}},
+        {"kind": "coalgebra", "name": "C", "space": "CS",
+         "delta_blocks": {"0": [[int((a, b) in delta[c]) for c in basis]
+                                for a in basis for b in basis]},
+         "eps_blocks": {"0": [[1, 0, 1]]}}]
+    jobs = [{"id": "check-C", "command": "check", "args": {"target": "C"}}]
+    for n in (1, 2):
+        declarations += [
+            {"kind": "graded_space", "name": f"V{n}", "field": field,
+             "dims": {"0": n}, "prefix": "v"},
+            {"kind": "cofree_comodule", "name": f"T{n}", "coalgebra": "C",
+             "on": f"V{n}"},
+            {"kind": "free_contramodule", "name": f"F{n}", "coalgebra": "C",
+             "on": f"V{n}"}]
+        jobs += [
+            *({"id": f"check-{t}", "command": "check", "args": {"target": t}}
+              for t in (f"T{n}", f"F{n}")),
+            {"id": f"bridge-{n}", "command": "bridge",
+             "args": {"coalgebra": "C", "comodule": f"T{n}",
+                      "contramodule": f"F{n}"}}]
+    return {"version": "1", "declarations": declarations, "jobs": jobs}
+
+
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_bridge_passes_over_a_coalgebra_that_is_not_cocommutative(field):
+    """A right comodule is a left module over the dual algebra; read as a
+    right module it is one over the opposite algebra, and the bridge
+    refused valid objects over the incidence coalgebra as ``InvalidImage``
+    (the module picture's associativity failed)."""
+    report = cli.run_manifest(_incidence_manifest(field), GOLDEN_CTX)
+    statuses = {entry["id"]: entry["status"] for entry in report["jobs"]}
+    assert statuses == dict.fromkeys(
+        ["bridge-1", "bridge-2", "check-C", "check-F1", "check-F2",
+         "check-T1", "check-T2"], "pass"), report
+    bridged = [entry["result"] for entry in report["jobs"]
+               if entry["command"] == "bridge"]
+    assert all(r["ok"] and r["collapse_round_trip"] for r in bridged)
+
+
 # declarations whose fields have the wrong type or sign, each refused with
 # the message that follows it
 WRONG_FIELDS = {

@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from cocontra import coalg
+from cocontra import coalg, polycoalg
 from cocontra.coalg import instances as inst
 from cocontra.errors import (CocontraError, CoalgebraMismatch,
                              InvalidImage, MismatchedSignature,
@@ -20,11 +21,13 @@ from cocontra.exactlin import (
     unit_space,
 )
 from paper_checks import (
+    _reference_validate_module,
     all_linmaps,
     change_adjunction_certificate,
     coalgebra_as_left_comodule,
     comodule_to_contramodule,
     counit_contraction_iso,
+    dual_tensor_into_hom,
     grading_comodule,
     module_maps_degree_zero,
     quotient_bridge_iso,
@@ -389,9 +392,53 @@ def test_bridge_builds_the_comodule_module_once(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("field", [F2, Q], ids=["F2", "Q"])
+def test_bridge_builds_each_map_off_entries(monkeypatch, field):
+    """The dual algebra, both module pictures and the structure maps read
+    back off a module are each one pass over another map's entries: with
+    ``compose``, ``tensor_map``, ``relabel`` and ``LinMap.apply_label``
+    raising at every binding in the package they are still built, and
+    the composite checks, run afterwards, accept them."""
+    from cocontra.exactlin import graded
+
+    g = inst.group_like_coalgebra(field, 2)
+    rng = random.Random(f"bridge-entries-{field.name}")
+    x = GradedVect(field, {0: 1, 1: 1}, prefix="x")
+    cases = [(c, coalg.cofree(x, c), coalg.free(x, c)) for c in (
+        inst.conjugate_coalgebra(g, inst.random_invertible(g.space, rng)),
+        polycoalg.build(2, 1, field).underlying)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bridge built a map by composites")
+
+    with monkeypatch.context() as patch:
+        for fn in (graded.compose, graded.tensor_map, graded.relabel):
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("cocontra"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is fn:
+                            patch.setattr(mod, attr, refuse)
+        patch.setattr(LinMap, "apply_label", refuse)
+        built = []
+        for c, m, p in cases:
+            alg = coalg.dual_algebra(c)
+            left, right = (coalg.comodule_to_module(m, alg),
+                           coalg.contramodule_to_module(p, alg))
+            built.append((alg, m, p, left, right,
+                          coalg.module_to_comodule(left),
+                          coalg.module_to_contramodule(right)))
+    for alg, m, p, left, right, back_m, back_p in built:
+        assert validate_algebra(alg)["ok"]
+        assert _reference_validate_module(left)["ok"]
+        assert _reference_validate_module(right)["ok"]
+        assert right.action == compose(
+            p.theta, dual_tensor_into_hom(p.coalgebra, p.space))
+        assert back_m.rho == m.rho and back_p.theta == p.theta
+
+
 def test_checks_on_linear_arguments_raise():
-    """Structure maps of the wrong signature, modules acting on different
-    sides and a comodule that is no comodule are refused by raised
+    """Structure maps of the wrong signature, modules over different
+    algebras and a comodule that is no comodule are refused by raised
     errors, so the checks hold under python -O too."""
     c = inst.group_like_coalgebra(F2, 2)
     x = GradedVect(F2, {0: 1}, prefix="x")
@@ -403,11 +450,11 @@ def test_checks_on_linear_arguments_raise():
                   lambda: coalg.left_comodule_from_coaction(c, x, ix)):
         with pytest.raises(MismatchedSignature):
             build()
-    alg = coalg.dual_algebra(c)
-    right = coalg.comodule_to_module(coalg.cofree(x, c), alg)
-    left = coalg.contramodule_to_module(coalg.free(x, c), alg)
-    with pytest.raises(MismatchedSignature, match="different sides"):
-        module_maps_degree_zero(right, left)
+    two, three = (coalg.comodule_to_module(coalg.cofree(x, g),
+                                           coalg.dual_algebra(g))
+                  for g in (c, inst.group_like_coalgebra(F2, 3)))
+    with pytest.raises(MismatchedSignature, match="different algebras"):
+        module_maps_degree_zero(two, three)
     # a zero coaction: m cotensor C is not m
     broken = coalg.VComodule(c, x, LinMap(x, tensor(x, c.space), 0, {}))
     with pytest.raises(InvalidImage, match="m cotensor C is not m"):

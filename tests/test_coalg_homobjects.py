@@ -13,7 +13,6 @@ from cocontra.exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    assoc,
     compose,
     hom_map,
     hom_space,
@@ -24,6 +23,7 @@ from cocontra.exactlin import (
 )
 from paper_checks import (
     IncompatibleTriple,
+    assoc,
     coalgebra_as_left_comodule,
     coords_of,
     enriched_composition,
@@ -369,15 +369,10 @@ def _reference_contra_maps(p, q):
 
 def _reference_module_maps(m1, m2):
     a = m1.algebra.space
-    if m1.side == "right":
-        def sides(f):
-            return (compose(f, m1.action),
-                    compose(m2.action, tensor_map(f, identity_map(a))))
-    else:
-        def sides(f):
-            return (compose(f, m1.action),
-                    compose(m2.action, tensor_map(identity_map(a), f)))
-    return _reference_degree_zero_kernel(m1.space, m2.space, sides)
+    return _reference_degree_zero_kernel(
+        m1.space, m2.space,
+        lambda f: (compose(f, m1.action),
+                   compose(m2.action, tensor_map(identity_map(a), f))))
 
 
 def _corrupted(f, rng):
@@ -396,12 +391,12 @@ def _corrupted(f, rng):
 
 
 def _oracle_cases(field, rng):
-    """(oracle, reference, source, target) for the three degree-zero
+    """(oracle, reference, kind, source, target) for the three degree-zero
     oracles over a conjugated group-like coalgebra and two binomial
     coalgebras with z in degrees 1 and -1, on spaces over degrees -1, 0
-    and 1: right and left comodules, contramodules, right and left
-    modules, each pair valid and once more with one entry of each
-    structure map corrupted."""
+    and 1: right and left comodules, contramodules, and the module
+    pictures of comodules and of contramodules, each pair valid and once
+    more with one entry of each structure map corrupted."""
     x = GradedVect(field, {-1: 1, 0: 1, 1: 1}, prefix="x")
     y = GradedVect(field, {0: 1, 1: 1}, prefix="y")
     coalgebras = [inst.random_coalgebra(field, rng, max_dim=2),
@@ -422,22 +417,22 @@ def _oracle_cases(field, rng):
         contramodules = [(coalg.free(x, c), coalg.free(y, c)),
                          (coalg.free(y, c), coalg.free(x, c))]
         modules = [
-            *((coalg.comodule_to_module(m, alg),
+            *(("of a comodule", coalg.comodule_to_module(m, alg),
                coalg.comodule_to_module(n, alg)) for m, n in comodules[:2]),
-            *((coalg.contramodule_to_module(p, alg),
+            *(("of a contramodule", coalg.contramodule_to_module(p, alg),
                coalg.contramodule_to_module(q, alg))
               for p, q in contramodules),
         ]
         for oracle, reference, structure, pairs in (
                 (coalg.comodule_maps_direct, _reference_comodule_maps, "rho",
-                 comodules),
+                 [(m.side, m, n) for m, n in comodules]),
                 (coalg.contra_maps_direct, _reference_contra_maps, "theta",
-                 contramodules),
+                 [("contramodule", p, q) for p, q in contramodules]),
                 (module_maps_degree_zero, _reference_module_maps,
                  "action", modules)):
-            for src, dst in pairs:
-                yield oracle, reference, src, dst
-                yield oracle, reference, *(
+            for kind, src, dst in pairs:
+                yield oracle, reference, kind, src, dst
+                yield oracle, reference, kind, *(
                     replace(obj, **{structure: _corrupted(
                         getattr(obj, structure), rng)})
                     for obj in (src, dst))
@@ -449,18 +444,17 @@ def test_oracles_match_the_compose_per_unit_reference(field):
     reference's units and kernel on valid and corrupted inputs alike,
     because it must build the same system for any input."""
     seen = set()
-    for oracle, reference, src, dst in _oracle_cases(
+    for oracle, reference, kind, src, dst in _oracle_cases(
             field, random.Random(f"oracle-{field.name}")):
         units, kernel = oracle(src, dst)
         assert (units, kernel) == reference(src, dst)
-        side = getattr(src, "side", "contramodule")
         odd = any(k % 2 for k in src.space.degrees())
-        seen.add((oracle.__name__, side, odd, 0 < len(kernel) < len(units)))
+        seen.add((oracle.__name__, kind, odd, 0 < len(kernel) < len(units)))
     assert {(name, side) for name, side, _, _ in seen} == {
         ("comodule_maps_direct", "right"), ("comodule_maps_direct", "left"),
         ("contra_maps_direct", "contramodule"),
-        ("module_maps_degree_zero", "right"),
-        ("module_maps_degree_zero", "left")}
+        ("module_maps_degree_zero", "of a comodule"),
+        ("module_maps_degree_zero", "of a contramodule")}
     assert all(any(o and k for n, _, o, k in seen if n == name)
                for name, _, _, _ in seen)
 
@@ -507,10 +501,10 @@ def test_oracles_are_independent_of_the_map_kernels(monkeypatch, field):
     they still return the reference's answers, while the reference
     itself is refused."""
     cases = list(_oracle_cases(field, random.Random(f"guard-{field.name}")))
-    expected = [reference(src, dst) for _, reference, src, dst in cases]
+    expected = [reference(src, dst) for _, reference, _, src, dst in cases]
     _refuse_map_kernels(monkeypatch)
-    assert [oracle(src, dst) for oracle, _, src, dst in cases] == expected
-    _, reference, src, dst = cases[0]
+    assert [oracle(src, dst) for oracle, _, _, src, dst in cases] == expected
+    _, reference, _, src, dst = cases[0]
     with pytest.raises(AssertionError, match="the oracle reached"):
         reference(src, dst)
 

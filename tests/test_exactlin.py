@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from cocontra.coalg import Coalgebra
-from cocontra.coalg.bridge import dual_tensor_into_hom
 from cocontra.coalg.instances import group_like_coalgebra
 from cocontra.errors import DEFAULT_BUDGET, MismatchedSignature, job
 from cocontra.exactlin import (
@@ -17,7 +16,6 @@ from cocontra.exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    assoc,
     assoc_inv,
     braiding,
     coequalizer_lin,
@@ -31,25 +29,27 @@ from cocontra.exactlin import (
     hom_tensor_iso,
     hom_tensor_iso_inv,
     identity_map,
-    pairing,
     relabel,
     sub_maps,
     tensor,
     tensor_map,
-    unit_right,
     unit_space,
 )
 from paper_checks import (
+    assoc,
     composition_on_ambient,
     dual_map,
+    dual_tensor_into_hom,
     ev_map,
     grading_comodule,
     linmap_to_vec,
+    pairing,
     scale,
     uncurry,
     unit_hom_iso,
     unit_left,
     unit_left_inv,
+    unit_right,
     unit_right_inv,
     vec_to_linmap,
     zero_map,

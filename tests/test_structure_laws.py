@@ -25,6 +25,7 @@ from cocontra.coalg import (
     VComodule,
     VContramodule,
     cofree,
+    comodule_to_module,
     contramodule_to_module,
     dual_algebra,
     free,
@@ -47,7 +48,6 @@ from cocontra.exactlin import (
     GradedVect,
     LinMap,
     Matrix,
-    assoc,
     compose,
     hom_space,
     identity_map,
@@ -57,6 +57,7 @@ from cocontra.exactlin import (
 )
 from paper_checks import (
     _reference_validate_coalgebra,
+    assoc,
     _reference_validate_comodule,
     _reference_validate_contramodule,
     _reference_validate_module,
@@ -65,8 +66,7 @@ from paper_checks import (
 Q = QQ()
 F2 = GF(2)
 F3 = GF(3)
-KINDS = ("right comodule", "left comodule", "contramodule", "right module",
-         "left module")
+KINDS = ("right comodule", "left comodule", "contramodule", "left module")
 
 
 def _check(obj):
@@ -98,11 +98,8 @@ def _structures(kind, c: Coalgebra, alg, x: GradedVect, map_of):
         for theta in map_of(hom_space(c.space, x), x):
             yield VContramodule(c, x, theta)
     else:
-        side = kind.split()[0]
-        a = alg.space
-        dom = tensor(x, a) if side == "right" else tensor(a, x)
-        for act in map_of(dom, x):
-            yield DualModule(alg, x, act, side)
+        for act in map_of(tensor(alg.space, x), x):
+            yield DualModule(alg, x, act)
 
 
 # --- every small F2 structure --------------------------------------------
@@ -176,7 +173,7 @@ def _perturb(obj, rng, field):
     """obj with one entry of its structure map moved."""
     if isinstance(obj, DualModule):
         return DualModule(obj.algebra, obj.space,
-                          _perturbed(obj.action, rng, field), obj.side)
+                          _perturbed(obj.action, rng, field))
     if isinstance(obj, VComodule):
         return VComodule(obj.coalgebra, obj.space,
                          _perturbed(obj.rho, rng, field), obj.side)
@@ -210,22 +207,21 @@ def _triangular_coalgebra(field) -> Coalgebra:
 def _objects(c: Coalgebra, m: VComodule, p: VContramodule,
              x: GradedVect):
     """m, p, a left cofree comodule, C as a left comodule, the dual algebra
-    as a right and as a left module over itself, and p's module: each
-    valid."""
+    as a left module over itself, and m's and p's modules: each valid."""
     alg = dual_algebra(c)
     return [m, p, _left_cofree(x, c),
             left_comodule_from_coaction(c, c.space, c.delta),
-            DualModule(alg, alg.space, alg.mult, "right"),
-            DualModule(alg, alg.space, alg.mult, "left"),
-            contramodule_to_module(p, alg)]
+            DualModule(alg, alg.space, alg.mult),
+            comodule_to_module(m, alg), contramodule_to_module(p, alg)]
 
 
 @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
 def test_matches_the_reference_on_perturbed_objects(field):
     """Random comodules and contramodules, the left cofree comodule and
-    the dual modules over group-like coalgebras and the triangular one,
-    moved along a random basis change, each as built and with one entry
-    perturbed."""
+    the dual-algebra modules (the algebra itself and the pictures of the
+    comodule and the contramodule) over group-like coalgebras and the
+    triangular one, moved along a random basis change, each as built and
+    with one entry perturbed."""
     rng = random.Random(f"structure-laws-{field.name}")
     seen = Counter()
     for i in range(24):
@@ -262,6 +258,47 @@ def test_matches_the_reference_on_divided_power_objects(field):
                         rep = _check(_perturb(obj, rng, field))
                         failed[z_degree % 2] += not rep["ok"]
     assert failed[0] and failed[1]
+
+
+# --- the module picture of a comodule -------------------------------------
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=["F2", "F3", "Q"])
+def test_module_picture_fails_the_laws_its_comodule_fails(monkeypatch,
+                                                          field):
+    """f . x = x0 f(x1) makes a right comodule a left module over the dual
+    algebra, law for law: the picture fails associativity exactly when the
+    comodule fails coassociativity, and unit exactly when it fails
+    counitality.  Comodules over conjugated group-like and incidence
+    coalgebras and over the divided-power ones with z in degrees -2 to 2,
+    each as built and perturbed, with the builder's own refusal of a
+    picture that is no module bypassed."""
+    from cocontra.coalg import bridge
+
+    monkeypatch.setattr(bridge, "require_valid", lambda rep, what: None)
+    rng = random.Random(f"module-picture-{field.name}")
+    x = GradedVect(field, {0: 1, 1: 1}, prefix="x")
+    coalgebras = [
+        conjugate_coalgebra(base, random_invertible(base.space, rng))
+        for base in (_triangular_coalgebra(field),
+                     group_like_coalgebra(field, 2))]
+    coalgebras += [polycoalg.build(truncation, z_degree, field).underlying
+                   for z_degree in range(-2, 3) for truncation in (1, 2)]
+    module_law = {"counitality": "unit", "coassociativity": "associativity"}
+    seen = Counter()
+    for c in coalgebras:
+        with errors.job(errors.DEFAULT_BUDGET):
+            alg = dual_algebra(c)
+            for m in (cofree(x, c), random_comodule(c, rng, 2)):
+                for obj in (m, *(_perturb(m, rng, field) for _ in range(4))):
+                    laws = _laws(validate_comodule(obj))
+                    picture = comodule_to_module(obj, alg)
+                    got = validate_module(picture)
+                    assert set(got["failures"]) == {module_law[law]
+                                                    for law in laws}, obj
+                    seen[laws] += 1
+    assert {law for laws in seen for law in laws} == set(module_law)
+    assert seen[()] >= 2 * len(coalgebras)
 
 
 # --- no space and no composite -------------------------------------------
